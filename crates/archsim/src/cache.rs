@@ -54,24 +54,43 @@ impl std::iter::Sum for CacheStats {
 
 /// A set-associative cache with true-LRU replacement.
 ///
-/// Tags are stored per set with an LRU ordering maintained by shifting —
-/// exact (not pseudo) LRU, which is what the miss-ratio estimates assume.
-/// Set count need not be a power of two (the Xeon 8170's 11-way 35.75 MiB
-/// L3 isn't); indexing uses modulo.
+/// Each set keeps its lines most-recently-used first, so recency *is* the
+/// position: a hit moves the line to the front, a miss drops the last one —
+/// exact (not pseudo) LRU, which is what the miss-ratio estimates assume —
+/// and a re-reference of the newest line (the common case in a streaming
+/// replay) returns after one compare. A way holds the whole line number,
+/// not the tag, so a lookup needs no division; the set index is a mask when
+/// the set count is a power of two and a modulo otherwise (the Xeon 8170's
+/// 11-way 35.75 MiB L3 isn't).
+///
+/// Lines are allocated a block of sets at a time, when a set in the block
+/// is first touched. A 64 MiB L3 is a million lines, of which a
+/// kernel-sized replay touches a few thousand: allocated whole, it costs
+/// more to zero than the replay takes and sets the resident size of the
+/// process.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
     ways: usize,
     line_shift: u32,
-    /// `tags[set * ways + way]`; way 0 is most recently used.
-    tags: Vec<u64>,
-    /// Valid bits packed per entry.
-    valid: Vec<bool>,
+    /// `sets - 1` when `sets` is a power of two.
+    set_mask: Option<u64>,
+    /// `blocks[set >> block_shift]` is empty until touched, then holds
+    /// `ways` entries for each of its sets: the line number plus one, most
+    /// recently used first, zero for an empty way.
+    blocks: Vec<Vec<u64>>,
+    block_shift: u32,
     stats: CacheStats,
 }
 
-/// Tag value reserved for "empty".
-const NO_TAG: u64 = u64::MAX;
+/// Lines in a block, at most (32 KiB of state).
+const BLOCK_LINES: usize = 4096;
+
+/// Allocate a block's lines, all empty. Out of line: it runs once a block.
+#[cold]
+fn allocate(block: &mut Vec<u64>, lines: usize) {
+    *block = vec![0; lines];
+}
 
 impl Cache {
     /// Build from a [`CacheSpec`] (uses its full capacity: for shared
@@ -85,13 +104,17 @@ impl Cache {
     /// Explicit geometry: `sets × ways` lines of `line_bytes`.
     pub fn with_geometry(sets: usize, ways: usize, line_bytes: u32) -> Self {
         assert!(sets >= 1 && ways >= 1);
-        assert!(line_bytes.is_power_of_two());
+        // At least two bytes a line keeps `line + 1` from wrapping to the
+        // empty marker.
+        assert!(line_bytes.is_power_of_two() && line_bytes >= 2);
+        let block_shift = (BLOCK_LINES / ways).max(1).ilog2();
         Self {
             sets,
             ways,
             line_shift: line_bytes.trailing_zeros(),
-            tags: vec![NO_TAG; sets * ways],
-            valid: vec![false; sets * ways],
+            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
+            blocks: vec![Vec::new(); ((sets - 1) >> block_shift) + 1],
+            block_shift,
             stats: CacheStats::default(),
         }
     }
@@ -104,31 +127,31 @@ impl Cache {
     /// Access a byte address; returns `true` on hit. Misses allocate
     /// (write-allocate policy for both reads and writes, as on all the
     /// studied machines).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
-        // Search ways in LRU order.
-        for w in 0..self.ways {
-            if self.valid[base + w] && self.tags[base + w] == tag {
-                // Hit: move to MRU position.
-                for back in (1..=w).rev() {
-                    self.tags.swap(base + back, base + back - 1);
-                    self.valid.swap(base + back, base + back - 1);
-                }
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets as u64,
+        } as usize;
+        let block = &mut self.blocks[set >> self.block_shift];
+        if block.is_empty() {
+            allocate(block, self.ways << self.block_shift);
+        }
+        let first = (set & ((1 << self.block_shift) - 1)) * self.ways;
+        // Put the line in front and push what was there back a way at a
+        // time, until the line's old copy turns up (a hit: everything
+        // behind it stays put) or the last way falls out (a miss).
+        let key = line + 1;
+        let mut pushed = key;
+        for way in &mut block[first..first + self.ways] {
+            std::mem::swap(way, &mut pushed);
+            if pushed == key {
                 return true;
             }
         }
-        // Miss: evict LRU (last way), insert at MRU.
         self.stats.misses += 1;
-        for back in (1..self.ways).rev() {
-            self.tags.swap(base + back, base + back - 1);
-            self.valid.swap(base + back, base + back - 1);
-        }
-        self.tags[base] = tag;
-        self.valid[base] = true;
         false
     }
 
@@ -144,8 +167,7 @@ impl Cache {
 
     /// Invalidate all contents and reset statistics.
     pub fn flush(&mut self) {
-        self.valid.fill(false);
-        self.tags.fill(NO_TAG);
+        self.blocks.iter_mut().for_each(|block| block.fill(0));
         self.stats = CacheStats::default();
     }
 }

@@ -138,6 +138,9 @@ impl TraceConsumer {
         }
     }
 
+    /// Always inlined, so that an event whose kind is known at the call (the
+    /// interpreter's hooks each build one kind) costs only its own arm.
+    #[inline(always)]
     pub fn consume(&mut self, ev: TraceEvent) {
         match ev {
             TraceEvent::Load { addr, .. } => {

@@ -85,6 +85,7 @@ impl TraceHierarchy {
     }
 
     /// Replay one access.
+    #[inline]
     pub fn access(&mut self, addr: u64) {
         self.accesses += 1;
         if self.l1.access(addr) {

@@ -44,6 +44,7 @@ impl Tlb {
     }
 
     /// Translate one access; returns `true` on TLB hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.inner.access(addr)
     }

@@ -4,7 +4,7 @@
 //! engine's `Backend::Isa` prediction path consumes.
 
 use crate::cfg::build_cfg;
-use crate::interp::run;
+use crate::interp::execute;
 use crate::ir::{ExtSet, Instr};
 use crate::kernels::{build, KernelId, MAX_STEPS};
 use crate::trace::Tracer;
@@ -133,6 +133,9 @@ impl Tracer for ReplayTracer<'_> {
         self.consumer.consume(TraceEvent::Retire);
     }
 
+    // One copy of the TLB and hierarchy probes, not one per load and store
+    // arm of the interpreter's `match`.
+    #[inline(never)]
     fn mem(&mut self, addr: u64, bytes: u8, is_store: bool) {
         let ev = if is_store {
             TraceEvent::Store { addr, bytes }
@@ -179,7 +182,7 @@ pub fn characterize(
         let mut tracer = ReplayTracer {
             consumer: &mut consumer,
         };
-        run(&mut cpu, &prog, &mut tracer, MAX_STEPS)
+        execute(&mut cpu, &prog, &mut tracer, MAX_STEPS)
             .unwrap_or_else(|t| panic!("kernel {} trapped: {t}", kernel.name()))
     };
     built

@@ -50,7 +50,7 @@ pub fn build_cfg(prog: &DecodedProgram) -> Cfg {
     for &(pc, instr) in &prog.instrs {
         match instr.op {
             Op::Jal => {
-                let target = (pc as i64 + instr.imm) as u64;
+                let target = pc.wrapping_add(instr.imm as u64);
                 if in_range(target) {
                     leaders.insert(target);
                 }
@@ -60,7 +60,7 @@ pub fn build_cfg(prog: &DecodedProgram) -> Cfg {
                 }
             }
             op if op.is_cond_branch() => {
-                let target = (pc as i64 + instr.imm) as u64;
+                let target = pc.wrapping_add(instr.imm as u64);
                 if in_range(target) {
                     leaders.insert(target);
                 }
@@ -105,13 +105,13 @@ pub fn build_cfg(prog: &DecodedProgram) -> Cfg {
         if let Some((pc, instr)) = last_instr {
             match instr.op {
                 Op::Jal => {
-                    let target = (pc as i64 + instr.imm) as u64;
+                    let target = pc.wrapping_add(instr.imm as u64);
                     if in_range(target) {
                         succs.push(target);
                     }
                 }
                 op if op.is_cond_branch() => {
-                    let target = (pc as i64 + instr.imm) as u64;
+                    let target = pc.wrapping_add(instr.imm as u64);
                     if in_range(target) {
                         succs.push(target);
                     }

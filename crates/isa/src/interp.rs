@@ -5,10 +5,10 @@
 
 use crate::decode::DecodedProgram;
 use crate::ir::{Instr, Op};
-use crate::trace::Tracer;
+use crate::trace::{NullTracer, Tracer};
 
 /// Flat little-endian guest memory starting at `base`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Memory {
     base: u64,
     data: Vec<u8>,
@@ -164,72 +164,207 @@ pub struct ExecStats {
     pub amo_ops: u64,
 }
 
+/// "No op index": a slot's static target is absent or not an instruction.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One instruction of the pre-decoded program.
+#[derive(Clone, Copy)]
+struct Slot {
+    pc: u64,
+    instr: Instr,
+    /// Op index of a `jal`/branch target, resolved once; [`NO_SLOT`] for
+    /// every other op and for a target that is not an instruction.
+    target: u32,
+}
+
+/// The program as the execute loop wants it: a dense slot array stepped by
+/// index (fall-through is `idx + 1`) plus the pc → index table that only
+/// `jalr`, the entry pc and bad static targets still need.
+struct Predecoded {
+    slots: Vec<Slot>,
+    base: u64,
+    /// The pc just past the last instruction.
+    end_pc: u64,
+    /// Slot index by half-word offset from `base`; [`NO_SLOT`] inside an
+    /// instruction.
+    index: Vec<u32>,
+}
+
+impl Predecoded {
+    fn new(prog: &DecodedProgram) -> Self {
+        let mut index = vec![NO_SLOT; prog.byte_len() / 2];
+        let mut next_pc = prog.base;
+        for (n, (pc, instr)) in prog.instrs.iter().enumerate() {
+            // Stepping by index relies on it: `instrs[n + 1]` is the
+            // fall-through of `instrs[n]`.
+            assert_eq!(*pc, next_pc, "program is not contiguous from its base");
+            index[((pc - prog.base) / 2) as usize] = n as u32;
+            next_pc = pc + instr.size as u64;
+        }
+        let mut pre = Predecoded {
+            slots: Vec::with_capacity(prog.instrs.len()),
+            base: prog.base,
+            end_pc: next_pc,
+            index,
+        };
+        for &(pc, instr) in &prog.instrs {
+            let target = if instr.op == Op::Jal || instr.op.is_cond_branch() {
+                pre.slot_of(pc.wrapping_add(instr.imm as u64))
+            } else {
+                NO_SLOT
+            };
+            pre.slots.push(Slot { pc, instr, target });
+        }
+        pre
+    }
+
+    /// The slot whose instruction starts at `pc`, or [`NO_SLOT`].
+    fn slot_of(&self, pc: u64) -> u32 {
+        let off = pc.wrapping_sub(self.base);
+        if off & 1 != 0 {
+            return NO_SLOT;
+        }
+        self.index
+            .get((off / 2) as usize)
+            .copied()
+            .unwrap_or(NO_SLOT)
+    }
+}
+
 /// Execute until `ebreak` (normal halt) or a trap, emitting trace events.
+/// A tracer that [consumes nothing](Tracer::consumes_nothing) gets the
+/// instantiation of [`execute`] with the hooks compiled out.
 pub fn run(
     cpu: &mut Cpu,
     prog: &DecodedProgram,
     tracer: &mut dyn Tracer,
     max_steps: u64,
 ) -> Result<ExecStats, Trap> {
-    let _prof = rvhpc_obs::prof::scope("isa.interp");
-    // pc → instr index at half-word granularity.
-    let end_pc = prog
-        .instrs
-        .last()
-        .map(|(pc, i)| pc + i.size as u64)
-        .unwrap_or(prog.base);
-    let slots = ((end_pc - prog.base) / 2) as usize;
-    let mut index = vec![u32::MAX; slots];
-    for (n, (pc, _)) in prog.instrs.iter().enumerate() {
-        index[((pc - prog.base) / 2) as usize] = n as u32;
+    if tracer.consumes_nothing() {
+        execute(cpu, prog, &mut NullTracer, max_steps)
+    } else {
+        execute(cpu, prog, tracer, max_steps)
     }
+}
 
+/// [`run`] with the tracer's type known: its hooks are direct calls the
+/// compiler can inline. On a trap `cpu.pc` is the pc of the instruction
+/// that trapped (for [`Trap::MisalignedPc`], the pc that is no instruction;
+/// for [`Trap::StepLimit`], the next one to execute).
+pub fn execute<T: Tracer + ?Sized>(
+    cpu: &mut Cpu,
+    prog: &DecodedProgram,
+    tracer: &mut T,
+    max_steps: u64,
+) -> Result<ExecStats, Trap> {
+    let _prof = rvhpc_obs::prof::scope("isa.interp");
+    let pre = Predecoded::new(prog);
+    let slots = pre.slots.as_slice();
+    let mut stats = ExecStats::default();
+    // Control has reached `pc`, which is no instruction. The step budget is
+    // checked before the pc, as it is for one that is.
+    let leave = |cpu: &mut Cpu, pc: u64, instret: u64| {
+        cpu.pc = pc;
+        if instret >= max_steps {
+            Trap::StepLimit
+        } else {
+            Trap::MisalignedPc(pc)
+        }
+    };
+    // The position is a slot index; `cpu.pc` is written on the way out.
+    let mut idx = match pre.slot_of(cpu.pc) {
+        NO_SLOT => return Err(leave(cpu, cpu.pc, 0)),
+        n => n as usize,
+    };
+    loop {
+        // Past the last slot only by falling through it.
+        let slot = slots.get(idx);
+        if stats.instret >= max_steps {
+            cpu.pc = slot.map_or(pre.end_pc, |slot| slot.pc);
+            return Err(Trap::StepLimit);
+        }
+        let Some(slot) = slot else {
+            cpu.pc = pre.end_pc;
+            return Err(Trap::MisalignedPc(pre.end_pc));
+        };
+        stats.instret += 1;
+        tracer.retire(slot.pc, &slot.instr);
+        if slot.instr.op == Op::Ebreak {
+            cpu.pc = slot.pc;
+            return Ok(stats);
+        }
+        match step(cpu, slot.pc, &slot.instr, tracer, &mut stats) {
+            Ok(None) => idx += 1,
+            Ok(Some(_)) if slot.target != NO_SLOT => idx = slot.target as usize,
+            Ok(Some(pc)) => match pre.slot_of(pc) {
+                NO_SLOT => return Err(leave(cpu, pc, stats.instret)),
+                n => idx = n as usize,
+            },
+            Err(trap) => {
+                cpu.pc = slot.pc;
+                return Err(trap);
+            }
+        }
+    }
+}
+
+/// The fetch-by-pc loop [`execute`] replaced, kept as the oracle the
+/// lock-step tests hold it to: it looks every pc up, so it shares nothing
+/// with the pre-decoding but the semantics in [`step`]. Not a production
+/// path.
+pub fn run_reference(
+    cpu: &mut Cpu,
+    prog: &DecodedProgram,
+    tracer: &mut dyn Tracer,
+    max_steps: u64,
+) -> Result<ExecStats, Trap> {
     let mut stats = ExecStats::default();
     loop {
         if stats.instret >= max_steps {
             return Err(Trap::StepLimit);
         }
         let pc = cpu.pc;
-        if pc < prog.base || pc >= end_pc || pc & 1 != 0 {
+        let Ok(n) = prog.instrs.binary_search_by_key(&pc, |(at, _)| *at) else {
             return Err(Trap::MisalignedPc(pc));
-        }
-        let slot = index[((pc - prog.base) / 2) as usize];
-        if slot == u32::MAX {
-            return Err(Trap::MisalignedPc(pc));
-        }
-        let instr = prog.instrs[slot as usize].1;
-        let next_pc = pc + instr.size as u64;
+        };
+        let instr = &prog.instrs[n].1;
         stats.instret += 1;
-        tracer.retire(pc, &instr);
+        tracer.retire(pc, instr);
         if instr.op == Op::Ebreak {
             return Ok(stats);
         }
-        step(cpu, pc, next_pc, &instr, tracer, &mut stats)?;
+        cpu.pc = match step(cpu, pc, instr, tracer, &mut stats)? {
+            None => pc + instr.size as u64,
+            Some(target) => target,
+        };
     }
 }
 
-#[inline]
-fn step(
+/// The semantics of one instruction (every op but `ebreak`, which the
+/// loops handle). Returns the pc control moves to when that is not the
+/// next instruction; `cpu.pc` is the caller's to maintain.
+#[inline(always)]
+fn step<T: Tracer + ?Sized>(
     cpu: &mut Cpu,
     pc: u64,
-    next_pc: u64,
     i: &Instr,
-    tracer: &mut dyn Tracer,
+    tracer: &mut T,
     stats: &mut ExecStats,
-) -> Result<(), Trap> {
+) -> Result<Option<u64>, Trap> {
+    let next_pc = pc + i.size as u64;
     let rs1 = cpu.x[i.rs1 as usize];
     let rs2 = cpu.x[i.rs2 as usize];
-    let mut new_pc = next_pc;
+    let mut redirect = None;
     match i.op {
         Op::Lui => cpu.set_x(i.rd, i.imm as u64),
         Op::Auipc => cpu.set_x(i.rd, pc.wrapping_add(i.imm as u64)),
         Op::Jal => {
             cpu.set_x(i.rd, next_pc);
-            new_pc = (pc as i64).wrapping_add(i.imm) as u64;
+            redirect = Some(pc.wrapping_add(i.imm as u64));
         }
         Op::Jalr => {
             cpu.set_x(i.rd, next_pc);
-            new_pc = rs1.wrapping_add(i.imm as u64) & !1;
+            redirect = Some(rs1.wrapping_add(i.imm as u64) & !1);
         }
         Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => {
             let taken = match i.op {
@@ -243,7 +378,7 @@ fn step(
             stats.branches += 1;
             if taken {
                 stats.taken_branches += 1;
-                new_pc = (pc as i64).wrapping_add(i.imm) as u64;
+                redirect = Some(pc.wrapping_add(i.imm as u64));
             }
             tracer.branch(pc, taken);
         }
@@ -315,7 +450,7 @@ fn step(
         Op::Sraw => cpu.set_x(i.rd, ((rs1 as i32) >> (rs2 & 31)) as i64 as u64),
         Op::Fence => {}
         Op::Ecall => return Err(Trap::IllegalInstruction(pc)),
-        Op::Ebreak => unreachable!("handled in run()"),
+        Op::Ebreak => unreachable!("the loops halt on ebreak"),
         Op::Mul => cpu.set_x(i.rd, rs1.wrapping_mul(rs2)),
         Op::Mulh => cpu.set_x(
             i.rd,
@@ -495,7 +630,7 @@ fn step(
         Op::Vle64 => {
             let vl = cpu.vl;
             for lane in 0..vl as usize {
-                let addr = rs1 + 8 * lane as u64;
+                let addr = rs1.wrapping_add(8 * lane as u64);
                 let v = cpu.mem.read_f64(addr)?;
                 cpu.v[i.rd as usize][lane] = v;
                 stats.loads += 1;
@@ -508,7 +643,7 @@ fn step(
         Op::Vse64 => {
             let vl = cpu.vl;
             for lane in 0..vl as usize {
-                let addr = rs1 + 8 * lane as u64;
+                let addr = rs1.wrapping_add(8 * lane as u64);
                 cpu.mem.write_f64(addr, cpu.v[i.rd as usize][lane])?;
                 stats.stores += 1;
                 tracer.mem(addr, 8, true);
@@ -565,6 +700,5 @@ fn step(
         }
         Op::Illegal => return Err(Trap::IllegalInstruction(pc)),
     }
-    cpu.pc = new_pc;
-    Ok(())
+    Ok(redirect)
 }

@@ -44,7 +44,7 @@ pub use backend::{characterize, IsaExt, KernelCharacter};
 pub use cfg::{build_cfg, BasicBlock, Cfg};
 pub use decode::{decode, decode_compressed, decode_program, DecodedProgram};
 pub use encode::Asm;
-pub use interp::{run, Cpu, ExecStats, Memory, Trap};
+pub use interp::{execute, run, run_reference, Cpu, ExecStats, Memory, Trap};
 pub use ir::{ExtSet, Instr, Op};
 pub use kernels::{build, BuiltKernel, KernelId};
 pub use trace::{NullTracer, Tracer};

@@ -18,9 +18,19 @@ pub trait Tracer {
     /// (vluxei) element accesses. Per-lane memory traffic is emitted
     /// separately through `mem`.
     fn vector(&mut self, _elems: u32, _gather: bool) {}
+    /// True when every hook is a no-op. The interpreter then runs the copy
+    /// of its loop that has no hook calls in it; a tracer that observes
+    /// anything must leave this `false`.
+    fn consumes_nothing(&self) -> bool {
+        false
+    }
 }
 
 /// Tracer that discards everything (interpreter-only runs, decode benches).
 pub struct NullTracer;
 
-impl Tracer for NullTracer {}
+impl Tracer for NullTracer {
+    fn consumes_nothing(&self) -> bool {
+        true
+    }
+}

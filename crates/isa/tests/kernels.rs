@@ -189,6 +189,62 @@ fn characterization_is_deterministic() {
     assert_eq!(a.tlb, b.tlb);
 }
 
+/// `characterize` on the SG2044, pinned to the counts captured before the
+/// interpreter was pre-decoded and `Cache` went MRU-first: [instret, loads,
+/// stores, branches, mispredicts], the hierarchy's [accesses, L1, L2, L3,
+/// DRAM] and the TLB's [accesses, misses]. Every miss is compulsory (each
+/// kernel walks its data once), so one thread's share of the caches and
+/// one in 64 give the same counts.
+#[test]
+fn sg2044_characters_match_the_golden_counts() {
+    type Golden = (KernelId, [u64; 5], [u64; 5], [u64; 2]);
+    let golden: [Golden; 4] = [
+        (
+            KernelId::Triad,
+            [40964, 16384, 8192, 4097, 2],
+            [24576, 21504, 0, 0, 3072],
+            [24576, 48],
+        ),
+        (
+            KernelId::Spmv,
+            [158721, 51200, 1024, 18432, 1027],
+            [52224, 48828, 3, 0, 3393],
+            [52224, 54],
+        ),
+        (
+            KernelId::MgResid,
+            [180093, 65488, 8186, 8186, 2],
+            [73674, 70602, 0, 0, 3072],
+            [73674, 48],
+        ),
+        (
+            KernelId::EpAccum,
+            [65542, 0, 0, 8192, 2],
+            [0, 0, 0, 0, 0],
+            [0, 0],
+        ),
+    ];
+    let m = rvhpc_machines::presets::sg2044();
+    for (id, arch, hierarchy, tlb) in golden {
+        for threads in [1, 64] {
+            let c = characterize(id, &m, threads, IsaExt::full());
+            let h = c.hierarchy;
+            let what = format!("{} at {threads} threads", id.name());
+            assert_eq!(
+                [c.instret, c.loads, c.stores, c.branches, c.mispredicts],
+                arch,
+                "{what}"
+            );
+            assert_eq!(
+                [h.accesses, h.l1_hits, h.l2_hits, h.l3_hits, h.dram],
+                hierarchy,
+                "{what}"
+            );
+            assert_eq!([c.tlb.accesses, c.tlb.misses], tlb, "{what}");
+        }
+    }
+}
+
 #[test]
 fn spmv_has_realistic_branch_misses() {
     let m = rvhpc_machines::presets::sg2044();
