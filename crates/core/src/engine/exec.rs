@@ -322,13 +322,14 @@ impl Engine {
     }
 
     /// Resolve a single preset-machine query without the batch
-    /// machinery: one cache probe, one compute on a miss. This is the
-    /// hot path for externally-arriving single queries (`rvhpc-serve`),
-    /// where building and deduplicating a one-element [`Plan`] per
-    /// request is pure overhead. Shares the prediction cache with the
-    /// batch executor — a query resolved here is a hit there and vice
-    /// versa. Panics on a [`MachineSel::Custom`] selector, which is
-    /// meaningless without a plan's machine table.
+    /// machinery: one cache probe, one compute on a miss, for callers
+    /// that hold one query and no plan (the benchmark's per-layer probe
+    /// timings; `rvhpc-serve` does not come through here — it answers
+    /// hot hits with [`Engine::hot_hit`] and batches the rest). Shares
+    /// the prediction cache with the batch executor — a query resolved
+    /// here is a hit there and vice versa — but counts no batch. Panics
+    /// on a [`MachineSel::Custom`] selector, which is meaningless
+    /// without a plan's machine table.
     ///
     /// [`MachineSel::Custom`]: crate::engine::MachineSel::Custom
     pub fn resolve_one(&self, q: &Query) -> Arc<Prediction> {
@@ -366,6 +367,23 @@ impl Engine {
             Some(store) => store.contains(key.fingerprint()),
             None => false,
         }
+    }
+
+    /// Serve `q` (keyed in `plan`'s context) from the hot tier if it is
+    /// there. A hit is accounted as the one-query execution it stands in
+    /// for — one prediction hit, one batch, the `engine.probe` →
+    /// `cache-hit` profiler frames — so the counters read the same
+    /// whether this or [`Engine::execute_on`] served it. A miss counts
+    /// nothing and leaves the disk tier and the compute to the executor.
+    /// `rvhpc-serve`'s reactor answers hot hits through this without a
+    /// shard worker.
+    pub fn hot_hit(&self, plan: &Plan, q: &Query) -> Option<Arc<Prediction>> {
+        let pred = self.predictions.peek(&plan.key_of(q))?;
+        let _prof = rvhpc_obs::prof::scope("engine.probe");
+        rvhpc_obs::prof::mark("cache-hit");
+        self.predictions.count_hit();
+        self.exec.lock().batches += 1;
+        Some(pred)
     }
 
     /// Evaluate a plan with the default worker count; results in plan

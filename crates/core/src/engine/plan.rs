@@ -170,7 +170,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// An ordered batch of queries plus the custom machines they reference.
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
-    machines: Vec<Machine>,
+    /// Each custom machine beside its [`machine_fingerprint`], taken once
+    /// when [`Plan::add_machine`] receives it: `key_of` runs several times
+    /// per served request and once per query of a sweep grid, and the
+    /// fingerprint formats the whole descriptor.
+    machines: Vec<(Machine, u64)>,
     queries: Vec<Query>,
 }
 
@@ -190,7 +194,8 @@ impl Plan {
     /// Register a custom machine descriptor; the returned selector is
     /// valid for queries added to *this* plan.
     pub fn add_machine(&mut self, m: Machine) -> MachineSel {
-        self.machines.push(m);
+        let fingerprint = machine_fingerprint(&m);
+        self.machines.push((m, fingerprint));
         MachineSel::Custom(self.machines.len() - 1)
     }
 
@@ -240,7 +245,7 @@ impl Plan {
     pub fn machine_of(&self, q: &Query) -> Machine {
         match q.machine {
             MachineSel::Preset(id) => presets::by_id(id),
-            MachineSel::Custom(i) => self.machines[i].clone(),
+            MachineSel::Custom(i) => self.machines[i].0.clone(),
         }
     }
 
@@ -248,7 +253,7 @@ impl Plan {
     pub fn key_of(&self, q: &Query) -> CacheKey {
         let machine = match q.machine {
             MachineSel::Preset(id) => MachineKeyPart::Preset(id),
-            MachineSel::Custom(i) => MachineKeyPart::Custom(machine_fingerprint(&self.machines[i])),
+            MachineSel::Custom(i) => MachineKeyPart::Custom(self.machines[i].1),
         };
         CacheKey {
             machine,
@@ -306,6 +311,49 @@ mod tests {
         assert_eq!(m1, variant, "merged query must see its own machine");
         // The two custom machines differ, so their keys must differ.
         assert_ne!(a.key_of(&a.queries()[0]), a.key_of(&a.queries()[1]));
+    }
+
+    /// `key_of` reads the fingerprint stored at `add_machine`; it must be
+    /// the fingerprint of the machine `machine_of` hands back, also after
+    /// `merge` has moved the machine to another index.
+    #[test]
+    fn stored_fingerprint_is_the_fingerprint_of_machine_of() {
+        let custom_query = |machine| Query {
+            machine,
+            bench: BenchmarkId::Mg,
+            class: Class::C,
+            threads: 16,
+            spec: SpecKind::Headline,
+            backend: Backend::Profile,
+        };
+        let agrees = |p: &Plan| {
+            for q in p.queries() {
+                assert_eq!(
+                    p.key_of(q).machine,
+                    MachineKeyPart::Custom(machine_fingerprint(&p.machine_of(q))),
+                    "{q:?}"
+                );
+            }
+        };
+
+        let mut a = Plan::new();
+        let ma = a.add_machine(presets::sg2044());
+        a.push(custom_query(ma));
+        let mut b = Plan::new();
+        for clock in [2.0, 3.2] {
+            let mut variant = presets::sg2042();
+            variant.clock_ghz = clock;
+            let mb = b.add_machine(variant);
+            b.push(custom_query(mb));
+        }
+        agrees(&a);
+        agrees(&b);
+        let keys_before: Vec<CacheKey> = b.queries().iter().map(|q| b.key_of(q)).collect();
+
+        a.merge(b);
+        agrees(&a);
+        let keys_after: Vec<CacheKey> = a.queries()[1..].iter().map(|q| a.key_of(q)).collect();
+        assert_eq!(keys_before, keys_after, "merge moves indices, not keys");
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! incremental nonblocking reads, and replies leave through a
 //! per-connection output buffer flushed under write interest. There is
 //! no hard connection cap — a connection costs a buffer pair and a map
-//! entry, not a thread. Blocking work never runs on a reactor: predict
-//! jobs go to the shared [`Batcher`] with a [`ReplySink`] completion
-//! port, cluster forwards go to the [`cluster::Forwarder`] pool, and
-//! both post completions through a [`ReactorHub`] whose
-//! [`poll::Waker`] pops the reactor out of its wait. The bounded shard
+//! entry, not a thread. Blocking work never runs on a reactor: a predict
+//! the engine's memory tier already holds is answered where its line
+//! was read, and every other one goes to the shared [`Batcher`] with a
+//! [`ReplySink`] completion port; cluster forwards go to the
+//! [`cluster::Forwarder`] pool, and both post completions through a
+//! [`ReactorHub`] whose [`poll::Waker`] pops the reactor out of its
+//! wait. The bounded shard
 //! queues remain the admission-control boundary (a full queue produces
 //! an immediate `overloaded` reply instead of unbounded buffering).
 //! Every predict carries a deadline — the client's `deadline_ms` or
@@ -63,7 +65,9 @@ use rvhpc_obs::{
     self as obs, metrics, EventKind, JsonValue, LatencyHistogram, Sample, Timeseries, TraceCtx,
 };
 
-use crate::batch::{AdmissionError, Batcher, Completion, CompletionPort, Job, ReplySink};
+use crate::batch::{
+    AdmissionError, Batcher, Completion, CompletionPort, Job, JobResult, ReplySink,
+};
 use crate::cluster::{self, ForwardJob, ForwardOutcome, Router};
 use crate::poll::{self, Interest, PollEvent, Poller};
 use crate::proto::{self, ErrorKind, PredictRequest, Priority, ProtoError, Request};
@@ -885,6 +889,79 @@ fn next_step(conn: &mut Conn) -> Step {
     Step::Idle
 }
 
+/// Account for one local predict's outcome and render its reply line:
+/// the one place that counts `ok`, cache warmth and the QoS class,
+/// records the service time and keeps the slow-request dump, for a
+/// shard worker's completion and for a hot hit answered on the reactor
+/// alike — so the metrics document and the reply bytes do not depend on
+/// which of the two served the request. `result` is `None` when the
+/// worker abandoned the batch.
+fn settle_predict(
+    sh: &Shared,
+    conn: &mut Conn,
+    req: &PredictRequest,
+    trace: &mut TraceCtx,
+    enqueued_us: u64,
+    result: Option<JobResult>,
+) -> String {
+    let Some(res) = result else {
+        // The batch was abandoned after repeated panics; the dropped
+        // ReplySink delivered this tombstone.
+        sh.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
+        return proto::render_error(&ProtoError::new(
+            req.id,
+            ErrorKind::Internal,
+            "worker dropped the job",
+        ));
+    };
+    sh.counters.ok.fetch_add(1, Ordering::Relaxed);
+    if let Some(pr) = req.priority {
+        sh.counters.class_ok[pr.index()].fetch_add(1, Ordering::Relaxed);
+        sh.counters.class_latency[pr.index()]
+            .lock()
+            .record(res.service_us);
+    }
+    if res.cached {
+        sh.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+        conn.hits += 1;
+    } else {
+        sh.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+        conn.misses += 1;
+    }
+    sh.counters.service.lock().record(res.service_us);
+    // The engine-side spans go into this request's retained dump only:
+    // whoever executed the probe recorded them into its own ring.
+    trace.retain_span(EventKind::QueueWait, "queue", enqueued_us, res.queue_us);
+    trace.retain_span(
+        EventKind::EngineExec,
+        "execute",
+        enqueued_us + res.queue_us,
+        res.exec_us,
+    );
+    trace.retain_span(
+        EventKind::CacheProbe,
+        if res.cached {
+            "cache-hit"
+        } else {
+            "cache-miss"
+        },
+        enqueued_us,
+        0,
+    );
+    let result = proto::prediction_result(req, &res.pred);
+    if sh.slow_us.is_some_and(|t| res.service_us >= t) {
+        let dump = trace.dump();
+        let mut log = sh.slow_log.lock();
+        if log.len() == SLOW_LOG_CAP {
+            log.pop_front();
+        }
+        log.push_back(dump.clone());
+        proto::render_ok_traced(req.id, result, dump)
+    } else {
+        proto::render_ok(req.id, result)
+    }
+}
+
 struct Reactor {
     shared: Arc<Shared>,
     poller: Poller,
@@ -1115,10 +1192,10 @@ impl Reactor {
         }
     }
 
-    /// Pull ready bytes into the connection's input buffer. Reads only
-    /// while the connection is `Ready` — in-flight work keeps the same
-    /// backpressure the blocking loop enforced by not calling
-    /// `read_line`.
+    /// Pull ready bytes into the connection's input buffer, until a read
+    /// comes back short. Reads only while the connection is `Ready` —
+    /// in-flight work keeps the same backpressure the blocking loop
+    /// enforced by not calling `read_line`.
     fn fill_inbuf(&mut self, id: u64) {
         let mut dead = false;
         {
@@ -1139,7 +1216,11 @@ impl Reactor {
                     Ok(n) => {
                         conn.inbuf.extend_from_slice(&buf[..n]);
                         pulled += n;
-                        if pulled >= FILL_CAP {
+                        // A short read emptied the socket buffer; asking
+                        // again would only buy a `WouldBlock`. Polling is
+                        // level-triggered, so bytes (or the EOF) arriving
+                        // after this read fire another event.
+                        if n < READ_CHUNK || pulled >= FILL_CAP {
                             break;
                         }
                     }
@@ -1310,9 +1391,10 @@ impl Reactor {
         true
     }
 
-    /// Admit one predict: forward it to a ring owner (router mode) or
-    /// submit it to a local shard, parking the connection in
-    /// `Predicting` until the completion or its deadline.
+    /// Admit one predict: answer it here if it is a hot-cache hit;
+    /// otherwise forward it to a ring owner (router mode) or submit it
+    /// to a local shard, parking the connection in `Predicting` until
+    /// the completion or its deadline.
     fn handle_predict(
         &mut self,
         id: u64,
@@ -1352,6 +1434,48 @@ impl Reactor {
         }
         let (plan, query) = req.to_plan();
         let enqueued_us = obs::now_us();
+        let enqueued_at = Instant::now();
+        // A hot-tier hit is answered here: the probe costs less than
+        // handing the job to a shard worker and being woken for its
+        // completion. Only that case — a miss computes and a disk-tier
+        // hit reads a file, neither of which may block a reactor; a
+        // router owns no predictions; and under a fault plan every
+        // request must reach the worker, whose stall and panic rolls are
+        // scheduled per pickup.
+        if sh.router.is_none() && sh.injector.is_none() {
+            if let Some(pred) = sh.batcher.engine().hot_hit(&plan, &query) {
+                let exec_us = enqueued_at.elapsed().as_micros() as u64;
+                let Some(conn) = self.conns.get_mut(&id) else {
+                    return false;
+                };
+                if trace.is_enabled() {
+                    // What the worker's own context would have put in
+                    // its ring, under this request's id.
+                    for (kind, name, dur_us) in [
+                        (EventKind::CacheProbe, "cache-hit", 0),
+                        (EventKind::EngineExec, "execute", exec_us),
+                    ] {
+                        obs::record(obs::Event {
+                            kind,
+                            name,
+                            tid: conn.conn_ord,
+                            start_us: enqueued_us,
+                            dur_us,
+                            arg: trace.id(),
+                        });
+                    }
+                }
+                let result = JobResult {
+                    pred,
+                    cached: true,
+                    service_us: exec_us,
+                    queue_us: 0,
+                    exec_us,
+                };
+                let reply = settle_predict(&sh, conn, &req, &mut trace, enqueued_us, Some(result));
+                return self.finish_predict_reply(id, &mut trace, &reply);
+            }
+        }
         let deadline = req
             .deadline_ms
             .map(Duration::from_millis)
@@ -1395,7 +1519,7 @@ impl Reactor {
             let job = Job {
                 plan,
                 query,
-                enqueued_at: Instant::now(),
+                enqueued_at,
                 trace_id: trace.id(),
                 enqueued_us,
                 class: req.priority.unwrap_or(Priority::Interactive),
@@ -1469,69 +1593,7 @@ impl Reactor {
                 return;
             };
             let mut trace = p.trace;
-            let req = p.req;
-            let reply = match c.result {
-                Some(res) => {
-                    sh.counters.ok.fetch_add(1, Ordering::Relaxed);
-                    if let Some(pr) = req.priority {
-                        sh.counters.class_ok[pr.index()].fetch_add(1, Ordering::Relaxed);
-                        sh.counters.class_latency[pr.index()]
-                            .lock()
-                            .record(res.service_us);
-                    }
-                    if res.cached {
-                        sh.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        conn.hits += 1;
-                    } else {
-                        sh.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                        conn.misses += 1;
-                    }
-                    sh.counters.service.lock().record(res.service_us);
-                    // Mirror the worker-side spans into this request's
-                    // retained dump (the worker already recorded them
-                    // into its own ring under the batch's trace id;
-                    // these copies feed only the slow-request dump).
-                    trace.retain_span(EventKind::QueueWait, "queue", p.enqueued_us, res.queue_us);
-                    trace.retain_span(
-                        EventKind::EngineExec,
-                        "execute",
-                        p.enqueued_us + res.queue_us,
-                        res.exec_us,
-                    );
-                    trace.retain_span(
-                        EventKind::CacheProbe,
-                        if res.cached {
-                            "cache-hit"
-                        } else {
-                            "cache-miss"
-                        },
-                        p.enqueued_us,
-                        0,
-                    );
-                    let result = proto::prediction_result(&req, &res.pred);
-                    if sh.slow_us.is_some_and(|t| res.service_us >= t) {
-                        let dump = trace.dump();
-                        let mut log = sh.slow_log.lock();
-                        if log.len() == SLOW_LOG_CAP {
-                            log.pop_front();
-                        }
-                        log.push_back(dump.clone());
-                        proto::render_ok_traced(req.id, result, dump)
-                    } else {
-                        proto::render_ok(req.id, result)
-                    }
-                }
-                None => {
-                    // The batch was abandoned after repeated panics;
-                    // the dropped ReplySink delivered this tombstone.
-                    sh.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
-                    proto::render_error(&ProtoError::new(
-                        req.id,
-                        ErrorKind::Internal,
-                        "worker dropped the job",
-                    ))
-                }
-            };
+            let reply = settle_predict(&sh, conn, &p.req, &mut trace, p.enqueued_us, c.result);
             (trace, reply)
         };
         let keep = self.finish_predict_reply(id, &mut trace, &reply);

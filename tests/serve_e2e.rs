@@ -6,7 +6,13 @@
 //! prediction), warm-cache behaviour (hit counter increases, repeat
 //! reply byte-identical), the 1k-request mixed loadgen workload with
 //! zero drops, admission-control rejections under a tiny queue, and
-//! graceful drain via the admin `quit` op.
+//! graceful drain via the admin `quit` op. Also pins what must not
+//! depend on whether a predict was served by a shard worker or, as a
+//! hot-cache hit, on the reactor: reply bytes, reply order on a
+//! pipelined connection, and the counter sections of the metrics
+//! document; and the framing cases of the reactor's read path (a line
+//! longer than one read, a client half-close, an unterminated last
+//! line).
 //!
 //! The drain flag is process-global, so tests that boot a server
 //! serialize on [`SERVER_LOCK`].
@@ -21,12 +27,24 @@ use rvhpc::serve::{loadgen, proto, reset_drain, LoadgenConfig, Mix, Server, Serv
 
 static SERVER_LOCK: Mutex<()> = Mutex::new(());
 
-fn boot(config: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<JsonValue>) {
-    reset_drain();
-    let server = Server::bind(config).expect("bind ephemeral port");
+type Running = (SocketAddr, std::thread::JoinHandle<JsonValue>);
+
+fn spawn(server: Server) -> Running {
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
     (addr, handle)
+}
+
+fn boot(config: ServerConfig) -> Running {
+    reset_drain();
+    spawn(Server::bind(config).expect("bind ephemeral port"))
+}
+
+/// As [`boot`], on an engine of its own: empty caches, counters from 0.
+fn boot_fresh(config: ServerConfig) -> Running {
+    reset_drain();
+    let engine = Box::leak(Box::new(rvhpc::eval::engine::Engine::new()));
+    spawn(Server::bind_on(config, engine).expect("bind ephemeral port"))
 }
 
 fn test_config() -> ServerConfig {
@@ -57,6 +75,10 @@ impl Client {
 
     fn roundtrip(&mut self, line: &str) -> String {
         writeln!(self.writer, "{line}").expect("write request");
+        self.read_reply()
+    }
+
+    fn read_reply(&mut self) -> String {
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read reply");
         assert!(reply.ends_with('\n'), "replies are newline-terminated");
@@ -472,4 +494,180 @@ fn health_and_profile_admin_ops() {
     client.roundtrip(r#"{"op":"quit"}"#);
     handle.join().expect("server thread");
     rvhpc::obs::prof::reset();
+}
+
+const PONG: &str = r#"{"ok":true,"result":"pong"}"#;
+
+/// A connection that pipelines `miss, hit, hit, ping` in one write gets
+/// its replies in request order: the miss parks the connection until the
+/// worker's completion, and the hits behind it — answered on the reactor
+/// without a worker — must not overtake it.
+#[test]
+fn pipelined_miss_hit_hit_ping_is_answered_in_request_order() {
+    let _guard = SERVER_LOCK.lock().unwrap();
+    let (addr, handle) = boot_fresh(ServerConfig {
+        shards: 1,
+        ..test_config()
+    });
+    let mut client = Client::connect(addr);
+    let line = |id: u32, bench: &str| {
+        format!(r#"{{"id":{id},"bench":"{bench}","class":"B","threads":16,"machine":"sg2042"}}"#)
+    };
+    let warm = client.roundtrip(&line(2, "lu"));
+
+    let burst = format!(
+        "{}\n{}\n{}\n{{\"op\":\"ping\"}}\n",
+        line(1, "sp"),
+        line(2, "lu"),
+        line(3, "lu")
+    );
+    client.writer.write_all(burst.as_bytes()).expect("write");
+    assert_eq!(client.read_reply(), golden_reply(&line(1, "sp")));
+    assert_eq!(client.read_reply(), warm);
+    assert_eq!(client.read_reply(), golden_reply(&line(3, "lu")));
+    assert_eq!(client.read_reply(), PONG);
+
+    let (hits, misses) = cache_counters(&client.roundtrip(r#"{"op":"metrics"}"#));
+    assert_eq!((hits, misses), (2, 2));
+    client.roundtrip(r#"{"op":"quit"}"#);
+    handle.join().expect("server thread");
+}
+
+/// The request sequence of the two tests below: a preset key cold and
+/// again, then a custom-machine key cold and again.
+const COLD_REPEAT_SEQUENCE: [&str; 4] = [
+    r#"{"id":1,"bench":"cg","class":"C","threads":64,"machine":"sg2044"}"#,
+    r#"{"id":2,"bench":"cg","class":"C","threads":64,"machine":"sg2044"}"#,
+    r#"{"id":3,"bench":"ft","class":"B","threads":8,"machine":{"base":"sg2044","clock_ghz":3.2,"vlen_bits":256}}"#,
+    r#"{"id":4,"bench":"ft","class":"B","threads":8,"machine":{"base":"sg2044","clock_ghz":3.2,"vlen_bits":256}}"#,
+];
+
+/// The counter sections of the metrics document after
+/// [`COLD_REPEAT_SEQUENCE`] and the metrics request itself, captured at
+/// the commit before hot hits were answered on the reactor, where a
+/// shard worker served all four. A hit answered inline is accounted as
+/// the one-query batch it replaces, so the bytes must not move.
+const GOLDEN_SECTIONS: [(&[&str], &str); 3] = [
+    (
+        &["server", "requests"],
+        r#"{"deadline_expired":0,"internal_errors":0,"invalid":0,"ok":5,"protocol_errors":0,"received":5,"rejected_admission":0}"#,
+    ),
+    (
+        &["server", "cache"],
+        r#"{"hit_rate":0.5,"hits":2,"misses":2}"#,
+    ),
+    (
+        &["engine"],
+        r#"{"executor":{"batches":4,"capacity":2,"executed":2,"occupancy":1},"prediction_cache":{"hits":2,"misses":2},"profile_cache":{"hits":0,"misses":2}}"#,
+    ),
+];
+
+#[test]
+fn counter_sections_match_the_all_worker_golden() {
+    let _guard = SERVER_LOCK.lock().unwrap();
+    let (addr, handle) = boot_fresh(ServerConfig {
+        shards: 1,
+        pool_threads: 1,
+        ..test_config()
+    });
+    let mut client = Client::connect(addr);
+    for line in COLD_REPEAT_SEQUENCE {
+        assert_eq!(client.roundtrip(line), golden_reply(line));
+    }
+    let reply = client.roundtrip(r#"{"op":"metrics"}"#);
+    let doc = json::parse(&reply).expect("metrics reply parses");
+    let result = doc.get("result").expect("metrics result");
+    for (path, golden) in GOLDEN_SECTIONS {
+        let section = path
+            .iter()
+            .try_fold(result, |d, key| d.get(key))
+            .unwrap_or_else(|| panic!("{path:?} missing"));
+        assert_eq!(section.to_json(), golden, "{path:?}");
+    }
+    client.roundtrip(r#"{"op":"quit"}"#);
+    handle.join().expect("server thread");
+}
+
+/// A server with a fault plan loaded sends every predict, hits included,
+/// to a shard worker (the plan's per-pickup schedules count on it); one
+/// without answers hot hits on the reactor. The predict replies are the
+/// same bytes either way.
+#[test]
+fn replies_do_not_depend_on_which_path_served_them() {
+    let _guard = SERVER_LOCK.lock().unwrap();
+    let run = |faults: Option<&str>| {
+        let (addr, handle) = boot_fresh(ServerConfig {
+            shards: 1,
+            faults: faults.map(|p| rvhpc::faults::FaultPlan::parse(p).expect("plan parses")),
+            ..test_config()
+        });
+        let mut client = Client::connect(addr);
+        let replies: Vec<String> = COLD_REPEAT_SEQUENCE
+            .iter()
+            .map(|line| client.roundtrip(line))
+            .collect();
+        client.roundtrip(r#"{"op":"quit"}"#);
+        (replies, handle.join().expect("server thread"))
+    };
+    let (inline, doc) = run(None);
+    assert!(doc.get("faults").is_none());
+    // Armed, but its first panic is a million pickups away.
+    let (worker, doc) = run(Some("seed=1,panic=1000000:1"));
+    assert_eq!(inline, worker);
+    let pickups = doc
+        .get("faults")
+        .and_then(|f| f.get("injected"))
+        .and_then(|i| i.get("panic"))
+        .and_then(|p| p.get("occurrences"))
+        .and_then(JsonValue::as_f64);
+    assert_eq!(pickups, Some(4.0), "all four went through a worker");
+}
+
+/// The reactor stops reading a socket after a short read and relies on
+/// level-triggered polling for the rest. Three framings that depend on
+/// the rest arriving: a line longer than one read, a half-close right
+/// behind a line, and a last line that ends at EOF with no newline.
+#[test]
+fn long_lines_half_close_and_unterminated_last_line_are_answered() {
+    let _guard = SERVER_LOCK.lock().unwrap();
+    let (addr, handle) = boot(test_config());
+
+    // 40 KiB of insignificant whitespace: more than two 16 KiB reads,
+    // under the 64 KiB line cap.
+    let mut client = Client::connect(addr);
+    let long = format!("{{\"op\":\"ping\"{}}}", " ".repeat(40 * 1024));
+    assert_eq!(client.roundtrip(&long), PONG);
+    assert_eq!(client.roundtrip(r#"{"op":"ping"}"#), PONG);
+
+    let read_to_end = |mut client: Client| {
+        let mut rest = String::new();
+        std::io::Read::read_to_string(&mut client.reader, &mut rest).expect("read to EOF");
+        rest
+    };
+
+    let mut client = Client::connect(addr);
+    client
+        .writer
+        .write_all(b"{\"op\":\"ping\"}\n")
+        .expect("write");
+    client
+        .writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    assert_eq!(read_to_end(client), format!("{PONG}\n"));
+
+    let mut client = Client::connect(addr);
+    client
+        .writer
+        .write_all(b"{\"op\":\"ping\"}\n{\"op\":\"ping\"}")
+        .expect("write");
+    client
+        .writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    assert_eq!(read_to_end(client), format!("{PONG}\n{PONG}\n"));
+
+    let mut client = Client::connect(addr);
+    client.roundtrip(r#"{"op":"quit"}"#);
+    handle.join().expect("server thread");
 }

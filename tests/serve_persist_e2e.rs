@@ -159,7 +159,17 @@ fn warm_restart_replays_byte_identical_with_zero_recompute() {
     let (addr, handle) = boot_on(store_config(&dir, None), fresh_engine());
     let warm = drive_raw(addr, &lines);
     assert_eq!(cold, warm, "warm replies must be byte-identical");
+    // Each disk read promoted its record, so a second replay is all
+    // hot-tier hits — which the reactor answers without a worker, and
+    // which must not reach the disk tier again (the counts below).
+    let hot = drive_raw(addr, &lines);
+    assert_eq!(cold, hot, "promoted replies must be byte-identical");
     let doc2 = quit_and_join(addr, handle);
+    assert_eq!(
+        counter(&doc2, &["engine", "prediction_cache", "hits"]),
+        2 * REQUESTS as u64,
+        "one hit per request, from the disk tier and then from the hot tier"
+    );
     assert_eq!(
         counter(&doc2, &["engine", "prediction_cache", "misses"]),
         0,

@@ -4,7 +4,9 @@
 //!
 //! Covers: a single served request produces ring spans from all four
 //! layers (proto parse, shard queue, engine exec, pool worker) sharing
-//! one trace id; trace ids are unique and monotone per connection; a
+//! one trace id, and a repeat of it — a hot-cache hit, answered on the
+//! reactor — keeps its probe and execute spans under its own id with no
+//! queue wait; trace ids are unique and monotone per connection; a
 //! slow threshold of 0 attaches a span dump to every predict reply and
 //! fills the admin `slow` log; and the `timeseries` metrics section is
 //! deterministic across engine worker counts once wall-clock fields are
@@ -132,6 +134,46 @@ fn one_request_spans_all_four_layers_under_one_trace_id() {
     assert!(kinds.contains(&EventKind::CacheProbe), "{kinds:?}");
 }
 
+/// A repeat is a hot-cache hit, which the reactor answers itself: its
+/// trace id still carries the probe outcome and an execute span beside
+/// parse and reply write, now recorded on the reactor thread — and no
+/// queue wait, because it never entered a shard queue.
+#[test]
+fn hot_hit_is_traced_on_the_reactor_without_a_queue_wait() {
+    let _guard = SERVER_LOCK.lock().unwrap();
+    rvhpc::obs::set_enabled(true);
+    let (addr, handle) = boot(ServerConfig {
+        shards: 1,
+        slow_us: Some(0),
+        ..test_config()
+    });
+    let mut client = Client::connect(addr);
+    let cold_id = reply_trace_id(&client.roundtrip(PREDICT));
+    let hit_id = reply_trace_id(&client.roundtrip(PREDICT));
+    client.roundtrip(r#"{"op":"quit"}"#);
+    handle.join().expect("server thread");
+    rvhpc::obs::set_enabled(false);
+
+    let data = rvhpc::obs::drain_all();
+    let of = |id: u64| -> Vec<_> { data.events.iter().filter(|e| e.arg == id).collect() };
+    let hit = of(hit_id);
+    let kinds: BTreeSet<EventKind> = hit.iter().map(|e| e.kind).collect();
+    assert_eq!(
+        kinds,
+        BTreeSet::from([
+            EventKind::ProtoParse,
+            EventKind::CacheProbe,
+            EventKind::EngineExec,
+            EventKind::ReplyWrite,
+        ]),
+        "a hot hit is parse, probe, execute, reply and nothing else"
+    );
+    let probe = hit.iter().find(|e| e.kind == EventKind::CacheProbe);
+    assert_eq!(probe.map(|e| e.name), Some("cache-hit"));
+    // The cold one did wait in the shard queue.
+    assert!(of(cold_id).iter().any(|e| e.kind == EventKind::QueueWait));
+}
+
 #[test]
 fn trace_ids_are_unique_and_monotone_per_connection() {
     let _guard = SERVER_LOCK.lock().unwrap();
@@ -166,7 +208,12 @@ fn slow_threshold_zero_dumps_every_predict_and_fills_the_slow_log() {
     });
     let mut client = Client::connect(addr);
     let mut last_id = 0;
-    for _ in 0..3 {
+    // The first is computed by a shard worker; the repeats are hot hits
+    // answered on the reactor, whose dumps keep the worker's span names
+    // (a zero-length queue wait included) so slow-log readers see one
+    // shape. The reply-write span closes after the dump is rendered and
+    // is in neither.
+    for outcome in ["cache-miss", "cache-hit", "cache-hit"] {
         let reply = client.roundtrip(PREDICT);
         let doc = json::parse(&reply).unwrap();
         let spans = doc
@@ -178,13 +225,7 @@ fn slow_threshold_zero_dumps_every_predict_and_fills_the_slow_log() {
             .iter()
             .filter_map(|s| s.get("name").and_then(JsonValue::as_str))
             .collect();
-        for name in ["parse", "queue", "execute"] {
-            assert!(names.contains(&name), "missing span {name} in {names:?}");
-        }
-        assert!(
-            names.contains(&"cache-hit") || names.contains(&"cache-miss"),
-            "dump must name the cache outcome: {names:?}"
-        );
+        assert_eq!(names, ["parse", "queue", "execute", outcome]);
         last_id = reply_trace_id(&reply);
     }
 
