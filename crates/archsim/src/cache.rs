@@ -1,12 +1,11 @@
 //! Trace-driven set-associative cache model.
 
 use rvhpc_machines::CacheSpec;
-use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters. Mergeable: `a + b` combines the counts of two
 /// disjoint measurement intervals (or two cores), so per-core counter
 /// sets sum to the run-global totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub accesses: u64,
     pub misses: u64,

@@ -9,11 +9,10 @@
 
 use crate::cache::CacheStats;
 use crate::stall::StallAccount;
-use serde::{Deserialize, Serialize};
 
 /// Per-level service counts through a cache hierarchy: how many accesses
 /// were satisfied at each level. Mergeable with `+`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyCounters {
     /// Total accesses issued.
     pub accesses: u64,
@@ -74,7 +73,7 @@ impl std::iter::Sum for HierarchyCounters {
 /// Time-weighted DRAM queue occupancy: `weighted_depth` accumulates
 /// `depth × duration`, so `avg_depth()` is the duration-weighted mean and
 /// merging two intervals (or two cores' contributions) is plain addition.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueueOccupancy {
     /// Σ depth·duration (requests × seconds).
     pub weighted_depth: f64,
@@ -116,7 +115,7 @@ impl std::ops::AddAssign for QueueOccupancy {
 }
 
 /// The full per-core counter set, snapshotted at phase boundaries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoreCounters {
     /// Cache-hierarchy service counts for this core's accesses.
     pub hierarchy: HierarchyCounters,
@@ -154,7 +153,7 @@ impl std::iter::Sum for CoreCounters {
 
 /// Counters for one named phase across all cores: `per_core[i]` is core
 /// `i`'s activity within the phase.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseCounters {
     /// Phase name (matches the benchmark's `PhaseProfile` name).
     pub phase: String,

@@ -24,10 +24,9 @@
 //!   Figure 1's curves exactly this way.
 
 use rvhpc_machines::{CoreModel, MemorySpec};
-use serde::{Deserialize, Serialize};
 
 /// Which bandwidth-saturation law the model uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SaturationLaw {
     /// `min(demand, Bmax)`.
     HardKnee,

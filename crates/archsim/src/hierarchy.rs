@@ -8,7 +8,6 @@
 //! cluster-shared L2 "could also be having an impact" on CG, §5.4).
 
 use rvhpc_machines::Machine;
-use serde::Serialize;
 
 use crate::cache::estimate;
 
@@ -32,7 +31,7 @@ pub enum Pattern {
 }
 
 /// Fraction of references served at each level.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MissBreakdown {
     /// Served by L1.
     pub l1: f64,

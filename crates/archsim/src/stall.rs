@@ -6,12 +6,10 @@
 //! bandwidth was nearly saturated. This module assembles those three
 //! numbers from the hierarchy/DRAM/pipeline models' outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated cycle accounting for one benchmark run (model-predicted).
 /// Mergeable: `a + b` combines two accounts (two cores, or two phases),
 /// so per-core stall breakdowns sum back to the run-global account.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StallAccount {
     /// Busy (issue) cycles.
     pub compute_cycles: f64,

@@ -1,6 +1,6 @@
 //! The curated benchmark suite behind `reproduce bench`.
 //!
-//! Unlike the criterion targets, this harness is built for a *committed
+//! This harness is built for a *committed
 //! trajectory*: deterministic iteration counts (fixed per target and
 //! mode, never adaptive), monotonic-clock timing of every iteration,
 //! and exact wall statistics — so two documents from the same machine
@@ -24,7 +24,7 @@
 //! attach the stall summary — barrier waits, chunk acquisitions, region
 //! spans — to their section of the document.
 //!
-//! Quick mode (`--quick` / `RVHPC_BENCH_QUICK`) shrinks iteration
+//! Quick mode (`reproduce bench --quick`) shrinks iteration
 //! counts only, never working-set sizes, so per-iteration wall times
 //! stay comparable between a quick CI run and a full baseline.
 
@@ -57,7 +57,7 @@ impl Default for HarnessConfig {
             .map(|n| n.get())
             .unwrap_or(1);
         Self {
-            quick: crate::quick_mode(),
+            quick: false,
             filter: None,
             // The curated kernels are bandwidth-bound well before 4
             // threads; a fixed small pool keeps stall attribution

@@ -12,13 +12,12 @@
 
 use rvhpc_machines::{presets, Compiler, CompilerConfig, MachineId};
 use rvhpc_npb::{BenchmarkId, Class};
-use serde::Serialize;
 
 use crate::engine::{Engine, Plan, Query, SpecKind};
 use crate::paper;
 
 /// Identifies a reproduced experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentId {
     Table1,
     Table2,
@@ -106,7 +105,7 @@ pub fn full_plan() -> Plan {
 // ---------------------------------------------------------------- Table 1
 
 /// Table 1 row: model-predicted stall profile on the Xeon 8170 vs paper.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     pub bench: BenchmarkId,
     pub model_cache_pct: f64,
@@ -153,7 +152,7 @@ pub fn table1_data() -> Vec<Table1Row> {
 // ---------------------------------------------------------------- Table 2
 
 /// Table 2 cell: model and paper Mop/s for one machine.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     pub bench: BenchmarkId,
     /// Per machine (paper column order): `(model, paper)`; paper `None`
@@ -194,7 +193,7 @@ pub fn table2_data() -> Vec<Table2Row> {
 // ------------------------------------------------------- Tables 3 and 4
 
 /// A Table 3/4 row: SG2044 vs SG2042 Mop/s (model and paper).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SgCompareRow {
     pub bench: BenchmarkId,
     pub model_sg2044: f64,
@@ -269,7 +268,7 @@ pub fn table5_data() -> Vec<[String; 6]> {
 // ---------------------------------------------------------------- Figures
 
 /// One scaling curve: Mop/s (or GB/s for Fig 1) per core count.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Curve {
     pub machine: MachineId,
     pub points: Vec<(u32, f64)>,
@@ -322,7 +321,7 @@ pub fn fig_kernel_data(bench: BenchmarkId) -> Vec<Curve> {
 // ---------------------------------------------------------------- Table 6
 
 /// Table 6 cell: how many times faster `machine` is than the SG2044.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table6Row {
     pub bench: BenchmarkId,
     pub cores: u32,
@@ -390,7 +389,7 @@ pub fn table6_data() -> Vec<Table6Row> {
 // ------------------------------------------------------- Tables 7 and 8
 
 /// Compiler-ablation row on the SG2044 (class C).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CompilerRow {
     pub bench: BenchmarkId,
     pub model_gcc12: f64,
@@ -482,7 +481,7 @@ pub fn table8_data() -> Vec<CompilerRow> {
 /// One row of the SG2044 stall-attribution report: where a benchmark's
 /// full-chip run spends its cycles and the DRAM queue depth the model
 /// holds responsible.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StallRow {
     pub bench: BenchmarkId,
     pub compute_pct: f64,

@@ -24,7 +24,6 @@ use rvhpc_archsim::{
 use rvhpc_machines::{CompilerConfig, Machine};
 use rvhpc_npb::profile::{AccessPattern, PhaseProfile, WorkloadProfile};
 use rvhpc_parallel::BindPolicy;
-use serde::Serialize;
 
 /// Everything that parameterizes one prediction.
 #[derive(Debug, Clone)]
@@ -72,7 +71,7 @@ impl<'a> Scenario<'a> {
 }
 
 /// Per-phase predicted timings (for reports and debugging).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PhaseTime {
     pub name: &'static str,
     pub seconds: f64,
@@ -82,7 +81,7 @@ pub struct PhaseTime {
 }
 
 /// A model prediction for one (workload, scenario).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Prediction {
     pub seconds: f64,
     pub mops: f64,

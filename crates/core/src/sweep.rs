@@ -12,12 +12,11 @@
 use rvhpc_machines::MachineId;
 use rvhpc_npb::{BenchmarkId, Class};
 use rvhpc_obs::JsonValue;
-use serde::Serialize;
 
 use crate::engine::{Engine, MachineSel, Plan, Query};
 
 /// One sweep sample.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Sample {
     pub machine: MachineId,
     pub bench: BenchmarkId,

@@ -9,7 +9,6 @@
 use rvhpc_core::model::{predict, Scenario};
 use rvhpc_machines::{presets, Machine};
 use rvhpc_parallel::Pool;
-use serde::Serialize;
 
 use crate::{hpcg, hpl};
 
@@ -22,7 +21,7 @@ pub const HPCG_N: usize = 104;
 pub const HPCG_ITERS: usize = 50;
 
 /// One machine's predicted extension results.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExtensionRow {
     pub machine: &'static str,
     pub cores: u32,

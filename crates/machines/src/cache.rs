@@ -1,9 +1,7 @@
 //! Cache-level geometry.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSpec {
     /// Total capacity of one cache instance, in bytes.
     pub size_bytes: u64,

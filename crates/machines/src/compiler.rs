@@ -18,12 +18,10 @@
 //!    on RVV emits strip-mined, branchy code whose extra branch misses are
 //!    the paper's explanation for the CG anomaly (§6).
 
-use serde::{Deserialize, Serialize};
-
 use crate::isa::VectorIsa;
 
 /// The compilers used across the paper's experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Compiler {
     /// Mainline GCC 15.2 (SG2044, and the small RVV boards).
     Gcc15_2,
@@ -135,7 +133,7 @@ impl Compiler {
 
 /// A compiler plus the vectorisation switch — one column of the paper's
 /// Tables 7/8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompilerConfig {
     pub compiler: Compiler,
     /// `-O3` with auto-vectorisation enabled (`true`) or suppressed with

@@ -1,13 +1,11 @@
 //! Whole-machine descriptors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheSpec;
 use crate::isa::{Isa, VectorIsa};
 use crate::memory::MemorySpec;
 
 /// Stable identifier for each machine in the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachineId {
     Sg2044,
     Sg2042,
@@ -57,7 +55,7 @@ impl MachineId {
 }
 
 /// Per-core microarchitecture parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreModel {
     /// Instructions decoded per cycle.
     pub decode_width: u32,
@@ -85,7 +83,7 @@ pub struct CoreModel {
 }
 
 /// A complete machine description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     pub id: MachineId,
     /// Marketing part name (paper Table 5 "Part").

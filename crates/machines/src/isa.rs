@@ -1,9 +1,7 @@
 //! Instruction-set and vector-extension descriptors.
 
-use serde::{Deserialize, Serialize};
-
 /// Base instruction set architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isa {
     /// x86-64 (EPYC 7742, Xeon Platinum 8170).
     X86_64,
@@ -33,7 +31,7 @@ impl Isa {
 }
 
 /// Vector/SIMD extension implemented by a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VectorIsa {
     /// No usable SIMD unit.
     None,

@@ -5,10 +5,8 @@
 //! running over 64 cores the ratio of cores to memory controllers/channels
 //! in the SG2044 is 2:1, whereas it is 16:1 in the SG2042".
 
-use serde::{Deserialize, Serialize};
-
 /// DRAM generation (with its transfer-rate class as used by each machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DdrGeneration {
     /// DDR3 (AllWinner D1 class boards).
     Ddr3,
@@ -45,7 +43,7 @@ impl DdrGeneration {
 }
 
 /// Off-chip memory subsystem of one machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySpec {
     /// Memory controllers.
     pub controllers: u32,

@@ -1,14 +1,12 @@
 //! NPB problem classes and the per-benchmark problem-size tables.
 
-use serde::{Deserialize, Serialize};
-
 /// NPB problem class.
 ///
 /// `S`, `W`, `A`, `B`, `C` are the official NPB classes. `T` ("tiny") is an
 /// rvhpc addition small enough for sub-second runs in debug builds; its
 /// verification values are self-referenced (see
 /// `crate::common::result::Provenance`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Class {
     /// Tiny (rvhpc-specific, for fast tests).
     T,

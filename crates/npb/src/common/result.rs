@@ -1,11 +1,9 @@
 //! Benchmark results and verification outcomes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::common::class::Class;
 
 /// Where a verification reference value comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
     /// A constant published in the NPB reference sources.
     NpbReference,
@@ -18,7 +16,7 @@ pub enum Provenance {
 }
 
 /// Outcome of a benchmark's verification step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VerifyStatus {
     /// Computed value matched the reference within NPB's epsilon.
     Passed {
@@ -47,7 +45,7 @@ impl VerifyStatus {
 }
 
 /// Result of one benchmark run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Benchmark name ("IS", "MG", ...).
     pub name: &'static str,

@@ -51,7 +51,7 @@ pub use common::result::{BenchResult, VerifyStatus};
 use rvhpc_parallel::Pool;
 
 /// Identifies one of the eight NPB benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchmarkId {
     /// Integer Sort — memory-latency bound bucketed ranking.
     Is,

@@ -15,7 +15,7 @@
 //! Verification is self-referenced plus stability invariants (DESIGN.md
 //! §2).
 
-use rvhpc_parallel::{Pool, SyncSlice};
+use rvhpc_parallel::{CachePadded, Pool, SyncSlice};
 
 use crate::bt::{verify_app, AppOutput};
 use crate::cfd::constants::CfdConstants;
@@ -217,9 +217,7 @@ fn lower_sweep_pipelined(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
     let n = f.n;
     let uf = f.u.flat();
     let rsd = SyncSlice::new(f.rhs.flat_mut());
-    let progress: Vec<crossbeam_pad::Padded> = (0..pool.nthreads())
-        .map(|_| crossbeam_pad::Padded::default())
-        .collect();
+    let progress = progress_flags(pool.nthreads());
     pool.run(|team| {
         let t = team.tid();
         let jr = team.static_range(1, n - 1);
@@ -227,7 +225,7 @@ fn lower_sweep_pipelined(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
             for k in 1..n - 1 {
                 if t > 0 {
                     // Wait until the neighbour finished this plane.
-                    while progress[t - 1].0.load(std::sync::atomic::Ordering::Acquire) < k {
+                    while progress[t - 1].load(std::sync::atomic::Ordering::Acquire) < k {
                         std::hint::spin_loop();
                         std::thread::yield_now();
                     }
@@ -242,7 +240,7 @@ fn lower_sweep_pipelined(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
                         unsafe { lower_update(p, n, uf, &rsd, c) };
                     }
                 }
-                progress[t].0.store(k, std::sync::atomic::Ordering::Release);
+                progress[t].store(k, std::sync::atomic::Ordering::Release);
             }
         });
         team.barrier();
@@ -255,9 +253,7 @@ fn upper_sweep_pipelined(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
     let uf = f.u.flat();
     let rsd = SyncSlice::new(f.rhs.flat_mut());
     // progress[t] = number of planes completed by thread t.
-    let progress: Vec<crossbeam_pad::Padded> = (0..pool.nthreads())
-        .map(|_| crossbeam_pad::Padded::default())
-        .collect();
+    let progress = progress_flags(pool.nthreads());
     pool.run(|team| {
         let t = team.tid();
         let p_threads = team.nthreads();
@@ -266,7 +262,7 @@ fn upper_sweep_pipelined(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
         team.phase("ssor-sweeps", || {
             for k in (1..n - 1).rev() {
                 if t + 1 < p_threads {
-                    while progress[t + 1].0.load(std::sync::atomic::Ordering::Acquire) <= done {
+                    while progress[t + 1].load(std::sync::atomic::Ordering::Acquire) <= done {
                         std::hint::spin_loop();
                         std::thread::yield_now();
                     }
@@ -280,33 +276,21 @@ fn upper_sweep_pipelined(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
                     }
                 }
                 done += 1;
-                progress[t]
-                    .0
-                    .store(done, std::sync::atomic::Ordering::Release);
+                progress[t].store(done, std::sync::atomic::Ordering::Release);
             }
         });
         team.barrier();
     });
 }
 
-/// Cache-line padded atomic used by the pipelined sweeps.
-mod crossbeam_pad {
-    /// An atomic on its own cache line (manual padding keeps the
-    /// pipeline's progress flags from false sharing).
-    pub struct Padded(
-        pub std::sync::atomic::AtomicUsize,
-        /// Pad out the rest of the cache line (structural, never read).
-        #[allow(dead_code)]
-        pub [u8; 56],
-    );
+/// One pipeline progress flag per thread, each on its own cache line so
+/// a thread publishing its plane does not invalidate its neighbour's flag.
+type ProgressFlag = CachePadded<std::sync::atomic::AtomicUsize>;
 
-    impl Default for Padded {
-        fn default() -> Self {
-            let pad = [0u8; 56];
-            let _ = pad; // the padding is structural, never read
-            Padded(std::sync::atomic::AtomicUsize::new(0), pad)
-        }
-    }
+fn progress_flags(nthreads: usize) -> Vec<ProgressFlag> {
+    (0..nthreads)
+        .map(|_| CachePadded::new(std::sync::atomic::AtomicUsize::new(0)))
+        .collect()
 }
 
 /// Which SSOR parallelization to use.
@@ -581,6 +565,12 @@ mod tests {
                 "{strategy:?} with {threads} threads diverged from serial hyperplane"
             );
         }
+    }
+
+    #[test]
+    fn progress_flags_do_not_share_cache_lines() {
+        assert!(std::mem::size_of::<ProgressFlag>() >= 128);
+        assert!(std::mem::align_of::<ProgressFlag>() >= 128);
     }
 
     #[test]

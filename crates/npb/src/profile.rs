@@ -14,13 +14,11 @@
 //! cross-check: `tests/profile_consistency.rs` compares profile flop counts
 //! against instrumented tiny-class runs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::common::class::Class;
 use crate::BenchmarkId;
 
 /// How a phase walks memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Unit-stride streaming (STREAM-like, MG smoother sweeps, FT 1-D FFT
     /// passes). Hardware prefetchers work; one miss per line.
@@ -47,7 +45,7 @@ pub enum AccessPattern {
 
 /// One phase of a benchmark: a loop nest with homogeneous behaviour.
 /// All counts are totals for a full benchmark run (all iterations).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PhaseProfile {
     /// Short name ("spmv", "rank", "fft-z", ...).
     pub name: &'static str,
@@ -85,7 +83,7 @@ impl PhaseProfile {
 }
 
 /// Machine-independent description of one benchmark at one class.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadProfile {
     pub bench: BenchmarkId,
     pub class: Class,

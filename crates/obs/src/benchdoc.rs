@@ -154,11 +154,7 @@ pub fn document(generator: &str, index: usize, quick: bool) -> JsonValue {
 /// `targets` object, and per-target `wall` sections with a monotone
 /// quantile ladder. Returns the first problem found.
 pub fn validate(doc: &JsonValue) -> Result<(), String> {
-    match doc.get("schema").and_then(JsonValue::as_str) {
-        Some(s) if s == BENCH_SCHEMA => {}
-        Some(s) => return Err(format!("schema is {s:?}, expected {BENCH_SCHEMA:?}")),
-        None => return Err("missing schema tag".to_string()),
-    }
+    crate::diff::expect_schema(doc, BENCH_SCHEMA)?;
     for key in ["system", "targets"] {
         if doc.get(key).is_none() {
             return Err(format!("missing {key} section"));

@@ -181,6 +181,15 @@ pub fn doc_kind(doc: &JsonValue) -> Option<&str> {
     doc.get("schema").and_then(JsonValue::as_str)
 }
 
+/// Check a document's `schema` tag against the one its kind requires.
+pub(crate) fn expect_schema(doc: &JsonValue, schema: &str) -> Result<(), String> {
+    match doc_kind(doc) {
+        Some(s) if s == schema => Ok(()),
+        Some(s) => Err(format!("schema is {s:?}, expected {schema:?}")),
+        None => Err("missing schema tag".to_string()),
+    }
+}
+
 /// Is this key a latency quantile/mean the ratio rule applies to?
 fn is_quantile_key(key: &str) -> bool {
     key == "mean_us" || (key.starts_with('p') && key.ends_with("_us"))
@@ -245,10 +254,16 @@ pub fn diff_bench_documents(
             format!("run modes differ: baseline {bm:?} vs current {cm:?}"),
         );
     }
-    let targets = |doc: &JsonValue| match doc.get("targets") {
-        Some(JsonValue::Object(map)) => Some(map.clone()),
-        _ => None,
-    };
+    fn targets(doc: &JsonValue) -> Option<Vec<(String, &JsonValue)>> {
+        let JsonValue::Object(map) = doc.get("targets")? else {
+            return None;
+        };
+        Some(
+            map.iter()
+                .map(|(name, target)| (format!("targets.{name}"), target))
+                .collect(),
+        )
+    }
     let (Some(base_targets), Some(cur_targets)) = (targets(baseline), targets(current)) else {
         report.push(
             "targets",
@@ -257,35 +272,48 @@ pub fn diff_bench_documents(
         );
         return report;
     };
-    for (name, base_target) in &base_targets {
-        let path = format!("targets.{name}");
-        match cur_targets.get(name) {
-            Some(cur_target) => walk(base_target, cur_target, &path, cfg, &mut report),
-            // A vanished target is lost coverage, not noise: report it
-            // as a regression so a filtered or truncated run can never
-            // pass a gate against a full baseline.
+    diff_keyed(&base_targets, &cur_targets, "target", cfg, &mut report);
+    invariants(current, "", &mut report);
+    report
+}
+
+/// Pair the children of two documents by dotted path — bench targets by
+/// name, sweep steps by connection count. A child on both sides is
+/// walked; one the baseline has and the current lacks is lost coverage,
+/// not noise, and reported as a regression so a filtered or truncated
+/// run can never pass a gate against a full baseline; one only the
+/// current has is informational unless `cfg.strict`. `noun` names the
+/// child kind in the messages.
+pub(crate) fn diff_keyed(
+    base: &[(String, &JsonValue)],
+    cur: &[(String, &JsonValue)],
+    noun: &str,
+    cfg: &DiffConfig,
+    report: &mut DiffReport,
+) {
+    for (path, base_child) in base {
+        match cur.iter().find(|(p, _)| p == path) {
+            Some((_, cur_child)) => walk(base_child, cur_child, path, cfg, report),
             None => report.push(
-                &path,
+                path,
                 Severity::Regression,
-                "target present in baseline, missing in current".to_string(),
+                format!("{noun} present in baseline, missing in current"),
             ),
         }
     }
-    for name in cur_targets.keys() {
-        if !base_targets.contains_key(name) {
+    for (path, _) in cur {
+        if !base.iter().any(|(p, _)| p == path) {
             report.push(
-                &format!("targets.{name}"),
+                path,
                 if cfg.strict {
                     Severity::Regression
                 } else {
                     Severity::Info
                 },
-                "new target, absent from baseline".to_string(),
+                format!("new {noun}, absent from baseline"),
             );
         }
     }
-    invariants(current, "", &mut report);
-    report
 }
 
 /// Compare two metrics documents under `cfg`.
@@ -312,7 +340,7 @@ pub fn diff_documents(baseline: &JsonValue, current: &JsonValue, cfg: &DiffConfi
 
 /// Find the first `classes.<class>.latency.p99_us` anywhere in `doc`
 /// (depth-first, document order); returns its dotted path and value.
-fn find_class_p99(doc: &JsonValue, path: &str, class: &str) -> Option<(String, f64)> {
+pub(crate) fn find_class_p99(doc: &JsonValue, path: &str, class: &str) -> Option<(String, f64)> {
     let JsonValue::Object(map) = doc else {
         return None;
     };

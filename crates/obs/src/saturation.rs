@@ -176,11 +176,7 @@ pub fn document(generator: &str, params: &SweepParams, steps: &[SweepStep]) -> J
 /// strictly ascending connection order with sane per-step numbers, and
 /// a `knee` whose connection count is one of the steps.
 pub fn validate(doc: &JsonValue) -> Result<(), String> {
-    match doc.get("schema").and_then(JsonValue::as_str) {
-        Some(s) if s == SATURATION_SCHEMA => {}
-        Some(s) => return Err(format!("schema is {s:?}, expected {SATURATION_SCHEMA:?}")),
-        None => return Err("missing schema tag".to_string()),
-    }
+    crate::diff::expect_schema(doc, SATURATION_SCHEMA)?;
     let Some(JsonValue::Array(steps)) = doc.get("steps") else {
         return Err("missing steps array".to_string());
     };
@@ -240,45 +236,28 @@ pub fn diff_saturation_documents(
     if report.has_mismatches() {
         return report;
     }
-    let steps_of = |doc: &JsonValue| -> Vec<JsonValue> {
-        match doc.get("steps") {
-            Some(JsonValue::Array(steps)) => steps.clone(),
-            _ => Vec::new(),
-        }
-    };
-    let conns_of = |step: &JsonValue| {
-        step.get("conns")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(-1.0)
-    };
-    let base_steps = steps_of(baseline);
-    let cur_steps = steps_of(current);
-    for base_step in &base_steps {
-        let conns = conns_of(base_step);
-        let path = format!("steps.conns_{conns}");
-        match cur_steps.iter().find(|s| conns_of(s) == conns) {
-            Some(cur_step) => crate::diff::walk(base_step, cur_step, &path, cfg, &mut report),
-            None => report.push(
-                &path,
-                Severity::Regression,
-                "sweep step present in baseline, missing in current".to_string(),
-            ),
-        }
+    fn steps(doc: &JsonValue) -> Vec<(String, &JsonValue)> {
+        let Some(JsonValue::Array(steps)) = doc.get("steps") else {
+            return Vec::new();
+        };
+        steps
+            .iter()
+            .map(|step| {
+                let conns = step
+                    .get("conns")
+                    .and_then(JsonValue::as_f64)
+                    .unwrap_or(-1.0);
+                (format!("steps.conns_{conns}"), step)
+            })
+            .collect()
     }
-    for cur_step in &cur_steps {
-        let conns = conns_of(cur_step);
-        if !base_steps.iter().any(|s| conns_of(s) == conns) {
-            report.push(
-                &format!("steps.conns_{conns}"),
-                if cfg.strict {
-                    Severity::Regression
-                } else {
-                    Severity::Info
-                },
-                "new sweep step, absent from baseline".to_string(),
-            );
-        }
-    }
+    crate::diff::diff_keyed(
+        &steps(baseline),
+        &steps(current),
+        "sweep step",
+        cfg,
+        &mut report,
+    );
     let knee_conns = |doc: &JsonValue| {
         doc.get("knee")
             .and_then(|k| k.get("conns"))

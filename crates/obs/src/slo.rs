@@ -23,6 +23,7 @@
 //! Everything here is a pure function of (rules, document): no clocks,
 //! no environment — the same inputs always render the same verdict.
 
+use crate::diff::find_class_p99;
 use crate::json::JsonValue;
 
 /// Schema tag of a rules file.
@@ -403,26 +404,6 @@ fn path_value(doc: &JsonValue, path: &str) -> Option<f64> {
     node.as_f64().filter(|n| n.is_finite())
 }
 
-/// First `classes.<class>.latency.p99_us` anywhere in the tree
-/// (depth-first, document order) — same search the diff machinery's
-/// class SLOs use, so rules and `obsdiff --class-slo` agree on which
-/// section they gate.
-fn find_class_p99(doc: &JsonValue, class: &str) -> Option<f64> {
-    let JsonValue::Object(map) = doc else {
-        return None;
-    };
-    if let Some(p99) = map
-        .get("classes")
-        .and_then(|c| c.get(class))
-        .and_then(|c| c.get("latency"))
-        .and_then(|l| l.get("p99_us"))
-        .and_then(JsonValue::as_f64)
-    {
-        return Some(p99);
-    }
-    map.values().find_map(|v| find_class_p99(v, class))
-}
-
 /// First cache hit rate in the tree: a `cache` object with
 /// `hits`/`misses` counters, else a `cache_hit_rate` field. Returns
 /// `Some(None)` when a cache exists but saw no traffic.
@@ -514,13 +495,15 @@ pub fn evaluate(rules: &RuleSet, doc: &JsonValue) -> HealthReport {
         .rules
         .iter()
         .map(|rule| match &rule.kind {
-            RuleKind::ClassP99Ceiling { class, max_us } => match find_class_p99(doc, class) {
+            // The search `obsdiff --class-slo` uses, so rules and the diff
+            // gate agree on which section they judge.
+            RuleKind::ClassP99Ceiling { class, max_us } => match find_class_p99(doc, "", class) {
                 None => missing(
                     rule,
                     *max_us,
                     format!("document has no classes.{class}.latency section"),
                 ),
-                Some(p99) => bounded(
+                Some((_, p99)) => bounded(
                     rule,
                     p99,
                     *max_us,

@@ -1,22 +1,17 @@
-//! Team barriers.
+//! The team barrier.
 //!
-//! Two classic algorithms are provided:
+//! [`CentralizedBarrier`] is a sense-reversing centralized barrier: one
+//! shared counter plus a global sense flag. O(p) traffic on one cache
+//! line; the simplest correct choice and competitive at the team sizes
+//! the NPB suite uses.
 //!
-//! * [`CentralizedBarrier`] — a sense-reversing centralized barrier: one
-//!   shared counter plus a global sense flag. O(p) traffic on one cache
-//!   line; the simplest correct choice and surprisingly competitive at the
-//!   team sizes the NPB suite uses.
-//! * [`DisseminationBarrier`] — ⌈log2 p⌉ rounds of pairwise signalling with
-//!   no shared hot spot. This is the "tree-style" barrier the paper-model
-//!   ablation (`ablation_barrier`) compares against.
-//!
-//! Both barriers must remain live-lock free when the host is oversubscribed
+//! The barrier must remain live-lock free when the host is oversubscribed
 //! (this workspace's CI host has a single hardware thread), so every wait
 //! loop spins briefly and then yields to the OS scheduler.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use crossbeam::utils::CachePadded;
+use crate::padded::CachePadded;
 
 /// How long to spin before starting to yield to the scheduler.
 const SPIN_LIMIT: u32 = 64;
@@ -32,35 +27,6 @@ pub(crate) fn spin_wait(mut predicate: impl FnMut() -> bool) {
             spins += 1;
         } else {
             std::thread::yield_now();
-        }
-    }
-}
-
-/// A barrier usable from a fixed-size team where each participant passes its
-/// own team-local thread id.
-pub trait Barrier: Send + Sync {
-    /// Block until all `team_size` participants have called `wait`.
-    fn wait(&self, tid: usize);
-    /// Number of participants.
-    fn team_size(&self) -> usize;
-}
-
-/// Selects a barrier algorithm when constructing a [`crate::Pool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BarrierKind {
-    /// Sense-reversing centralized barrier (default).
-    #[default]
-    Centralized,
-    /// Dissemination barrier (log-rounds pairwise signalling).
-    Dissemination,
-}
-
-impl BarrierKind {
-    /// Construct a boxed barrier of this kind for a team of `n` threads.
-    pub fn build(self, n: usize) -> Box<dyn Barrier> {
-        match self {
-            BarrierKind::Centralized => Box::new(CentralizedBarrier::new(n)),
-            BarrierKind::Dissemination => Box::new(DisseminationBarrier::new(n)),
         }
     }
 }
@@ -91,10 +57,10 @@ impl CentralizedBarrier {
             n,
         }
     }
-}
 
-impl Barrier for CentralizedBarrier {
-    fn wait(&self, tid: usize) {
+    /// Block until all `n` participants have called `wait`, each passing
+    /// its own team-local thread id.
+    pub fn wait(&self, tid: usize) {
         debug_assert!(
             tid < self.n,
             "tid {tid} out of range for team of {}",
@@ -116,84 +82,6 @@ impl Barrier for CentralizedBarrier {
             spin_wait(|| self.sense.load(Ordering::Acquire) == my_sense);
         }
     }
-
-    fn team_size(&self) -> usize {
-        self.n
-    }
-}
-
-/// Dissemination barrier.
-///
-/// In round `r`, thread `i` signals thread `(i + 2^r) mod n` and waits for a
-/// signal from `(i - 2^r) mod n`. After ⌈log2 n⌉ rounds every thread has
-/// (transitively) heard from every other. Flags are three-valued episode
-/// counters rather than booleans so episodes cannot be confused even if one
-/// thread races a full episode ahead.
-pub struct DisseminationBarrier {
-    /// `flags[round][tid]` — episode counter written by the signalling peer.
-    flags: Vec<Vec<CachePadded<AtomicUsize>>>,
-    /// Per-thread episode number (written only by the owner).
-    episode: Vec<CachePadded<AtomicUsize>>,
-    rounds: usize,
-    n: usize,
-}
-
-impl DisseminationBarrier {
-    /// Barrier for a team of `n` threads (`n >= 1`).
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "barrier team must have at least one thread");
-        // ⌈log2 n⌉ rounds: after that many doublings every thread has heard
-        // (transitively) from all n-1 peers.
-        let rounds = if n == 1 {
-            0
-        } else {
-            (usize::BITS - (n - 1).leading_zeros()) as usize
-        };
-        Self {
-            flags: (0..rounds)
-                .map(|_| {
-                    (0..n)
-                        .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                        .collect()
-                })
-                .collect(),
-            episode: (0..n)
-                .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                .collect(),
-            rounds,
-            n,
-        }
-    }
-}
-
-impl Barrier for DisseminationBarrier {
-    fn wait(&self, tid: usize) {
-        debug_assert!(
-            tid < self.n,
-            "tid {tid} out of range for team of {}",
-            self.n
-        );
-        if self.n == 1 {
-            return;
-        }
-        let episode = self.episode[tid].load(Ordering::Relaxed) + 1;
-        self.episode[tid].store(episode, Ordering::Relaxed);
-        let mut dist = 1usize;
-        for round in 0..self.rounds {
-            let peer = (tid + dist) % self.n;
-            // Signal the peer that we reached `round` of `episode`.
-            self.flags[round][peer].store(episode, Ordering::Release);
-            // Wait for our own signal for this round/episode. The signaller
-            // only ever writes monotonically increasing episode numbers, so
-            // `>=` tolerates a peer racing ahead into the next episode.
-            spin_wait(|| self.flags[round][tid].load(Ordering::Acquire) >= episode);
-            dist *= 2;
-        }
-    }
-
-    fn team_size(&self) -> usize {
-        self.n
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +90,7 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    fn hammer(barrier: Arc<dyn Barrier>, n: usize, episodes: usize) {
+    fn hammer(barrier: Arc<CentralizedBarrier>, n: usize, episodes: usize) {
         // Each thread increments a shared counter once per episode; after
         // the barrier, every thread must observe exactly n*episode counts.
         let counter = Arc::new(AtomicU64::new(0));
@@ -239,41 +127,9 @@ mod tests {
     }
 
     #[test]
-    fn dissemination_single_thread_is_noop() {
-        let b = DisseminationBarrier::new(1);
-        for _ in 0..100 {
-            b.wait(0);
-        }
-    }
-
-    #[test]
     fn centralized_synchronizes_many_episodes() {
         for n in [2, 3, 4, 7] {
             hammer(Arc::new(CentralizedBarrier::new(n)), n, 200);
-        }
-    }
-
-    #[test]
-    fn dissemination_synchronizes_many_episodes() {
-        for n in [2, 3, 4, 5, 8] {
-            hammer(Arc::new(DisseminationBarrier::new(n)), n, 200);
-        }
-    }
-
-    #[test]
-    fn kind_builds_requested_algorithm() {
-        let b = BarrierKind::Centralized.build(3);
-        assert_eq!(b.team_size(), 3);
-        let b = BarrierKind::Dissemination.build(5);
-        assert_eq!(b.team_size(), 5);
-    }
-
-    #[test]
-    fn dissemination_rounds_cover_team() {
-        // 2^rounds >= n must hold for correctness.
-        for n in 2..40 {
-            let b = DisseminationBarrier::new(n);
-            assert!(1usize << b.rounds >= n, "n={n} rounds={}", b.rounds);
         }
     }
 }

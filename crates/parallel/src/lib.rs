@@ -1,7 +1,7 @@
 //! # rvhpc-parallel
 //!
 //! An OpenMP-style fork-join parallel runtime, built from scratch on scoped
-//! OS threads, `crossbeam` utilities and `parking_lot` primitives.
+//! OS threads and `parking_lot` primitives.
 //!
 //! The NAS Parallel Benchmarks that this workspace ports (see `rvhpc-npb`)
 //! are written against the OpenMP execution model: a *team* of threads is
@@ -18,8 +18,10 @@
 //!   [`Team::critical`] sections.
 //! * [`schedule::Schedule`] — static / static-chunked / dynamic / guided
 //!   loop schedules, mirroring `schedule(...)` clauses.
-//! * [`barrier`] — two barrier algorithms (sense-reversing centralized and
-//!   dissemination), both safe when the machine is oversubscribed.
+//! * [`barrier`] — the sense-reversing centralized team barrier, safe when
+//!   the machine is oversubscribed.
+//! * [`CachePadded`] — 128-byte alignment that keeps the runtime's hot
+//!   atomics (and LU's pipeline progress flags) on their own cache lines.
 //! * [`bind`] — thread-placement policies mirroring `OMP_PROC_BIND`
 //!   (`false`/`close`/`spread`), used by the architecture simulator to
 //!   reproduce the paper's §5.2 placement experiment.
@@ -44,14 +46,16 @@
 pub mod barrier;
 pub mod bind;
 pub mod config;
+mod padded;
 pub mod pool;
 pub mod reduce;
 pub mod schedule;
 pub mod sync_slice;
 
-pub use barrier::{Barrier, BarrierKind, CentralizedBarrier, DisseminationBarrier};
+pub use barrier::CentralizedBarrier;
 pub use bind::{placement, BindPolicy, Topology};
 pub use config::RuntimeConfig;
+pub use padded::CachePadded;
 pub use pool::{Pool, Team};
 pub use schedule::Schedule;
 pub use sync_slice::SyncSlice;

@@ -22,11 +22,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 use rvhpc_obs::{self as obs, EventKind};
 
-use crate::barrier::{Barrier, BarrierKind};
+use crate::barrier::CentralizedBarrier;
+use crate::padded::CachePadded;
 use crate::schedule::{self, Schedule};
 
 /// Width of the widest array reduction supported by [`Team::reduce_f64_vec`].
@@ -60,7 +60,7 @@ struct PoolShared {
 
 /// Per-team shared structures, reused across parallel regions.
 struct TeamShared {
-    barrier: Box<dyn Barrier>,
+    barrier: CentralizedBarrier,
     /// Double-buffered shared counters for dynamic/guided schedules.
     dyn_counters: [CachePadded<AtomicUsize>; 2],
     /// Reduction scratch: one slot row per thread.
@@ -72,9 +72,9 @@ struct TeamShared {
 }
 
 impl TeamShared {
-    fn new(n: usize, barrier_kind: BarrierKind) -> Self {
+    fn new(n: usize) -> Self {
         Self {
-            barrier: barrier_kind.build(n),
+            barrier: CentralizedBarrier::new(n),
             dyn_counters: [
                 CachePadded::new(AtomicUsize::new(0)),
                 CachePadded::new(AtomicUsize::new(0)),
@@ -105,13 +105,8 @@ pub struct Pool {
 impl Pool {
     /// Create a pool that runs parallel regions with `nthreads` members
     /// (the caller plus `nthreads - 1` persistent workers), using the
-    /// default sense-reversing centralized barrier.
+    /// sense-reversing centralized barrier.
     pub fn new(nthreads: usize) -> Self {
-        Self::with_barrier(nthreads, BarrierKind::default())
-    }
-
-    /// Like [`Pool::new`] but with an explicit barrier algorithm.
-    pub fn with_barrier(nthreads: usize, barrier_kind: BarrierKind) -> Self {
         assert!(nthreads >= 1, "pool must have at least one thread");
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -124,7 +119,7 @@ impl Pool {
             done_cv: Condvar::new(),
             panics: Mutex::new(Vec::new()),
         });
-        let team = Arc::new(TeamShared::new(nthreads, barrier_kind));
+        let team = Arc::new(TeamShared::new(nthreads));
         let mut handles = Vec::with_capacity(nthreads.saturating_sub(1));
         for tid in 1..nthreads {
             let shared = Arc::clone(&shared);
@@ -844,22 +839,6 @@ mod tests {
             // would deadlock against the panicked member).
             std::hint::black_box(team.tid());
         });
-    }
-
-    #[test]
-    fn dissemination_pool_works() {
-        let pool = Pool::with_barrier(4, BarrierKind::Dissemination);
-        let n = 500usize;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(|team| {
-            team.for_static(0, n, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            team.for_dynamic(0, n, 9, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 2));
     }
 
     #[test]

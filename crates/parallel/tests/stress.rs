@@ -2,7 +2,7 @@
 //! longevity, schedule equivalence, concurrent pools.
 
 use proptest::prelude::*;
-use rvhpc_parallel::{BarrierKind, Pool, Schedule, SyncSlice};
+use rvhpc_parallel::{Pool, Schedule, SyncSlice};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
@@ -79,8 +79,8 @@ fn all_schedules_compute_the_same_reduction() {
 }
 
 #[test]
-fn dissemination_pool_under_dynamic_loops() {
-    let pool = Pool::with_barrier(5, BarrierKind::Dissemination);
+fn odd_sized_pool_under_back_to_back_dynamic_loops() {
+    let pool = Pool::new(5);
     let n = 5000usize;
     let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
     pool.run(|team| {

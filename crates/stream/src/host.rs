@@ -7,10 +7,9 @@
 //! partitions, like the OpenMP reference.
 
 use rvhpc_parallel::{Pool, SyncSlice};
-use serde::Serialize;
 
 /// The four STREAM kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamKernel {
     Copy,
     Scale,
@@ -47,7 +46,7 @@ impl StreamKernel {
 }
 
 /// Result of one host STREAM run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HostStreamResult {
     /// Best bandwidth per kernel, GB/s, in [`StreamKernel::ALL`] order.
     pub best_gbs: [f64; 4],

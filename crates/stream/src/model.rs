@@ -2,12 +2,11 @@
 
 use rvhpc_archsim::DramModel;
 use rvhpc_machines::Machine;
-use serde::Serialize;
 
 use crate::host::StreamKernel;
 
 /// One point of a simulated STREAM scaling curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StreamPoint {
     pub cores: u32,
     pub copy_gbs: f64,

@@ -7,7 +7,6 @@
 //! reproduce --metrics out.json \
 //!           [BENCH] [CLASS] [THREADS]   # machine-readable metrics export
 //! reproduce --jobs 8               # engine worker count (else RVHPC_JOBS)
-//! reproduce obs-diff BASE.json CUR.json [--ratio R] [--floor-us N] [--strict]
 //! reproduce bench [--filter PAT] [--out FILE] [--quick]   # curated suite
 //! reproduce bench --render DOC.json --saturation SAT.json # BENCHMARKS.md
 //! reproduce isa [--report] [--ablate] [--compare] [--no-zba] [--no-zbb]
@@ -36,9 +35,8 @@
 //! (instret, IPC, ops/instr, branch-miss %). Output is deterministic —
 //! byte-identical across runs and `--jobs` values.
 //!
-//! Exit codes: `0` success, `1` obs-diff regression, `2` usage error,
-//! `3` output write failure, unreadable/invalid input, or incomparable
-//! obs-diff documents.
+//! Exit codes: `0` success, `1` `isa --compare` beyond tolerance, `2`
+//! usage error, `3` output write failure or unreadable/invalid input.
 
 use rvhpc::eval::engine::{set_default_jobs, Engine, Query};
 use rvhpc::eval::{experiment, metrics, report, runner};
@@ -100,8 +98,6 @@ fn one(slug: &str) -> Option<String> {
 fn usage_text() -> &'static str {
     "usage: reproduce [--jobs N] [EXPERIMENT]\n\
      \x20      reproduce [--jobs N] --metrics <FILE> [BENCH] [CLASS] [THREADS]\n\
-     \x20      reproduce obs-diff BASE.json CUR.json [--ratio R] [--floor-us N]\n\
-     \x20                [--strict]\n\
      \x20      reproduce bench [--filter PAT] [--out FILE] [--quick]\n\
      \x20      reproduce bench --render DOC.json [--saturation SAT.json]\n\
      \x20      reproduce isa [--report] [--ablate] [--compare [--tolerance R]]\n\
@@ -115,18 +111,12 @@ fn usage_text() -> &'static str {
      \x20 --metrics:  write the rvhpc-metrics/1 JSON document for one\n\
      \x20             predicted SG2044 run (default: cg C 64), including\n\
      \x20             the engine cache/executor counters\n\
-     \x20 obs-diff:   compare two rvhpc documents (metrics or bench, by\n\
-     \x20             schema tag); exit 1 on a latency-quantile regression\n\
-     \x20             (> baseline * ratio) or a counter-invariant violation\n\
-     \x20             (same gate as the obsdiff binary; CI runs it against\n\
-     \x20             the committed baselines under results/)\n\
      \x20 bench:      run the curated benchmark suite and write the next\n\
      \x20             results/BENCH_<n>.json (rvhpc-bench/1); --quick cuts\n\
-     \x20             iteration counts (or set RVHPC_BENCH_QUICK), --filter\n\
-     \x20             runs matching targets only, --out overrides the path,\n\
-     \x20             --render prints BENCHMARKS.md for an existing document\n\
-     \x20             (--saturation appends the rvhpc-saturation/1 sweep\n\
-     \x20             section from loadgen --sweep)\n\
+     \x20             iteration counts, --filter runs matching targets only,\n\
+     \x20             --out overrides the path, --render prints BENCHMARKS.md\n\
+     \x20             for an existing document (--saturation appends the\n\
+     \x20             rvhpc-saturation/1 sweep section from loadgen --sweep)\n\
      \x20 isa:        run the instruction-level backend's kernels (triad,\n\
      \x20             spmv, mg, ep) through decode -> CFG -> interpret ->\n\
      \x20             trace replay and print the rvr-style per-kernel table\n\
@@ -136,8 +126,8 @@ fn usage_text() -> &'static str {
      \x20             (exit 1 beyond --tolerance, default 4.0), --metrics\n\
      \x20             writes rvhpc-metrics/1 with the gated isa section\n\
      \x20 -h, --help: print this help and exit\n\
-     exit codes: 0 success, 1 obs-diff regression, 2 usage error,\n\
-     \x20            3 write failure, bad input, or incomparable documents"
+     exit codes: 0 success, 1 isa --compare beyond tolerance, 2 usage\n\
+     \x20            error, 3 write failure or bad input"
 }
 
 fn usage_error(msg: &str) -> ! {
@@ -192,56 +182,6 @@ fn write_metrics(path: &std::path::Path, rest: &[String]) {
         scenario.threads,
         path.display()
     );
-}
-
-/// The `obs-diff` subcommand: compare two metrics documents with the
-/// same rules as the standalone `obsdiff` binary. Never returns.
-fn obs_diff(rest: &[String]) -> ! {
-    let mut cfg = rvhpc::obs::DiffConfig::default();
-    let mut paths: Vec<&String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--ratio" => {
-                cfg.max_quantile_ratio = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage_error("--ratio needs a numeric argument"));
-            }
-            "--floor-us" => {
-                cfg.floor_us = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage_error("--floor-us needs a numeric argument"));
-            }
-            "--strict" => cfg.strict = true,
-            other if other.starts_with('-') => usage_error(&format!("unknown option '{other}'")),
-            _ => paths.push(arg),
-        }
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        usage_error("obs-diff expects exactly two documents: BASE.json CUR.json");
-    };
-    let load = |path: &str| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("reproduce: cannot read {path}: {e}");
-            std::process::exit(3);
-        });
-        rvhpc::obs::json::parse(text.trim()).unwrap_or_else(|e| {
-            eprintln!("reproduce: {path} is not valid JSON: {e}");
-            std::process::exit(3);
-        })
-    };
-    let baseline = load(baseline_path);
-    let current = load(current_path);
-    let kind = rvhpc::obs::doc_kind(&baseline).unwrap_or("<no schema tag>");
-    println!("obs-diff: {kind} — baseline {baseline_path} vs current {current_path}");
-    let report = rvhpc::obs::diff_any(&baseline, &current, &cfg);
-    print!("{}", report.render());
-    if report.has_mismatches() {
-        std::process::exit(3);
-    }
-    std::process::exit(if report.has_regressions() { 1 } else { 0 });
 }
 
 /// The `isa` subcommand: run the instruction-level backend's kernels
@@ -407,12 +347,9 @@ fn isa_cmd(rest: &[String]) -> ! {
 /// document to the benchmark trajectory, or re-render `BENCHMARKS.md`
 /// from a committed document. Never returns.
 fn bench(rest: &[String]) -> ! {
-    use rvhpc::bench::{harness, quick_mode, record};
+    use rvhpc::bench::{harness, record};
 
-    let mut cfg = harness::HarnessConfig {
-        quick: quick_mode(),
-        ..harness::HarnessConfig::default()
-    };
+    let mut cfg = harness::HarnessConfig::default();
     let mut out: Option<String> = None;
     let mut render: Option<String> = None;
     let mut saturation: Option<String> = None;
@@ -558,7 +495,6 @@ fn main() {
             write_metrics(std::path::Path::new(path), &args[2..]);
             return;
         }
-        Some("obs-diff") => obs_diff(&args[1..]),
         Some("bench") => bench(&args[1..]),
         Some("isa") => isa_cmd(&args[1..]),
         Some(slug) if slug.starts_with('-') => {

@@ -255,3 +255,19 @@ fn obsdiff_saturation_regression_exits_one() {
     assert_eq!(code, 1, "stdout:\n{stdout}\nstderr:\n{stderr}");
     assert!(stdout.contains("REGRESSION"), "{stdout}");
 }
+
+/// `obsdiff` is the one diff CLI: to `reproduce`, `obs-diff` is an
+/// unknown experiment (usage error, exit 2), not a second diff front end.
+#[test]
+fn reproduce_obs_diff_is_an_unknown_experiment() {
+    let (code, _, stderr) = run(
+        env!("CARGO_BIN_EXE_reproduce"),
+        &[
+            "obs-diff",
+            "results/baseline_metrics.json",
+            "results/baseline_metrics.json",
+        ],
+    );
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown experiment 'obs-diff'"), "{stderr}");
+}
