@@ -107,11 +107,45 @@ pub struct RetryClient {
     stats: ClientStats,
 }
 
-enum Transient {
+/// A failure worth retrying: the one definition of "transient" that
+/// [`RetryClient`] and the cluster router's reactor-side relay share.
+#[derive(Debug)]
+pub enum Transient {
+    /// Transport error, or a stream that closed or stalled mid-frame.
     Io(String),
+    /// The frame did not parse as JSON.
     Corrupt,
-    /// Retryable server error; carries the hinted back-off, if any.
+    /// Retryable server error (`overloaded`, `internal`, `deadline`);
+    /// carries the hinted back-off, if any.
     ServerError(&'static str, Option<u64>),
+}
+
+/// Classify one complete reply frame (newline stripped): `Ok` carries
+/// the parsed document and whether it is `ok:true` (else a definitive
+/// rejection — `parse`, `invalid`, `draining` — that retrying would
+/// only amplify); `Err` is a failure to retry.
+pub fn classify_reply(raw: &str) -> Result<(JsonValue, bool), Transient> {
+    let doc = rvhpc_obs::json::parse(raw).map_err(|_| Transient::Corrupt)?;
+    if doc.get("ok") == Some(&JsonValue::Bool(true)) {
+        return Ok((doc, true));
+    }
+    let error = doc.get("error");
+    let kind = error
+        .and_then(|e| e.get("kind"))
+        .and_then(JsonValue::as_str)
+        .unwrap_or("unknown");
+    match kind {
+        "overloaded" => {
+            let hint = error
+                .and_then(|e| e.get("retry_after_ms"))
+                .and_then(JsonValue::as_f64)
+                .map(|ms| ms as u64);
+            Err(Transient::ServerError("overloaded", hint))
+        }
+        "internal" => Err(Transient::ServerError("internal", None)),
+        "deadline" => Err(Transient::ServerError("deadline", None)),
+        _ => Ok((doc, false)),
+    }
 }
 
 /// A finished attempt: the parsed reply plus its raw frame bytes
@@ -151,7 +185,7 @@ impl RetryClient {
     /// Send one request line and return the parsed `ok:true` reply,
     /// retrying transient failures per the config.
     pub fn call(&mut self, line: &str) -> Result<JsonValue, ClientError> {
-        match self.call_inner(line)? {
+        match self.call_inner(line, None)? {
             AttemptOutcome::Ok(doc, _) => Ok(doc),
             AttemptOutcome::Rejected(doc, _) => Err(ClientError::Rejected(doc)),
         }
@@ -163,7 +197,20 @@ impl RetryClient {
     /// verbatim rather than treating as local errors. Only transient
     /// exhaustion is an error.
     pub fn call_raw(&mut self, line: &str) -> Result<String, ClientError> {
-        match self.call_inner(line)? {
+        self.call_raw_after(line, None)
+    }
+
+    /// As [`RetryClient::call_raw`], resuming a request whose first
+    /// attempt the caller already made elsewhere and saw fail with
+    /// `failed`: that failure counts as attempt one, so the back-off
+    /// (and any `retry_after_ms` hint) and the attempt budget are what
+    /// they would have been had this client made it.
+    pub fn call_raw_after(
+        &mut self,
+        line: &str,
+        failed: Option<Transient>,
+    ) -> Result<String, ClientError> {
+        match self.call_inner(line, failed)? {
             AttemptOutcome::Ok(_, raw) | AttemptOutcome::Rejected(_, raw) => Ok(raw),
         }
     }
@@ -171,14 +218,21 @@ impl RetryClient {
     /// The shared retry loop: transient failures back off and retry up
     /// to `max_attempts`; anything the server actually answered comes
     /// back as an [`AttemptOutcome`].
-    fn call_inner(&mut self, line: &str) -> Result<AttemptOutcome, ClientError> {
+    fn call_inner(
+        &mut self,
+        line: &str,
+        mut failed: Option<Transient>,
+    ) -> Result<AttemptOutcome, ClientError> {
         self.stats.requests += 1;
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let failure = match self.attempt(line) {
-                Ok(outcome) => return Ok(outcome),
-                Err(transient) => transient,
+            let failure = match failed.take() {
+                Some(transient) => transient,
+                None => match self.attempt(line) {
+                    Ok(outcome) => return Ok(outcome),
+                    Err(transient) => transient,
+                },
             };
             let (last, hint) = match failure {
                 Transient::Io(what) => {
@@ -242,31 +296,12 @@ impl RetryClient {
             return Err(Transient::Io("truncated reply frame".to_string()));
         }
         let raw = reply.trim_end().to_string();
-        let doc = match rvhpc_obs::json::parse(&raw) {
-            Ok(doc) => doc,
-            Err(_) => return Err(Transient::Corrupt),
-        };
-        if doc.get("ok") == Some(&JsonValue::Bool(true)) {
-            return Ok(AttemptOutcome::Ok(doc, raw));
-        }
-        let kind = doc
-            .get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(JsonValue::as_str)
-            .unwrap_or("unknown");
-        match kind {
-            "overloaded" => {
-                let hint = doc
-                    .get("error")
-                    .and_then(|e| e.get("retry_after_ms"))
-                    .and_then(JsonValue::as_f64)
-                    .map(|ms| ms as u64);
-                Err(Transient::ServerError("overloaded", hint))
-            }
-            "internal" => Err(Transient::ServerError("internal", None)),
-            "deadline" => Err(Transient::ServerError("deadline", None)),
-            _ => Ok(AttemptOutcome::Rejected(doc, raw)),
-        }
+        let (doc, ok) = classify_reply(&raw)?;
+        Ok(if ok {
+            AttemptOutcome::Ok(doc, raw)
+        } else {
+            AttemptOutcome::Rejected(doc, raw)
+        })
     }
 
     /// Sleep `min(cap, base << (attempt-1))` plus jitter in `0..base`
@@ -396,6 +431,39 @@ mod tests {
         assert_eq!(client.stats().retries, 0);
         drop(client);
         server.join().expect("server exits");
+    }
+
+    #[test]
+    fn a_resumed_call_counts_the_callers_failure_as_attempt_one() {
+        let ok = r#"{"ok":true,"result":"pong"}"#;
+        let (addr, server) = scripted_server(vec![Script::Reply(ok)]);
+        let mut client = RetryClient::new(ClientConfig {
+            max_attempts: 2,
+            ..quick_cfg(addr.clone())
+        });
+        let shed = Transient::ServerError("overloaded", Some(1));
+        assert_eq!(
+            client.call_raw_after("{\"op\":\"ping\"}", Some(shed)).ok(),
+            Some(ok.to_string())
+        );
+        let stats = client.stats();
+        assert_eq!((stats.requests, stats.retries), (1, 1));
+        assert_eq!((stats.overloaded_backoffs, stats.backoff_ms_total), (1, 1));
+        server.join().expect("server exits");
+
+        // With the budget already spent there is no attempt to make.
+        let mut client = RetryClient::new(ClientConfig {
+            max_attempts: 1,
+            ..quick_cfg(addr)
+        });
+        let closed = Transient::Io("connection closed mid-request".to_string());
+        match client.call_raw_after("{\"op\":\"ping\"}", Some(closed)) {
+            Err(ClientError::Exhausted { attempts: 1, last }) => {
+                assert_eq!(last, "connection closed mid-request")
+            }
+            other => panic!("expected exhaustion, got {other:?}"),
+        }
+        assert_eq!(client.stats().reconnects, 0);
     }
 
     #[test]

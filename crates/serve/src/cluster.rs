@@ -14,11 +14,18 @@
 //!
 //! The [`Router`] sits in front of a node set (`serve --route
 //! node1,node2,...`): each predict's fingerprint picks an owner order
-//! ([`Ring::owners`]), a [`Forwarder`] worker relays the *raw* request
-//! line over [`RetryClient`] — so the owner's reply bytes reach the
-//! client verbatim, keeping single-node and cluster replies
-//! byte-identical — and failover walks to the next owner when a node is
-//! dead. Keys forwarded more than `hot_threshold` times are hot:
+//! ([`Ring::owners`]) and the *raw* request line is relayed to the
+//! first owner — so the owner's reply bytes reach the client verbatim,
+//! keeping single-node and cluster replies byte-identical. A forward
+//! has two entries that share the router's accounting
+//! ([`Router::note_sent`], [`Router::note_served`]): the server's
+//! reactor writes the line to a nonblocking upstream connection it owns
+//! and relays the reply itself, and everything that must block — a
+//! connect ([`ConnectJob`]), the retry/back-off of a transient failure,
+//! the failover walk to the next owner when a node is dead, and every
+//! forward while a fault plan is active — runs on a [`Forwarder`]
+//! worker over [`RetryClient`]. Keys forwarded more than
+//! `hot_threshold` times are hot:
 //! subsequent sends rotate round-robin across the first `replicas` ring
 //! owners, warming replicas so a kill of the primary costs one
 //! recompute, not a cold start. The [`FaultSite::Partition`] chaos site
@@ -26,8 +33,9 @@
 //! failover path deterministically.
 
 use std::collections::{BTreeMap, HashMap};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,11 +43,17 @@ use parking_lot::Mutex;
 use rvhpc_faults::{note_recovery, rng::mix, FaultSite, Injector};
 use rvhpc_obs::JsonValue;
 
-use crate::client::{ClientConfig, RetryClient};
+use crate::client::{ClientConfig, RetryClient, Transient};
 
 /// Most distinct fingerprints the hot-key tracker retains (first-come;
 /// a bounded map, not an LRU — hot keys in steady traffic appear early).
 const HOT_TRACK_CAP: usize = 4096;
+/// Most distinct fingerprints the key → node assignment table retains
+/// (first-come, like the hot tracker). Keys past the cap are still
+/// routed and served; they are only missing from the `keys` gauges, so
+/// `keys_total` saturates here instead of growing for the life of the
+/// process.
+const ASSIGNED_TRACK_CAP: usize = 65_536;
 
 /// FNV-1a over the node name: the stable name → point-stream seed.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -65,7 +79,8 @@ pub struct RouterConfig {
     /// Forwards of one key after which it counts as hot and spreads
     /// round-robin across the owner set.
     pub hot_threshold: u64,
-    /// Forwarder worker threads.
+    /// Forwarder worker threads; also the most upstream connections a
+    /// reactor keeps open to one node.
     pub forward_workers: usize,
     /// Bounded forward queue depth — the router's admission limit.
     pub forward_queue: usize,
@@ -138,7 +153,9 @@ impl Ring {
     /// The owning node index for a fingerprint: the first point at or
     /// after it, wrapping past the top of the circle.
     pub fn owner_of(&self, fingerprint: u64) -> usize {
-        self.owners(fingerprint, 1)[0]
+        assert!(!self.points.is_empty(), "owner_of() on an empty ring");
+        let start = self.points.partition_point(|&(p, _)| p < fingerprint);
+        self.points[start % self.points.len()].1 as usize
     }
 
     /// The first `n` *distinct* owners clockwise from the fingerprint —
@@ -192,6 +209,16 @@ struct NodeStats {
     failovers: AtomicU64,
 }
 
+/// The key → node assignment table behind the ring-occupancy gauges.
+struct Assigned {
+    /// Last node each tracked fingerprint was served by (bounded by
+    /// [`ASSIGNED_TRACK_CAP`]).
+    node_of: BTreeMap<u64, u32>,
+    /// Tracked fingerprints per node, kept in step with `node_of` so a
+    /// gauge sample never walks the map.
+    per_node: Vec<u64>,
+}
+
 /// The routing brain: ring, per-node stats, hot-key tracking, and the
 /// key → node assignment table behind the ring-occupancy gauges.
 pub struct Router {
@@ -199,10 +226,13 @@ pub struct Router {
     ring: Ring,
     stats: Vec<NodeStats>,
     forwarded: AtomicU64,
+    /// Forwards a reactor wrote to an upstream itself / forwards a
+    /// [`Forwarder`] worker picked up (first sends and re-submissions).
+    forwards_reactor: AtomicU64,
+    forwards_pool: AtomicU64,
     /// Forward count per fingerprint (bounded; drives hot detection).
     hot: Mutex<BTreeMap<u64, u64>>,
-    /// Last node each distinct fingerprint was served by.
-    assigned: Mutex<BTreeMap<u64, u32>>,
+    assigned: Mutex<Assigned>,
     /// Round-robin cursor for hot-key replica rotation.
     rr: AtomicU64,
     injector: Option<Arc<Injector>>,
@@ -214,13 +244,19 @@ impl Router {
     pub fn new(config: RouterConfig, injector: Option<Arc<Injector>>) -> Router {
         let ring = Ring::new(&config.nodes, config.vnodes.max(1), config.seed);
         let stats = config.nodes.iter().map(|_| NodeStats::default()).collect();
+        let assigned = Assigned {
+            node_of: BTreeMap::new(),
+            per_node: vec![0; config.nodes.len()],
+        };
         Router {
             config,
             ring,
             stats,
             forwarded: AtomicU64::new(0),
+            forwards_reactor: AtomicU64::new(0),
+            forwards_pool: AtomicU64::new(0),
             hot: Mutex::new(BTreeMap::new()),
-            assigned: Mutex::new(BTreeMap::new()),
+            assigned: Mutex::new(assigned),
             rr: AtomicU64::new(0),
             injector,
         }
@@ -236,11 +272,20 @@ impl Router {
         self.forwarded.load(Ordering::Relaxed)
     }
 
+    /// The configuration this router was built from.
+    pub fn config(&self) -> &RouterConfig {
+        &self.config
+    }
+
     /// The node order to try for one forward: ring owners, with hot
     /// keys rotated round-robin across the replica set so repeats warm
-    /// more than one node.
-    fn route(&self, fingerprint: u64) -> Vec<usize> {
+    /// more than one node. Empty only when no node is configured.
+    /// Called once per predict, whichever entry then carries it.
+    pub fn route(&self, fingerprint: u64) -> Vec<usize> {
         self.forwarded.fetch_add(1, Ordering::Relaxed);
+        if self.config.nodes.is_empty() {
+            return Vec::new();
+        }
         let replicas = self.config.replicas.max(1);
         let mut order = self.ring.owners(fingerprint, replicas.max(2));
         let count = {
@@ -263,19 +308,39 @@ impl Router {
         order
     }
 
-    /// Record which node actually served a fingerprint.
-    fn note_assigned(&self, fingerprint: u64, node: usize) {
-        self.assigned.lock().insert(fingerprint, node as u32);
+    /// One forward is on its way to `node`; `on_reactor` says which of
+    /// the two entries wrote it.
+    pub fn note_sent(&self, node: usize, on_reactor: bool) {
+        self.stats[node].forwarded.fetch_add(1, Ordering::Relaxed);
+        if on_reactor {
+            self.forwards_reactor.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// `node` answered a forward of `fingerprint` (a success or a
+    /// definitive rejection): count it and record the assignment.
+    pub fn note_served(&self, fingerprint: u64, node: usize) {
+        self.stats[node].ok.fetch_add(1, Ordering::Relaxed);
+        let mut assigned = self.assigned.lock();
+        let Assigned { node_of, per_node } = &mut *assigned;
+        let node = node as u32;
+        if let Some(prev) = node_of.get_mut(&fingerprint) {
+            if *prev != node {
+                per_node[*prev as usize] -= 1;
+                per_node[node as usize] += 1;
+                *prev = node;
+            }
+        } else if node_of.len() < ASSIGNED_TRACK_CAP {
+            node_of.insert(fingerprint, node);
+            per_node[node as usize] += 1;
+        }
     }
 
     /// Distinct keys currently assigned to each node; the sum over
-    /// nodes equals the total distinct keys this router has served.
+    /// nodes equals the total distinct keys this router has served
+    /// (up to [`ASSIGNED_TRACK_CAP`]).
     pub fn keys_per_node(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.config.nodes.len()];
-        for &node in self.assigned.lock().values() {
-            counts[node as usize] += 1;
-        }
-        counts
+        self.assigned.lock().per_node.clone()
     }
 
     /// The `cluster` metrics section.
@@ -339,6 +404,19 @@ impl Router {
             ("nodes".to_string(), JsonValue::Array(nodes)),
             ("keys_total".to_string(), JsonValue::from(keys_total)),
             (
+                "forwards".to_string(),
+                JsonValue::object([
+                    (
+                        "reactor".to_string(),
+                        JsonValue::from(self.forwards_reactor.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "pool".to_string(),
+                        JsonValue::from(self.forwards_pool.load(Ordering::Relaxed)),
+                    ),
+                ]),
+            ),
+            (
                 "hot".to_string(),
                 JsonValue::object([
                     ("tracked".to_string(), JsonValue::from(hot.len() as u64)),
@@ -358,30 +436,58 @@ pub enum ForwardOutcome {
     Failed(String),
 }
 
-/// One predict to relay: the raw request line plus its routing
-/// fingerprint and the completion callback back into the reactor.
-pub struct ForwardJob {
+/// One predict to relay: the raw request line, its ring coordinate and
+/// the owner order [`Router::route`] chose for it.
+pub struct Forward {
     /// The raw request line (no newline).
     pub line: String,
     /// Cache-key fingerprint — the ring coordinate.
     pub fingerprint: u64,
+    /// Nodes to try, first owner first.
+    pub order: Vec<usize>,
     /// Caller token echoed into the completion.
     pub token: u64,
+}
+
+/// A [`Forward`] for a pool worker, with the completion callback back
+/// into the reactor.
+pub struct ForwardJob {
+    pub forward: Forward,
+    /// How the reactor's own attempt on the first owner failed, when it
+    /// made one: the worker resumes from there
+    /// ([`RetryClient::call_raw_after`]) instead of starting over.
+    pub failed: Option<Transient>,
     /// Completion delivery; must not block.
     pub done: Box<dyn FnOnce(u64, ForwardOutcome) + Send>,
 }
 
-/// The forwarder pool: worker threads pulling [`ForwardJob`]s off a
-/// bounded queue, each holding lazily-built per-node [`RetryClient`]s.
+/// Open one upstream connection to node `node` for a reactor: the
+/// blocking half (resolve, connect within `connect_timeout_ms`) runs on
+/// a pool worker, which hands the nonblocking stream — or the error —
+/// to `done`.
+pub struct ConnectJob {
+    pub node: usize,
+    /// Completion delivery; must not block.
+    pub done: Box<dyn FnOnce(std::io::Result<TcpStream>) + Send>,
+}
+
+/// What a [`Forwarder`] worker can be asked to do.
+pub enum PoolJob {
+    Forward(ForwardJob),
+    Connect(ConnectJob),
+}
+
+/// The forwarder pool: worker threads pulling jobs off a bounded queue,
+/// each holding lazily-built per-node [`RetryClient`]s.
 pub struct Forwarder {
-    tx: Mutex<Option<SyncSender<ForwardJob>>>,
+    tx: Mutex<Option<SyncSender<PoolJob>>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Forwarder {
     /// Start the worker pool for `router`.
     pub fn spawn(router: Arc<Router>) -> Forwarder {
-        let (tx, rx) = sync_channel::<ForwardJob>(router.config.forward_queue.max(1));
+        let (tx, rx) = sync_channel::<PoolJob>(router.config.forward_queue.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let mut workers = Vec::new();
         for w in 0..router.config.forward_workers.max(1) {
@@ -400,21 +506,16 @@ impl Forwarder {
         }
     }
 
-    /// Enqueue one forward; `Err` when the queue is full or draining —
-    /// the caller sheds with an `overloaded` reply, exactly like a full
-    /// shard queue.
-    pub fn submit(&self, job: ForwardJob) -> Result<(), ForwardJob> {
+    /// Enqueue one job; false when the queue is full or draining (the
+    /// job is dropped, its completion uncalled) — the caller sheds a
+    /// forward with an `overloaded` reply, exactly like a full shard
+    /// queue, and treats a connect as failed.
+    pub fn submit(&self, job: PoolJob) -> bool {
         let tx = self.tx.lock();
-        let Some(tx) = tx.as_ref() else {
-            return Err(job);
-        };
-        match tx.try_send(job) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(job)) | Err(TrySendError::Disconnected(job)) => Err(job),
-        }
+        tx.as_ref().is_some_and(|tx| tx.try_send(job).is_ok())
     }
 
-    /// Stop accepting, let queued forwards finish, join the workers.
+    /// Stop accepting, let queued jobs finish, join the workers.
     pub fn drain(&self) {
         self.tx.lock().take();
         for h in self.workers.lock().drain(..) {
@@ -423,24 +524,48 @@ impl Forwarder {
     }
 }
 
-fn forward_loop(worker: u64, router: &Router, rx: &Mutex<Receiver<ForwardJob>>) {
+fn connect_upstream(router: &Router, node: usize) -> std::io::Result<TcpStream> {
+    let name = &router.config.nodes[node];
+    let addr = name.to_socket_addrs()?.next().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("'{name}' resolves to nothing"),
+        )
+    })?;
+    let timeout = Duration::from_millis(router.config.connect_timeout_ms);
+    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
+}
+
+fn forward_loop(worker: u64, router: &Router, rx: &Mutex<Receiver<PoolJob>>) {
     let mut clients: HashMap<usize, RetryClient> = HashMap::new();
     loop {
         // Hold the receiver lock only while pulling one job.
         let job = match rx.lock().recv() {
-            Ok(job) => job,
+            Ok(PoolJob::Forward(job)) => job,
+            Ok(PoolJob::Connect(job)) => {
+                (job.done)(connect_upstream(router, job.node));
+                continue;
+            }
             Err(_) => return,
         };
         let ForwardJob {
-            line,
-            fingerprint,
-            token,
+            forward:
+                Forward {
+                    line,
+                    fingerprint,
+                    order,
+                    token,
+                },
+            mut failed,
             done,
         } = job;
+        router.forwards_pool.fetch_add(1, Ordering::Relaxed);
         // Option-wrapped so one completion fires exactly once whether a
         // node answers mid-loop or every owner fails.
         let mut done = Some(done);
-        let order = router.route(fingerprint);
         let mut last = "no cluster nodes configured".to_string();
         for (hop, &ni) in order.iter().enumerate() {
             // Chaos: the partition site declares the primary owner
@@ -468,11 +593,15 @@ fn forward_loop(worker: u64, router: &Router, rx: &Mutex<Receiver<ForwardJob>>) 
                     ..ClientConfig::default()
                 })
             });
-            router.stats[ni].forwarded.fetch_add(1, Ordering::Relaxed);
-            match client.call_raw(&line) {
+            // A resumed forward was already counted against its first
+            // owner when the reactor sent it.
+            let failed = failed.take();
+            if failed.is_none() {
+                router.note_sent(ni, false);
+            }
+            match client.call_raw_after(&line, failed) {
                 Ok(raw) => {
-                    router.stats[ni].ok.fetch_add(1, Ordering::Relaxed);
-                    router.note_assigned(fingerprint, ni);
+                    router.note_served(fingerprint, ni);
                     if let Some(done) = done.take() {
                         done(token, ForwardOutcome::Reply(raw));
                     }
@@ -512,6 +641,42 @@ mod tests {
             assert!(owner < 4);
             assert_eq!(owner, again.owner_of(fp), "same seed, same assignment");
         }
+    }
+
+    #[test]
+    fn owner_of_is_the_first_of_owners() {
+        let ring = Ring::new(&names(5), 64, 9);
+        for i in 0..2000u64 {
+            let fp = mix(i);
+            assert_eq!(ring.owner_of(fp), ring.owners(fp, 3)[0]);
+        }
+        // Past the last point the circle wraps to the first.
+        assert_eq!(ring.owner_of(u64::MAX), ring.owners(u64::MAX, 1)[0]);
+    }
+
+    #[test]
+    fn key_gauges_follow_reassignment_and_saturate_at_the_cap() {
+        let router = Router::new(RouterConfig::new(names(3)), None);
+        router.note_served(7, 0);
+        router.note_served(8, 0);
+        router.note_served(7, 0);
+        assert_eq!(router.keys_per_node(), [2, 0, 0]);
+        // A failover serves key 7 from node 2: the key moves, the sum
+        // does not.
+        router.note_served(7, 2);
+        assert_eq!(router.keys_per_node(), [1, 0, 1]);
+        for fp in 0..ASSIGNED_TRACK_CAP as u64 + 100 {
+            router.note_served(mix(fp) | 1 << 40, 1);
+        }
+        let keys = router.keys_per_node();
+        assert_eq!(keys.iter().sum::<u64>(), ASSIGNED_TRACK_CAP as u64);
+        // A tracked key still moves once the table is full.
+        router.note_served(8, 1);
+        assert_eq!(router.keys_per_node()[0], 0);
+        assert_eq!(
+            router.keys_per_node().iter().sum::<u64>(),
+            ASSIGNED_TRACK_CAP as u64
+        );
     }
 
     #[test]

@@ -156,9 +156,12 @@ mod sys {
     }
 
     fn events_mask(interest: Interest) -> u32 {
-        let mut ev = EPOLLRDHUP;
+        // Peer half-close rides on read interest: level-triggered, it
+        // would otherwise fire on every wait for a descriptor its owner
+        // has chosen not to read.
+        let mut ev = 0;
         if interest.read {
-            ev |= EPOLLIN;
+            ev |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.write {
             ev |= EPOLLOUT;

@@ -11,10 +11,12 @@
 //! entry, not a thread. Blocking work never runs on a reactor: a predict
 //! the engine's memory tier already holds is answered where its line
 //! was read, and every other one goes to the shared [`Batcher`] with a
-//! [`ReplySink`] completion port; cluster forwards go to the
-//! [`cluster::Forwarder`] pool, and both post completions through a
-//! [`ReactorHub`] whose [`poll::Waker`] pops the reactor out of its
-//! wait. The bounded shard
+//! [`ReplySink`] completion port; a cluster forward is written to a
+//! nonblocking [`Upstream`] the reactor polls beside its clients, and
+//! only what must block (connects, retries, failover, every forward
+//! under a fault plan) goes to the [`cluster::Forwarder`] pool. Batch
+//! and pool completions come back through a [`ReactorHub`] whose
+//! [`poll::Waker`] pops the reactor out of its wait. The bounded shard
 //! queues remain the admission-control boundary (a full queue produces
 //! an immediate `overloaded` reply instead of unbounded buffering).
 //! Every predict carries a deadline — the client's `deadline_ms` or
@@ -24,8 +26,9 @@
 //! In router mode (`--route node1,node2,...`) predicts are not served
 //! locally at all: the request's cache-key fingerprint picks an owner
 //! on the [`cluster::Ring`] and the raw request line is forwarded to
-//! that node, with failover to the next ring owner and hot-key
-//! replication across the owner set.
+//! that node — by the reactor itself while the node answers, by the
+//! pool once it does not — with failover to the next ring owner and
+//! hot-key replication across the owner set.
 //!
 //! Every request gets a [`TraceCtx`] whose id comes from a process-wide
 //! counter, so ids are unique and monotone per connection. The context
@@ -68,7 +71,8 @@ use rvhpc_obs::{
 use crate::batch::{
     AdmissionError, Batcher, Completion, CompletionPort, Job, JobResult, ReplySink,
 };
-use crate::cluster::{self, ForwardJob, ForwardOutcome, Router};
+use crate::client::{classify_reply, Transient};
+use crate::cluster::{self, ConnectJob, Forward, ForwardJob, ForwardOutcome, PoolJob, Router};
 use crate::poll::{self, Interest, PollEvent, Poller};
 use crate::proto::{self, ErrorKind, PredictRequest, Priority, ProtoError, Request};
 
@@ -91,6 +95,19 @@ const FILL_CAP: usize = 256 * 1024;
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Reactor-internal token for the wake channel.
 const TOKEN_WAKER: u64 = u64::MAX - 1;
+/// Tokens from here up (below the two above) are upstream connections,
+/// `TOKEN_UPSTREAM | node << 32 | serial`; connection ids count up from
+/// zero and never get here.
+const TOKEN_UPSTREAM: u64 = 1 << 62;
+/// Hard cap on one upstream reply line (a reply may carry a span dump,
+/// so it is far above the request cap); a node that exceeds it is cut
+/// off like one that sent garbage.
+const MAX_REPLY_BYTES: usize = 4 * 1024 * 1024;
+
+/// Returns from [`Poller::wait`], every reactor in the process: lets a
+/// test bound how often a parked connection wakes its reactor.
+#[cfg(test)]
+static LOOP_PASSES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide drain flag set by signal handlers and `quit` requests.
 static DRAIN: AtomicBool = AtomicBool::new(false);
@@ -754,8 +771,13 @@ struct Shared {
 enum Done {
     /// A batcher completion (local predict).
     Job(Completion),
-    /// A cluster forward came back.
+    /// A cluster forward came back from the pool.
     Forward { token: u64, outcome: ForwardOutcome },
+    /// The pool finished connecting an upstream.
+    Connected {
+        token: u64,
+        stream: std::io::Result<TcpStream>,
+    },
 }
 
 /// The reactor's completion mailbox: batch workers and forwarders push
@@ -814,6 +836,12 @@ struct Conn {
     stream: TcpStream,
     conn_ord: u32,
     interest: Interest,
+    /// Read interest stays armed across a park, so a request/reply
+    /// client costs no `epoll_ctl`; only a readable event that arrives
+    /// while parked (pipelined bytes, a half-close — level-triggered,
+    /// they would fire every pass) sets this and drops it until the
+    /// connection is `Ready` again.
+    read_muted: bool,
     inbuf: Vec<u8>,
     /// Bytes before this offset are known newline-free — incremental
     /// scans never re-walk old partial data.
@@ -844,6 +872,33 @@ enum Step {
     CloseEof,
     /// Nothing complete yet.
     Idle,
+}
+
+/// Pull what a readiness event promised into `into`, until a read
+/// comes back short or [`FILL_CAP`] bytes are in; `Ok(true)` when the
+/// peer has closed its side.
+fn read_ready(stream: &mut TcpStream, into: &mut Vec<u8>) -> std::io::Result<bool> {
+    let mut buf = [0u8; READ_CHUNK];
+    let mut pulled = 0usize;
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => return Ok(true),
+            Ok(n) => {
+                into.extend_from_slice(&buf[..n]);
+                pulled += n;
+                // A short read emptied the socket buffer; asking again
+                // would only buy a `WouldBlock`. Polling is
+                // level-triggered, so bytes (or the EOF) arriving after
+                // this read fire another event.
+                if n < READ_CHUNK || pulled >= FILL_CAP {
+                    return Ok(false);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 fn next_step(conn: &mut Conn) -> Step {
@@ -962,6 +1017,116 @@ fn settle_predict(
     }
 }
 
+/// Account for one cluster forward's outcome and give its reply line:
+/// the router-mode sibling of [`settle_predict`], shared by the reactor's
+/// own relay and the pool's completion so the counters cannot tell the
+/// two apart.
+fn settle_forward(
+    sh: &Shared,
+    req: &PredictRequest,
+    enqueued_us: u64,
+    outcome: ForwardOutcome,
+) -> String {
+    match outcome {
+        ForwardOutcome::Reply(raw) => {
+            // The owner's reply is relayed byte-for-byte. Service
+            // accounting covers the whole forward round trip; cache
+            // warmth is the owner's story, not the router's.
+            // `render_ok` leads with the echoed id when present, so
+            // match the marker anywhere in the (single-line) frame.
+            if raw.contains("\"ok\":true") {
+                sh.counters.ok.fetch_add(1, Ordering::Relaxed);
+                let service_us = obs::now_us().saturating_sub(enqueued_us);
+                sh.counters.service.lock().record(service_us);
+                if let Some(pr) = req.priority {
+                    sh.counters.class_ok[pr.index()].fetch_add(1, Ordering::Relaxed);
+                    sh.counters.class_latency[pr.index()]
+                        .lock()
+                        .record(service_us);
+                }
+            }
+            raw
+        }
+        ForwardOutcome::Failed(last) => {
+            sh.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
+            proto::render_error(&ProtoError::new(
+                req.id,
+                ErrorKind::Internal,
+                format!("cluster forward failed: {last}"),
+            ))
+        }
+    }
+}
+
+/// One nonblocking connection from this reactor to a cluster node.
+///
+/// INVARIANT (FIFO matching): a node serves one connection's lines in
+/// the order it read them and answers each with exactly one line, so
+/// the k-th reply line read from `stream` answers the k-th request line
+/// written to it. `inflight` *is* that order: a [`Forward`] is pushed
+/// exactly when its line is appended to `outbuf`, and the front is
+/// popped exactly when one complete line is split off `inbuf` — never
+/// for an expired deadline or a closed client, whose replies still
+/// arrive, are popped, and find nobody waiting. Whatever would break
+/// the pairing — EOF, a transport error, a corrupt, oversize or
+/// unsolicited frame, a reply overdue by `read_timeout_ms` — retires
+/// the whole connection ([`Reactor::fail_upstream`]) and hands every
+/// forward still in `inflight` to the pool; none is ever matched
+/// against a later line.
+struct Upstream {
+    token: u64,
+    /// `None` until the pool's connect job hands the stream over; lines
+    /// queue in `outbuf` meanwhile.
+    stream: Option<TcpStream>,
+    write_armed: bool,
+    inbuf: Vec<u8>,
+    /// As [`Conn::scan_from`].
+    scan_from: usize,
+    outbuf: Vec<u8>,
+    outpos: usize,
+    inflight: VecDeque<Forward>,
+    /// Since when the reply now due (the front of `inflight`) has been
+    /// awaited: restarted when a line joins an idle upstream and at
+    /// every reply.
+    waiting_since: Instant,
+}
+
+impl Upstream {
+    /// An upstream whose connect job is with the pool.
+    fn connecting(token: u64) -> Upstream {
+        Upstream {
+            token,
+            stream: None,
+            write_armed: false,
+            inbuf: Vec::new(),
+            scan_from: 0,
+            outbuf: Vec::new(),
+            outpos: 0,
+            inflight: VecDeque::new(),
+            waiting_since: Instant::now(),
+        }
+    }
+}
+
+fn upstream_node(token: u64) -> usize {
+    ((token & !TOKEN_UPSTREAM) >> 32) as usize
+}
+
+fn find_upstream(upstreams: &mut [Vec<Upstream>], token: u64) -> Option<&mut Upstream> {
+    upstreams
+        .get_mut(upstream_node(token))?
+        .iter_mut()
+        .find(|u| u.token == token)
+}
+
+/// Whether an upstream reply line can be relayed without parsing it: a
+/// brace-delimited frame carrying the success marker, which is what
+/// every `ok` reply a node renders looks like and what a corrupted or
+/// cut-off one does not. Everything else takes [`classify_reply`].
+fn is_ok_frame(raw: &str) -> bool {
+    raw.starts_with('{') && raw.ends_with('}') && raw.contains("\"ok\":true")
+}
+
 struct Reactor {
     shared: Arc<Shared>,
     poller: Poller,
@@ -974,6 +1139,10 @@ struct Reactor {
     /// token is absent (deadline already answered, connection gone) is
     /// dropped — the result still landed in the cache.
     pending: HashMap<u64, u64>,
+    /// Upstream connections by node index (router mode; empty
+    /// otherwise), at most `forward_workers` each.
+    upstreams: Vec<Vec<Upstream>>,
+    next_upstream: u32,
     next_conn: u64,
     next_seq: u64,
     events: Vec<PollEvent>,
@@ -987,6 +1156,7 @@ impl Reactor {
         waker_rx: TcpStream,
         listener: TcpListener,
     ) -> Reactor {
+        let nodes = shared.router.as_ref().map_or(0, |r| r.config().nodes.len());
         Reactor {
             shared,
             poller,
@@ -999,6 +1169,8 @@ impl Reactor {
             listener_open: true,
             conns: HashMap::new(),
             pending: HashMap::new(),
+            upstreams: (0..nodes).map(|_| Vec::new()).collect(),
+            next_upstream: 0,
             next_conn: 0,
             next_seq: 0,
             events: Vec::new(),
@@ -1032,12 +1204,17 @@ impl Reactor {
             if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 break;
             }
+            #[cfg(test)]
+            LOOP_PASSES.fetch_add(1, Ordering::Relaxed);
             for i in 0..events.len() {
                 let ev = events[i];
                 match ev.token {
                     TOKEN_LISTENER => self.accept_burst(),
                     TOKEN_WAKER => poll::drain_wakes(&mut self.waker_rx),
-                    id => self.on_conn_event(id, ev.readable || ev.hangup, ev.writable),
+                    t if t >= TOKEN_UPSTREAM => {
+                        self.on_upstream_event(t, ev.readable || ev.hangup, ev.writable)
+                    }
+                    id => self.on_conn_event(id, ev),
                 }
             }
             self.events = events;
@@ -1166,6 +1343,7 @@ impl Reactor {
                 stream,
                 conn_ord,
                 interest: Interest::READ,
+                read_muted: false,
                 inbuf: Vec::new(),
                 scan_from: 0,
                 outbuf: Vec::new(),
@@ -1182,13 +1360,26 @@ impl Reactor {
         );
     }
 
-    fn on_conn_event(&mut self, id: u64, readable: bool, writable: bool) {
-        if writable {
+    fn on_conn_event(&mut self, id: u64, ev: PollEvent) {
+        if ev.writable {
             self.try_flush(id);
         }
-        if readable && self.conns.contains_key(&id) {
+        if !(ev.readable || ev.hangup) {
+            return;
+        }
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if matches!(conn.state, ConnState::Ready) {
             self.fill_inbuf(id);
             self.advance(id);
+        } else if ev.hangup {
+            // Dead in both directions: nobody is left to answer, and an
+            // error condition cannot be masked out of the poll set.
+            self.close_conn(id);
+        } else {
+            conn.read_muted = true;
+            self.update_interest(id);
         }
     }
 
@@ -1205,32 +1396,9 @@ impl Reactor {
             if conn.close_after_flush || !matches!(conn.state, ConnState::Ready) {
                 return;
             }
-            let mut buf = [0u8; READ_CHUNK];
-            let mut pulled = 0usize;
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        conn.peer_closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.inbuf.extend_from_slice(&buf[..n]);
-                        pulled += n;
-                        // A short read emptied the socket buffer; asking
-                        // again would only buy a `WouldBlock`. Polling is
-                        // level-triggered, so bytes (or the EOF) arriving
-                        // after this read fire another event.
-                        if n < READ_CHUNK || pulled >= FILL_CAP {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
+            match read_ready(&mut conn.stream, &mut conn.inbuf) {
+                Ok(eof) => conn.peer_closed |= eof,
+                Err(_) => dead = true,
             }
         }
         if dead {
@@ -1416,20 +1584,7 @@ impl Reactor {
         // reply carrying the structured back-off hint.
         if let Some(inj) = &sh.injector {
             if inj.roll(FaultSite::QueueSaturate).is_some() {
-                sh.counters.shed_total.fetch_add(1, Ordering::Relaxed);
-                if let Some(p) = req.priority {
-                    sh.counters.class_shed[p.index()].fetch_add(1, Ordering::Relaxed);
-                }
-                note_recovery("load-shed", trace.id());
-                let reply = proto::render_error(
-                    &ProtoError::new(
-                        req.id,
-                        ErrorKind::Overloaded,
-                        "shard queues saturated, retry later",
-                    )
-                    .with_retry_after(sh.retry_after_ms),
-                );
-                return self.finish_predict_reply(id, &mut trace, &reply);
+                return self.shed(id, &req, &mut trace, false, "shard queues saturated");
             }
         }
         let (plan, query) = req.to_plan();
@@ -1482,39 +1637,36 @@ impl Reactor {
             .unwrap_or(sh.default_deadline);
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let (Some(_), Some(fwd)) = (&sh.router, &sh.forwarder) {
+        if let Some(router) = &sh.router {
             // Router mode: the raw request line travels to the ring
             // owner verbatim, so the owner's reply bytes are exactly
             // what a directly-connected client would have received.
+            // This reactor writes it itself; the pool takes it when no
+            // upstream can be had, and always under a fault plan, whose
+            // partition rolls are scheduled per worker pickup.
             let fingerprint = plan.key_of(&query).fingerprint();
-            let hub = Arc::clone(&self.hub);
-            let job = ForwardJob {
+            let forward = Forward {
                 line: line.to_string(),
                 fingerprint,
+                order: router.route(fingerprint),
                 token: seq,
-                done: Box::new(move |token, outcome| {
-                    hub.post(Done::Forward { token, outcome });
-                }),
             };
-            if fwd.submit(job).is_err() {
-                sh.counters
-                    .rejected_admission
-                    .fetch_add(1, Ordering::Relaxed);
-                sh.counters.shed_total.fetch_add(1, Ordering::Relaxed);
-                if let Some(p) = req.priority {
-                    sh.counters.class_shed[p.index()].fetch_add(1, Ordering::Relaxed);
-                }
-                note_recovery("load-shed", trace.id());
-                let reply = proto::render_error(
-                    &ProtoError::new(
-                        req.id,
-                        ErrorKind::Overloaded,
-                        "forward queue full, retry later",
-                    )
-                    .with_retry_after(sh.retry_after_ms),
-                );
-                return self.finish_predict_reply(id, &mut trace, &reply);
+            // Parked before the send: a write that fails on the spot
+            // already hands the forward on, and that looks it up.
+            self.park(id, seq, req, trace, deadline, enqueued_us);
+            let unsent = match sh.injector {
+                None => self.send_upstream(forward).err(),
+                Some(_) => Some(forward),
+            };
+            if unsent.is_some_and(|forward| !self.submit_forward(forward, None)) {
+                self.pending.remove(&seq);
+                let Some(p) = self.take_parked(id) else {
+                    return false;
+                };
+                let mut trace = p.trace;
+                return self.shed(id, &p.req, &mut trace, true, "forward queue full");
             }
+            return true;
         } else {
             let job = Job {
                 plan,
@@ -1527,23 +1679,7 @@ impl Reactor {
             };
             match sh.batcher.submit(job) {
                 Err(AdmissionError::QueueFull) => {
-                    sh.counters
-                        .rejected_admission
-                        .fetch_add(1, Ordering::Relaxed);
-                    sh.counters.shed_total.fetch_add(1, Ordering::Relaxed);
-                    if let Some(p) = req.priority {
-                        sh.counters.class_shed[p.index()].fetch_add(1, Ordering::Relaxed);
-                    }
-                    note_recovery("load-shed", trace.id());
-                    let reply = proto::render_error(
-                        &ProtoError::new(
-                            req.id,
-                            ErrorKind::Overloaded,
-                            "shard queue full, retry later",
-                        )
-                        .with_retry_after(sh.retry_after_ms),
-                    );
-                    return self.finish_predict_reply(id, &mut trace, &reply);
+                    return self.shed(id, &req, &mut trace, true, "shard queue full");
                 }
                 Err(AdmissionError::Draining) => {
                     let reply = proto::render_error(&ProtoError::new(
@@ -1556,6 +1692,21 @@ impl Reactor {
                 Ok(()) => {}
             }
         }
+        self.park(id, seq, req, trace, deadline, enqueued_us);
+        true
+    }
+
+    /// Park connection `id` on predict `seq` until its completion, its
+    /// upstream's reply, or its deadline.
+    fn park(
+        &mut self,
+        id: u64,
+        seq: u64,
+        req: PredictRequest,
+        trace: TraceCtx,
+        deadline: Duration,
+        enqueued_us: u64,
+    ) {
         self.pending.insert(seq, id);
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.state = ConnState::Predicting(PendingPredict {
@@ -1567,13 +1718,72 @@ impl Reactor {
                 enqueued_us,
             });
         }
-        true
+    }
+
+    /// Shed one predict with an `overloaded` reply carrying the
+    /// structured back-off hint. `genuine` is false for an injected
+    /// saturation burst, which is not an admission rejection.
+    fn shed(
+        &mut self,
+        id: u64,
+        req: &PredictRequest,
+        trace: &mut TraceCtx,
+        genuine: bool,
+        what: &str,
+    ) -> bool {
+        let counters = &self.shared.counters;
+        if genuine {
+            counters.rejected_admission.fetch_add(1, Ordering::Relaxed);
+        }
+        counters.shed_total.fetch_add(1, Ordering::Relaxed);
+        if let Some(p) = req.priority {
+            counters.class_shed[p.index()].fetch_add(1, Ordering::Relaxed);
+        }
+        note_recovery("load-shed", trace.id());
+        let reply = proto::render_error(
+            &ProtoError::new(
+                req.id,
+                ErrorKind::Overloaded,
+                format!("{what}, retry later"),
+            )
+            .with_retry_after(self.shared.retry_after_ms),
+        );
+        self.finish_predict_reply(id, trace, &reply)
     }
 
     fn on_done(&mut self, done: Done) {
         match done {
             Done::Job(c) => self.on_job_done(c),
-            Done::Forward { token, outcome } => self.on_forward_done(token, outcome),
+            Done::Forward { token, outcome } => {
+                // Absent: deadline already answered or the connection
+                // is gone.
+                if let Some(id) = self.pending.remove(&token) {
+                    self.finish_forward(id, outcome);
+                }
+            }
+            Done::Connected { token, stream } => self.on_connected(token, stream),
+        }
+    }
+
+    /// Un-park connection `id`, handing back the predict it waited on.
+    fn take_parked(&mut self, id: u64) -> Option<PendingPredict> {
+        let conn = self.conns.get_mut(&id)?;
+        match std::mem::replace(&mut conn.state, ConnState::Ready) {
+            ConnState::Predicting(p) => Some(p),
+            other => {
+                conn.state = other;
+                None
+            }
+        }
+    }
+
+    /// After a parked predict's reply was queued: go on with the lines
+    /// buffered behind it, or (injected drop) just settle interest.
+    fn resume(&mut self, id: u64, keep: bool) {
+        if keep {
+            self.advance(id);
+        } else {
+            self.update_interest(id);
         }
     }
 
@@ -1583,76 +1793,281 @@ impl Reactor {
             // computed result still landed in the cache.
             return;
         };
-        let sh = Arc::clone(&self.shared);
-        let (mut trace, reply) = {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            let ConnState::Predicting(p) = std::mem::replace(&mut conn.state, ConnState::Ready)
-            else {
-                return;
-            };
-            let mut trace = p.trace;
-            let reply = settle_predict(&sh, conn, &p.req, &mut trace, p.enqueued_us, c.result);
-            (trace, reply)
-        };
-        let keep = self.finish_predict_reply(id, &mut trace, &reply);
-        if keep {
-            self.advance(id);
-        } else {
-            self.update_interest(id);
-        }
-    }
-
-    fn on_forward_done(&mut self, token: u64, outcome: ForwardOutcome) {
-        let Some(id) = self.pending.remove(&token) else {
+        let Some(p) = self.take_parked(id) else {
             return;
         };
         let sh = Arc::clone(&self.shared);
-        let (mut trace, req, enqueued_us) = {
+        let mut trace = p.trace;
+        let reply = {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
-            let ConnState::Predicting(p) = std::mem::replace(&mut conn.state, ConnState::Ready)
-            else {
-                return;
-            };
-            (p.trace, p.req, p.enqueued_us)
-        };
-        let reply = match outcome {
-            ForwardOutcome::Reply(raw) => {
-                // The owner's reply is relayed byte-for-byte. Service
-                // accounting covers the whole forward round trip; cache
-                // warmth is the owner's story, not the router's.
-                // `render_ok` leads with the echoed id when present, so
-                // match the marker anywhere in the (single-line) frame.
-                if raw.contains("\"ok\":true") {
-                    sh.counters.ok.fetch_add(1, Ordering::Relaxed);
-                    let service_us = obs::now_us().saturating_sub(enqueued_us);
-                    sh.counters.service.lock().record(service_us);
-                    if let Some(pr) = req.priority {
-                        sh.counters.class_ok[pr.index()].fetch_add(1, Ordering::Relaxed);
-                        sh.counters.class_latency[pr.index()]
-                            .lock()
-                            .record(service_us);
-                    }
-                }
-                raw
-            }
-            ForwardOutcome::Failed(last) => {
-                sh.counters.internal_errors.fetch_add(1, Ordering::Relaxed);
-                proto::render_error(&ProtoError::new(
-                    req.id,
-                    ErrorKind::Internal,
-                    format!("cluster forward failed: {last}"),
-                ))
-            }
+            settle_predict(&sh, conn, &p.req, &mut trace, p.enqueued_us, c.result)
         };
         let keep = self.finish_predict_reply(id, &mut trace, &reply);
-        if keep {
-            self.advance(id);
-        } else {
-            self.update_interest(id);
+        self.resume(id, keep);
+    }
+
+    /// A forward ended, on either entry: settle it and answer.
+    fn finish_forward(&mut self, id: u64, outcome: ForwardOutcome) {
+        let Some(p) = self.take_parked(id) else {
+            return;
+        };
+        let mut trace = p.trace;
+        let reply = settle_forward(&self.shared, &p.req, p.enqueued_us, outcome);
+        let keep = self.finish_predict_reply(id, &mut trace, &reply);
+        self.resume(id, keep);
+    }
+
+    /// Hand a forward to the pool; false when its queue is full or
+    /// draining. `failed` is how this reactor's own attempt ended, if
+    /// it made one.
+    fn submit_forward(&self, forward: Forward, failed: Option<Transient>) -> bool {
+        let Some(pool) = &self.shared.forwarder else {
+            return false;
+        };
+        let hub = Arc::clone(&self.hub);
+        pool.submit(PoolJob::Forward(ForwardJob {
+            forward,
+            failed,
+            done: Box::new(move |token, outcome| hub.post(Done::Forward { token, outcome })),
+        }))
+    }
+
+    /// A forward this reactor could not finish goes to the pool, which
+    /// resumes from `failed`; one whose client no longer waits (deadline
+    /// answered, connection gone) is dropped.
+    fn resubmit(&mut self, forward: Forward, failed: Transient) {
+        let token = forward.token;
+        if !self.pending.contains_key(&token) || self.submit_forward(forward, Some(failed)) {
+            return;
+        }
+        let Some(id) = self.pending.remove(&token) else {
+            return;
+        };
+        let Some(p) = self.take_parked(id) else {
+            return;
+        };
+        let mut trace = p.trace;
+        let keep = self.shed(id, &p.req, &mut trace, true, "forward queue full");
+        self.resume(id, keep);
+    }
+
+    /// Write one forward to an upstream of its first owner: an idle
+    /// connection if there is one, else a new one while the node has
+    /// fewer than `forward_workers`, else pipelined behind the
+    /// shortest queue. Hands the forward back when no upstream can be
+    /// had (no owner, or the pool refused the connect job).
+    fn send_upstream(&mut self, forward: Forward) -> Result<(), Forward> {
+        let sh = Arc::clone(&self.shared);
+        let (Some(router), Some(pool), Some(&node)) =
+            (&sh.router, &sh.forwarder, forward.order.first())
+        else {
+            return Err(forward);
+        };
+        let upstreams = &mut self.upstreams[node];
+        let shortest = upstreams
+            .iter()
+            .enumerate()
+            .map(|(at, up)| (up.inflight.len(), at))
+            .min();
+        let at = match shortest {
+            Some((0, at)) => at,
+            Some((_, at)) if upstreams.len() >= router.config().forward_workers.max(1) => at,
+            _ => {
+                let token = TOKEN_UPSTREAM | (node as u64) << 32 | u64::from(self.next_upstream);
+                self.next_upstream = self.next_upstream.wrapping_add(1);
+                let hub = Arc::clone(&self.hub);
+                let opened = pool.submit(PoolJob::Connect(ConnectJob {
+                    node,
+                    done: Box::new(move |stream| hub.post(Done::Connected { token, stream })),
+                }));
+                match (opened, shortest) {
+                    (true, _) => {
+                        upstreams.push(Upstream::connecting(token));
+                        upstreams.len() - 1
+                    }
+                    (false, Some((_, at))) => at,
+                    (false, None) => return Err(forward),
+                }
+            }
+        };
+        let up = &mut upstreams[at];
+        up.outbuf.extend_from_slice(forward.line.as_bytes());
+        up.outbuf.push(b'\n');
+        if up.inflight.is_empty() {
+            up.waiting_since = Instant::now();
+        }
+        up.inflight.push_back(forward);
+        router.note_sent(node, true);
+        let token = up.token;
+        self.flush_upstream(token);
+        Ok(())
+    }
+
+    /// The pool finished a connect job: adopt the stream and send what
+    /// queued up meanwhile, or retire the upstream.
+    fn on_connected(&mut self, token: u64, stream: std::io::Result<TcpStream>) {
+        if find_upstream(&mut self.upstreams, token).is_none() {
+            // Retired while connecting; the stream just closes.
+            return;
+        }
+        let registered = stream.and_then(|stream| {
+            self.poller
+                .register(fd_of(&stream), token, Interest::READ)?;
+            Ok(stream)
+        });
+        match registered {
+            Ok(stream) => {
+                if let Some(up) = find_upstream(&mut self.upstreams, token) {
+                    up.stream = Some(stream);
+                }
+                self.flush_upstream(token);
+            }
+            Err(e) => self.fail_upstream(token, e.to_string()),
+        }
+    }
+
+    /// Write the upstream's buffered lines until the socket blocks or
+    /// the buffer empties, keeping write interest in step.
+    fn flush_upstream(&mut self, token: u64) {
+        let Some(up) = find_upstream(&mut self.upstreams, token) else {
+            return;
+        };
+        let Some(stream) = up.stream.as_mut() else {
+            return;
+        };
+        while up.outpos < up.outbuf.len() {
+            match stream.write(&up.outbuf[up.outpos..]) {
+                Ok(0) => return self.fail_upstream(token, "upstream accepts no bytes".to_string()),
+                Ok(n) => up.outpos += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return self.fail_upstream(token, e.to_string()),
+            }
+        }
+        let blocked = up.outpos < up.outbuf.len();
+        if !blocked {
+            up.outbuf.clear();
+            up.outpos = 0;
+        }
+        if blocked != up.write_armed {
+            let want = Interest {
+                read: true,
+                write: blocked,
+            };
+            if self.poller.reregister(fd_of(stream), token, want).is_ok() {
+                up.write_armed = blocked;
+            }
+        }
+    }
+
+    /// Readiness on an upstream: flush, then read what arrived, split
+    /// it into reply lines and match each to the forward at the front
+    /// of the FIFO (see [`Upstream`]).
+    fn on_upstream_event(&mut self, token: u64, readable: bool, writable: bool) {
+        if writable {
+            self.flush_upstream(token);
+        }
+        if !readable {
+            return;
+        }
+        let mut broken = None;
+        {
+            let Some(up) = find_upstream(&mut self.upstreams, token) else {
+                return;
+            };
+            let Some(stream) = up.stream.as_mut() else {
+                return;
+            };
+            match read_ready(stream, &mut up.inbuf) {
+                Ok(false) => {}
+                Ok(true) => broken = Some("connection closed mid-request".to_string()),
+                Err(e) => broken = Some(e.to_string()),
+            }
+        }
+        // A reply can re-enter this reactor (the client's next line is
+        // forwarded from inside `finish_forward`) and even retire this
+        // upstream, so look it up afresh for every line.
+        while let Some(up) = find_upstream(&mut self.upstreams, token) {
+            let Some(pos) = up.inbuf[up.scan_from..].iter().position(|&b| b == b'\n') else {
+                up.scan_from = up.inbuf.len();
+                if up.inbuf.len() > MAX_REPLY_BYTES {
+                    broken = Some("reply frame exceeds 4 MiB".to_string());
+                }
+                break;
+            };
+            let end = up.scan_from + pos;
+            let raw: Vec<u8> = up.inbuf.drain(..=end).collect();
+            up.scan_from = 0;
+            let Some(forward) = up.inflight.pop_front() else {
+                broken = Some("unsolicited reply frame".to_string());
+                break;
+            };
+            up.waiting_since = Instant::now();
+            if !self.on_upstream_reply(token, forward, raw) {
+                broken = Some("corrupt reply bytes".to_string());
+                break;
+            }
+        }
+        if let Some(why) = broken {
+            self.fail_upstream(token, why);
+        }
+    }
+
+    /// One reply line for `forward`: relay it if the node answered
+    /// (success or definitive rejection), hand the forward to the pool
+    /// if the answer is transient. False when the frame was corrupt —
+    /// the stream can no longer be trusted to be in step.
+    fn on_upstream_reply(&mut self, token: u64, forward: Forward, raw: Vec<u8>) -> bool {
+        let Some(&id) = self.pending.get(&forward.token) else {
+            // Deadline already answered or the client is gone: the
+            // late reply is consumed here and goes nowhere.
+            return true;
+        };
+        let verdict = match String::from_utf8(raw) {
+            Err(_) => Err(Transient::Corrupt),
+            Ok(mut raw) => {
+                raw.truncate(raw.trim_end().len());
+                if is_ok_frame(&raw) {
+                    Ok(raw)
+                } else {
+                    classify_reply(&raw).map(|_| raw)
+                }
+            }
+        };
+        match verdict {
+            Ok(raw) => {
+                if let Some(router) = &self.shared.router {
+                    router.note_served(forward.fingerprint, upstream_node(token));
+                }
+                self.pending.remove(&forward.token);
+                self.finish_forward(id, ForwardOutcome::Reply(raw));
+                true
+            }
+            Err(failed) => {
+                let in_step = !matches!(failed, Transient::Corrupt);
+                self.resubmit(forward, failed);
+                in_step
+            }
+        }
+    }
+
+    /// Retire an upstream that can no longer pair replies with
+    /// forwards; everything it had in flight goes to the pool.
+    fn fail_upstream(&mut self, token: u64, why: String) {
+        let Some(upstreams) = self.upstreams.get_mut(upstream_node(token)) else {
+            return;
+        };
+        let Some(at) = upstreams.iter().position(|up| up.token == token) else {
+            return;
+        };
+        let up = upstreams.swap_remove(at);
+        if let Some(stream) = &up.stream {
+            let _ = self.poller.deregister(fd_of(stream));
+        }
+        for forward in up.inflight {
+            self.resubmit(forward, Transient::Io(why.clone()));
         }
     }
 
@@ -1778,29 +2193,18 @@ impl Reactor {
     /// emissions, read/write stall sheds.
     fn tick(&mut self) {
         let now = Instant::now();
+        self.tick_upstreams(now);
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
-            let expired = {
-                let Some(conn) = self.conns.get_mut(&id) else {
-                    continue;
-                };
-                match &conn.state {
-                    ConnState::Predicting(p) if now >= p.deadline_at => {
-                        let ConnState::Predicting(p) =
-                            std::mem::replace(&mut conn.state, ConnState::Ready)
-                        else {
-                            unreachable!()
-                        };
-                        Some(p)
-                    }
-                    _ => None,
-                }
+            let expired = match self.conns.get(&id).map(|conn| &conn.state) {
+                Some(ConnState::Predicting(p)) if now >= p.deadline_at => self.take_parked(id),
+                _ => None,
             };
             if let Some(p) = expired {
-                // The completion, when it eventually arrives, finds no
-                // pending entry and is dropped — but the result still
-                // lands in the cache, exactly like the blocking
-                // `recv_timeout` path.
+                // The completion (or the upstream's reply), when it
+                // eventually arrives, finds no pending entry and is
+                // dropped — but the result still lands in the cache,
+                // exactly like the blocking `recv_timeout` path.
                 self.pending.remove(&p.seq);
                 self.shared
                     .counters
@@ -1813,15 +2217,32 @@ impl Reactor {
                 ));
                 let mut trace = p.trace;
                 let keep = self.finish_predict_reply(id, &mut trace, &reply);
-                if keep {
-                    self.advance(id);
-                } else {
-                    self.update_interest(id);
-                }
+                self.resume(id, keep);
                 continue;
             }
             self.tick_watch(id, now);
             self.tick_stalls(id, now);
+        }
+    }
+
+    /// Retire every upstream whose due reply is overdue by the router's
+    /// `read_timeout_ms` — a node that accepted the line and went
+    /// silent — so the pool can retry and fail over.
+    fn tick_upstreams(&mut self, now: Instant) {
+        let Some(router) = &self.shared.router else {
+            return;
+        };
+        let read_timeout = Duration::from_millis(router.config().read_timeout_ms);
+        let overdue: Vec<u64> = self
+            .upstreams
+            .iter()
+            .flatten()
+            .filter(|up| !up.inflight.is_empty())
+            .filter(|up| now.duration_since(up.waiting_since) >= read_timeout)
+            .map(|up| up.token)
+            .collect();
+        for token in overdue {
+            self.fail_upstream(token, "timed out waiting for a reply".to_string());
         }
     }
 
@@ -1959,16 +2380,18 @@ impl Reactor {
     }
 
     /// Keep the poller's interest in sync with connection state: read
-    /// only while `Ready` (backpressure), write only while the outbuf
-    /// holds bytes.
+    /// unless closing or muted while parked (see [`Conn::read_muted`];
+    /// parked connections are never read *from* either way — that is
+    /// the backpressure), write only while the outbuf holds bytes.
     fn update_interest(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
+        if matches!(conn.state, ConnState::Ready) {
+            conn.read_muted = false;
+        }
         let want = Interest {
-            read: matches!(conn.state, ConnState::Ready)
-                && !conn.close_after_flush
-                && !conn.peer_closed,
+            read: !conn.read_muted && !conn.close_after_flush && !conn.peer_closed,
             write: conn.outpos < conn.outbuf.len(),
         };
         if want != conn.interest
@@ -2000,5 +2423,97 @@ impl Reactor {
             .conns_closed
             .fetch_add(1, Ordering::Relaxed);
         self.shared.active.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+
+    fn metrics(admin: &mut BufReader<TcpStream>) -> JsonValue {
+        admin
+            .get_mut()
+            .write_all(b"{\"op\":\"metrics\"}\n")
+            .expect("write");
+        let mut reply = String::new();
+        admin.read_line(&mut reply).expect("read");
+        obs::json::parse(reply.trim_end()).expect("metrics reply parses")
+    }
+
+    /// Read interest stays armed across a park, so what arrives while a
+    /// connection is parked — pipelined lines, then a half-close, both
+    /// level-triggered — must wake the reactor once, not once per loop
+    /// pass; and the lines are still answered in request order.
+    #[test]
+    fn parked_connection_is_not_read_and_does_not_spin_the_reactor() {
+        const STALL_MS: u64 = 300;
+        reset_drain();
+        // The only worker stalls on its first pickup: the first predict
+        // stays parked for STALL_MS whatever the machine's speed.
+        let plan = format!("seed=1,stall=1:1x1/{STALL_MS}");
+        let engine: &'static Engine = Box::leak(Box::new(Engine::new()));
+        let server = Server::bind_on(
+            ServerConfig {
+                reactors: 1,
+                shards: 1,
+                pool_threads: 1,
+                faults: Some(FaultPlan::parse(&plan).expect("plan parses")),
+                ..ServerConfig::default()
+            },
+            engine,
+        )
+        .expect("bind");
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run().expect("run"));
+
+        let predict = |id: u32| {
+            format!("{{\"op\":\"predict\",\"id\":{id},\"bench\":\"cg\",\"class\":\"B\",\"threads\":8,\"machine\":\"sg2044\"}}\n")
+        };
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client.write_all(predict(1).as_bytes()).expect("write");
+        let mut admin = BufReader::new(TcpStream::connect(addr).expect("connect"));
+        let stalled = |doc: &JsonValue| {
+            ["result", "faults", "injected", "stall", "injected"]
+                .iter()
+                .try_fold(doc, |d, key| d.get(key))
+                .and_then(JsonValue::as_f64)
+        };
+        while stalled(&metrics(&mut admin)) != Some(1.0) {
+            std::thread::yield_now();
+        }
+
+        let before = LOOP_PASSES.load(Ordering::Relaxed);
+        client
+            .write_all(format!("{}{{\"op\":\"ping\"}}\n", predict(2)).as_bytes())
+            .expect("write");
+        client.shutdown(Shutdown::Write).expect("half-close");
+        let mut replies = String::new();
+        client.read_to_string(&mut replies).expect("read to EOF");
+        let passes = LOOP_PASSES.load(Ordering::Relaxed) - before;
+
+        let replies: Vec<&str> = replies.lines().collect();
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        assert!(
+            replies[0].starts_with("{\"id\":1,\"ok\":true,"),
+            "{replies:?}"
+        );
+        assert!(
+            replies[1].starts_with("{\"id\":2,\"ok\":true,"),
+            "{replies:?}"
+        );
+        assert_eq!(replies[2], "{\"ok\":true,\"result\":\"pong\"}");
+        // One pass for the pipelined bytes, one per READ_POLL tick of
+        // the stall, a handful to answer and close; a level-triggered
+        // spin would be tens of thousands.
+        let ticks = STALL_MS / READ_POLL.as_millis() as u64;
+        assert!(passes <= ticks + 16, "{passes} loop passes while parked");
+
+        admin
+            .get_mut()
+            .write_all(b"{\"op\":\"quit\"}\n")
+            .expect("write");
+        handle.join().expect("server thread");
+        reset_drain();
     }
 }

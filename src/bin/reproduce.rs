@@ -114,7 +114,9 @@ fn usage_text() -> &'static str {
      \x20 bench:      run the curated benchmark suite and write the next\n\
      \x20             results/BENCH_<n>.json (rvhpc-bench/1); --quick cuts\n\
      \x20             iteration counts, --filter runs matching targets only,\n\
-     \x20             --out overrides the path, --render prints BENCHMARKS.md\n\
+     \x20             --out overrides the path (BENCH_<n>.json; any name with\n\
+     \x20             --quick); a full run refuses a dirty git tree unless\n\
+     \x20             RVHPC_GIT_REV names the revision; --render prints BENCHMARKS.md\n\
      \x20             for an existing document (--saturation appends the\n\
      \x20             rvhpc-saturation/1 sweep section from loadgen --sweep)\n\
      \x20 isa:        run the instruction-level backend's kernels (triad,\n\
@@ -343,6 +345,15 @@ fn isa_cmd(rest: &[String]) -> ! {
     std::process::exit(0);
 }
 
+/// Whether `git status` reports anything uncommitted (false where git
+/// or a repository is absent — the document then says `unknown`).
+fn git_tree_is_dirty() -> bool {
+    std::process::Command::new("git")
+        .args(["status", "--porcelain"])
+        .output()
+        .is_ok_and(|out| out.status.success() && !out.stdout.is_empty())
+}
+
 /// The `bench` subcommand: run the curated suite and append the next
 /// document to the benchmark trajectory, or re-render `BENCHMARKS.md`
 /// from a committed document. Never returns.
@@ -419,6 +430,38 @@ fn bench(rest: &[String]) -> ! {
         usage_error("--saturation only makes sense together with --render");
     }
 
+    // Provenance is settled before anything runs: the document's index
+    // is its file name's, and a full-mode document — the kind that gets
+    // committed — is stamped with a revision that really is its code.
+    let results_dir = std::path::Path::new("results");
+    let (path, index) = match out {
+        Some(p) => {
+            let path = std::path::PathBuf::from(p);
+            let index = match record::index_of(&path) {
+                Some(index) => index,
+                // A quick run is a scratch document (CI's gate input):
+                // any name, numbered as what it would be if committed.
+                None if cfg.quick => record::next_index(results_dir),
+                None => usage_error(
+                    "a full-mode document joins the trajectory: name it BENCH_<n>.json \
+                     (or drop --out for the next free index)",
+                ),
+            };
+            (path, index)
+        }
+        None => {
+            let index = record::next_index(results_dir);
+            (record::bench_path(results_dir, index), index)
+        }
+    };
+    let rev_given = std::env::var("RVHPC_GIT_REV").is_ok_and(|rev| !rev.is_empty());
+    if !cfg.quick && !rev_given && git_tree_is_dirty() {
+        usage_error(
+            "the working tree has uncommitted changes, so HEAD is not the code being measured: \
+             commit first, or name the revision in RVHPC_GIT_REV",
+        );
+    }
+
     let results = harness::run(&cfg);
     if results.is_empty() {
         usage_error(&format!(
@@ -427,18 +470,6 @@ fn bench(rest: &[String]) -> ! {
             harness::TARGET_NAMES.join(", ")
         ));
     }
-    let results_dir = std::path::Path::new("results");
-    let (path, index) = match out {
-        Some(p) => {
-            let path = std::path::PathBuf::from(p);
-            let index = record::index_of(&path).unwrap_or(0);
-            (path, index)
-        }
-        None => {
-            let index = record::next_index(results_dir);
-            (record::bench_path(results_dir, index), index)
-        }
-    };
     let doc = record::build_document(&results, index, cfg.quick);
     if let Err(e) = rvhpc::obs::benchdoc::validate(&doc) {
         eprintln!("reproduce: generated document failed validation: {e}");

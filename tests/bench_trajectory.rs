@@ -148,6 +148,85 @@ fn committed_benchmarks_md_matches_baseline_rendering() {
     );
 }
 
+/// Every committed document says which one it is: `index` is the file
+/// name's (BENCH_3 was once written as "index": 0 and BENCHMARKS.md
+/// announced itself as document 0).
+#[test]
+fn committed_documents_carry_their_own_index() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    for (n, path) in record::trajectory_paths(&dir) {
+        let text = std::fs::read_to_string(&path).expect("read trajectory doc");
+        let doc = json::parse(text.trim()).expect("trajectory doc parses");
+        let index = doc.get("index").and_then(JsonValue::as_f64);
+        assert_eq!(index, Some(n as f64), "{}", path.display());
+    }
+}
+
+/// `reproduce bench --out`: the index comes from the file name, a
+/// full-mode document under any other name is refused, and so is one
+/// whose `git_rev` would name code other than what was measured.
+#[test]
+fn bench_out_settles_provenance_before_running() {
+    let reproduce = |cwd: &std::path::Path, rev: Option<&str>, args: &[&str]| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"));
+        cmd.arg("bench").args(args).current_dir(cwd);
+        match rev {
+            Some(rev) => cmd.env("RVHPC_GIT_REV", rev),
+            None => cmd.env_remove("RVHPC_GIT_REV"),
+        };
+        let out = cmd.output().expect("spawn reproduce");
+        (
+            out.status.code().expect("exit code"),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let dir = std::env::temp_dir().join(format!("rvhpc_bench_out_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+
+    // Full mode under a scratch name: refused, nothing run or written.
+    let scratch = dir.join("current.json");
+    let (code, stderr) = reproduce(repo, Some("abc1234"), &["--out", scratch.to_str().unwrap()]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("BENCH_<n>.json"), "{stderr}");
+    assert!(!scratch.exists());
+
+    // Full mode in a dirty tree with no revision named: refused.
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("git is installed")
+    };
+    assert!(git(&["init", "-q"]).status.success());
+    std::fs::write(dir.join("untracked.rs"), "fn main() {}\n").expect("write");
+    let (code, stderr) = reproduce(&dir, None, &["--out", "BENCH_7.json"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("uncommitted"), "{stderr}");
+    assert!(!dir.join("BENCH_7.json").exists());
+
+    // A quick run is a scratch document: any name, numbered as the next
+    // trajectory document; a trajectory name gives its own index.
+    let quick = ["--quick", "--filter", "host_cg_spmv", "--out"];
+    let next = record::next_index(&repo.join("results")) as f64;
+    for (name, index) in [("current.json", next), ("BENCH_7.json", 7.0)] {
+        let path = dir.join(name);
+        let (code, stderr) = reproduce(
+            repo,
+            Some("abc1234"),
+            &[&quick[..], &[path.to_str().unwrap()]].concat(),
+        );
+        assert_eq!(code, 0, "{stderr}");
+        let text = std::fs::read_to_string(&path).expect("document written");
+        let doc = json::parse(text.trim()).expect("document parses");
+        assert_eq!(doc.get("index").and_then(JsonValue::as_f64), Some(index));
+        let rev = doc.get("system").and_then(|s| s.get("git_rev"));
+        assert_eq!(rev.and_then(JsonValue::as_str), Some("abc1234"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The trajectory renderer covers every committed document.
 #[test]
 fn trajectory_renders_committed_history() {
