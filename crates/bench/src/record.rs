@@ -4,8 +4,9 @@
 //! `rvhpc_obs::benchdoc`), written as `results/BENCH_<n>.json` where `n`
 //! is the next free trajectory index. Markdown rendering is a *pure
 //! function of the document* — `BENCHMARKS.md` regenerates byte-identical
-//! from `results/BENCH_0.json`, which a test asserts — so the committed
-//! table can never drift from the committed numbers.
+//! from the newest committed `results/BENCH_<n>.json`, which a test
+//! asserts — so the committed table can never drift from the committed
+//! numbers.
 
 use std::path::{Path, PathBuf};
 

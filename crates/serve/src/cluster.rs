@@ -24,13 +24,11 @@
 //! connect ([`ConnectJob`]), the retry/back-off of a transient failure,
 //! the failover walk to the next owner when a node is dead, and every
 //! forward while a fault plan is active — runs on a [`Forwarder`]
-//! worker over [`RetryClient`]. Keys forwarded more than
-//! `hot_threshold` times are hot:
-//! subsequent sends rotate round-robin across the first `replicas` ring
-//! owners, warming replicas so a kill of the primary costs one
-//! recompute, not a cold start. The [`FaultSite::Partition`] chaos site
-//! forces the primary to be treated as unreachable, exercising the
-//! failover path deterministically.
+//! worker over [`RetryClient`]. Routing is a pure function of the ring:
+//! one key has one owner whatever its history, and a key that fails
+//! over costs the next owner one recompute. The
+//! [`FaultSite::Partition`] chaos site forces the primary to be treated
+//! as unreachable, exercising the failover path deterministically.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -45,11 +43,8 @@ use rvhpc_obs::JsonValue;
 
 use crate::client::{ClientConfig, RetryClient, Transient};
 
-/// Most distinct fingerprints the hot-key tracker retains (first-come;
-/// a bounded map, not an LRU — hot keys in steady traffic appear early).
-const HOT_TRACK_CAP: usize = 4096;
 /// Most distinct fingerprints the key → node assignment table retains
-/// (first-come, like the hot tracker). Keys past the cap are still
+/// (first-come, a bounded map, not an LRU). Keys past the cap are still
 /// routed and served; they are only missing from the `keys` gauges, so
 /// `keys_total` saturates here instead of growing for the life of the
 /// process.
@@ -74,11 +69,6 @@ pub struct RouterConfig {
     pub vnodes: u32,
     /// Ring placement seed — same seed + members, same assignment.
     pub seed: u64,
-    /// Owner-set width for hot-key replication and failover.
-    pub replicas: usize,
-    /// Forwards of one key after which it counts as hot and spreads
-    /// round-robin across the owner set.
-    pub hot_threshold: u64,
     /// Forwarder worker threads; also the most upstream connections a
     /// reactor keeps open to one node.
     pub forward_workers: usize,
@@ -102,8 +92,6 @@ impl RouterConfig {
             // seeds; ring_properties.rs enforces the bound).
             vnodes: 256,
             seed: 0,
-            replicas: 2,
-            hot_threshold: 32,
             forward_workers: 8,
             forward_queue: 1024,
             attempts_per_node: 2,
@@ -159,7 +147,7 @@ impl Ring {
     }
 
     /// The first `n` *distinct* owners clockwise from the fingerprint —
-    /// the failover / replication order. Panics on an empty ring.
+    /// the failover order. Panics on an empty ring.
     pub fn owners(&self, fingerprint: u64, n: usize) -> Vec<usize> {
         assert!(!self.points.is_empty(), "owners() on an empty ring");
         let start = self.points.partition_point(|&(p, _)| p < fingerprint);
@@ -219,8 +207,8 @@ struct Assigned {
     per_node: Vec<u64>,
 }
 
-/// The routing brain: ring, per-node stats, hot-key tracking, and the
-/// key → node assignment table behind the ring-occupancy gauges.
+/// The routing brain: ring, per-node stats, and the key → node
+/// assignment table behind the ring-occupancy gauges.
 pub struct Router {
     config: RouterConfig,
     ring: Ring,
@@ -230,11 +218,7 @@ pub struct Router {
     /// [`Forwarder`] worker picked up (first sends and re-submissions).
     forwards_reactor: AtomicU64,
     forwards_pool: AtomicU64,
-    /// Forward count per fingerprint (bounded; drives hot detection).
-    hot: Mutex<BTreeMap<u64, u64>>,
     assigned: Mutex<Assigned>,
-    /// Round-robin cursor for hot-key replica rotation.
-    rr: AtomicU64,
     injector: Option<Arc<Injector>>,
 }
 
@@ -255,16 +239,9 @@ impl Router {
             forwarded: AtomicU64::new(0),
             forwards_reactor: AtomicU64::new(0),
             forwards_pool: AtomicU64::new(0),
-            hot: Mutex::new(BTreeMap::new()),
             assigned: Mutex::new(assigned),
-            rr: AtomicU64::new(0),
             injector,
         }
-    }
-
-    /// The ring (tests and gauges).
-    pub fn ring(&self) -> &Ring {
-        &self.ring
     }
 
     /// Total predicts handed to the forwarder.
@@ -277,35 +254,17 @@ impl Router {
         &self.config
     }
 
-    /// The node order to try for one forward: ring owners, with hot
-    /// keys rotated round-robin across the replica set so repeats warm
-    /// more than one node. Empty only when no node is configured.
-    /// Called once per predict, whichever entry then carries it.
+    /// The node order to try for one forward: the fingerprint's ring
+    /// owners, first owner first, and nothing else. Empty only when no
+    /// node is configured. Called once per predict, whichever entry
+    /// then carries it.
     pub fn route(&self, fingerprint: u64) -> Vec<usize> {
         self.forwarded.fetch_add(1, Ordering::Relaxed);
         if self.config.nodes.is_empty() {
             return Vec::new();
         }
-        let replicas = self.config.replicas.max(1);
-        let mut order = self.ring.owners(fingerprint, replicas.max(2));
-        let count = {
-            let mut hot = self.hot.lock();
-            if let Some(c) = hot.get_mut(&fingerprint) {
-                *c += 1;
-                *c
-            } else if hot.len() < HOT_TRACK_CAP {
-                hot.insert(fingerprint, 1);
-                1
-            } else {
-                1
-            }
-        };
-        let spread = replicas.min(order.len());
-        if count > self.config.hot_threshold && spread > 1 {
-            let pick = (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % spread;
-            order.swap(0, pick);
-        }
-        order
+        // Two owners: the first, and the one a forward fails over to.
+        self.ring.owners(fingerprint, 2)
     }
 
     /// One forward is on its way to `node`; `on_reactor` says which of
@@ -347,6 +306,7 @@ impl Router {
     pub fn to_json(&self) -> JsonValue {
         let keys = self.keys_per_node();
         let keys_total: u64 = keys.iter().sum();
+        let c = |a: &AtomicU64| JsonValue::from(a.load(Ordering::Relaxed));
         let nodes: Vec<JsonValue> = self
             .config
             .nodes
@@ -355,31 +315,14 @@ impl Router {
             .map(|(i, addr)| {
                 JsonValue::object([
                     ("addr".to_string(), JsonValue::from(addr.as_str())),
-                    (
-                        "forwarded".to_string(),
-                        JsonValue::from(self.stats[i].forwarded.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "ok".to_string(),
-                        JsonValue::from(self.stats[i].ok.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "errors".to_string(),
-                        JsonValue::from(self.stats[i].errors.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "failovers".to_string(),
-                        JsonValue::from(self.stats[i].failovers.load(Ordering::Relaxed)),
-                    ),
+                    ("forwarded".to_string(), c(&self.stats[i].forwarded)),
+                    ("ok".to_string(), c(&self.stats[i].ok)),
+                    ("errors".to_string(), c(&self.stats[i].errors)),
+                    ("failovers".to_string(), c(&self.stats[i].failovers)),
                     ("keys".to_string(), JsonValue::from(keys[i])),
                 ])
             })
             .collect();
-        let hot = self.hot.lock();
-        let replicated = hot
-            .values()
-            .filter(|&&c| c > self.config.hot_threshold)
-            .count();
         JsonValue::object([
             (
                 "ring".to_string(),
@@ -406,21 +349,8 @@ impl Router {
             (
                 "forwards".to_string(),
                 JsonValue::object([
-                    (
-                        "reactor".to_string(),
-                        JsonValue::from(self.forwards_reactor.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "pool".to_string(),
-                        JsonValue::from(self.forwards_pool.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "hot".to_string(),
-                JsonValue::object([
-                    ("tracked".to_string(), JsonValue::from(hot.len() as u64)),
-                    ("replicated".to_string(), JsonValue::from(replicated as u64)),
+                    ("reactor".to_string(), c(&self.forwards_reactor)),
+                    ("pool".to_string(), c(&self.forwards_pool)),
                 ]),
             ),
         ])
@@ -652,6 +582,23 @@ mod tests {
         }
         // Past the last point the circle wraps to the first.
         assert_eq!(ring.owner_of(u64::MAX), ring.owners(u64::MAX, 1)[0]);
+    }
+
+    /// Routing is the ring: a key's hundredth forward goes where its
+    /// first did.
+    #[test]
+    fn route_is_the_ring_owners_on_every_call() {
+        let config = RouterConfig::new(names(3));
+        let ring = Ring::new(&config.nodes, config.vnodes, config.seed);
+        let router = Router::new(config, None);
+        for i in 0..2000u64 {
+            let fp = mix(i);
+            let owners = ring.owners(fp, 2);
+            for call in 1..=100 {
+                assert_eq!(router.route(fp), owners, "call {call} of key {i}");
+            }
+        }
+        assert_eq!(router.forwarded_total(), 200_000);
     }
 
     #[test]

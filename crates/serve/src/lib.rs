@@ -21,13 +21,13 @@
 //!   cache hit rate per connection) exported through the
 //!   `rvhpc-metrics/1` writer, and graceful drain on SIGTERM/ctrl-C or
 //!   an admin `quit` request.
-//! * [`poll`] — the thin readiness-polling layer the reactor stands on:
-//!   epoll on Linux, poll(2) elsewhere on unix, plus a loopback-socket
-//!   waker for cross-thread completion delivery.
+//! * [`poll`] — the thin readiness-polling layer the reactor stands on
+//!   (epoll; Linux only) and the crate's every foreign call, plus a
+//!   loopback-socket waker for cross-thread completion delivery.
 //! * [`cluster`] — horizontal sharding: a seeded consistent-hash ring
-//!   over cache-key fingerprints, hot-key replication, and the router
-//!   mode (`serve --route node1,node2,...`) that relays raw request
-//!   lines to ring owners with node-kill failover.
+//!   over cache-key fingerprints and the router mode (`serve --route
+//!   node1,node2,...`) that relays raw request lines to ring owners
+//!   with node-kill failover.
 //! * [`loadgen`] — the measuring client: replays deterministic request
 //!   mixes at a target rate and reports throughput and p50/p95/p99
 //!   latency via [`rvhpc_obs::LatencyHistogram`].

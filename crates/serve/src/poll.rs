@@ -1,9 +1,12 @@
-//! A thin readiness-polling layer: level-triggered epoll on Linux,
-//! `poll(2)` on other unix — the reactor's only OS-facing surface.
+//! A thin readiness-polling layer on level-triggered epoll, and the
+//! serve crate's every foreign call — the reactor's only OS-facing
+//! surface. Linux only: elsewhere the same API compiles to a stub whose
+//! [`Poller::new`] fails with `Unsupported`.
 //!
-//! Like [`install_signal_drain`](crate::server::install_signal_drain),
-//! the bindings are raw `extern "C"` declarations against the libc std
-//! already links; no crate dependency. The API is deliberately small:
+//! The bindings (epoll, plus `signal` and `listen` for
+//! [`flag_on_terminate`] and [`set_backlog`]) are raw `extern "C"`
+//! declarations against the libc std already links; no crate
+//! dependency. The API is deliberately small:
 //! register a file descriptor under a caller-chosen `u64` token with a
 //! read/write interest, wait with a timeout, and get back a flat list
 //! of [`PollEvent`]s. Everything is level-triggered, so a handler that
@@ -24,6 +27,19 @@ use std::time::Duration;
 
 #[cfg(not(unix))]
 pub type RawFd = i32;
+
+pub(crate) use sys::{flag_on_terminate, set_backlog};
+
+/// The descriptor a socket is registered under.
+#[cfg(unix)]
+pub(crate) fn fd_of<T: std::os::unix::io::AsRawFd>(t: &T) -> RawFd {
+    t.as_raw_fd()
+}
+
+#[cfg(not(unix))]
+pub(crate) fn fd_of<T>(_t: &T) -> RawFd {
+    0
+}
 
 /// What to watch a registered descriptor for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,10 +129,13 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 
 #[cfg(target_os = "linux")]
 mod sys {
-    //! Level-triggered epoll via raw syscall bindings.
+    //! Level-triggered epoll via raw syscall bindings, and the two
+    //! other libc calls the server makes.
 
     use super::{Interest, PollEvent, RawFd};
     use std::io;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::OnceLock;
     use std::time::Duration;
 
     // glibc packs `struct epoll_event` on x86_64 only; other targets
@@ -135,6 +154,8 @@ mod sys {
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         fn close(fd: i32) -> i32;
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn listen(fd: i32, backlog: i32) -> i32;
     }
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
@@ -146,6 +167,41 @@ mod sys {
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
+
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+
+    /// The flag SIGINT/SIGTERM raise, set before the handler is installed.
+    static TERMINATE_FLAG: OnceLock<&'static AtomicBool> = OnceLock::new();
+
+    extern "C" fn raise_terminate_flag(_sig: i32) {
+        // Async-signal-safe: an atomic load and an atomic store.
+        if let Some(flag) = TERMINATE_FLAG.get() {
+            flag.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Have SIGTERM and SIGINT set `flag` (the first caller's, for the
+    /// life of the process). Uses the libc `signal` entry point std
+    /// already links against.
+    pub(crate) fn flag_on_terminate(flag: &'static AtomicBool) {
+        let _ = TERMINATE_FLAG.set(flag);
+        // SAFETY: both signal numbers are valid, and the handler is a
+        // static function that only performs async-signal-safe atomic
+        // operations on statics.
+        unsafe {
+            signal(SIGINT, raise_terminate_flag);
+            signal(SIGTERM, raise_terminate_flag);
+        }
+    }
+
+    /// Deepen a listening socket's accept backlog: listen(2) on an
+    /// already-listening socket just updates it. Best effort.
+    pub(crate) fn set_backlog(listener: &std::net::TcpListener, backlog: i32) {
+        // SAFETY: `listen` takes the descriptor by value and touches no
+        // memory of ours; the borrow keeps the descriptor open.
+        let _ = unsafe { listen(super::fd_of(listener), backlog) };
+    }
 
     /// How many kernel events one wait call can surface.
     const WAIT_CAP: usize = 256;
@@ -171,6 +227,7 @@ mod sys {
 
     impl Sys {
         pub(super) fn new() -> io::Result<Sys> {
+            // SAFETY: takes a flag word, returns a descriptor or -1.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
@@ -186,6 +243,8 @@ mod sys {
                 events: events_mask(interest),
                 data: token,
             };
+            // SAFETY: `ev` is a live, correctly laid out `epoll_event`
+            // the kernel only reads; bad descriptors come back as errors.
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
             if rc < 0 {
                 return Err(io::Error::last_os_error());
@@ -212,12 +271,13 @@ mod sys {
         }
 
         pub(super) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
+            // DEL ignores the event, but kernels before 2.6.9 require
+            // the pointer `ctl` passes to be non-null.
+            let none = Interest {
+                read: false,
+                write: false,
+            };
+            self.ctl(EPOLL_CTL_DEL, fd, 0, none)
         }
 
         pub(super) fn wait(
@@ -226,6 +286,9 @@ mod sys {
             timeout: Option<Duration>,
         ) -> io::Result<()> {
             let n = loop {
+                // SAFETY: the kernel writes at most `buf.len()` events
+                // into `buf`, which `&mut self` borrows exclusively for
+                // the call.
                 let n = unsafe {
                     epoll_wait(
                         self.epfd,
@@ -257,6 +320,8 @@ mod sys {
 
     impl Drop for Sys {
         fn drop(&mut self) {
+            // SAFETY: `epfd` is the descriptor `new` opened; nothing
+            // else owns or closes it.
             unsafe {
                 close(self.epfd);
             }
@@ -264,137 +329,19 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 mod sys {
-    //! Portable fallback on `poll(2)`: O(n) per wait, fine for the
-    //! non-Linux development case.
+    //! Stub off Linux: binds fail at runtime, nothing at compile time.
 
     use super::{Interest, PollEvent, RawFd};
     use std::io;
     use std::time::Duration;
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
+    /// No-op off Linux; `quit` and a drain request still work.
+    pub(crate) fn flag_on_terminate(_flag: &'static std::sync::atomic::AtomicBool) {}
 
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    pub(super) struct Sys {
-        entries: Vec<(RawFd, u64, Interest)>,
-    }
-
-    impl Sys {
-        pub(super) fn new() -> io::Result<Sys> {
-            Ok(Sys {
-                entries: Vec::new(),
-            })
-        }
-
-        pub(super) fn register(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            if self.entries.iter().any(|(f, _, _)| *f == fd) {
-                return Err(io::ErrorKind::AlreadyExists.into());
-            }
-            self.entries.push((fd, token, interest));
-            Ok(())
-        }
-
-        pub(super) fn reregister(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            for entry in &mut self.entries {
-                if entry.0 == fd {
-                    *entry = (fd, token, interest);
-                    return Ok(());
-                }
-            }
-            Err(io::ErrorKind::NotFound.into())
-        }
-
-        pub(super) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            let before = self.entries.len();
-            self.entries.retain(|(f, _, _)| *f != fd);
-            if self.entries.len() == before {
-                return Err(io::ErrorKind::NotFound.into());
-            }
-            Ok(())
-        }
-
-        pub(super) fn wait(
-            &mut self,
-            events: &mut Vec<PollEvent>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            let mut fds: Vec<PollFd> = self
-                .entries
-                .iter()
-                .map(|(fd, _, interest)| PollFd {
-                    fd: *fd,
-                    events: if interest.read { POLLIN } else { 0 }
-                        | if interest.write { POLLOUT } else { 0 },
-                    revents: 0,
-                })
-                .collect();
-            let n = loop {
-                let n = unsafe {
-                    poll(
-                        fds.as_mut_ptr(),
-                        fds.len() as u64,
-                        super::timeout_ms(timeout),
-                    )
-                };
-                if n >= 0 {
-                    break n;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            if n == 0 {
-                return Ok(());
-            }
-            for (pfd, (_, token, _)) in fds.iter().zip(&self.entries) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                events.push(PollEvent {
-                    token: *token,
-                    readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    hangup: pfd.revents & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod sys {
-    //! Stub off unix: binds fail at runtime, nothing at compile time.
-
-    use super::{Interest, PollEvent, RawFd};
-    use std::io;
-    use std::time::Duration;
+    /// No-op off Linux.
+    pub(crate) fn set_backlog(_listener: &std::net::TcpListener, _backlog: i32) {}
 
     pub(super) struct Sys;
 
@@ -402,7 +349,7 @@ mod sys {
         pub(super) fn new() -> io::Result<Sys> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "readiness polling is unix-only",
+                "readiness polling is Linux-only (epoll)",
             ))
         }
         pub(super) fn register(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
@@ -424,8 +371,8 @@ mod sys {
     }
 }
 
-/// The writable half of a reactor's wake channel. Cloneable and cheap:
-/// a wake is one nonblocking byte onto a loopback socket. A full socket
+/// The writable half of a reactor's wake channel. Cheap: a wake is one
+/// nonblocking byte onto a loopback socket. A full socket
 /// buffer means wake bytes are already pending, so the failed write is
 /// itself a successful wake.
 pub struct Waker {
@@ -437,13 +384,6 @@ impl Waker {
     pub fn wake(&self) {
         use std::io::Write;
         let _ = (&self.tx).write(&[1u8]);
-    }
-
-    /// An independent handle to the same wake channel.
-    pub fn try_clone(&self) -> io::Result<Waker> {
-        Ok(Waker {
-            tx: self.tx.try_clone()?,
-        })
     }
 }
 
@@ -481,7 +421,7 @@ pub fn drain_wakes(rx: &mut TcpStream) {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

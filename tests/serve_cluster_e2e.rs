@@ -254,7 +254,8 @@ fn fingerprint_of(line: &str) -> u64 {
 /// forwarded by the reactor and (under a fault plan that never fires)
 /// by the pool — and the ring-occupancy gauges account for every
 /// distinct key. The healthy router's forwards reach no forwarder
-/// thread; the armed router's never take the reactor path.
+/// thread; the armed router's never take the reactor path. Routing is
+/// the ring: a key's 42nd forward goes to the node its first went to.
 #[test]
 fn cluster_replies_are_byte_identical_to_single_node() {
     let _guard = SERVER_LOCK.lock().unwrap();
@@ -277,12 +278,17 @@ fn cluster_replies_are_byte_identical_to_single_node() {
     let nodes: Vec<Node> = (0..3).map(|_| Node::spawn()).collect();
     let (router_addr, handle) = boot_router(&nodes, |_| {});
     let mut client = Client::connect(&router_addr.to_string());
-    for (i, line) in lines.iter().chain(lines.iter()).enumerate() {
-        let reply = client.roundtrip(line);
-        assert_eq!(
-            reply, reference[i],
-            "cluster reply {i} diverged from the standalone node"
-        );
+    const PASSES: usize = 42;
+    for pass in 0..PASSES {
+        for (i, line) in lines.iter().enumerate() {
+            // Every pass after the cold one is a warm one.
+            let expected = &reference[i + lines.len() * pass.min(1)];
+            assert_eq!(
+                &client.roundtrip(line),
+                expected,
+                "cluster reply {i} of pass {pass} diverged from the standalone node"
+            );
+        }
     }
 
     // Ring occupancy: per-node key gauges sum to the distinct keys the
@@ -310,12 +316,32 @@ fn cluster_replies_are_byte_identical_to_single_node() {
         serving >= 2,
         "traffic must spread across the ring: {serving}"
     );
-    let sent = 2 * lines.len() as u64;
+    let sent = (PASSES * lines.len()) as u64;
     assert_eq!(cluster_num(&cluster, &["forwards", "reactor"]), sent);
     assert_eq!(
         cluster_num(&cluster, &["forwards", "pool"]),
         0,
         "a healthy forward reaches no forwarder thread"
+    );
+    // Each node was sent exactly the lines the ring gives it, on every
+    // pass: no key moved once it had been asked for often enough.
+    let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
+    let defaults = RouterConfig::new(addrs.clone());
+    let ring = Ring::new(&addrs, defaults.vnodes, defaults.seed);
+    for node in 0..nodes.len() {
+        let owned = lines
+            .iter()
+            .filter(|l| ring.owner_of(fingerprint_of(l)) == node)
+            .count();
+        assert_eq!(
+            cluster_num(&cluster, &["nodes", &node.to_string(), "forwarded"]),
+            (PASSES * owned) as u64,
+            "node {node} owns {owned} of the corpus lines"
+        );
+    }
+    assert!(
+        cluster.get("hot").is_none(),
+        "no hot-key section: {cluster:?}"
     );
 
     client.roundtrip(r#"{"op":"quit"}"#);
@@ -345,6 +371,7 @@ fn cluster_replies_are_byte_identical_to_single_node() {
         );
     }
     let cluster = cluster_section(&client.roundtrip(r#"{"op":"metrics"}"#));
+    let sent = 2 * lines.len() as u64;
     assert_eq!(cluster_num(&cluster, &["forwards", "pool"]), sent);
     assert_eq!(
         cluster_num(&cluster, &["forwards", "reactor"]),

@@ -667,6 +667,32 @@ fn long_lines_half_close_and_unterminated_last_line_are_answered() {
         .expect("half-close");
     assert_eq!(read_to_end(client), format!("{PONG}\n{PONG}\n"));
 
+    // The 64 KiB cap holds however the line was segmented: 100 KiB in
+    // one write, its newline already buffered when the scanner runs,
+    // and a 70 KiB tail that only the half-close ends. The server may
+    // close on bytes it has not read, which resets the connection, so a
+    // write may fail and the reply is followed by EOF or a reset.
+    let refusal = proto::render_error(&proto::ProtoError::new(
+        None,
+        proto::ErrorKind::Parse,
+        "request line exceeds 64 KiB",
+    ));
+    let oversized = [
+        format!("{{\"op\":\"ping\"{}}}\n", " ".repeat(100 * 1024)),
+        format!("{{\"op\":\"ping\"{}", " ".repeat(70 * 1024)),
+    ];
+    for bytes in oversized {
+        let mut client = Client::connect(addr);
+        let _ = client.writer.write_all(bytes.as_bytes());
+        let _ = client.writer.shutdown(std::net::Shutdown::Write);
+        let mut reply = String::new();
+        client.reader.read_line(&mut reply).expect("read reply");
+        assert_eq!(reply.trim_end(), refusal);
+        let mut rest = Vec::new();
+        let _ = std::io::Read::read_to_end(&mut client.reader, &mut rest);
+        assert!(rest.is_empty(), "nothing follows the refusal: {rest:?}");
+    }
+
     let mut client = Client::connect(addr);
     client.roundtrip(r#"{"op":"quit"}"#);
     handle.join().expect("server thread");
