@@ -97,9 +97,9 @@ pub fn binvrhs(b: &mut Mat5, r: &mut Vec5) {
 }
 
 /// Solve `a·x = r` in place with partial pivoting (`r ← a⁻¹·r`,
-/// destroying `a`). Needed where the matrix is not diagonally dominant —
-/// e.g. the eigenvector matrices in SP, whose diagonals contain structural
-/// zeros.
+/// destroying `a`). For matrices that are not diagonally dominant — SP's
+/// eigenvector matrices have structural zeros on the diagonal, and its
+/// tests check the closed-form inverse against this solve.
 pub fn solve5_pivot(a: &mut Mat5, r: &mut Vec5) {
     for p in 0..5 {
         // Partial pivot.

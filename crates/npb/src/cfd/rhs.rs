@@ -49,6 +49,16 @@ impl Direction {
         }
     }
 
+    /// The two velocity components (0-based) transverse to this direction.
+    #[inline]
+    pub fn transverse(self) -> (usize, usize) {
+        match self {
+            Direction::X => (1, 2),
+            Direction::Y => (0, 2),
+            Direction::Z => (0, 1),
+        }
+    }
+
     /// The grid coordinate of a flat point index along this direction.
     #[inline]
     fn coord_of(self, p: usize, n: usize) -> usize {

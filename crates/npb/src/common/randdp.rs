@@ -40,22 +40,43 @@ pub fn randlc(x: &mut f64, a: f64) -> f64 {
     R46 * *x
 }
 
+/// Independent LCG streams [`vranlc`] advances side by side. One step is
+/// a chain of ~18 dependent floating-point operations and three `trunc`s,
+/// so a single stream leaves most of the core's issue slots idle. Measured
+/// on EP class S, one thread: 1 lane 24.6 Mop/s, 4 lanes 50, 8 lanes 64,
+/// 16 lanes 52 (the lane states no longer stay in registers).
+const LANES: usize = 8;
+
 /// Generate `y.len()` consecutive pseudo-random numbers (NPB's `vranlc`),
 /// updating `x` to the state after the last one.
+///
+/// Element `i + LANES` is element `i`'s state times a^LANES (mod 2⁴⁶), so
+/// after the first `LANES` elements the buffer is filled by `LANES`
+/// independent recurrences instead of one. Each step is [`randlc`] itself
+/// — exact arithmetic on the same integers — so every element and the
+/// final state are bit-identical to the sequential form.
 pub fn vranlc(x: &mut f64, a: f64, y: &mut [f64]) {
-    let a1 = (R23 * a).trunc();
-    let a2 = a - T23 * a1;
-    for out in y.iter_mut() {
-        let x1 = (R23 * *x).trunc();
-        let x2 = *x - T23 * x1;
-        let t1 = a1 * x2 + a2 * x1;
-        let t2 = (R23 * t1).trunc();
-        let z = t1 - T23 * t2;
-        let t3 = T23 * z + a2 * x2;
-        let t4 = (R46 * t3).trunc();
-        *x = t3 - T46 * t4;
-        *out = R46 * *x;
+    let (head, tail) = y.split_at_mut(LANES.min(y.len()));
+    let mut lanes = [0.0f64; LANES];
+    for (lane, out) in lanes.iter_mut().zip(head) {
+        *out = randlc(x, a);
+        *lane = *x;
     }
+    if tail.is_empty() {
+        return;
+    }
+    // al = a^LANES mod 2^46.
+    let mut al = a;
+    for _ in 1..LANES {
+        randlc(&mut al, a);
+    }
+    // The last chunk may be short: `zip` stops at its end.
+    for chunk in tail.chunks_mut(LANES) {
+        for (lane, out) in lanes.iter_mut().zip(chunk) {
+            *out = randlc(lane, al);
+        }
+    }
+    *x = lanes[(tail.len() - 1) % LANES];
 }
 
 /// Advance a seed by `n` LCG steps in O(log n): returns the state after
@@ -103,16 +124,37 @@ mod tests {
     }
 
     #[test]
-    fn vranlc_matches_randlc() {
-        let mut x1 = SEED;
-        let mut x2 = SEED;
-        let mut buf = vec![0.0; 1000];
-        vranlc(&mut x1, A, &mut buf);
-        for (i, &v) in buf.iter().enumerate() {
-            let r = randlc(&mut x2, A);
-            assert_eq!(v.to_bits(), r.to_bits(), "element {i}");
+    fn vranlc_is_bit_identical_to_sequential_randlc() {
+        // Around every lane boundary, a long odd tail, and EP's batch size.
+        let lengths = (0..2)
+            .chain(LANES - 1..=2 * LANES + 3)
+            .chain(1000..=1003)
+            .chain([1 << 17]);
+        for len in lengths {
+            let mut laned = SEED;
+            let mut sequential = SEED;
+            let mut buf = vec![0.0; len];
+            vranlc(&mut laned, A, &mut buf);
+            for (i, &v) in buf.iter().enumerate() {
+                let r = randlc(&mut sequential, A);
+                assert_eq!(v.to_bits(), r.to_bits(), "length {len}, element {i}");
+            }
+            assert_eq!(laned.to_bits(), sequential.to_bits(), "length {len}: state");
         }
-        assert_eq!(x1.to_bits(), x2.to_bits());
+    }
+
+    #[test]
+    fn vranlc_calls_chain_like_one_long_call() {
+        let mut whole = SEED;
+        let mut expect = vec![0.0; 3 * LANES + 5];
+        vranlc(&mut whole, A, &mut expect);
+        let mut pieces = SEED;
+        let mut got = vec![0.0; expect.len()];
+        let (a, b) = got.split_at_mut(LANES + 3);
+        vranlc(&mut pieces, A, a);
+        vranlc(&mut pieces, A, b);
+        assert_eq!(got, expect);
+        assert_eq!(pieces.to_bits(), whole.to_bits());
     }
 
     #[test]

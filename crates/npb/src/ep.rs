@@ -296,10 +296,15 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow: full class S in debug builds"]
-    fn class_s_matches_npb_reference() {
-        let pool = Pool::new(2);
-        let r = Ep.run(Class::S, &pool);
-        assert!(r.verified.passed(), "{:?}", r.verified);
+    fn class_s_matches_npb_reference_and_the_sequential_generator() {
+        let out = compute(class::ep_m(Class::S), &Pool::new(2));
+        let (sx_ref, sy_ref, provenance) = reference_sums(Class::S);
+        assert!(verify::check(out.sx, sx_ref, verify::EPSILON, provenance).passed());
+        assert!(verify::check(out.sy, sy_ref, verify::EPSILON, provenance).passed());
+        // The two-thread sums as the one-stream `vranlc` produced them
+        // (commit 4c4bb59): the laned generator must not move a bit.
+        assert_eq!(out.sx.to_bits(), 0xc0a9_5fab_5782_ef53, "sx = {:e}", out.sx);
+        assert_eq!(out.sy.to_bits(), 0xc0bb_2e68_3649_f40e, "sy = {:e}", out.sy);
+        assert_eq!(out.gaussian_pairs, 13_176_389.0);
     }
 }

@@ -168,9 +168,13 @@ fn rank(keys: &[u32], state: &mut RankState, pool: &Pool) {
             team.barrier();
             // Phase D: per-bucket counting sort → global rank table.
             // Buckets are claimed dynamically (NPB uses schedule(dynamic))
-            // because the key distribution is far from uniform.
+            // because the key distribution is far from uniform, in chunks
+            // that cover at least a page (1024 slots) of the rank table:
+            // at class W a bucket is 256 B of it, and neighbouring
+            // buckets on different threads would share its cache lines.
+            let buckets_per_claim = (1024 / values_per_bucket).max(1);
             team.phase("rank-histogram", || {
-                team.for_dynamic(0, nbuckets, 1, |b| {
+                team.for_dynamic(0, nbuckets, buckets_per_claim, |b| {
                     let vstart = b * values_per_bucket;
                     // SAFETY: bases were finalized before the barrier above
                     // and are read-only in this phase.

@@ -6,21 +6,27 @@
 //! bases of the inviscid flux Jacobians), leaving five independent
 //! *scalar* pentadiagonal systems per grid line (pentadiagonal because the
 //! fourth-order dissipation is kept in the left-hand side, unlike BT).
+//! Three of the five share the eigenvalue `w` and therefore one left-hand
+//! side, which is factored once (NPB's `lhs`, beside `lhsp` and `lhsm`).
 //!
 //! Structure follows NPB 3.4 `SP/` (`adi`: `compute_rhs` → per-direction
 //! transform → scalar pentadiagonal solves → inverse transform → `add`),
 //! with one documented difference: NPB fuses adjacent eigenvector products
 //! into its `txinvr`/`ninvr`/`pinvr`/`tzetar` matrices; this port applies
-//! `T_d⁻¹ … T_d` unfused per direction (numerically equivalent structure).
-//! The eigenvector construction is validated in tests against the
-//! numerical flux Jacobian: `T Λ T⁻¹ = A` to machine precision.
+//! `T_d⁻¹ … T_d` unfused per direction (numerically equivalent structure),
+//! both in closed form (`EigenBasis`). The eigenvector construction is
+//! validated in tests against the numerical flux Jacobian (`T Λ T⁻¹ = A`
+//! to machine precision) and the closed forms against a pivoted solve of
+//! the explicit matrix.
+
+use std::sync::Mutex;
 
 use rvhpc_parallel::{Pool, SyncSlice};
 
 use crate::bt::{verify_app, AppOutput};
 use crate::cfd::constants::CfdConstants;
 use crate::cfd::fields::Fields;
-use crate::cfd::matrix5::{solve5_pivot, Mat5, Vec5};
+use crate::cfd::matrix5::{Mat5, Vec5};
 use crate::cfd::norms::{error_norm, norm_scalar, rhs_norm};
 use crate::cfd::rhs::{compute_forcing, compute_rhs, scale_rhs_by_dt, Direction};
 use crate::common::class::{self, Class};
@@ -33,25 +39,88 @@ use crate::{Benchmark, BenchmarkId};
 /// The SP benchmark.
 pub struct Sp;
 
+/// What the eigenvectors of all three flux Jacobians at one grid point are
+/// made of: velocity, kinetic energy per unit mass and sound speed. The
+/// total enthalpy is `q + a²/c2`.
+#[derive(Debug, Clone, Copy, Default)]
+struct EigenBasis {
+    vel: [f64; 3],
+    q: f64,
+    a: f64,
+}
+
+impl EigenBasis {
+    /// The basis at the conserved state `u`, with `rho_i = 1/u[0]`.
+    #[inline]
+    fn at(u: &[f64], rho_i: f64, c: &CfdConstants) -> Self {
+        let vel = [u[1] * rho_i, u[2] * rho_i, u[3] * rho_i];
+        let q = 0.5 * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
+        let p = c.c2 * (u[4] - u[0] * q);
+        let a = (c.c1 * p * rho_i).max(1e-30).sqrt();
+        Self { vel, q, a }
+    }
+
+    /// Eigenvalues of `A_d` by multiplicity: `w` (three times), `w + a`
+    /// and `w − a`.
+    #[inline]
+    fn speeds(&self, dir: Direction) -> [f64; 3] {
+        let w = self.vel[dir.momentum() - 1];
+        [w, w + self.a, w - self.a]
+    }
+
+    /// `r ← T_d⁻¹ r`: the left eigenvectors of `A_d` in closed form. With
+    /// `S = x₃ + x₄` and `D = x₃ − x₄`, the rows of `T_d x = r` read
+    /// `x₀ + S = r₀`, `x₁,₂ = r_t − v_t r₀`, `a D = r_d − w r₀` and
+    /// `(h − q) S = r₄ + q r₀ − v·(r₁, r₂, r₃)`.
+    #[inline]
+    fn apply_inverse(&self, dir: Direction, c2: f64, r: &mut Vec5) {
+        let d = dir.momentum();
+        let (t1, t2) = dir.transverse();
+        let Self { vel, q, a } = *self;
+        let flux = vel[0] * r[1] + vel[1] * r[2] + vel[2] * r[3];
+        let s = c2 * (r[4] + q * r[0] - flux) / (a * a);
+        let diff = (r[d] - vel[d - 1] * r[0]) / a;
+        *r = [
+            r[0] - s,
+            r[t1 + 1] - vel[t1] * r[0],
+            r[t2 + 1] - vel[t2] * r[0],
+            0.5 * (s + diff),
+            0.5 * (s - diff),
+        ];
+    }
+
+    /// `x ← T_d x`: back from characteristic to conserved variables.
+    #[inline]
+    fn apply_forward(&self, dir: Direction, c2: f64, x: &mut Vec5) {
+        let d = dir.momentum();
+        let (t1, t2) = dir.transverse();
+        let Self { vel, q, a } = *self;
+        let w = vel[d - 1];
+        let h = q + a * a / c2;
+        let (s, diff) = (x[3] + x[4], x[3] - x[4]);
+        let rho = x[0] + s;
+        let mut out = [0.0f64; 5];
+        out[0] = rho;
+        out[t1 + 1] = vel[t1] * rho + x[1];
+        out[t2 + 1] = vel[t2] * rho + x[2];
+        out[d] = w * rho + a * diff;
+        out[4] = q * x[0] + vel[t1] * x[1] + vel[t2] * x[2] + h * s + w * a * diff;
+        *x = out;
+    }
+}
+
 /// Right eigenvector matrix `T_d` of the inviscid flux Jacobian `A_d`
 /// (columns: entropy wave, two shear waves, and the two acoustic waves),
-/// plus the eigenvalues `(w, w, w, w+a, w−a)`.
+/// plus the eigenvalues `(w, w, w, w+a, w−a)`. The solver never forms it
+/// (see `EigenBasis`); it is the definition the closed forms are tested
+/// against.
 pub fn eigen_decomposition(u: &[f64], dir: Direction, c: &CfdConstants) -> (Mat5, [f64; 5]) {
     let d = dir.momentum();
-    let rho_i = 1.0 / u[0];
-    let vel = [u[1] * rho_i, u[2] * rho_i, u[3] * rho_i];
+    let (t1, t2) = dir.transverse();
+    let basis = EigenBasis::at(u, 1.0 / u[0], c);
+    let EigenBasis { vel, q, a } = basis;
     let w = vel[d - 1];
-    let q = 0.5 * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
-    let p = c.c2 * (u[4] - u[0] * q);
-    let a = (c.c1 * p * rho_i).max(1e-30).sqrt();
-    let h = (u[4] + p) * rho_i; // total enthalpy
-
-    // The two transverse velocity component indices (0-based into vel).
-    let (t1, t2) = match dir {
-        Direction::X => (1usize, 2usize),
-        Direction::Y => (0, 2),
-        Direction::Z => (0, 1),
-    };
+    let h = q + a * a / c.c2; // total enthalpy
 
     let mut t = [[0.0f64; 5]; 5];
     // Column 0: entropy wave (speed w).
@@ -80,34 +149,17 @@ pub fn eigen_decomposition(u: &[f64], dir: Direction, c: &CfdConstants) -> (Mat5
     t[d][4] -= a;
     t[4][4] = h - w * a;
 
-    (t, [w, w, w, w + a, w - a])
+    let [lw, lp, lm] = basis.speeds(dir);
+    (t, [lw, lw, lw, lp, lm])
 }
 
-/// Solve `T x = r` for one point's 5-vector (applies `T⁻¹`). The
-/// eigenvector matrix has structural zeros on its diagonal, so this uses
-/// the pivoting solver.
+/// Scalar pentadiagonal solves along one line for the characteristic
+/// components `cols` of `r`, which share one left-hand side: the bands are
+/// eliminated once and every multiplier is applied to each component.
+/// Bands are indexed `[l2, l1, diag, u1, u2]`; boundary unknowns (pos 0
+/// and n−1) are pinned to the identity.
 #[inline]
-fn apply_inverse(t: &Mat5, r: &mut Vec5) {
-    let mut m = *t;
-    solve5_pivot(&mut m, r);
-}
-
-/// Apply `T`: `r ← T · r`.
-#[inline]
-fn apply_forward(t: &Mat5, r: &mut Vec5) {
-    let mut out = [0.0f64; 5];
-    for (i, o) in out.iter_mut().enumerate() {
-        for k in 0..5 {
-            *o += t[i][k] * r[k];
-        }
-    }
-    *r = out;
-}
-
-/// Scalar pentadiagonal solve along one line. Bands are indexed
-/// `[l2, l1, diag, u1, u2]`; boundary unknowns (pos 0 and n−1) are pinned
-/// to the identity.
-fn penta_solve(bands: &mut [[f64; 5]], r: &mut [f64]) {
+fn penta_solve(bands: &mut [[f64; 5]], r: &mut [Vec5], cols: std::ops::Range<usize>) {
     let n = bands.len();
     // Forward elimination: clear each row's l2 with row i−2, then its l1
     // with row i−1 (both already reduced to upper form).
@@ -117,27 +169,70 @@ fn penta_solve(bands: &mut [[f64; 5]], r: &mut [f64]) {
             if f != 0.0 {
                 bands[i][1] -= f * bands[i - 2][3];
                 bands[i][2] -= f * bands[i - 2][4];
-                r[i] -= f * r[i - 2];
+                for m in cols.clone() {
+                    r[i][m] -= f * r[i - 2][m];
+                }
             }
         }
         let f = bands[i][1] / bands[i - 1][2];
         if f != 0.0 {
             bands[i][2] -= f * bands[i - 1][3];
             bands[i][3] -= f * bands[i - 1][4];
-            r[i] -= f * r[i - 1];
+            for m in cols.clone() {
+                r[i][m] -= f * r[i - 1][m];
+            }
         }
     }
     // Back substitution.
-    r[n - 1] /= bands[n - 1][2];
-    r[n - 2] = (r[n - 2] - bands[n - 2][3] * r[n - 1]) / bands[n - 2][2];
+    for m in cols.clone() {
+        r[n - 1][m] /= bands[n - 1][2];
+        r[n - 2][m] = (r[n - 2][m] - bands[n - 2][3] * r[n - 1][m]) / bands[n - 2][2];
+    }
     for i in (0..n - 2).rev() {
-        r[i] = (r[i] - bands[i][3] * r[i + 1] - bands[i][4] * r[i + 2]) / bands[i][2];
+        for m in cols.clone() {
+            r[i][m] =
+                (r[i][m] - bands[i][3] * r[i + 1][m] - bands[i][4] * r[i + 2][m]) / bands[i][2];
+        }
     }
 }
 
-/// One diagonalized line solve along `dir`: transform, five scalar
-/// pentadiagonal solves, inverse transform.
-fn diagonal_solve(f: &mut Fields, c: &CfdConstants, dir: Direction, pool: &Pool) {
+/// One team member's line buffers, kept across the regions of a run.
+struct LineScratch {
+    basis: Vec<EigenBasis>,
+    /// The line's right-hand side, in characteristic variables.
+    rr: Vec<Vec5>,
+    /// Left-hand sides for the eigenvalues `w`, `w + a` and `w − a`
+    /// (NPB's `lhs`, `lhsp`, `lhsm`).
+    bands: [Vec<[f64; 5]>; 3],
+}
+
+impl LineScratch {
+    fn new(n: usize) -> Self {
+        Self {
+            basis: vec![EigenBasis::default(); n],
+            rr: vec![[0.0; 5]; n],
+            bands: std::array::from_fn(|_| vec![[0.0; 5]; n]),
+        }
+    }
+
+    /// One slot per team member; a member locks its own once per region.
+    fn per_member(n: usize, pool: &Pool) -> Vec<Mutex<Self>> {
+        (0..pool.nthreads())
+            .map(|_| Mutex::new(Self::new(n)))
+            .collect()
+    }
+}
+
+/// One diagonalized line solve along `dir`: transform, scalar
+/// pentadiagonal solves (one factorization per distinct eigenvalue),
+/// inverse transform.
+fn diagonal_solve(
+    f: &mut Fields,
+    c: &CfdConstants,
+    dir: Direction,
+    scratch: &[Mutex<LineScratch>],
+    pool: &Pool,
+) {
     let n = f.n;
     let s = dir.stride(n);
     let (t1m, t2m) = (c.tx1, c.tx2);
@@ -154,10 +249,10 @@ fn diagonal_solve(f: &mut Fields, c: &CfdConstants, dir: Direction, pool: &Pool)
     let rhs = SyncSlice::new(f.rhs.flat_mut());
 
     pool.run(|team| {
-        let mut eig: Vec<(Mat5, [f64; 5])> = vec![([[0.0; 5]; 5], [0.0; 5]); n];
-        let mut rr: Vec<Vec5> = vec![[0.0; 5]; n];
-        let mut bands: Vec<[f64; 5]> = vec![[0.0; 5]; n];
-        let mut comp: Vec<f64> = vec![0.0; n];
+        let mut scratch = scratch[team.tid()]
+            .lock()
+            .expect("no region panics while holding its line scratch");
+        let LineScratch { basis, rr, bands } = &mut *scratch;
 
         team.phase("penta-line-solves", || {
             team.for_static(1, n - 1, |slow| {
@@ -170,35 +265,37 @@ fn diagonal_solve(f: &mut Fields, c: &CfdConstants, dir: Direction, pool: &Pool)
                     // Per-point eigen systems and characteristic rhs.
                     for pos in 0..n {
                         let p = base + pos * s;
-                        let ub = &uf[p * 5..p * 5 + 5];
-                        eig[pos] = eigen_decomposition(ub, dir, c);
+                        basis[pos] = EigenBasis::at(&uf[p * 5..p * 5 + 5], rho_if[p], c);
                         for m in 0..5 {
                             // SAFETY: this line is exclusively ours.
                             rr[pos][m] = unsafe { rhs.get(p * 5 + m) };
                         }
-                        apply_inverse(&eig[pos].0, &mut rr[pos]);
+                        basis[pos].apply_inverse(dir, c.c2, &mut rr[pos]);
                     }
-                    // Five scalar pentadiagonal systems.
-                    for m in 0..5 {
-                        for pos in 0..n {
-                            comp[pos] = rr[pos][m];
-                        }
-                        for (pos, band) in bands.iter_mut().enumerate() {
-                            if pos == 0 || pos == n - 1 {
-                                *band = [0.0, 0.0, 1.0, 0.0, 0.0];
-                                continue;
-                            }
-                            let p = base + pos * s;
-                            // Viscous + second-difference diagonal weight
-                            // (NPB's rhon/rhoq/rhos role).
-                            let visc = |pp: usize| dcoef + c.con43 * c.c3c4 * rho_if[pp];
-                            let lamm = eig[pos - 1].1[m];
-                            let lamp = eig[pos + 1].1[m];
+                    // The three left-hand sides differ in the eigenvalue only.
+                    let identity = [0.0, 0.0, 1.0, 0.0, 0.0];
+                    for band in bands.iter_mut() {
+                        band[0] = identity;
+                        band[n - 1] = identity;
+                    }
+                    for pos in 1..n - 1 {
+                        let p = base + pos * s;
+                        // Viscous + second-difference diagonal weight
+                        // (NPB's rhon/rhoq/rhos role).
+                        let visc = |pp: usize| dcoef + c.con43 * c.c3c4 * rho_if[pp];
+                        let (below, diag, above) = (
+                            dt * t1m * visc(p - s),
+                            1.0 + 2.0 * dt * t1m * visc(p),
+                            dt * t1m * visc(p + s),
+                        );
+                        let lamm = basis[pos - 1].speeds(dir);
+                        let lamp = basis[pos + 1].speeds(dir);
+                        for (k, band) in bands.iter_mut().enumerate() {
                             let mut b = [
                                 0.0,
-                                -dt * t2m * lamm - dt * t1m * visc(p - s),
-                                1.0 + 2.0 * dt * t1m * visc(p),
-                                dt * t2m * lamp - dt * t1m * visc(p + s),
+                                -dt * t2m * lamm[k] - below,
+                                diag,
+                                dt * t2m * lamp[k] - above,
                                 0.0,
                             ];
                             // Fourth-order dissipation bands, boundary-adapted
@@ -228,16 +325,16 @@ fn diagonal_solve(f: &mut Fields, c: &CfdConstants, dir: Direction, pool: &Pool)
                                 b[3] -= 4.0 * diss;
                                 b[4] += diss;
                             }
-                            *band = b;
-                        }
-                        penta_solve(&mut bands, &mut comp);
-                        for pos in 1..n - 1 {
-                            rr[pos][m] = comp[pos];
+                            band[pos] = b;
                         }
                     }
+                    let [lhs, lhsp, lhsm] = bands;
+                    penta_solve(lhs, rr, 0..3);
+                    penta_solve(lhsp, rr, 3..4);
+                    penta_solve(lhsm, rr, 4..5);
                     // Inverse transform and store.
                     for pos in 1..n - 1 {
-                        apply_forward(&eig[pos].0, &mut rr[pos]);
+                        basis[pos].apply_forward(dir, c.c2, &mut rr[pos]);
                         let p = base + pos * s;
                         for m in 0..5 {
                             // SAFETY: this line is exclusively ours.
@@ -274,13 +371,13 @@ fn add_increment(f: &mut Fields, pool: &Pool) {
 }
 
 /// One diagonalized ADI time step (NPB SP `adi`).
-pub fn adi_step(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
+fn adi_step(f: &mut Fields, c: &CfdConstants, scratch: &[Mutex<LineScratch>], pool: &Pool) {
     f.compute_aux(pool);
     compute_rhs(f, c, pool);
     scale_rhs_by_dt(f, c, pool);
-    diagonal_solve(f, c, Direction::X, pool);
-    diagonal_solve(f, c, Direction::Y, pool);
-    diagonal_solve(f, c, Direction::Z, pool);
+    for dir in Direction::ALL {
+        diagonal_solve(f, c, dir, scratch, pool);
+    }
     add_increment(f, pool);
 }
 
@@ -294,13 +391,14 @@ pub fn compute(class: Class, pool: &Pool) -> AppOutput {
     compute_forcing(&mut f, &c, pool);
     let initial_error = norm_scalar(&error_norm(&f, &c, pool));
 
-    adi_step(&mut f, &c, pool); // untimed warm-up
+    let scratch = LineScratch::per_member(n, pool);
+    adi_step(&mut f, &c, &scratch, pool); // untimed warm-up
     f.initialize(&c, pool);
 
     let mut timers = Timers::new(1);
     timers.start(0);
     for _ in 0..p.niter {
-        adi_step(&mut f, &c, pool);
+        adi_step(&mut f, &c, &scratch, pool);
     }
     timers.stop(0);
 
@@ -401,23 +499,54 @@ mod tests {
     use super::*;
     use crate::cfd::exact::exact_solution;
     use crate::cfd::jacobians::flux_jacobian;
+    use crate::cfd::matrix5::solve5_pivot;
+    use crate::common::randdp::{randlc, A, SEED};
+
+    /// `T · x` with the explicit matrix.
+    fn matvec(t: &Mat5, x: &Vec5) -> Vec5 {
+        std::array::from_fn(|i| (0..5).map(|k| t[i][k] * x[k]).sum())
+    }
+
+    /// Admissible (positive density and pressure) states and arbitrary
+    /// right-hand sides from the NPB generator.
+    fn random_states(count: usize) -> Vec<([f64; 5], Vec5)> {
+        let mut seed = SEED;
+        let mut uniform = |lo: f64, hi: f64| lo + (hi - lo) * randlc(&mut seed, A);
+        (0..count)
+            .map(|_| {
+                let rho = uniform(0.5, 2.0);
+                let vel = [uniform(-1.5, 1.5), uniform(-1.5, 1.5), uniform(-1.5, 1.5)];
+                let q = 0.5 * vel.iter().map(|v| v * v).sum::<f64>();
+                let pressure = uniform(0.2, 3.0);
+                let u = [
+                    rho,
+                    rho * vel[0],
+                    rho * vel[1],
+                    rho * vel[2],
+                    pressure / 0.4 + rho * q,
+                ];
+                (u, std::array::from_fn(|_| uniform(-10.0, 10.0)))
+            })
+            .collect()
+    }
 
     #[test]
     fn eigendecomposition_reconstructs_flux_jacobian() {
         // T Λ T⁻¹ must equal A_d exactly (the diagonalization SP rests on).
         let c = CfdConstants::new(12, 0.001);
         let u = exact_solution(0.35, 0.65, 0.15);
+        let basis = EigenBasis::at(&u, 1.0 / u[0], &c);
         for dir in Direction::ALL {
             let a = flux_jacobian(&u, dir, &c);
             let (t, lam) = eigen_decomposition(&u, dir, &c);
             for col in 0..5 {
                 let mut e = [0.0f64; 5];
                 e[col] = 1.0;
-                apply_inverse(&t, &mut e);
+                basis.apply_inverse(dir, c.c2, &mut e);
                 for (xi, l) in e.iter_mut().zip(&lam) {
                     *xi *= l;
                 }
-                apply_forward(&t, &mut e);
+                let e = matvec(&t, &e);
                 for row in 0..5 {
                     assert!(
                         (e[row] - a[row][col]).abs() < 1e-9 * (1.0 + a[row][col].abs()),
@@ -431,8 +560,66 @@ mod tests {
     }
 
     #[test]
-    fn penta_solver_matches_dense_oracle() {
-        let n = 12;
+    fn closed_form_inverse_matches_the_pivoted_solve() {
+        let c = CfdConstants::new(12, 0.001);
+        for (u, r) in random_states(200) {
+            let basis = EigenBasis::at(&u, 1.0 / u[0], &c);
+            for dir in Direction::ALL {
+                let (t, _) = eigen_decomposition(&u, dir, &c);
+                let mut oracle = r;
+                solve5_pivot(&mut t.clone(), &mut oracle);
+                let mut x = r;
+                basis.apply_inverse(dir, c.c2, &mut x);
+                let scale = oracle.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                for m in 0..5 {
+                    assert!(
+                        (x[m] - oracle[m]).abs() <= 1e-12 * scale,
+                        "{dir:?} u={u:?}: x[{m}] = {} vs pivoted {}",
+                        x[m],
+                        oracle[m]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transforms_round_trip_and_match_the_explicit_matrix() {
+        let c = CfdConstants::new(12, 0.001);
+        for (u, r) in random_states(200) {
+            let basis = EigenBasis::at(&u, 1.0 / u[0], &c);
+            let scale = r.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for dir in Direction::ALL {
+                let (t, _) = eigen_decomposition(&u, dir, &c);
+                // apply_forward is T: compare with the explicit product.
+                let mut forward = r;
+                basis.apply_forward(dir, c.c2, &mut forward);
+                let explicit = matvec(&t, &r);
+                let fscale = explicit.iter().fold(scale, |m, v| m.max(v.abs()));
+                // T · T⁻¹ · r = r.
+                let mut back = r;
+                basis.apply_inverse(dir, c.c2, &mut back);
+                basis.apply_forward(dir, c.c2, &mut back);
+                for m in 0..5 {
+                    assert!(
+                        (forward[m] - explicit[m]).abs() <= 1e-12 * fscale,
+                        "{dir:?}: (T r)[{m}] = {} vs {}",
+                        forward[m],
+                        explicit[m]
+                    );
+                    assert!(
+                        (back[m] - r[m]).abs() <= 1e-12 * fscale,
+                        "{dir:?}: (T T⁻¹ r)[{m}] = {} vs {}",
+                        back[m],
+                        r[m]
+                    );
+                }
+            }
+        }
+    }
+
+    /// A diagonally dominant pentadiagonal system in band and dense form.
+    fn test_system(n: usize) -> (Vec<[f64; 5]>, Vec<Vec<f64>>) {
         let mut bands = vec![[0.0f64; 5]; n];
         let mut dense = vec![vec![0.0f64; n]; n];
         for i in 0..n {
@@ -454,6 +641,13 @@ mod tests {
                 dense[i][i + 2] = row[4];
             }
         }
+        (bands, dense)
+    }
+
+    #[test]
+    fn penta_solver_matches_dense_oracle() {
+        let n = 12;
+        let (mut bands, dense) = test_system(n);
         let x_true: Vec<f64> = (0..n)
             .map(|i| {
                 if i == 0 || i == n - 1 {
@@ -463,17 +657,44 @@ mod tests {
                 }
             })
             .collect();
-        let mut r: Vec<f64> = (0..n)
-            .map(|i| (0..n).map(|j| dense[i][j] * x_true[j]).sum())
+        let mut r: Vec<Vec5> = (0..n)
+            .map(|i| {
+                let ri: f64 = (0..n).map(|j| dense[i][j] * x_true[j]).sum();
+                [0.0, 0.0, ri, 0.0, 0.0]
+            })
             .collect();
-        penta_solve(&mut bands, &mut r);
+        penta_solve(&mut bands, &mut r, 2..3);
         for i in 1..n - 1 {
             assert!(
-                (r[i] - x_true[i]).abs() < 1e-10,
+                (r[i][2] - x_true[i]).abs() < 1e-10,
                 "x[{i}] = {} vs {}",
-                r[i],
+                r[i][2],
                 x_true[i]
             );
+            assert_eq!(r[i][0], 0.0, "components outside `cols` are untouched");
+        }
+    }
+
+    #[test]
+    fn shared_factorization_is_bit_identical_to_separate_solves() {
+        let n = 17;
+        let (bands, _) = test_system(n);
+        let rhs: Vec<Vec5> = random_states(n).into_iter().map(|(_, r)| r).collect();
+        let mut shared = rhs.clone();
+        penta_solve(&mut bands.clone(), &mut shared, 0..3);
+        let mut separate = rhs.clone();
+        for m in 0..3 {
+            penta_solve(&mut bands.clone(), &mut separate, m..m + 1);
+        }
+        for i in 0..n {
+            for m in 0..5 {
+                assert_eq!(
+                    shared[i][m].to_bits(),
+                    separate[i][m].to_bits(),
+                    "row {i}, component {m}"
+                );
+            }
+            assert_eq!(shared[i][3..], rhs[i][3..], "components 3, 4 untouched");
         }
     }
 

@@ -5,31 +5,15 @@
 //! line; the simplest correct choice and competitive at the team sizes
 //! the NPB suite uses.
 //!
-//! The barrier must remain live-lock free when the host is oversubscribed
-//! (this workspace's CI host has a single hardware thread), so every wait
-//! loop spins briefly and then yields to the OS scheduler.
+//! A waiter polls the sense flag and offers its CPU to the scheduler
+//! every 64 polls (see `wait.rs`), so the barrier stays livelock-free
+//! when the host is oversubscribed (this workspace's CI host has a single
+//! hardware thread) and costs a cache-line hand-off when it is not.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::padded::CachePadded;
-
-/// How long to spin before starting to yield to the scheduler.
-const SPIN_LIMIT: u32 = 64;
-
-/// Spin-then-yield wait helper: keeps latency low when the team has a core
-/// per thread, and stays scheduler-friendly when oversubscribed.
-#[inline]
-pub(crate) fn spin_wait(mut predicate: impl FnMut() -> bool) {
-    let mut spins = 0u32;
-    while !predicate() {
-        if spins < SPIN_LIMIT {
-            std::hint::spin_loop();
-            spins += 1;
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
+use crate::wait::poll_until;
 
 /// Sense-reversing centralized barrier.
 ///
@@ -79,7 +63,7 @@ impl CentralizedBarrier {
             self.count.store(0, Ordering::Relaxed);
             self.sense.store(my_sense, Ordering::Release);
         } else {
-            spin_wait(|| self.sense.load(Ordering::Acquire) == my_sense);
+            poll_until(|| self.sense.load(Ordering::Acquire) == my_sense, || false);
         }
     }
 }

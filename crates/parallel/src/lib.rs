@@ -46,11 +46,13 @@
 pub mod barrier;
 pub mod bind;
 pub mod config;
+mod dispatch;
 mod padded;
 pub mod pool;
 pub mod reduce;
 pub mod schedule;
 pub mod sync_slice;
+mod wait;
 
 pub use barrier::CentralizedBarrier;
 pub use bind::{placement, BindPolicy, Topology};

@@ -16,47 +16,24 @@
 //! (work-sharing loops, barriers, reductions). The runtime debug-asserts
 //! collective sequence numbers where it can, but cannot catch every
 //! divergence.
+//!
+//! How a region reaches the workers and how they wait for it is
+//! `dispatch.rs`; how long a waiter polls before it parks is `wait.rs`.
 
 use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rvhpc_obs::{self as obs, EventKind};
 
 use crate::barrier::CentralizedBarrier;
+use crate::dispatch::Dispatch;
 use crate::padded::CachePadded;
 use crate::schedule::{self, Schedule};
 
 /// Width of the widest array reduction supported by [`Team::reduce_f64_vec`].
 pub const MAX_REDUCE_WIDTH: usize = 64;
-
-/// Type-erased job: executed once per team member with the member's tid.
-type JobFn<'a> = dyn Fn(usize) + Sync + 'a;
-
-/// A raw pointer to the current job, made sendable. Soundness: [`Pool::run`]
-/// does not return until every worker has finished executing the job, so the
-/// pointee outlives all uses.
-struct JobPtr(*const JobFn<'static>);
-unsafe impl Send for JobPtr {}
-
-struct PoolState {
-    /// Incremented once per parallel region; workers watch for changes.
-    epoch: u64,
-    job: Option<JobPtr>,
-    /// Workers still executing the current job.
-    active: usize,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-    /// Panic payloads captured from workers, re-thrown on the caller.
-    panics: Mutex<Vec<Box<dyn Any + Send>>>,
-}
 
 /// Per-team shared structures, reused across parallel regions.
 struct TeamShared {
@@ -94,7 +71,7 @@ impl TeamShared {
 ///
 /// Dropping the pool shuts the workers down and joins them.
 pub struct Pool {
-    shared: Arc<PoolShared>,
+    dispatch: Arc<Dispatch>,
     team: Arc<TeamShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     nthreads: usize,
@@ -108,30 +85,20 @@ impl Pool {
     /// sense-reversing centralized barrier.
     pub fn new(nthreads: usize) -> Self {
         assert!(nthreads >= 1, "pool must have at least one thread");
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                active: 0,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            panics: Mutex::new(Vec::new()),
-        });
+        let dispatch = Arc::new(Dispatch::new(nthreads));
         let team = Arc::new(TeamShared::new(nthreads));
         let mut handles = Vec::with_capacity(nthreads.saturating_sub(1));
         for tid in 1..nthreads {
-            let shared = Arc::clone(&shared);
+            let dispatch = Arc::clone(&dispatch);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("rvhpc-worker-{tid}"))
-                    .spawn(move || worker_loop(shared, tid))
+                    .spawn(move || dispatch.worker_loop(tid))
                     .expect("failed to spawn pool worker"),
             );
         }
         Self {
-            shared,
+            dispatch,
             team,
             handles,
             nthreads,
@@ -142,6 +109,12 @@ impl Pool {
     /// Number of threads in every team this pool forks.
     pub fn nthreads(&self) -> usize {
         self.nthreads
+    }
+
+    /// The dispatch state, for tests that must see who is parked.
+    #[cfg(test)]
+    pub(crate) fn dispatch(&self) -> &Dispatch {
+        &self.dispatch
     }
 
     /// Fork a parallel region: run `f` once per team member and collect the
@@ -238,92 +211,20 @@ impl Pool {
                 *results[tid].lock() = Some(r);
                 recorder.record_span(span, EventKind::Region, "parallel", tid as u32, region);
             };
-            self.run_erased(&job)?;
+            self.dispatch.run(&job)?;
         }
         Ok(results
             .into_iter()
             .map(|m| m.into_inner().expect("team member produced no result"))
             .collect())
     }
-
-    /// Dispatch a type-erased job to the workers, run the tid-0 share on the
-    /// calling thread, and wait for full completion. Returns one captured
-    /// panic payload (dropping any others) if any team member panicked.
-    fn run_erased(&self, job: &(dyn Fn(usize) + Sync + '_)) -> Result<(), Box<dyn Any + Send>> {
-        if self.nthreads == 1 {
-            // Fast path: no workers, still honour panic semantics.
-            return catch_unwind(AssertUnwindSafe(|| job(0)));
-        }
-        // Erase the borrow lifetime. Sound because we block below until all
-        // workers have finished with the pointer.
-        let ptr: *const JobFn<'_> = job;
-        let ptr: *const JobFn<'static> = unsafe { std::mem::transmute(ptr) };
-        {
-            let mut st = self.shared.state.lock();
-            assert!(st.job.is_none(), "Pool::run is not reentrant");
-            assert!(!st.shutdown, "pool is shut down");
-            st.job = Some(JobPtr(ptr));
-            st.active = self.nthreads - 1;
-            st.epoch += 1;
-            self.shared.work_cv.notify_all();
-        }
-        // Caller participates as tid 0 (and must not poison the region on
-        // its own panic before workers finish, hence catch_unwind).
-        let caller_result = catch_unwind(AssertUnwindSafe(|| job(0)));
-        {
-            let mut st = self.shared.state.lock();
-            while st.active > 0 {
-                self.shared.done_cv.wait(&mut st);
-            }
-            st.job = None;
-        }
-        let mut panics = self.shared.panics.lock();
-        if let Err(p) = caller_result {
-            panics.push(p);
-        }
-        if let Some(p) = panics.pop() {
-            panics.clear();
-            return Err(p);
-        }
-        Ok(())
-    }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
+        self.dispatch.shutdown();
         for h in self.handles.drain(..) {
             let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<PoolShared>, tid: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.state.lock();
-            while st.epoch == seen_epoch && !st.shutdown {
-                shared.work_cv.wait(&mut st);
-            }
-            if st.shutdown {
-                return;
-            }
-            seen_epoch = st.epoch;
-            JobPtr(st.job.as_ref().expect("epoch advanced without a job").0)
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(tid) }));
-        if let Err(p) = result {
-            shared.panics.lock().push(p);
-        }
-        let mut st = shared.state.lock();
-        st.active -= 1;
-        if st.active == 0 {
-            shared.done_cv.notify_all();
         }
     }
 }
@@ -794,25 +695,20 @@ mod tests {
 
     #[test]
     fn critical_section_serializes() {
-        struct SharedCounter(std::cell::UnsafeCell<u64>);
-        unsafe impl Sync for SharedCounter {}
-        impl SharedCounter {
-            /// Safety: caller must serialize calls (here: via `critical`).
-            unsafe fn bump(&self) {
-                *self.0.get() += 1;
-            }
-            fn get(&self) -> u64 {
-                unsafe { *self.0.get() }
-            }
-        }
+        // A load and a store that only add up when nothing runs between
+        // them: an unserialized section loses increments.
         let pool = Pool::new(4);
-        let shared = SharedCounter(std::cell::UnsafeCell::new(0));
+        let counter = AtomicU64::new(0);
         pool.run(|team| {
             for _ in 0..1000 {
-                team.critical(|| unsafe { shared.bump() });
+                team.critical(|| {
+                    let seen = counter.load(Ordering::Relaxed);
+                    std::hint::spin_loop();
+                    counter.store(seen + 1, Ordering::Relaxed);
+                });
             }
         });
-        assert_eq!(shared.get(), 4000);
+        assert_eq!(counter.load(Ordering::Relaxed), 4000);
     }
 
     #[test]

@@ -124,6 +124,7 @@ pub fn parallel_sum_of_squares(pool: &Pool, x: &[f64]) -> f64 {
         let shared = crate::sync_slice::SyncSlice::new(&mut sq);
         pool.run(|team| {
             for i in team.static_range(0, x.len()) {
+                // SAFETY: static ranges of distinct tids are disjoint.
                 unsafe { shared.set(i, x[i] * x[i]) };
             }
             team.barrier();

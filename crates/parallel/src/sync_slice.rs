@@ -20,9 +20,13 @@ pub struct SyncSlice<'a, T> {
     data: &'a [UnsafeCell<T>],
 }
 
-// SAFETY: all element access is through `unsafe` methods whose contracts
-// forbid data races; the wrapper itself holds no thread-affine state.
+// SAFETY: the only field is a shared slice of cells, and every access to a
+// cell goes through an `unsafe` method whose contract forbids data races.
+// Sharing `&SyncSlice` lets other threads read `T` through `get` (needs
+// `T: Sync`) and write or take `&mut T` (needs `T: Send`).
 unsafe impl<T: Send + Sync> Sync for SyncSlice<'_, T> {}
+// SAFETY: moving the wrapper to another thread moves access to the `T`s it
+// borrows mutably, which is `&mut [T]: Send`, i.e. `T: Send`.
 unsafe impl<T: Send> Send for SyncSlice<'_, T> {}
 
 impl<'a, T> SyncSlice<'a, T> {
@@ -56,6 +60,8 @@ impl<'a, T> SyncSlice<'a, T> {
         T: Copy,
     {
         debug_assert!(i < self.data.len(), "index {i} out of bounds");
+        // SAFETY: the index is bounds-checked by the slice; the caller
+        // guarantees no concurrent write to this cell.
         *self.data[i].get()
     }
 
@@ -66,6 +72,8 @@ impl<'a, T> SyncSlice<'a, T> {
     #[inline]
     pub unsafe fn set(&self, i: usize, value: T) {
         debug_assert!(i < self.data.len(), "index {i} out of bounds");
+        // SAFETY: the index is bounds-checked by the slice; the caller
+        // guarantees no concurrent access to this cell.
         *self.data[i].get() = value;
     }
 
@@ -78,6 +86,8 @@ impl<'a, T> SyncSlice<'a, T> {
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn get_mut(&self, i: usize) -> &mut T {
         debug_assert!(i < self.data.len(), "index {i} out of bounds");
+        // SAFETY: the index is bounds-checked by the slice; the caller
+        // guarantees this is the only live reference to the cell.
         &mut *self.data[i].get()
     }
 
@@ -88,7 +98,9 @@ impl<'a, T> SyncSlice<'a, T> {
     /// [`SyncSlice::get_mut`].
     #[inline]
     pub unsafe fn ptr_at(&self, i: usize) -> *mut T {
-        debug_assert!(i <= self.data.len(), "index {i} out of bounds");
+        assert!(i <= self.data.len(), "index {i} out of bounds");
+        // SAFETY: `i <= len` (checked above), so the offset stays inside
+        // the slice or one past its end; `UnsafeCell<T>` has `T`'s layout.
         self.data.as_ptr().add(i) as *mut T
     }
 
@@ -100,7 +112,10 @@ impl<'a, T> SyncSlice<'a, T> {
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
-        debug_assert!(start + len <= self.data.len());
+        assert!(start + len <= self.data.len());
+        // SAFETY: the range lies inside the slice (checked above), whose
+        // cells are initialised `T`s borrowed for `'a`; the caller
+        // guarantees no other access to the range while the result lives.
         std::slice::from_raw_parts_mut(self.ptr_at(start), len)
     }
 }
@@ -136,6 +151,7 @@ mod tests {
         {
             let shared = SyncSlice::new(&mut data);
             pool.run(|team| {
+                // SAFETY: a static schedule hands each index to one thread.
                 team.for_static(0, n, |i| unsafe {
                     shared.set(i, (i * 3) as u64);
                 });
@@ -157,6 +173,7 @@ mod tests {
                 let p = team.nthreads();
                 let mut i = t;
                 while i < n {
+                    // SAFETY: residue classes mod p are disjoint.
                     unsafe { shared.set(i, i + 1) };
                     i += p;
                 }
@@ -190,8 +207,8 @@ mod tests {
         let mut data = vec![0u8; 100];
         {
             let shared = SyncSlice::new(&mut data);
-            let a = unsafe { shared.slice_mut(0, 50) };
-            let b = unsafe { shared.slice_mut(50, 50) };
+            // SAFETY: the two halves do not overlap.
+            let (a, b) = unsafe { (shared.slice_mut(0, 50), shared.slice_mut(50, 50)) };
             a.fill(1);
             b.fill(2);
         }

@@ -36,6 +36,26 @@ fn pool_survives_thousands_of_regions() {
 }
 
 #[test]
+fn twenty_thousand_empty_regions_finish_on_fitting_and_oversubscribed_teams() {
+    // Fork-join latency is all there is to an empty region: a team of two
+    // polls for the next one, a team of 2 x CPUs + 1 parks between them.
+    // (Whether a region reaches workers that poll and workers that parked,
+    // and whether `drop` joins both, is pinned in `src/dispatch.rs`, where
+    // the test can see who is parked.)
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for nthreads in [2, 2 * cpus + 1] {
+        let pool = Pool::new(nthreads);
+        let ran = AtomicUsize::new(0);
+        for _ in 0..20_000 {
+            pool.run(|_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 20_000 * nthreads);
+    }
+}
+
+#[test]
 fn several_pools_coexist() {
     let pools: Vec<Pool> = (1..=4).map(Pool::new).collect();
     let handles: Vec<_> = pools
