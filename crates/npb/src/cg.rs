@@ -16,7 +16,7 @@
 //! `rcond − shift` diagonal, same 25-step `conj_grad`, same zeta update and
 //! verification constants.
 
-use rvhpc_parallel::{Pool, SyncSlice};
+use rvhpc_parallel::{Pool, SyncSlice, TeamChunks};
 
 use crate::common::class::{self, CgParams, Class};
 use crate::common::mops;
@@ -54,14 +54,24 @@ impl Csr {
         self.a.len()
     }
 
-    /// `y = A x` (serial; the benchmark uses the team version).
+    /// `y = A x` (serial; the benchmark deals the rows to the team).
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        for row in 0..self.n {
+        self.spmv_rows(0..self.n, x, y);
+    }
+
+    /// Rows `rows` of `y = A x`, one element of `y` per row: each row's
+    /// values and column indices are borrowed once, so the inner loop
+    /// checks nothing but the gather from `x`.
+    #[inline]
+    fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
+        let bounds = self.rowstr[rows.start..=rows.end].windows(2);
+        for (y, b) in y.iter_mut().zip(bounds) {
+            let (a, col) = (&self.a[b[0]..b[1]], &self.colidx[b[0]..b[1]]);
             let mut sum = 0.0;
-            for k in self.rowstr[row]..self.rowstr[row + 1] {
-                sum += self.a[k] * x[self.colidx[k] as usize];
+            for (a, &c) in a.iter().zip(col) {
+                sum += a * x[c as usize];
             }
-            y[row] = sum;
+            *y = sum;
         }
     }
 }
@@ -203,101 +213,80 @@ fn conj_grad(mat: &Csr, x: &[f64], w: &mut CgWork, pool: &Pool) -> f64 {
     w.r.copy_from_slice(x);
     w.p.copy_from_slice(x);
 
-    let rnorm2;
-    {
-        let z = SyncSlice::new(&mut w.z);
-        let r = SyncSlice::new(&mut w.r);
-        let p = SyncSlice::new(&mut w.p);
-        let q = SyncSlice::new(&mut w.q);
-        let rnorm2_out = std::sync::atomic::AtomicU64::new(0);
-        pool.run(|team| {
-            let my = team.static_range(0, n);
-            // rho = r·r
+    // r and q are only ever touched at a member's own rows: plain chunks.
+    // p and z are also gathered from by every member's SpMV, so they are
+    // shared; the rule for both is that a vector is written only at its
+    // owner's static block, in a phase that barriers separate from every
+    // phase that reads all of it, and that no view outlives its phase.
+    let r = TeamChunks::new(pool, &mut w.r, 1, 0, n);
+    let q = TeamChunks::new(pool, &mut w.q, 1, 0, n);
+    let p = SyncSlice::new(&mut w.p);
+    let z = SyncSlice::new(&mut w.z);
+    let sums = pool.run(|team| {
+        let my = team.static_range(0, n);
+        let (_, r) = r.claim(team);
+        let (_, q) = q.claim(team);
+        // rho = r·r
+        let local = team.phase("vector-ops", || r.iter().map(|ri| ri * ri).sum::<f64>());
+        let mut rho = team.reduce_sum(local);
+        for _ in 0..CGIT_MAX {
+            // q = A p (the fused matrix traversal + x-gather loop: the
+            // `spmv-stream` span also covers the profile's
+            // `spmv-gather` phase — they are one loop at runtime).
+            team.phase("spmv-stream", || {
+                // SAFETY: nobody writes p between the barrier that ended
+                // its last update and the one after this phase.
+                mat.spmv_rows(my.clone(), unsafe { p.slice(0, n) }, q)
+            });
+            team.barrier();
+            // d = p·q ; alpha = rho / d ; z += alpha p ; r -= alpha q ;
+            // rho' = r·r
+            // SAFETY: the block of p is ours and is not written before the
+            // update below; the block of z is ours and nobody reads z
+            // before the final SpMV.
+            let (pm, zm) =
+                unsafe { (p.slice(my.start, my.len()), z.slice_mut(my.start, my.len())) };
+            let local = team.phase("vector-ops", || {
+                pm.iter().zip(q.iter()).map(|(pi, qi)| pi * qi).sum::<f64>()
+            });
+            let alpha = rho / team.reduce_sum(local);
             let local = team.phase("vector-ops", || {
                 let mut local = 0.0;
-                for i in my.clone() {
-                    // SAFETY: read-only while no writer (phase discipline).
-                    let ri = unsafe { r.get(i) };
-                    local += ri * ri;
+                for i in 0..my.len() {
+                    zm[i] += alpha * pm[i];
+                    r[i] -= alpha * q[i];
+                    local += r[i] * r[i];
                 }
                 local
             });
-            let mut rho_l = team.reduce_sum(local);
-            for _ in 0..CGIT_MAX {
-                // q = A p (the fused matrix traversal + x-gather loop: the
-                // `spmv-stream` span also covers the profile's
-                // `spmv-gather` phase — they are one loop at runtime).
-                team.phase("spmv-stream", || {
-                    for row in my.clone() {
-                        let mut sum = 0.0;
-                        for k in mat.rowstr[row]..mat.rowstr[row + 1] {
-                            // SAFETY: p is read-only in this phase; q[row]
-                            // is exclusively ours.
-                            sum += mat.a[k] * unsafe { p.get(mat.colidx[k] as usize) };
-                        }
-                        unsafe { q.set(row, sum) };
-                    }
-                });
-                team.barrier();
-                // d = p·q ; alpha = rho / d
-                let local = team.phase("vector-ops", || {
-                    let mut local = 0.0;
-                    for i in my.clone() {
-                        local += unsafe { p.get(i) } * unsafe { q.get(i) };
-                    }
-                    local
-                });
-                let d = team.reduce_sum(local);
-                let alpha = rho_l / d;
-                // z += alpha p ; r -= alpha q ; rho' = r·r
-                let local = team.phase("vector-ops", || {
-                    let mut local = 0.0;
-                    for i in my.clone() {
-                        unsafe {
-                            z.set(i, z.get(i) + alpha * p.get(i));
-                            let ri = r.get(i) - alpha * q.get(i);
-                            r.set(i, ri);
-                            local += ri * ri;
-                        }
-                    }
-                    local
-                });
-                let rho_new = team.reduce_sum(local);
-                let beta = rho_new / rho_l;
-                rho_l = rho_new;
-                // p = r + beta p (barrier above synchronized r updates).
-                team.phase("vector-ops", || {
-                    for i in my.clone() {
-                        unsafe { p.set(i, r.get(i) + beta * p.get(i)) };
-                    }
-                });
-                team.barrier();
-            }
-            // rnorm = ‖x − A z‖: reuse q for A z.
-            team.phase("spmv-stream", || {
-                for row in my.clone() {
-                    let mut sum = 0.0;
-                    for k in mat.rowstr[row]..mat.rowstr[row + 1] {
-                        sum += mat.a[k] * unsafe { z.get(mat.colidx[k] as usize) };
-                    }
-                    unsafe { q.set(row, sum) };
+            let rho_new = team.reduce_sum(local);
+            let beta = rho_new / rho;
+            rho = rho_new;
+            // p = r + beta p
+            team.phase("vector-ops", || {
+                // SAFETY: the block is ours, `pm` is not used again, and
+                // every SpMV read of p ended at the barrier after it.
+                let pm = unsafe { p.slice_mut(my.start, my.len()) };
+                for (pi, ri) in pm.iter_mut().zip(r.iter()) {
+                    *pi = ri + beta * *pi;
                 }
             });
             team.barrier();
-            let mut local = 0.0;
-            for i in my {
-                let d = x[i] - unsafe { q.get(i) };
-                local += d * d;
-            }
-            let sum = team.reduce_sum(local);
-            team.single(|| {
-                rnorm2_out.store(sum.to_bits(), std::sync::atomic::Ordering::Relaxed);
-            });
-            let _ = rho_l;
+        }
+        // rnorm = ‖x − A z‖: reuse q for A z.
+        team.phase("spmv-stream", || {
+            // SAFETY: z's last update is behind the barrier that ended the
+            // last step, and nothing writes it again.
+            mat.spmv_rows(my.clone(), unsafe { z.slice(0, n) }, q)
         });
-        rnorm2 = f64::from_bits(rnorm2_out.load(std::sync::atomic::Ordering::Relaxed));
-    }
-    rnorm2.sqrt()
+        let local = x[my.clone()]
+            .iter()
+            .zip(q.iter())
+            .map(|(xi, qi)| (xi - qi) * (xi - qi))
+            .sum::<f64>();
+        team.reduce_sum(local)
+    });
+    sums[0].sqrt()
 }
 
 /// Raw outputs of a CG run.
@@ -365,13 +354,12 @@ fn dots(x: &[f64], z: &[f64], pool: &Pool) -> (f64, f64) {
 /// `x = inv_norm · z` team-parallel.
 fn scale_into_x(x: &mut [f64], z: &[f64], inv_norm: f64, pool: &Pool) {
     let n = x.len();
-    let xs = SyncSlice::new(x);
+    let blocks = TeamChunks::new(pool, x, 1, 0, n);
     pool.run(|team| {
-        for i in team.static_range(0, n) {
-            // SAFETY: disjoint static ranges.
-            unsafe { xs.set(i, inv_norm * z[i]) };
+        let (first, mine) = blocks.claim(team);
+        for (xi, zi) in mine.iter_mut().zip(&z[first..]) {
+            *xi = inv_norm * zi;
         }
-        team.barrier();
     });
 }
 
@@ -532,6 +520,103 @@ mod tests {
         for row in 0..mat.n {
             let cols = &mat.colidx[mat.rowstr[row]..mat.rowstr[row + 1]];
             assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {row}: {cols:?}");
+        }
+    }
+
+    /// `y = A x` the way `conj_grad` computes it: each member its rows.
+    fn team_spmv(mat: &Csr, x: &[f64], nthreads: usize) -> Vec<f64> {
+        let mut y = vec![f64::NAN; mat.n];
+        let pool = Pool::new(nthreads);
+        let rows = TeamChunks::new(&pool, &mut y, 1, 0, mat.n);
+        pool.run(|team| {
+            let (first, mine) = rows.claim(team);
+            mat.spmv_rows(first..first + mine.len(), x, mine);
+        });
+        y
+    }
+
+    /// The SpMV as it was written before the row views.
+    fn spmv_indexed(mat: &Csr, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; mat.n];
+        for row in 0..mat.n {
+            let mut sum = 0.0;
+            for k in mat.rowstr[row]..mat.rowstr[row + 1] {
+                sum += mat.a[k] * x[mat.colidx[k] as usize];
+            }
+            y[row] = sum;
+        }
+        y
+    }
+
+    #[test]
+    fn spmv_matches_the_indexed_reference_bit_for_bit() {
+        // Rows of 0, 1, 2, 3 and 0 nonzeros, then the class T matrix.
+        let short = Csr {
+            rowstr: vec![0, 0, 1, 3, 6, 6],
+            colidx: vec![4, 0, 2, 1, 3, 4],
+            a: vec![0.3, -1.7, 0.9, 1e-3, 2.5, -0.1],
+            n: 5,
+        };
+        for mat in [short, makea(tiny())] {
+            let x: Vec<f64> = (0..mat.n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let want = spmv_indexed(&mat, &x);
+            let mut serial = vec![f64::NAN; mat.n];
+            mat.spmv(&x, &mut serial);
+            let runs = (1..=3).map(|nt| (nt, team_spmv(&mat, &x, nt)));
+            for (nt, got) in std::iter::once((0, serial)).chain(runs) {
+                for (row, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        g.to_bits() == w.to_bits(),
+                        "row {row} of {} on {nt} threads (0: `Csr::spmv`): {g:e} vs {w:e}",
+                        mat.n
+                    );
+                }
+            }
+        }
+    }
+
+    /// `zeta` of the indexed port (the commit before the row views); the
+    /// dot products add the members' partial sums in `tid` order, so the
+    /// last bits depend on the team size and on nothing else.
+    #[test]
+    fn zeta_is_pinned_to_the_indexed_ports_bits() {
+        let pins: [(Class, [u64; 3]); 3] = [
+            (
+                Class::T,
+                [
+                    0x4015_3c3b_ec4d_0c74,
+                    0x4015_3c3b_ec4d_0c7a,
+                    0x4015_3c3b_ec4d_0c7b,
+                ],
+            ),
+            (
+                Class::S,
+                [
+                    0x4021_31c1_4014_5f4d,
+                    0x4021_31c1_4014_5f4c,
+                    0x4021_31c1_4014_5f4d,
+                ],
+            ),
+            (
+                Class::W,
+                [
+                    0x4024_b9a6_1031_c698,
+                    0x4024_b9a6_1031_c694,
+                    0x4024_b9a6_1031_c696,
+                ],
+            ),
+        ];
+        for (class, bits) in pins {
+            for (nt, want) in (1..).zip(bits) {
+                let got = compute(class::cg_params(class), &Pool::new(nt))
+                    .zeta
+                    .to_bits();
+                assert!(
+                    got == want,
+                    "CG {} on {nt} threads: zeta bits {got:#018x}, pinned {want:#018x}",
+                    class.name()
+                );
+            }
         }
     }
 

@@ -20,7 +20,7 @@
 //! established independently by round-trip, Parseval, and analytic-case
 //! tests.
 
-use rvhpc_parallel::{Pool, SyncSlice};
+use rvhpc_parallel::{Pool, SyncSlice, TeamChunks};
 
 use crate::common::class::{self, Class, FtParams};
 use crate::common::mops;
@@ -127,13 +127,25 @@ impl FftPlan {
     }
 }
 
-/// Radix-2 Stockham step: transform `x` (length n, stride 1) using `y` as
+/// Pencils the y and z passes transform together (NPB's `fftblock`): 16
+/// complex numbers are 256 bytes, so a pass moves four whole cache lines per
+/// row it touches instead of one element per line, and every butterfly
+/// stage has a unit-stride inner loop at least this long.
+const FFT_BLOCK: usize = 16;
+
+/// Radix-2 Stockham transform of `x` (length n, stride 1) using `y` as
 /// ping-pong scratch. Unnormalized; `inverse` conjugates the twiddles.
 pub fn fft_1d(plan: &FftPlan, x: &mut [C64], y: &mut [C64], inverse: bool) {
-    let n = plan.n;
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(y.len(), n);
-    fft_rec(plan, n, 1, false, x, y, inverse);
+    fft_interleaved(plan, 1, x, y, inverse);
+}
+
+/// [`fft_1d`] on `s` pencils at once: point `p` of pencil `q` is
+/// `x[q + s * p]`. Each pencil goes through exactly the operations
+/// `fft_1d` would apply to it alone.
+fn fft_interleaved(plan: &FftPlan, s: usize, x: &mut [C64], y: &mut [C64], inverse: bool) {
+    debug_assert_eq!(x.len(), plan.n * s);
+    debug_assert_eq!(y.len(), plan.n * s);
+    fft_rec(plan, plan.n, s, false, x, y, inverse);
 }
 
 /// Recursive Stockham kernel: length `nn`, `s` interleaved transforms.
@@ -154,16 +166,45 @@ fn fft_rec(
         return;
     }
     let m = nn / 2;
-    for p in 0..m {
+    // Butterfly group p reads the s-long runs p and p + m of `x` and writes
+    // runs 2p and 2p + 1 of `y`.
+    let (lo, hi) = x[..nn * s].split_at(m * s);
+    let runs = lo.chunks_exact(s).zip(hi.chunks_exact(s));
+    for (p, ((a, b), out)) in runs.zip(y[..nn * s].chunks_exact_mut(2 * s)).enumerate() {
         let wp = plan.twiddle(p, nn, inverse);
+        let (sum, diff) = out.split_at_mut(s);
         for q in 0..s {
-            let a = x[q + s * p];
-            let b = x[q + s * (p + m)];
-            y[q + s * (2 * p)] = a + b;
-            y[q + s * (2 * p + 1)] = (a - b) * wp;
+            sum[q] = a[q] + b[q];
+            diff[q] = (a[q] - b[q]) * wp;
         }
     }
     fft_rec(plan, m, 2 * s, !eo, y, x, inverse);
+}
+
+/// Transform in place the pencils that cross `rows`: row `k` holds point
+/// `k` of every pencil, side by side. [`FFT_BLOCK`] pencils at a time are
+/// copied into `block` (as the interleaved layout of [`fft_interleaved`]),
+/// transformed there and copied back.
+fn fft_across(
+    plan: &FftPlan,
+    rows: &mut [&mut [C64]],
+    block: &mut [C64],
+    scratch: &mut [C64],
+    inverse: bool,
+) {
+    debug_assert_eq!(rows.len(), plan.n);
+    let width = rows[0].len();
+    for x0 in (0..width).step_by(FFT_BLOCK) {
+        let w = FFT_BLOCK.min(width - x0);
+        let (block, scratch) = (&mut block[..plan.n * w], &mut scratch[..plan.n * w]);
+        for (run, row) in block.chunks_exact_mut(w).zip(rows.iter()) {
+            run.copy_from_slice(&row[x0..][..w]);
+        }
+        fft_interleaved(plan, w, block, scratch, inverse);
+        for (run, row) in block.chunks_exact(w).zip(rows.iter_mut()) {
+            row[x0..][..w].copy_from_slice(run);
+        }
+    }
 }
 
 /// The FT state: three field arrays in `x`-fastest layout.
@@ -197,21 +238,17 @@ impl FtState {
 /// Fill `field` with the NPB initial conditions: 2·ntotal generator draws
 /// in x-fastest order (re, im interleaved), parallel by plane jumps.
 fn initial_conditions(field: &mut [C64], p: FtParams, pool: &Pool) {
-    let rows = p.ny * p.nz;
-    let shared = SyncSlice::new(field);
+    let rows = TeamChunks::new(pool, field, p.nx, 0, p.ny * p.nz);
     pool.run(|team| {
-        let range = team.static_range(0, rows);
-        let mut seed = skip_ahead(SEED, AMULT, 2 * (p.nx * range.start) as u64);
+        let (first, mine) = rows.claim(team);
+        let mut seed = skip_ahead(SEED, AMULT, 2 * (p.nx * first) as u64);
         let mut buf = vec![0.0f64; 2 * p.nx];
-        for row in range {
+        for row in mine.chunks_exact_mut(p.nx) {
             vranlc(&mut seed, AMULT, &mut buf);
-            let base = row * p.nx;
-            for i in 0..p.nx {
-                // SAFETY: row-disjoint static partition.
-                unsafe { shared.set(base + i, C64::new(buf[2 * i], buf[2 * i + 1])) };
+            for (v, ri) in row.iter_mut().zip(buf.chunks_exact(2)) {
+                *v = C64::new(ri[0], ri[1]);
             }
         }
-        team.barrier();
     });
 }
 
@@ -223,44 +260,38 @@ fn compute_twiddle(st: &mut FtState, pool: &Pool) {
         // Signed frequency index: (i + n/2) mod n − n/2.
         ((i + n / 2) % n) as f64 - (n / 2) as f64
     };
-    let tw = SyncSlice::new(&mut st.twiddle);
+    let planes = TeamChunks::new(pool, &mut st.twiddle, p.nx * p.ny, 0, p.nz);
     pool.run(|team| {
-        team.for_static(0, p.nz, |z| {
+        for (z, plane) in planes.claim_units(team) {
             let kz = wrap(z, p.nz);
-            for y in 0..p.ny {
+            for (y, row) in plane.chunks_exact_mut(p.nx).enumerate() {
                 let ky = wrap(y, p.ny);
-                for x in 0..p.nx {
+                for (x, e) in row.iter_mut().enumerate() {
                     let kx = wrap(x, p.nx);
-                    let e = (ap * (kx * kx + ky * ky + kz * kz)).exp();
-                    // SAFETY: plane-disjoint static partition.
-                    unsafe { tw.set(x + p.nx * (y + p.ny * z), e) };
+                    *e = (ap * (kx * kx + ky * ky + kz * kz)).exp();
                 }
             }
-        });
+        }
     });
 }
 
 /// One evolve step: `u0 *= twiddle` (cumulative damping), `u1 = u0`.
 fn evolve(st: &mut FtState, pool: &Pool) {
     let nt = st.p.ntotal();
+    let u0 = TeamChunks::new(pool, &mut st.u0, 1, 0, nt);
+    let u1 = TeamChunks::new(pool, &mut st.u1, 1, 0, nt);
     let tw = &st.twiddle;
-    {
-        let u0 = SyncSlice::new(&mut st.u0);
-        let u1 = SyncSlice::new(&mut st.u1);
-        pool.run(|team| {
-            team.phase("evolve", || {
-                for i in team.static_range(0, nt) {
-                    // SAFETY: disjoint static ranges.
-                    unsafe {
-                        let v = u0.get(i).scale(tw[i]);
-                        u0.set(i, v);
-                        u1.set(i, v);
-                    }
-                }
-            });
-            team.barrier();
+    pool.run(|team| {
+        let (first, u0) = u0.claim(team);
+        let (_, u1) = u1.claim(team);
+        let tw = &tw[first..][..u0.len()];
+        team.phase("evolve", || {
+            for ((a, b), &t) in u0.iter_mut().zip(u1.iter_mut()).zip(tw) {
+                *a = a.scale(t);
+                *b = *a;
+            }
         });
-    }
+    });
 }
 
 /// The NPB 1024-point checksum of `field`, divided by ntotal.
@@ -322,7 +353,7 @@ pub fn compute(class: Class, pool: &Pool) -> FtOutput {
     }
 }
 
-/// Standalone 3-D FFT (wrapper so `compute` can borrow fields disjointly).
+/// 3-D FFT of `src` into `dst`, one axis after the other.
 fn fft3d_outer(
     plans: &[FftPlan; 3],
     p: FtParams,
@@ -331,72 +362,49 @@ fn fft3d_outer(
     inverse: bool,
     pool: &Pool,
 ) {
-    // Reuse fft3d through a temporary state view.
-    struct View<'a> {
-        p: FtParams,
-        plans: &'a [FftPlan; 3],
+    debug_assert_eq!(src.len(), p.ntotal());
+    let plane_len = p.nx * p.ny;
+    // Per member: a block of y or z pencils and the transforms' scratch,
+    // which also serves the single x pencils.
+    let buffers = || {
+        let len = (FFT_BLOCK.min(p.nx) * p.ny.max(p.nz)).max(p.nx);
+        (vec![C64::default(); len], vec![C64::default(); len])
+    };
+    {
+        // x and y pencils lie inside a z plane, so a plane's owner runs both
+        // passes on it while it is still in cache.
+        let planes = TeamChunks::new(pool, dst, plane_len, 0, p.nz);
+        pool.run(|team| {
+            let (mut block, mut scratch) = buffers();
+            for (z, plane) in planes.claim_units(team) {
+                team.phase("fft-x", || {
+                    plane.copy_from_slice(&src[z * plane_len..][..plane_len]);
+                    for row in plane.chunks_exact_mut(p.nx) {
+                        fft_1d(&plans[0], row, &mut scratch[..p.nx], inverse);
+                    }
+                });
+                team.phase("fft-yz-transpose", || {
+                    let mut rows: Vec<&mut [C64]> = plane.chunks_exact_mut(p.nx).collect();
+                    fft_across(&plans[1], &mut rows, &mut block, &mut scratch, inverse);
+                });
+            }
+        });
     }
-    let v = View { p, plans };
-    let nt = v.p.ntotal();
-    debug_assert_eq!(src.len(), nt);
+    // z pencils cross every plane: a member owns the rows `(y, ·)` of its
+    // static block of `y`, nz runs of nx elements a plane apart.
     let out = SyncSlice::new(dst);
     pool.run(|team| {
-        let maxn = p.nx.max(p.ny).max(p.nz);
-        let mut pencil = vec![C64::default(); maxn];
-        let mut scratch = vec![C64::default(); maxn];
-        team.phase("fft-x", || {
-            team.for_static(0, p.nz, |z| {
-                for y in 0..p.ny {
-                    let base = p.nx * (y + p.ny * z);
-                    pencil[..p.nx].copy_from_slice(&src[base..base + p.nx]);
-                    fft_1d(
-                        &v.plans[0],
-                        &mut pencil[..p.nx],
-                        &mut scratch[..p.nx],
-                        inverse,
-                    );
-                    for x in 0..p.nx {
-                        // SAFETY: (y,z) pencils disjoint under the z split.
-                        unsafe { out.set(base + x, pencil[x]) };
-                    }
-                }
-            });
-        });
+        let (mut block, mut scratch) = buffers();
         team.phase("fft-yz-transpose", || {
-            team.for_static(0, p.nz, |z| {
-                for x in 0..p.nx {
-                    for y in 0..p.ny {
-                        // SAFETY: z-plane is ours (previous pass barriered).
-                        pencil[y] = unsafe { out.get(x + p.nx * (y + p.ny * z)) };
-                    }
-                    fft_1d(
-                        &v.plans[1],
-                        &mut pencil[..p.ny],
-                        &mut scratch[..p.ny],
-                        inverse,
-                    );
-                    for y in 0..p.ny {
-                        unsafe { out.set(x + p.nx * (y + p.ny * z), pencil[y]) };
-                    }
-                }
-            });
-            team.for_static(0, p.ny, |y| {
-                for x in 0..p.nx {
-                    for z in 0..p.nz {
-                        // SAFETY: (x,y) columns disjoint under the y split.
-                        pencil[z] = unsafe { out.get(x + p.nx * (y + p.ny * z)) };
-                    }
-                    fft_1d(
-                        &v.plans[2],
-                        &mut pencil[..p.nz],
-                        &mut scratch[..p.nz],
-                        inverse,
-                    );
-                    for z in 0..p.nz {
-                        unsafe { out.set(x + p.nx * (y + p.ny * z), pencil[z]) };
-                    }
-                }
-            });
+            for y in team.static_range(0, p.ny) {
+                let mut rows: Vec<&mut [C64]> = (0..p.nz)
+                    // SAFETY: row (y, z) belongs to the one member whose
+                    // static block holds y, for the whole region, and each
+                    // (y, z) is taken once.
+                    .map(|z| unsafe { out.slice_mut(p.nx * (y + p.ny * z), p.nx) })
+                    .collect();
+                fft_across(&plans[2], &mut rows, &mut block, &mut scratch, inverse);
+            }
         });
     });
 }
@@ -614,6 +622,129 @@ mod tests {
                 assert!((mag - n as f64).abs() < 1e-9, "peak {mag} at {k}");
             } else {
                 assert!(mag < 1e-9, "leakage {mag} at {k}");
+            }
+        }
+    }
+
+    /// Reproducible field values in (−0.5, 0.5).
+    fn noise(len: usize) -> Vec<C64> {
+        let (mut buf, mut seed) = (vec![0.0f64; 2 * len], SEED);
+        vranlc(&mut seed, AMULT, &mut buf);
+        buf.chunks_exact(2)
+            .map(|ri| C64::new(ri[0] - 0.5, ri[1] - 0.5))
+            .collect()
+    }
+
+    fn assert_same_bits(got: &[C64], want: &[C64], what: &str) {
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                "{what}: element {k} is {g:?}, one-pencil reference {w:?}"
+            );
+        }
+    }
+
+    /// The transform along the axis whose points are `stride` apart, one
+    /// pencil at a time through `fft_1d` — the port before blocking.
+    fn fft_axis_by_pencils(field: &mut [C64], n: usize, stride: usize, inverse: bool) {
+        let (plan, mut pencil, mut scratch) = plan_pair(n);
+        for start in (0..field.len()).filter(|i| (i / stride).is_multiple_of(n)) {
+            for (k, v) in pencil.iter_mut().enumerate() {
+                *v = field[start + k * stride];
+            }
+            fft_1d(&plan, &mut pencil, &mut scratch, inverse);
+            for (k, v) in pencil.iter().enumerate() {
+                field[start + k * stride] = *v;
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_pencils_match_one_pencil_transforms_bit_for_bit() {
+        // Narrower than a block, exactly one, one and a half, two and a half.
+        for width in [8, FFT_BLOCK, 24, 40] {
+            for n in [2, 16, 64] {
+                for inverse in [false, true] {
+                    let orig = noise(n * width);
+                    let mut want = orig.clone();
+                    fft_axis_by_pencils(&mut want, n, width, inverse);
+                    let mut got = orig.clone();
+                    let mut rows: Vec<&mut [C64]> = got.chunks_exact_mut(width).collect();
+                    let mut block = vec![C64::default(); n * FFT_BLOCK];
+                    let mut scratch = block.clone();
+                    fft_across(
+                        &FftPlan::new(n),
+                        &mut rows,
+                        &mut block,
+                        &mut scratch,
+                        inverse,
+                    );
+                    let what = format!("{width} pencils of {n}, inverse {inverse}");
+                    assert_same_bits(&got, &want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fft3d_matches_one_pencil_transforms_bit_for_bit() {
+        for (nx, ny, nz) in [(8, 4, 16), (16, 32, 2), (32, 8, 8)] {
+            let p = FtParams {
+                nx,
+                ny,
+                nz,
+                niter: 1,
+            };
+            let plans = [FftPlan::new(nx), FftPlan::new(ny), FftPlan::new(nz)];
+            let src = noise(p.ntotal());
+            for inverse in [false, true] {
+                let mut want = src.clone();
+                fft_axis_by_pencils(&mut want, nx, 1, inverse);
+                fft_axis_by_pencils(&mut want, ny, nx, inverse);
+                fft_axis_by_pencils(&mut want, nz, nx * ny, inverse);
+                for nt in 1..=3 {
+                    let mut got = vec![C64::default(); p.ntotal()];
+                    fft3d_outer(&plans, p, &src, &mut got, inverse, &Pool::new(nt));
+                    let what = format!("{nx}x{ny}x{nz}, inverse {inverse}, {nt} threads");
+                    assert_same_bits(&got, &want, &what);
+                }
+            }
+        }
+    }
+
+    /// First and last checksum of the one-pencil port (the commit before the
+    /// blocked passes); no pencil's arithmetic depends on the team size.
+    #[test]
+    fn checksums_are_pinned_to_the_one_pencil_ports_bits() {
+        type Bits = (u64, u64);
+        let pins: [(Class, Bits, Bits); 3] = [
+            (
+                Class::T,
+                (0x4080_ce4f_b329_c46c, 0x4082_da3a_f91d_0bb3),
+                (0x4080_c0d2_4d62_c68d, 0x4082_c3d7_76b2_31a7),
+            ),
+            (
+                Class::S,
+                (0x4081_54de_9e5d_a880, 0x407e_4894_d21e_8349),
+                (0x4081_5225_9010_e296, 0x407e_d427_d4df_00ec),
+            ),
+            (
+                Class::W,
+                (0x4081_bae3_c635_1819, 0x4080_8a98_f467_f162),
+                (0x4081_3353_e9e3_e201, 0x4080_5f5e_ab0f_5eac),
+            ),
+        ];
+        for (class, first, last) in pins {
+            for nt in 1..=3 {
+                let sums = compute(class, &Pool::new(nt)).checksums;
+                let bits = |c: &C64| (c.re.to_bits(), c.im.to_bits());
+                let got = (bits(&sums[0]), bits(sums.last().unwrap()));
+                assert!(
+                    got == (first, last),
+                    "FT {} on {nt} threads: checksum bits {got:#x?}, pinned {:#x?}",
+                    class.name(),
+                    (first, last)
+                );
             }
         }
     }

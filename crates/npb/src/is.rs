@@ -149,6 +149,7 @@ fn rank(keys: &[u32], state: &mut RankState, pool: &Pool) {
                         }
                     }
                 }
+                // SAFETY: still inside `single`.
                 unsafe { base.set(nbuckets, acc) };
             });
             // Phase C: scatter this thread's keys into bucket order.

@@ -225,10 +225,9 @@ fn lower_sweep_pipelined(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
             for k in 1..n - 1 {
                 if t > 0 {
                     // Wait until the neighbour finished this plane.
-                    while progress[t - 1].load(std::sync::atomic::Ordering::Acquire) < k {
-                        std::hint::spin_loop();
-                        std::thread::yield_now();
-                    }
+                    team.wait_until(|| {
+                        progress[t - 1].load(std::sync::atomic::Ordering::Acquire) >= k
+                    });
                 }
                 for j in jr.clone() {
                     for i in 1..n - 1 {
@@ -262,10 +261,9 @@ fn upper_sweep_pipelined(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
         team.phase("ssor-sweeps", || {
             for k in (1..n - 1).rev() {
                 if t + 1 < p_threads {
-                    while progress[t + 1].load(std::sync::atomic::Ordering::Acquire) <= done {
-                        std::hint::spin_loop();
-                        std::thread::yield_now();
-                    }
+                    team.wait_until(|| {
+                        progress[t + 1].load(std::sync::atomic::Ordering::Acquire) > done
+                    });
                 }
                 for j in jr.clone().rev() {
                     for i in (1..n - 1).rev() {

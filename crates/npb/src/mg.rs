@@ -16,7 +16,7 @@
 //! smoother), same V-cycle schedule, same `zran3` generator consumption,
 //! and the published residual-norm verification constants.
 
-use rvhpc_parallel::{Pool, SyncSlice};
+use rvhpc_parallel::{Pool, TeamChunks};
 
 use crate::common::array::Array3;
 use crate::common::class::{self, Class};
@@ -46,42 +46,84 @@ fn c_coef(class: Class) -> [f64; 4] {
     }
 }
 
+/// Row `(i3, i2)` of a flat `m³` grid. Every kernel below works on such
+/// row views: the bounds are checked here, once per row, and the `i1`
+/// loops over them compile to straight-line vector code.
+#[inline]
+fn row(g: &[f64], m: usize, i3: usize, i2: usize) -> &[f64] {
+    &g[(i3 * m + i2) * m..][..m]
+}
+
+/// The `n` interior points of a row as seen from their left neighbour,
+/// from themselves and from their right neighbour.
+#[inline]
+fn taps(row: &[f64], n: usize) -> (&[f64], &[f64], &[f64]) {
+    (&row[..n], &row[1..][..n], &row[2..][..n])
+}
+
+/// The two partial sums every 27-point operator here starts from, for all
+/// of row `(i3, i2)`: `face[i1]` adds the four neighbours that share a face
+/// with the row in the `(i2, i3)` plane, `edge[i1]` the four diagonal ones
+/// (NPB's `u1`/`u2`, `r1`/`r2`, `x1`/`y1`).
+#[inline]
+fn plane_sums(g: &[f64], m: usize, i3: usize, i2: usize, face: &mut [f64], edge: &mut [f64]) {
+    let at = |j3: usize, j2: usize| row(g, m, j3, j2);
+    let (s, n, b, a) = (
+        at(i3, i2 - 1),
+        at(i3, i2 + 1),
+        at(i3 - 1, i2),
+        at(i3 + 1, i2),
+    );
+    let (bs, bn, as_, an) = (
+        at(i3 - 1, i2 - 1),
+        at(i3 - 1, i2 + 1),
+        at(i3 + 1, i2 - 1),
+        at(i3 + 1, i2 + 1),
+    );
+    let (face, edge) = (&mut face[..m], &mut edge[..m]);
+    for i1 in 0..m {
+        face[i1] = s[i1] + n[i1] + b[i1] + a[i1];
+        edge[i1] = bs[i1] + bn[i1] + as_[i1] + an[i1];
+    }
+}
+
 /// Periodic ghost-cell exchange (NPB `comm3`): copy the opposing interior
 /// face into each ghost face, axis by axis so edges and corners resolve.
 fn comm3(g: &mut Array3, pool: &Pool) {
     let (m, _, _) = g.dims();
     let hi = m - 1;
-    let flat = SyncSlice::new(g.flat_mut());
-    let idx = |i3: usize, i2: usize, i1: usize| (i3 * m + i2) * m + i1;
+    let plane = m * m;
+    let flat = g.flat_mut();
+    {
+        // Axes 1 and 2 stay inside an interior plane, so its owner does
+        // both, in order.
+        let planes = TeamChunks::new(pool, flat, plane, 1, hi);
+        pool.run(|team| {
+            team.phase("comm3-ghost", || {
+                for (_, p) in planes.claim_units(team) {
+                    for r in p[m..hi * m].chunks_exact_mut(m) {
+                        r[0] = r[hi - 1];
+                        r[hi] = r[1];
+                    }
+                    p.copy_within((hi - 1) * m..hi * m, 0);
+                    p.copy_within(m..2 * m, hi * m);
+                }
+            });
+        });
+    }
+    // Axis 3 fills the two ghost planes from interior planes nobody writes
+    // any more; shared by rows.
+    let (ghost_lo, rest) = flat.split_at_mut(plane);
+    let (interior, ghost_hi) = rest.split_at_mut((hi - 1) * plane);
+    let (first, last) = (&interior[..plane], &interior[(hi - 2) * plane..]);
+    let lo_rows = TeamChunks::new(pool, ghost_lo, m, 0, m);
+    let hi_rows = TeamChunks::new(pool, ghost_hi, m, 0, m);
     pool.run(|team| {
         team.phase("comm3-ghost", || {
-            // Axis 1 (contiguous index): interior planes only.
-            team.for_static(1, hi, |i3| {
-                for i2 in 1..hi {
-                    unsafe {
-                        flat.set(idx(i3, i2, 0), flat.get(idx(i3, i2, hi - 1)));
-                        flat.set(idx(i3, i2, hi), flat.get(idx(i3, i2, 1)));
-                    }
-                }
-            });
-            // Axis 2: interior i3, full i1 range.
-            team.for_static(1, hi, |i3| {
-                for i1 in 0..=hi {
-                    unsafe {
-                        flat.set(idx(i3, 0, i1), flat.get(idx(i3, hi - 1, i1)));
-                        flat.set(idx(i3, hi, i1), flat.get(idx(i3, 1, i1)));
-                    }
-                }
-            });
-            // Axis 3: full i2/i1 ranges; parallel over i2.
-            team.for_static(0, hi + 1, |i2| {
-                for i1 in 0..=hi {
-                    unsafe {
-                        flat.set(idx(0, i2, i1), flat.get(idx(hi - 1, i2, i1)));
-                        flat.set(idx(hi, i2, i1), flat.get(idx(1, i2, i1)));
-                    }
-                }
-            });
+            let (i2, dst) = lo_rows.claim(team);
+            dst.copy_from_slice(&last[i2 * m..][..dst.len()]);
+            let (i2, dst) = hi_rows.claim(team);
+            dst.copy_from_slice(&first[i2 * m..][..dst.len()]);
         });
     });
 }
@@ -98,44 +140,41 @@ enum VSource<'a> {
 /// `r = v − A u` (NPB `resid`), followed by `comm3(r)`.
 fn resid(u: &Array3, v: VSource<'_>, r: &mut Array3, pool: &Pool) {
     let (m, _, _) = u.dims();
-    let hi = m - 1;
+    let n = m - 2;
     {
-        let rs = SyncSlice::new(r.flat_mut());
         let uf = u.flat();
-        let idx = |i3: usize, i2: usize, i1: usize| (i3 * m + i2) * m + i1;
+        let planes = TeamChunks::new(pool, r.flat_mut(), m * m, 1, m - 1);
         pool.run(|team| {
             let mut u1 = vec![0.0f64; m];
             let mut u2 = vec![0.0f64; m];
             team.phase("stencil-sweeps", || {
-                team.for_static(1, hi, |i3| {
-                    for i2 in 1..hi {
-                        for i1 in 0..m {
-                            u1[i1] = uf[idx(i3, i2 - 1, i1)]
-                                + uf[idx(i3, i2 + 1, i1)]
-                                + uf[idx(i3 - 1, i2, i1)]
-                                + uf[idx(i3 + 1, i2, i1)];
-                            u2[i1] = uf[idx(i3 - 1, i2 - 1, i1)]
-                                + uf[idx(i3 - 1, i2 + 1, i1)]
-                                + uf[idx(i3 + 1, i2 - 1, i1)]
-                                + uf[idx(i3 + 1, i2 + 1, i1)];
-                        }
-                        for i1 in 1..hi {
-                            let center = idx(i3, i2, i1);
-                            let vv = match &v {
-                                VSource::Separate(va) => va.flat()[center],
-                                // SAFETY: this thread owns plane i3; the center
-                                // is read before being overwritten.
-                                VSource::InPlace => unsafe { rs.get(center) },
-                            };
-                            let val = vv
-                                - A_COEF[0] * uf[center]
-                                - A_COEF[2] * (u2[i1] + u1[i1 - 1] + u1[i1 + 1])
-                                - A_COEF[3] * (u2[i1 - 1] + u2[i1 + 1]);
-                            // SAFETY: plane i3 is exclusively ours.
-                            unsafe { rs.set(center, val) };
+                for (i3, plane) in planes.claim_units(team) {
+                    for (i2, out) in plane.chunks_exact_mut(m).enumerate().skip(1).take(n) {
+                        plane_sums(uf, m, i3, i2, &mut u1, &mut u2);
+                        let uc = &row(uf, m, i3, i2)[1..][..n];
+                        let (u1l, _, u1r) = taps(&u1, n);
+                        let (u2l, u2c, u2r) = taps(&u2, n);
+                        let minus_au = |vv: f64, i: usize| {
+                            vv - A_COEF[0] * uc[i]
+                                - A_COEF[2] * (u2c[i] + u1l[i] + u1r[i])
+                                - A_COEF[3] * (u2l[i] + u2r[i])
+                        };
+                        let out = &mut out[1..][..n];
+                        match &v {
+                            VSource::Separate(va) => {
+                                let vv = &row(va.flat(), m, i3, i2)[1..][..n];
+                                for i in 0..n {
+                                    out[i] = minus_au(vv[i], i);
+                                }
+                            }
+                            VSource::InPlace => {
+                                for i in 0..n {
+                                    out[i] = minus_au(out[i], i);
+                                }
+                            }
                         }
                     }
-                });
+                }
             });
         });
     }
@@ -145,46 +184,40 @@ fn resid(u: &Array3, v: VSource<'_>, r: &mut Array3, pool: &Pool) {
 /// `u += S r` (NPB `psinv`), followed by `comm3(u)`.
 fn psinv(r: &Array3, u: &mut Array3, c: &[f64; 4], pool: &Pool) {
     let (m, _, _) = r.dims();
-    let hi = m - 1;
+    let n = m - 2;
     {
-        let us = SyncSlice::new(u.flat_mut());
         let rf = r.flat();
-        let idx = |i3: usize, i2: usize, i1: usize| (i3 * m + i2) * m + i1;
+        let planes = TeamChunks::new(pool, u.flat_mut(), m * m, 1, m - 1);
         pool.run(|team| {
             let mut r1 = vec![0.0f64; m];
             let mut r2 = vec![0.0f64; m];
             team.phase("stencil-sweeps", || {
-                team.for_static(1, hi, |i3| {
-                    for i2 in 1..hi {
-                        for i1 in 0..m {
-                            r1[i1] = rf[idx(i3, i2 - 1, i1)]
-                                + rf[idx(i3, i2 + 1, i1)]
-                                + rf[idx(i3 - 1, i2, i1)]
-                                + rf[idx(i3 + 1, i2, i1)];
-                            r2[i1] = rf[idx(i3 - 1, i2 - 1, i1)]
-                                + rf[idx(i3 - 1, i2 + 1, i1)]
-                                + rf[idx(i3 + 1, i2 - 1, i1)]
-                                + rf[idx(i3 + 1, i2 + 1, i1)];
-                        }
-                        for i1 in 1..hi {
-                            let center = idx(i3, i2, i1);
-                            // SAFETY: plane i3 is exclusively ours.
-                            unsafe {
-                                let cur = us.get(center);
-                                us.set(
-                                    center,
-                                    cur + c[0] * rf[center]
-                                        + c[1] * (rf[center - 1] + rf[center + 1] + r1[i1])
-                                        + c[2] * (r2[i1] + r1[i1 - 1] + r1[i1 + 1]),
-                                );
-                            }
+                for (i3, plane) in planes.claim_units(team) {
+                    for (i2, out) in plane.chunks_exact_mut(m).enumerate().skip(1).take(n) {
+                        plane_sums(rf, m, i3, i2, &mut r1, &mut r2);
+                        let (rl, rc, rr) = taps(row(rf, m, i3, i2), n);
+                        let (r1l, r1c, r1r) = taps(&r1, n);
+                        let r2c = &r2[1..][..n];
+                        let out = &mut out[1..][..n];
+                        for i in 0..n {
+                            out[i] = out[i]
+                                + c[0] * rc[i]
+                                + c[1] * (rl[i] + rr[i] + r1c[i])
+                                + c[2] * (r2c[i] + r1l[i] + r1r[i]);
                         }
                     }
-                });
+                }
             });
         });
     }
     comm3(u, pool);
+}
+
+/// The fine points `2j − 1, 2j, 2j + 1` around each interior coarse point
+/// `j = 1, 2, …` of a fine row.
+#[inline]
+fn fine_taps(fine_row: &[f64]) -> impl Iterator<Item = &[f64]> {
+    fine_row[1..].windows(3).step_by(2)
 }
 
 /// Full-weighting restriction fine `rf` → coarse `rc` (NPB `rprj3`),
@@ -194,51 +227,29 @@ fn rprj3(rfine: &Array3, rcoarse: &mut Array3, pool: &Pool) {
     let (mc, _, _) = rcoarse.dims();
     let nc = mc - 2;
     {
-        let cs = SyncSlice::new(rcoarse.flat_mut());
         let ff = rfine.flat();
-        let fidx = |i3: usize, i2: usize, i1: usize| (i3 * mf + i2) * mf + i1;
-        let cidx = |j3: usize, j2: usize, j1: usize| (j3 * mc + j2) * mc + j1;
+        let planes = TeamChunks::new(pool, rcoarse.flat_mut(), mc * mc, 1, nc + 1);
         pool.run(|team| {
             // Alignment: the fine point coincident with coarse j is 2j
             // (0-based) — the same parity `interp` injects at (NPB's d=1
-            // offsets). x1/y1 hold first-sum rows at the *odd* fine
-            // neighbours (1, 3, ..., 2nc+1).
+            // offsets). x1/y1 hold the first-sum rows at every fine point:
+            // NPB's `x1`/`y1` at the odd ones, its `x2`/`y2` at the even.
             let mut x1 = vec![0.0f64; mf];
             let mut y1 = vec![0.0f64; mf];
-            team.for_static(1, nc + 1, |j3| {
-                let i3 = 2 * j3;
-                for j2 in 1..=nc {
-                    let i2 = 2 * j2;
-                    for jj in 0..=nc {
-                        let i1 = 2 * jj + 1; // odd positions f−1/f+1
-                        x1[i1] = ff[fidx(i3, i2 - 1, i1)]
-                            + ff[fidx(i3, i2 + 1, i1)]
-                            + ff[fidx(i3 - 1, i2, i1)]
-                            + ff[fidx(i3 + 1, i2, i1)];
-                        y1[i1] = ff[fidx(i3 - 1, i2 - 1, i1)]
-                            + ff[fidx(i3 - 1, i2 + 1, i1)]
-                            + ff[fidx(i3 + 1, i2 - 1, i1)]
-                            + ff[fidx(i3 + 1, i2 + 1, i1)];
-                    }
-                    for j1 in 1..=nc {
-                        let i1 = 2 * j1; // the fine center
-                        let y2 = ff[fidx(i3 - 1, i2 - 1, i1)]
-                            + ff[fidx(i3 - 1, i2 + 1, i1)]
-                            + ff[fidx(i3 + 1, i2 - 1, i1)]
-                            + ff[fidx(i3 + 1, i2 + 1, i1)];
-                        let x2 = ff[fidx(i3, i2 - 1, i1)]
-                            + ff[fidx(i3, i2 + 1, i1)]
-                            + ff[fidx(i3 - 1, i2, i1)]
-                            + ff[fidx(i3 + 1, i2, i1)];
-                        let val = 0.5 * ff[fidx(i3, i2, i1)]
-                            + 0.25 * (ff[fidx(i3, i2, i1 - 1)] + ff[fidx(i3, i2, i1 + 1)] + x2)
-                            + 0.125 * (x1[i1 - 1] + x1[i1 + 1] + y2)
-                            + 0.0625 * (y1[i1 - 1] + y1[i1 + 1]);
-                        // SAFETY: coarse plane j3 is exclusively ours.
-                        unsafe { cs.set(cidx(j3, j2, j1), val) };
+            for (j3, plane) in planes.claim_units(team) {
+                for (j2, out) in plane.chunks_exact_mut(mc).enumerate().skip(1).take(nc) {
+                    let (i3, i2) = (2 * j3, 2 * j2);
+                    plane_sums(ff, mf, i3, i2, &mut x1, &mut y1);
+                    let center = fine_taps(row(ff, mf, i3, i2));
+                    let sums = fine_taps(&x1).zip(fine_taps(&y1));
+                    for ((o, f), (x, y)) in out[1..][..nc].iter_mut().zip(center).zip(sums) {
+                        *o = 0.5 * f[1]
+                            + 0.25 * (f[0] + f[2] + x[1])
+                            + 0.125 * (x[0] + x[2] + y[1])
+                            + 0.0625 * (y[0] + y[2]);
                     }
                 }
-            });
+            }
         });
     }
     comm3(rcoarse, pool);
@@ -249,46 +260,54 @@ fn interp(z: &Array3, u: &mut Array3, pool: &Pool) {
     let (mc, _, _) = z.dims();
     let (mf, _, _) = u.dims();
     let nc = mc - 2;
-    let us = SyncSlice::new(u.flat_mut());
     let zf = z.flat();
-    let zidx = |i3: usize, i2: usize, i1: usize| (i3 * mc + i2) * mc + i1;
-    let fidx = |i3: usize, i2: usize, i1: usize| (i3 * mf + i2) * mf + i1;
+    // Coarse plane c3 writes fine planes 2c3 and 2c3+1: disjoint pairs.
+    let pairs = TeamChunks::new(pool, u.flat_mut(), 2 * mf * mf, 0, nc + 1);
     pool.run(|team| {
         let mut z1 = vec![0.0f64; mc];
         let mut z2 = vec![0.0f64; mc];
         let mut z3 = vec![0.0f64; mc];
-        // Coarse plane c3 writes fine planes 2c3 and 2c3+1: disjoint pairs.
-        team.for_static(0, nc + 1, |c3| {
-            for c2 in 0..=nc {
-                for c1 in 0..=nc + 1 {
-                    z1[c1] = zf[zidx(c3, c2 + 1, c1)] + zf[zidx(c3, c2, c1)];
-                    z2[c1] = zf[zidx(c3 + 1, c2, c1)] + zf[zidx(c3, c2, c1)];
-                    z3[c1] = zf[zidx(c3 + 1, c2 + 1, c1)] + zf[zidx(c3 + 1, c2, c1)] + z1[c1];
+        for (c3, pair) in pairs.claim_units(team) {
+            let (lower, upper) = pair.split_at_mut(mf * mf);
+            let row_pairs = lower
+                .chunks_exact_mut(2 * mf)
+                .zip(upper.chunks_exact_mut(2 * mf));
+            for (c2, (lower, upper)) in row_pairs.enumerate() {
+                let z00 = row(zf, mc, c3, c2);
+                let (z01, z10, z11) = (
+                    row(zf, mc, c3, c2 + 1),
+                    row(zf, mc, c3 + 1, c2),
+                    row(zf, mc, c3 + 1, c2 + 1),
+                );
+                let (z1, z2, z3) = (&mut z1[..mc], &mut z2[..mc], &mut z3[..mc]);
+                for c1 in 0..mc {
+                    z1[c1] = z01[c1] + z00[c1];
+                    z2[c1] = z10[c1] + z00[c1];
+                    z3[c1] = z11[c1] + z10[c1] + z1[c1];
                 }
-                for c1 in 0..=nc {
-                    let zc = zf[zidx(c3, c2, c1)];
-                    // SAFETY: fine planes 2c3/2c3+1 are exclusively ours.
-                    unsafe {
-                        let t = us.get_mut(fidx(2 * c3, 2 * c2, 2 * c1));
-                        *t += zc;
-                        let t = us.get_mut(fidx(2 * c3, 2 * c2, 2 * c1 + 1));
-                        *t += 0.5 * (zf[zidx(c3, c2, c1 + 1)] + zc);
-                        let t = us.get_mut(fidx(2 * c3, 2 * c2 + 1, 2 * c1));
-                        *t += 0.5 * z1[c1];
-                        let t = us.get_mut(fidx(2 * c3, 2 * c2 + 1, 2 * c1 + 1));
-                        *t += 0.25 * (z1[c1] + z1[c1 + 1]);
-                        let t = us.get_mut(fidx(2 * c3 + 1, 2 * c2, 2 * c1));
-                        *t += 0.5 * z2[c1];
-                        let t = us.get_mut(fidx(2 * c3 + 1, 2 * c2, 2 * c1 + 1));
-                        *t += 0.25 * (z2[c1] + z2[c1 + 1]);
-                        let t = us.get_mut(fidx(2 * c3 + 1, 2 * c2 + 1, 2 * c1));
-                        *t += 0.25 * z3[c1];
-                        let t = us.get_mut(fidx(2 * c3 + 1, 2 * c2 + 1, 2 * c1 + 1));
-                        *t += 0.125 * (z3[c1] + z3[c1 + 1]);
-                    }
+                // Fine rows (2c3, 2c2), (2c3, 2c2+1), (2c3+1, 2c2),
+                // (2c3+1, 2c2+1); each takes fine points 2c1 and 2c1+1 from
+                // coarse points c1 and c1+1 of one source row.
+                let (u00, u01) = lower.split_at_mut(mf);
+                let (u10, u11) = upper.split_at_mut(mf);
+                for (t, z) in u00.chunks_exact_mut(2).zip(z00.windows(2)) {
+                    t[0] += z[0];
+                    t[1] += 0.5 * (z[1] + z[0]);
+                }
+                for (t, z) in u01.chunks_exact_mut(2).zip(z1.windows(2)) {
+                    t[0] += 0.5 * z[0];
+                    t[1] += 0.25 * (z[0] + z[1]);
+                }
+                for (t, z) in u10.chunks_exact_mut(2).zip(z2.windows(2)) {
+                    t[0] += 0.5 * z[0];
+                    t[1] += 0.25 * (z[0] + z[1]);
+                }
+                for (t, z) in u11.chunks_exact_mut(2).zip(z3.windows(2)) {
+                    t[0] += 0.25 * z[0];
+                    t[1] += 0.125 * (z[0] + z[1]);
                 }
             }
-        });
+        }
     });
 }
 
@@ -383,15 +402,11 @@ fn skip_ahead_mult(n: u64) -> f64 {
 /// L2 norm of the interior of `r`, normalized by the point count
 /// (NPB `norm2u3`).
 fn norm2u3(r: &Array3, n: usize, pool: &Pool) -> f64 {
-    let (m, _, _) = r.dims();
-    let rf = r.flat();
-    let idx = |i3: usize, i2: usize, i1: usize| (i3 * m + i2) * m + i1;
     let sums = pool.run(|team| {
         let mut local = 0.0f64;
         for i3 in team.static_range(1, n + 1) {
             for i2 in 1..=n {
-                for i1 in 1..=n {
-                    let v = rf[idx(i3, i2, i1)];
+                for v in &r.row(i3, i2)[1..][..n] {
                     local += v * v;
                 }
             }
@@ -665,6 +680,9 @@ pub fn debug_sequence(class: Class, pool: &Pool, iters: usize) {
         prev = r;
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -25,8 +25,10 @@
 //! * [`bind`] — thread-placement policies mirroring `OMP_PROC_BIND`
 //!   (`false`/`close`/`spread`), used by the architecture simulator to
 //!   reproduce the paper's §5.2 placement experiment.
-//! * [`sync_slice::SyncSlice`] — a shared-slice wrapper for the disjoint
-//!   index-set writes that OpenMP work-sharing loops perform.
+//! * [`sync_slice::TeamChunks`] — one slice dealt to the team in the blocks
+//!   of a static schedule, each member's part an ordinary `&mut [T]`;
+//!   [`sync_slice::SyncSlice`] — the escape hatch for the disjoint writes
+//!   that are not contiguous blocks.
 //!
 //! ## Example
 //!
@@ -60,4 +62,4 @@ pub use config::RuntimeConfig;
 pub use padded::CachePadded;
 pub use pool::{Pool, Team};
 pub use schedule::Schedule;
-pub use sync_slice::SyncSlice;
+pub use sync_slice::{SyncSlice, TeamChunks};

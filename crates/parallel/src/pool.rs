@@ -31,6 +31,7 @@ use crate::barrier::CentralizedBarrier;
 use crate::dispatch::Dispatch;
 use crate::padded::CachePadded;
 use crate::schedule::{self, Schedule};
+use crate::wait::poll_until;
 
 /// Width of the widest array reduction supported by [`Team::reduce_f64_vec`].
 pub const MAX_REDUCE_WIDTH: usize = 64;
@@ -262,6 +263,14 @@ impl Team<'_> {
         self.shared.barrier.wait(self.tid);
         self.recorder
             .record_span(span, EventKind::BarrierWait, "barrier", self.tid as u32, 0);
+    }
+
+    /// Wait for a condition another member will make true — a pipeline's
+    /// progress flag, say — the way the barrier waits for its release:
+    /// poll, and offer the CPU to the scheduler every 64th poll (`wait.rs`).
+    #[inline]
+    pub fn wait_until(&self, ready: impl FnMut() -> bool) {
+        poll_until(ready, || false);
     }
 
     /// Run `f` as a named algorithmic phase. With tracing on, this

@@ -9,6 +9,7 @@
 //! the serial one.
 
 use crate::pool::Pool;
+use crate::sync_slice::TeamChunks;
 
 /// Below this length the pairwise tree bottoms out into a simple fold.
 /// Fixed (not tuned per machine) so that the summation order — and thus the
@@ -119,18 +120,14 @@ pub fn parallel_sum_of_squares(pool: &Pool, x: &[f64]) -> f64 {
     if x.len() <= 4 * PAIRWISE_LEAF || pool.nthreads() == 1 {
         return sum_of_squares_serial(x);
     }
-    let sq: Vec<f64> = {
-        let mut sq = vec![0.0f64; x.len()];
-        let shared = crate::sync_slice::SyncSlice::new(&mut sq);
-        pool.run(|team| {
-            for i in team.static_range(0, x.len()) {
-                // SAFETY: static ranges of distinct tids are disjoint.
-                unsafe { shared.set(i, x[i] * x[i]) };
-            }
-            team.barrier();
-        });
-        sq
-    };
+    let mut sq = vec![0.0f64; x.len()];
+    let parts = TeamChunks::new(pool, &mut sq, 1, 0, x.len());
+    pool.run(|team| {
+        let (first, mine) = parts.claim(team);
+        for (s, v) in mine.iter_mut().zip(&x[first..]) {
+            *s = v * v;
+        }
+    });
     pairwise_sum(&sq)
 }
 

@@ -1,17 +1,30 @@
-//! Shared-slice wrapper for disjoint-index parallel writes.
+//! Team access to one mutable slice.
 //!
 //! OpenMP work-sharing loops routinely have every thread write a disjoint
 //! subset of the same array (`u[i] = ...` inside `#pragma omp for`). Rust's
 //! aliasing rules cannot express "disjoint by construction of the schedule",
-//! so this module provides the standard HPC escape hatch: a `Sync` wrapper
-//! over a mutable slice whose element writes are `unsafe` and whose safety
-//! contract is *exactly* the work-sharing discipline.
+//! so this module has two answers.
 //!
-//! Prefer the safe chunk-splitting helpers ([`split_chunks`]) when the
-//! access pattern allows; use [`SyncSlice`] for stencils and transposes
-//! where each thread's writes are disjoint but not contiguous.
+//! [`TeamChunks`] is the safe one and the one to reach for: when a member
+//! owns what a static schedule gives it — whole planes, whole rows, one
+//! contiguous range — the slice is split before the region and each member
+//! claims its part as an ordinary `&mut [T]`. The kernels then work on row
+//! views of that chunk, so the compiler sees the lengths, checks bounds once
+//! per row and vectorises the inner loop.
+//!
+//! [`SyncSlice`] is the escape hatch for the rest: a `Sync` wrapper whose
+//! accesses are `unsafe` and whose contract is *exactly* the work-sharing
+//! discipline. It is for ownership that is strided (FT's z pencils), that
+//! follows a data-dependent order (LU's wavefronts, IS's scatter), or that
+//! alternates between "everyone reads all of it" and "everyone writes their
+//! part" inside one region (CG's direction vector).
 
 use std::cell::UnsafeCell;
+
+use parking_lot::Mutex;
+
+use crate::pool::{Pool, Team};
+use crate::schedule::static_block;
 
 /// A shared view of `&mut [T]` allowing concurrent element access from a
 /// team, under the caller-guaranteed contract that no element is written by
@@ -104,6 +117,19 @@ impl<'a, T> SyncSlice<'a, T> {
         self.data.as_ptr().add(i) as *mut T
     }
 
+    /// A shared sub-slice `[start, start+len)`.
+    ///
+    /// # Safety
+    /// No thread may write an element of the range while the result lives.
+    #[inline]
+    pub unsafe fn slice(&self, start: usize, len: usize) -> &[T] {
+        assert!(start + len <= self.data.len());
+        // SAFETY: the range lies inside the slice (checked above), whose
+        // cells are initialised `T`s borrowed for `'a`; the caller
+        // guarantees nothing writes the range while the result lives.
+        std::slice::from_raw_parts(self.ptr_at(start), len)
+    }
+
     /// A mutable sub-slice `[start, start+len)`.
     ///
     /// # Safety
@@ -120,22 +146,57 @@ impl<'a, T> SyncSlice<'a, T> {
     }
 }
 
-/// Split `slice` into `n` nearly equal contiguous chunks (sizes differ by at
-/// most one) — the safe counterpart of a static schedule over owned data.
-pub fn split_chunks<T>(slice: &mut [T], n: usize) -> Vec<&mut [T]> {
-    assert!(n >= 1);
-    let total = slice.len();
-    let base = total / n;
-    let rem = total % n;
-    let mut out = Vec::with_capacity(n);
-    let mut rest = slice;
-    for t in 0..n {
-        let len = base + usize::from(t < rem);
-        let (head, tail) = rest.split_at_mut(len);
-        out.push(head);
-        rest = tail;
+/// One slice dealt out to a pool's team in the blocks of a static schedule:
+/// the safe counterpart of [`Team::for_static`] for data the iterations own.
+///
+/// The slice is read as units of `unit` elements — a grid plane, a row, a
+/// single element — and member `tid` gets units
+/// [`static_block(lo, hi, tid, nthreads)`](static_block) as one `&mut`
+/// chunk, which it claims once inside a region of that pool. Units outside
+/// `lo..hi` (ghost planes) are handed to nobody.
+pub struct TeamChunks<'a, T> {
+    unit: usize,
+    /// The dealt range of units.
+    units: std::ops::Range<usize>,
+    /// Each member's chunk, until claimed.
+    slots: Vec<Mutex<Option<&'a mut [T]>>>,
+}
+
+impl<'a, T> TeamChunks<'a, T> {
+    /// Deal units `lo..hi` of `slice` to the teams `pool` forks.
+    pub fn new(pool: &Pool, slice: &'a mut [T], unit: usize, lo: usize, hi: usize) -> Self {
+        let nthreads = pool.nthreads();
+        let mut rest = &mut slice[lo * unit..hi * unit];
+        let mut slots = Vec::with_capacity(nthreads);
+        for tid in 0..nthreads {
+            let block = static_block(lo, hi, tid, nthreads);
+            let (head, tail) = rest.split_at_mut(block.len() * unit);
+            rest = tail;
+            slots.push(Mutex::new(Some(head)));
+        }
+        Self {
+            unit,
+            units: lo..hi,
+            slots,
+        }
     }
-    out
+
+    /// The calling member's first unit and its chunk (empty when the team
+    /// is larger than the range). Panics on a second claim by one member.
+    pub fn claim(&self, team: &Team<'_>) -> (usize, &'a mut [T]) {
+        let chunk = self.slots[team.tid()].lock().take();
+        (
+            team.static_range(self.units.start, self.units.end).start,
+            chunk.expect("a team member claims its chunk once"),
+        )
+    }
+
+    /// [`TeamChunks::claim`], unit by unit: each of the member's units with
+    /// its index.
+    pub fn claim_units(&self, team: &Team<'_>) -> impl Iterator<Item = (usize, &'a mut [T])> {
+        let (first, chunk) = self.claim(team);
+        (first..).zip(chunk.chunks_exact_mut(self.unit))
+    }
 }
 
 #[cfg(test)]
@@ -184,22 +245,46 @@ mod tests {
     }
 
     #[test]
-    fn split_chunks_partitions() {
-        let mut data: Vec<u32> = (0..10).collect();
-        let chunks = split_chunks(&mut data, 3);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0], &[0, 1, 2, 3]);
-        assert_eq!(chunks[1], &[4, 5, 6]);
-        assert_eq!(chunks[2], &[7, 8, 9]);
+    fn team_chunks_follow_the_static_schedule() {
+        // Ten rows of three between two ghost rows, dealt to three members.
+        let mut data: Vec<u32> = (0..36).collect();
+        let pool = Pool::new(3);
+        let chunks = TeamChunks::new(&pool, &mut data, 3, 1, 11);
+        let seen = pool.run(|team| {
+            let (first, mine) = chunks.claim(team);
+            assert_eq!(first, team.static_range(1, 11).start);
+            assert_eq!(mine.len(), 3 * team.static_range(1, 11).len());
+            assert_eq!(mine[0] as usize, 3 * first);
+            mine.fill(team.tid() as u32 + 100);
+            mine.len()
+        });
+        assert_eq!(seen, [12, 9, 9]);
+        assert_eq!(data[..3], [0, 1, 2], "ghost row dealt out");
+        assert_eq!(data[33..], [33, 34, 35], "ghost row dealt out");
+        assert!(data[3..15].iter().all(|&v| v == 100));
+        assert!(data[15..24].iter().all(|&v| v == 101));
+        assert!(data[24..33].iter().all(|&v| v == 102));
     }
 
     #[test]
-    fn split_chunks_more_chunks_than_items() {
-        let mut data = vec![1, 2];
-        let chunks = split_chunks(&mut data, 5);
-        let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 2);
-        assert!(sizes.iter().all(|&s| s <= 1));
+    fn team_chunks_more_members_than_units() {
+        let mut data = vec![1u8, 2];
+        let pool = Pool::new(5);
+        let chunks = TeamChunks::new(&pool, &mut data, 1, 0, 2);
+        let sizes = pool.run(|team| chunks.claim(team).1.len());
+        assert_eq!(sizes, [1, 1, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "claims its chunk once")]
+    fn team_chunks_refuse_a_second_claim() {
+        let mut data = vec![0u8; 4];
+        let pool = Pool::new(1);
+        let chunks = TeamChunks::new(&pool, &mut data, 1, 0, 4);
+        pool.run(|team| {
+            chunks.claim(team);
+            chunks.claim(team);
+        });
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! copy/scale, 3 for add/triad). Parallelized over the team with static
 //! partitions, like the OpenMP reference.
 
-use rvhpc_parallel::{Pool, SyncSlice};
+use rvhpc_parallel::{Pool, TeamChunks};
 
 /// The four STREAM kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,31 +69,30 @@ pub fn run_host_stream(n: usize, ntimes: usize, pool: &Pool) -> HostStreamResult
 
     for _ in 0..ntimes {
         // Copy: c = a
-        let dt = timed_kernel(pool, &mut c, |cs, team| {
-            for i in team.static_range(0, n) {
-                // SAFETY: static ranges are disjoint.
-                unsafe { cs.set(i, a[i]) };
+        let dt = timed_kernel(pool, &mut c, |i0, c| {
+            for (c, a) in c.iter_mut().zip(&a[i0..]) {
+                *c = *a;
             }
         });
         best[0] = best[0].min(dt);
         // Scale: b = scalar * c
-        let dt = timed_kernel(pool, &mut b, |bs, team| {
-            for i in team.static_range(0, n) {
-                unsafe { bs.set(i, scalar * c[i]) };
+        let dt = timed_kernel(pool, &mut b, |i0, b| {
+            for (b, c) in b.iter_mut().zip(&c[i0..]) {
+                *b = scalar * c;
             }
         });
         best[1] = best[1].min(dt);
         // Add: c = a + b
-        let dt = timed_kernel(pool, &mut c, |cs, team| {
-            for i in team.static_range(0, n) {
-                unsafe { cs.set(i, a[i] + b[i]) };
+        let dt = timed_kernel(pool, &mut c, |i0, c| {
+            for ((c, a), b) in c.iter_mut().zip(&a[i0..]).zip(&b[i0..]) {
+                *c = a + b;
             }
         });
         best[2] = best[2].min(dt);
         // Triad: a = b + scalar * c
-        let dt = timed_kernel(pool, &mut a, |as_, team| {
-            for i in team.static_range(0, n) {
-                unsafe { as_.set(i, b[i] + scalar * c[i]) };
+        let dt = timed_kernel(pool, &mut a, |i0, a| {
+            for ((a, b), c) in a.iter_mut().zip(&b[i0..]).zip(&c[i0..]) {
+                *a = b + scalar * c;
             }
         });
         best[3] = best[3].min(dt);
@@ -125,17 +124,15 @@ pub fn run_host_stream(n: usize, ntimes: usize, pool: &Pool) -> HostStreamResult
     }
 }
 
-/// Time one team-parallel kernel writing `out`.
-fn timed_kernel(
-    pool: &Pool,
-    out: &mut [f64],
-    body: impl Fn(&SyncSlice<'_, f64>, &rvhpc_parallel::Team<'_>) + Sync,
-) -> f64 {
-    let os = SyncSlice::new(out);
+/// Time one team-parallel kernel writing `out`: `body` gets the index its
+/// member's static block starts at and that block of `out`.
+fn timed_kernel(pool: &Pool, out: &mut [f64], body: impl Fn(usize, &mut [f64]) + Sync) -> f64 {
+    let n = out.len();
+    let blocks = TeamChunks::new(pool, out, 1, 0, n);
     let t0 = std::time::Instant::now();
     pool.run(|team| {
-        body(&os, team);
-        team.barrier();
+        let (i0, mine) = blocks.claim(team);
+        body(i0, mine);
     });
     t0.elapsed().as_secs_f64()
 }

@@ -201,16 +201,16 @@ fn bench_out_settles_provenance_before_running() {
     };
     assert!(git(&["init", "-q"]).status.success());
     std::fs::write(dir.join("untracked.rs"), "fn main() {}\n").expect("write");
-    let (code, stderr) = reproduce(&dir, None, &["--out", "BENCH_7.json"]);
+    let (code, stderr) = reproduce(&dir, None, &["--out", "BENCH_99.json"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("uncommitted"), "{stderr}");
-    assert!(!dir.join("BENCH_7.json").exists());
+    assert!(!dir.join("BENCH_99.json").exists());
 
     // A quick run is a scratch document: any name, numbered as the next
     // trajectory document; a trajectory name gives its own index.
     let quick = ["--quick", "--filter", "host_cg_spmv", "--out"];
     let next = record::next_index(&repo.join("results")) as f64;
-    for (name, index) in [("current.json", next), ("BENCH_7.json", 7.0)] {
+    for (name, index) in [("current.json", next), ("BENCH_99.json", 99.0)] {
         let path = dir.join(name);
         let (code, stderr) = reproduce(
             repo,
