@@ -20,7 +20,7 @@ use crate::cfd::fields::Fields;
 use crate::cfd::jacobians::{flux_jacobian, viscous_jacobian};
 use crate::cfd::matrix5::{binvcrhs, binvrhs, matmul_sub, matvec_sub, Mat5, Vec5, IDENTITY};
 use crate::cfd::norms::{error_norm, norm_scalar, rhs_norm};
-use crate::cfd::rhs::{compute_forcing, compute_rhs, scale_rhs_by_dt, Direction};
+use crate::cfd::rhs::{add_update, compute_forcing, compute_rhs, scale_rhs_by_dt, Direction};
 use crate::common::class::{self, Class};
 use crate::common::mops;
 use crate::common::result::{BenchResult, Provenance, VerifyStatus};
@@ -163,29 +163,6 @@ fn line_solve(f: &mut Fields, c: &CfdConstants, dir: Direction, pool: &Pool) {
     });
 }
 
-/// `u += Δu` on the interior (NPB `add`).
-fn add_increment(f: &mut Fields, pool: &Pool) {
-    let n = f.n;
-    let rhsf = f.rhs.flat();
-    let us = SyncSlice::new(f.u.flat_mut());
-    pool.run(|team| {
-        team.for_static(1, n - 1, |k| {
-            for j in 1..n - 1 {
-                for i in 1..n - 1 {
-                    let b = ((k * n + j) * n + i) * 5;
-                    for m in 0..5 {
-                        // SAFETY: plane k is exclusively ours.
-                        unsafe {
-                            let v = us.get(b + m);
-                            us.set(b + m, v + rhsf[b + m]);
-                        }
-                    }
-                }
-            }
-        });
-    });
-}
-
 /// One full ADI time step (NPB `adi`).
 pub fn adi_step(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
     f.compute_aux(pool);
@@ -194,7 +171,7 @@ pub fn adi_step(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
     line_solve(f, c, Direction::X, pool);
     line_solve(f, c, Direction::Y, pool);
     line_solve(f, c, Direction::Z, pool);
-    add_increment(f, pool);
+    add_update(f, 1.0, pool);
 }
 
 /// Run the full BT benchmark computation.
@@ -352,6 +329,7 @@ pub fn profile(class: Class) -> WorkloadProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::verify::assert_pinned_bits;
 
     #[test]
     fn repeated_steps_reduce_error() {
@@ -406,6 +384,32 @@ mod tests {
             "error_norm = {:.12e}",
             out.error_norm
         );
+    }
+
+    /// `error_norm` as commit bb19309 computed it (`compute_rhs` as four regions and three sweeps): the fused operator may not move a bit.
+    #[test]
+    fn error_norm_is_pinned_to_the_previous_ports_bits() {
+        let pins = [
+            (
+                Class::T,
+                [
+                    0x4002_521f_9cee_8440,
+                    0x4002_521f_9cee_8440,
+                    0x4002_521f_9cee_8440,
+                ],
+            ),
+            (
+                Class::S,
+                [
+                    0x3f5a_3df4_c6a5_4fcf,
+                    0x3f5a_3df4_c6a5_4fd0,
+                    0x3f5a_3df4_c6a5_4fd2,
+                ],
+            ),
+        ];
+        assert_pinned_bits("BT error_norm", &pins, |class, pool| {
+            compute(class, pool).error_norm
+        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The pseudo-application state and auxiliary fields.
 
-use rvhpc_parallel::{Pool, SyncSlice};
+use rvhpc_parallel::{Pool, TeamChunks};
 
 use crate::cfd::constants::CfdConstants;
 use crate::cfd::exact::exact_solution;
@@ -51,29 +51,33 @@ impl Fields {
     /// values in the interior, exact values on the boundary faces.
     pub fn initialize(&mut self, c: &CfdConstants, pool: &Pool) {
         let n = self.n;
-        let us = SyncSlice::new(self.u.flat_mut());
+        self.fill_state(pool, |i, j, k| {
+            let (xi, eta, zeta) = (c.coord(i), c.coord(j), c.coord(k));
+            if i == 0 || i == n - 1 || j == 0 || j == n - 1 || k == 0 || k == n - 1 {
+                exact_solution(xi, eta, zeta)
+            } else {
+                blended_interior(xi, eta, zeta)
+            }
+        });
+    }
+
+    /// Set `u` at every grid point `(i, j, k)`, each member filling the
+    /// k-planes it owns.
+    pub(crate) fn fill_state(
+        &mut self,
+        pool: &Pool,
+        state_at: impl Fn(usize, usize, usize) -> [f64; 5] + Sync,
+    ) {
+        let n = self.n;
+        let planes = TeamChunks::new(pool, self.u.flat_mut(), 5 * n * n, 0, n);
         pool.run(|team| {
-            team.for_static(0, n, |k| {
-                let zeta = c.coord(k);
-                for j in 0..n {
-                    let eta = c.coord(j);
-                    for i in 0..n {
-                        let xi = c.coord(i);
-                        let value =
-                            if i == 0 || i == n - 1 || j == 0 || j == n - 1 || k == 0 || k == n - 1
-                            {
-                                exact_solution(xi, eta, zeta)
-                            } else {
-                                blended_interior(xi, eta, zeta)
-                            };
-                        let base = ((k * n + j) * n + i) * 5;
-                        for (m, &v) in value.iter().enumerate() {
-                            // SAFETY: plane k is exclusively ours.
-                            unsafe { us.set(base + m, v) };
-                        }
+            for (k, plane) in planes.claim_units(team) {
+                for (j, row) in plane.chunks_exact_mut(5 * n).enumerate() {
+                    for (i, point) in row.chunks_exact_mut(5).enumerate() {
+                        point.copy_from_slice(&state_at(i, j, k));
                     }
                 }
-            });
+            }
         });
     }
 
@@ -82,35 +86,32 @@ impl Fields {
     pub fn compute_aux(&mut self, pool: &Pool) {
         let n = self.n;
         let uf = self.u.flat();
-        let rho_i = SyncSlice::new(self.rho_i.flat_mut());
-        let usx = SyncSlice::new(self.us.flat_mut());
-        let vsx = SyncSlice::new(self.vs.flat_mut());
-        let wsx = SyncSlice::new(self.ws.flat_mut());
-        let square = SyncSlice::new(self.square.flat_mut());
-        let qs = SyncSlice::new(self.qs.flat_mut());
+        let aux = [
+            &mut self.rho_i,
+            &mut self.us,
+            &mut self.vs,
+            &mut self.ws,
+            &mut self.square,
+            &mut self.qs,
+        ]
+        .map(|field| TeamChunks::new(pool, field.flat_mut(), n * n, 0, n));
         pool.run(|team| {
-            team.for_static(0, n, |k| {
-                for j in 0..n {
-                    for i in 0..n {
-                        let p = (k * n + j) * n + i;
-                        let b = p * 5;
-                        let rho = uf[b];
-                        let inv = 1.0 / rho;
-                        let (ru, rv, rw) = (uf[b + 1], uf[b + 2], uf[b + 3]);
-                        // SAFETY: plane k is exclusively ours in every
-                        // auxiliary array.
-                        unsafe {
-                            rho_i.set(p, inv);
-                            usx.set(p, ru * inv);
-                            vsx.set(p, rv * inv);
-                            wsx.set(p, rw * inv);
-                            let sq = 0.5 * (ru * ru + rv * rv + rw * rw) * inv;
-                            square.set(p, sq);
-                            qs.set(p, sq * inv);
-                        }
-                    }
-                }
-            });
+            // Every auxiliary array is dealt the same k-planes.
+            let claimed = aux.each_ref().map(|planes| planes.claim(team));
+            let first_plane = claimed[0].0;
+            let [rho_i, us, vs, ws, square, qs] = claimed.map(|(_, chunk)| chunk);
+            let states = uf[first_plane * n * n * 5..].chunks_exact(5);
+            for (p, u) in states.take(rho_i.len()).enumerate() {
+                let inv = 1.0 / u[0];
+                let (ru, rv, rw) = (u[1], u[2], u[3]);
+                rho_i[p] = inv;
+                us[p] = ru * inv;
+                vs[p] = rv * inv;
+                ws[p] = rw * inv;
+                let sq = 0.5 * (ru * ru + rv * rv + rw * rw) * inv;
+                square[p] = sq;
+                qs[p] = sq * inv;
+            }
         });
     }
 }

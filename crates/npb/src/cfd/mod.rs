@@ -35,3 +35,28 @@ pub mod rhs;
 pub use constants::CfdConstants;
 pub use exact::exact_solution;
 pub use fields::Fields;
+
+/// Admissible (positive density and pressure) conserved states, each with
+/// an arbitrary right-hand side, from the NPB generator.
+#[cfg(test)]
+pub(crate) fn random_states(count: usize) -> Vec<([f64; 5], matrix5::Vec5)> {
+    use crate::common::randdp::{randlc, A, SEED};
+    let mut seed = SEED;
+    let mut uniform = |lo: f64, hi: f64| lo + (hi - lo) * randlc(&mut seed, A);
+    (0..count)
+        .map(|_| {
+            let rho = uniform(0.5, 2.0);
+            let vel = [uniform(-1.5, 1.5), uniform(-1.5, 1.5), uniform(-1.5, 1.5)];
+            let q = 0.5 * vel.iter().map(|v| v * v).sum::<f64>();
+            let pressure = uniform(0.2, 3.0);
+            let u = [
+                rho,
+                rho * vel[0],
+                rho * vel[1],
+                rho * vel[2],
+                pressure / 0.4 + rho * q,
+            ];
+            (u, std::array::from_fn(|_| uniform(-10.0, 10.0)))
+        })
+        .collect()
+}

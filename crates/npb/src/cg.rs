@@ -606,18 +606,9 @@ mod tests {
                 ],
             ),
         ];
-        for (class, bits) in pins {
-            for (nt, want) in (1..).zip(bits) {
-                let got = compute(class::cg_params(class), &Pool::new(nt))
-                    .zeta
-                    .to_bits();
-                assert!(
-                    got == want,
-                    "CG {} on {nt} threads: zeta bits {got:#018x}, pinned {want:#018x}",
-                    class.name()
-                );
-            }
-        }
+        verify::assert_pinned_bits("CG zeta", &pins, |class, pool| {
+            compute(class::cg_params(class), pool).zeta
+        });
     }
 
     #[test]

@@ -4,11 +4,16 @@
 //!
 //! > x_{k+1} = a · x_k  (mod 2⁴⁶),  returning r_k = 2⁻⁴⁶ · x_k ∈ (0, 1)
 //!
-//! implemented exactly as NPB's `randdp.f` — in double-precision arithmetic
-//! split into 23-bit halves so every product is exact. Bit-compatibility
-//! with the reference generator is what makes the EP/CG/FT/MG verification
-//! constants meaningful, so this module is tested against published
-//! sequence values.
+//! NPB's `randdp.f` carries the state in a double and splits both factors
+//! into 23-bit halves so that every partial product is exact. What that
+//! computes is an integer product below 2⁹² reduced modulo 2⁴⁶, and the
+//! low 46 bits of a product are the low 46 bits of its low 64: one
+//! `u64::wrapping_mul` and a mask. States and multipliers stay `f64` at the
+//! interface (every integer below 2⁵³ converts exactly both ways), so the
+//! callers and the sequence are NPB's. Bit-compatibility with the reference
+//! generator is what makes the EP/CG/FT/MG verification constants
+//! meaningful, so this module is tested against the split-double form
+//! (kept as a test oracle) and against published sequence values.
 
 /// The NPB multiplier, 5¹³.
 pub const A: f64 = 1220703125.0; // 5^13
@@ -16,35 +21,32 @@ pub const A: f64 = 1220703125.0; // 5^13
 /// Default seed used by most benchmarks.
 pub const SEED: f64 = 314159265.0;
 
-const T23: f64 = 8388608.0; // 2^23
-const R23: f64 = 1.0 / T23; // 2^-23
-const T46: f64 = T23 * T23; // 2^46
-const R46: f64 = R23 * R23; // 2^-46
+/// 2⁴⁶ − 1: the bits of a state.
+const MASK46: u64 = (1 << 46) - 1;
+const R46: f64 = 1.0 / (MASK46 + 1) as f64; // 2^-46
+
+/// One LCG step on integers: `a · x mod 2⁴⁶`.
+#[inline]
+fn step(x: u64, a: u64) -> u64 {
+    x.wrapping_mul(a) & MASK46
+}
 
 /// Generate the next pseudo-random number; updates `x` in place to the new
-/// LCG state and returns 2⁻⁴⁶·x (uniform in (0,1)).
+/// LCG state and returns 2⁻⁴⁶·x (uniform in (0,1)). `x` and `a` must be
+/// integers below 2⁴⁶, which every state and every power of [`A`] is.
 #[inline]
 pub fn randlc(x: &mut f64, a: f64) -> f64 {
-    // Split a and x into 23-bit halves so all products fit exactly in f64.
-    let a1 = (R23 * a).trunc();
-    let a2 = a - T23 * a1;
-    let x1 = (R23 * *x).trunc();
-    let x2 = *x - T23 * x1;
-    // t1 holds the middle partial products; fold its high bits away mod 2^46.
-    let t1 = a1 * x2 + a2 * x1;
-    let t2 = (R23 * t1).trunc();
-    let z = t1 - T23 * t2;
-    let t3 = T23 * z + a2 * x2;
-    let t4 = (R46 * t3).trunc();
-    *x = t3 - T46 * t4;
+    *x = step(*x as u64, a as u64) as f64;
     R46 * *x
 }
 
-/// Independent LCG streams [`vranlc`] advances side by side. One step is
-/// a chain of ~18 dependent floating-point operations and three `trunc`s,
-/// so a single stream leaves most of the core's issue slots idle. Measured
-/// on EP class S, one thread: 1 lane 24.6 Mop/s, 4 lanes 50, 8 lanes 64,
-/// 16 lanes 52 (the lane states no longer stay in registers).
+/// Independent LCG streams [`vranlc`] advances side by side. One step is a
+/// multiply, a mask and a conversion, each waiting on the one before, so a
+/// single stream leaves issue slots idle — far fewer than the split-double
+/// step did, so the lane count now matters little. Measured on EP class S,
+/// one thread, median (best) of seven runs: 1 lane 0.292 s (0.270), 2 lanes
+/// 0.319 (0.307), 4 lanes 0.288 (0.280), 8 lanes 0.263 (0.254), 16 lanes
+/// 0.262 (0.259).
 const LANES: usize = 8;
 
 /// Generate `y.len()` consecutive pseudo-random numbers (NPB's `vranlc`),
@@ -52,31 +54,32 @@ const LANES: usize = 8;
 ///
 /// Element `i + LANES` is element `i`'s state times a^LANES (mod 2⁴⁶), so
 /// after the first `LANES` elements the buffer is filled by `LANES`
-/// independent recurrences instead of one. Each step is [`randlc`] itself
-/// — exact arithmetic on the same integers — so every element and the
+/// independent recurrences instead of one. The lanes stay integers; each
+/// element is the conversion [`randlc`] returns, so every element and the
 /// final state are bit-identical to the sequential form.
 pub fn vranlc(x: &mut f64, a: f64, y: &mut [f64]) {
+    let a = a as u64;
     let (head, tail) = y.split_at_mut(LANES.min(y.len()));
-    let mut lanes = [0.0f64; LANES];
+    let mut state = *x as u64;
+    let mut lanes = [0u64; LANES];
     for (lane, out) in lanes.iter_mut().zip(head) {
-        *out = randlc(x, a);
-        *lane = *x;
+        state = step(state, a);
+        *lane = state;
+        *out = R46 * state as f64;
     }
-    if tail.is_empty() {
-        return;
-    }
-    // al = a^LANES mod 2^46.
-    let mut al = a;
-    for _ in 1..LANES {
-        randlc(&mut al, a);
-    }
-    // The last chunk may be short: `zip` stops at its end.
-    for chunk in tail.chunks_mut(LANES) {
-        for (lane, out) in lanes.iter_mut().zip(chunk) {
-            *out = randlc(lane, al);
+    if !tail.is_empty() {
+        // al = a^LANES mod 2^46.
+        let al = (1..LANES).fold(a, |g, _| step(g, a));
+        // The last chunk may be short: `zip` stops at its end.
+        for chunk in tail.chunks_mut(LANES) {
+            for (lane, out) in lanes.iter_mut().zip(chunk) {
+                *lane = step(*lane, al);
+                *out = R46 * *lane as f64;
+            }
         }
+        state = lanes[(tail.len() - 1) % LANES];
     }
-    *x = lanes[(tail.len() - 1) % LANES];
+    *x = state as f64;
 }
 
 /// Advance a seed by `n` LCG steps in O(log n): returns the state after
@@ -105,9 +108,47 @@ pub fn skip_ahead(seed: f64, a: f64, mut n: u64) -> f64 {
 mod tests {
     use super::*;
 
+    const T23: f64 = 8388608.0; // 2^23
+    const R23: f64 = 1.0 / T23; // 2^-23
+    const T46: f64 = T23 * T23; // 2^46
+
+    /// NPB's `randlc` as `randdp.f` writes it, in double-precision
+    /// arithmetic on 23-bit halves: the oracle for the integer form.
+    fn randlc_float(x: &mut f64, a: f64) -> f64 {
+        // Split a and x into 23-bit halves so all products fit exactly in f64.
+        let a1 = (R23 * a).trunc();
+        let a2 = a - T23 * a1;
+        let x1 = (R23 * *x).trunc();
+        let x2 = *x - T23 * x1;
+        // t1 holds the middle partial products; fold its high bits away mod 2^46.
+        let t1 = a1 * x2 + a2 * x1;
+        let t2 = (R23 * t1).trunc();
+        let z = t1 - T23 * t2;
+        let t3 = T23 * z + a2 * x2;
+        let t4 = (R46 * t3).trunc();
+        *x = t3 - T46 * t4;
+        R46 * *x
+    }
+
+    /// EP's stride between batches, a^(2¹⁷) mod 2⁴⁶, by the oracle.
+    fn ep_batch_multiplier() -> f64 {
+        let mut an = A;
+        for _ in 0..17 {
+            let sq = an;
+            randlc_float(&mut an, sq);
+        }
+        an
+    }
+
+    /// Seeds at both ends of the state space and the two in use.
+    fn seeds() -> [f64; 4] {
+        [SEED, 271828183.0, 1.0, T46 - 1.0]
+    }
+
     #[test]
     fn constants_are_exact_powers() {
-        assert_eq!(T23, 8388608.0);
+        assert_eq!(R46, R23 * R23);
+        assert_eq!((MASK46 + 1) as f64, T46);
         assert_eq!(T46, 70368744177664.0);
         assert_eq!(A, 1220703125.0);
     }
@@ -124,22 +165,39 @@ mod tests {
     }
 
     #[test]
-    fn vranlc_is_bit_identical_to_sequential_randlc() {
+    fn randlc_is_bit_identical_to_the_split_double_form() {
+        for a in [A, ep_batch_multiplier(), T46 - 1.0] {
+            for seed in seeds() {
+                let (mut x, mut oracle) = (seed, seed);
+                for i in 0..5_000 {
+                    let (r, expect) = (randlc(&mut x, a), randlc_float(&mut oracle, a));
+                    assert_eq!(r.to_bits(), expect.to_bits(), "a={a} seed={seed} step {i}");
+                    assert_eq!(x.to_bits(), oracle.to_bits(), "a={a} seed={seed} state {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vranlc_is_bit_identical_to_the_split_double_form() {
         // Around every lane boundary, a long odd tail, and EP's batch size.
         let lengths = (0..2)
             .chain(LANES - 1..=2 * LANES + 3)
             .chain(1000..=1003)
             .chain([1 << 17]);
         for len in lengths {
-            let mut laned = SEED;
-            let mut sequential = SEED;
-            let mut buf = vec![0.0; len];
-            vranlc(&mut laned, A, &mut buf);
-            for (i, &v) in buf.iter().enumerate() {
-                let r = randlc(&mut sequential, A);
-                assert_eq!(v.to_bits(), r.to_bits(), "length {len}, element {i}");
+            for a in [A, ep_batch_multiplier()] {
+                for seed in seeds() {
+                    let (mut laned, mut oracle) = (seed, seed);
+                    let mut buf = vec![0.0; len];
+                    vranlc(&mut laned, a, &mut buf);
+                    for (i, &v) in buf.iter().enumerate() {
+                        let r = randlc_float(&mut oracle, a);
+                        assert_eq!(v.to_bits(), r.to_bits(), "length {len}, element {i}");
+                    }
+                    assert_eq!(laned.to_bits(), oracle.to_bits(), "length {len}: state");
+                }
             }
-            assert_eq!(laned.to_bits(), sequential.to_bits(), "length {len}: state");
         }
     }
 
@@ -158,14 +216,16 @@ mod tests {
     }
 
     #[test]
-    fn skip_ahead_matches_stepping() {
-        for n in [0u64, 1, 2, 3, 17, 100, 12345] {
-            let mut x = SEED;
-            for _ in 0..n {
-                randlc(&mut x, A);
+    fn skip_ahead_matches_stepping_the_split_double_form() {
+        for seed in seeds() {
+            for n in [0u64, 1, 2, 3, 17, 100, 12345] {
+                let mut x = seed;
+                for _ in 0..n {
+                    randlc_float(&mut x, A);
+                }
+                let jumped = skip_ahead(seed, A, n);
+                assert_eq!(jumped.to_bits(), x.to_bits(), "seed={seed} n={n}");
             }
-            let jumped = skip_ahead(SEED, A, n);
-            assert_eq!(jumped.to_bits(), x.to_bits(), "n={n}");
         }
     }
 

@@ -47,6 +47,27 @@ pub fn check_self(computed: f64, reference: f64) -> VerifyStatus {
     )
 }
 
+/// Hold `value` to the bit patterns recorded from an earlier port on 1, 2
+/// and 3 threads. A team adds its members' partial sums in `tid` order, so
+/// the last bits depend on the team size and on nothing else.
+#[cfg(test)]
+pub(crate) fn assert_pinned_bits(
+    what: &str,
+    pins: &[(crate::Class, [u64; 3])],
+    value: impl Fn(crate::Class, &rvhpc_parallel::Pool) -> f64,
+) {
+    for &(class, bits) in pins {
+        for (nt, want) in (1..).zip(bits) {
+            let got = value(class, &rvhpc_parallel::Pool::new(nt)).to_bits();
+            assert!(
+                got == want,
+                "{what} {} on {nt} threads: bits {got:#018x}, pinned {want:#018x}",
+                class.name()
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -392,10 +392,8 @@ fn insert_extreme(
 
 /// `a^n mod 2^46` expressed as a multiplier (NPB `power`).
 fn skip_ahead_mult(n: u64) -> f64 {
-    // power(a, n): computes a^n by the same binary method; equivalent to
-    // jumping the generator from 1.0... NPB's power() starts from 1 and
-    // multiplies by a^bit. skip_ahead(1,...) would break the 23-bit split
-    // (state 1.0 is fine: integral). Use it directly.
+    // NPB's power() starts from 1 and multiplies by a^bit: the same binary
+    // method as jumping the generator from state 1.
     skip_ahead(1.0, AMULT, n)
 }
 

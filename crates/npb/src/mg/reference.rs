@@ -5,6 +5,7 @@
 //! produced.
 
 use super::*;
+use crate::common::verify::assert_pinned_bits;
 
 fn resid_indexed(u: &Array3, v: Option<&Array3>, r: &mut Array3) {
     let (m, _, _) = u.dims();
@@ -280,14 +281,5 @@ fn rnm2_is_pinned_to_the_indexed_ports_bits() {
             ],
         ),
     ];
-    for (class, bits) in pins {
-        for (nt, want) in (1..).zip(bits) {
-            let got = compute(class, &Pool::new(nt)).rnm2.to_bits();
-            assert!(
-                got == want,
-                "MG {} on {nt} threads: rnm2 bits {got:#018x}, pinned {want:#018x}",
-                class.name()
-            );
-        }
-    }
+    assert_pinned_bits("MG rnm2", &pins, |class, pool| compute(class, pool).rnm2);
 }

@@ -5,8 +5,10 @@
 //! Per port: best-of-five Mop/s on one thread and on the team, the team's
 //! speedup, the bytes the port's `profile()` says it references divided
 //! by the measured time as a share of the host's measured STREAM triad,
-//! and the parallel regions and barriers of one run (from the runtime's
-//! own trace). EXPERIMENTS.md, "NPB on the host", is this table.
+//! the parallel regions and barriers of one run and, for the three
+//! pseudo-applications, how that run's region time splits between the
+//! `rhs-stencil` phase and the solve phase (all from the runtime's own
+//! trace). EXPERIMENTS.md, "NPB on the host", is this table.
 //!
 //! ```sh
 //! cargo run --release --example host_roofline
@@ -40,8 +42,27 @@ fn best_seconds(bench: BenchmarkId, class: Class, pool: &Pool) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Regions forked and barrier episodes of one run, per team member.
-fn regions_and_barriers(bench: BenchmarkId, class: Class, pool: &Pool) -> (u64, u64) {
+/// The solve phase of a pseudo-application, the one beside `rhs-stencil`.
+fn solve_phase(bench: BenchmarkId) -> Option<&'static str> {
+    match bench {
+        BenchmarkId::Bt => Some("block-line-solves"),
+        BenchmarkId::Sp => Some("penta-line-solves"),
+        BenchmarkId::Lu => Some("ssor-sweeps"),
+        _ => None,
+    }
+}
+
+/// What one traced run says about its structure.
+struct RunShape {
+    /// Regions forked and barrier episodes, per team member.
+    regions: u64,
+    barriers: u64,
+    /// Percent of region time inside `rhs-stencil` and inside the solve
+    /// phase; pseudo-applications only.
+    phase_shares: Option<(f64, f64)>,
+}
+
+fn run_shape(bench: BenchmarkId, class: Class, pool: &Pool) -> RunShape {
     // The recorder keeps what earlier runs left; count from here on.
     let mark = obs::now_us();
     obs::set_enabled(true);
@@ -50,9 +71,16 @@ fn regions_and_barriers(bench: BenchmarkId, class: Class, pool: &Pool) -> (u64, 
     let mut events = obs::drain_all().events;
     events.retain(|e| e.start_us >= mark);
     let summary = obs::summarize(&events);
-    let per_member =
-        |kind: &str| summary.per_kind.get(kind).map_or(0, |t| t.count) / pool.nthreads() as u64;
-    (per_member("region"), per_member("barrier-wait"))
+    let totals = |kind: &str| summary.per_kind.get(kind).copied().unwrap_or_default();
+    let share = |phase: &str| {
+        let phase = summary.per_phase.get(phase).copied().unwrap_or_default();
+        100.0 * phase.total_us as f64 / totals("region").total_us as f64
+    };
+    RunShape {
+        regions: totals("region").count / pool.nthreads() as u64,
+        barriers: totals("barrier-wait").count / pool.nthreads() as u64,
+        phase_shares: solve_phase(bench).map(|solve| (share("rhs-stencil"), share(solve))),
+    }
 }
 
 fn main() {
@@ -74,15 +102,24 @@ fn main() {
         .map(|&(bench, class)| {
             (
                 best_seconds(bench, class, &team),
-                regions_and_barriers(bench, class, &team),
+                run_shape(bench, class, &team),
             )
         })
         .collect();
     println!(
-        "{:<5} {:>10} {:>10} {:>8} {:>10} {:>9} {:>8} {:>9}",
-        "port", "Mop/s x1", "Mop/s team", "speedup", "GB/s refd", "of triad", "regions", "barriers"
+        "{:<5} {:>10} {:>10} {:>8} {:>10} {:>9} {:>8} {:>9} {:>6} {:>6}",
+        "port",
+        "Mop/s x1",
+        "Mop/s team",
+        "speedup",
+        "GB/s refd",
+        "of triad",
+        "regions",
+        "barriers",
+        "rhs",
+        "solve"
     );
-    for ((bench, class), (tn, (regions, barriers))) in SUITE.into_iter().zip(team_runs) {
+    for ((bench, class), (tn, shape)) in SUITE.into_iter().zip(team_runs) {
         let t1 = best_seconds(bench, class, &serial);
         let profile = npb::profile(bench, class);
         let mops = |s: f64| profile.total_ops / s / 1e6;
@@ -92,16 +129,23 @@ fn main() {
             .map(|p| p.mem_refs * f64::from(p.elem_bytes))
             .sum();
         let gbs = bytes / tn / 1e9;
+        let (rhs, solve) = shape
+            .phase_shares
+            .map_or(("-".into(), "-".into()), |(r, s)| {
+                (format!("{r:.0}%"), format!("{s:.0}%"))
+            });
         println!(
-            "{:<5} {:>10.0} {:>10.0} {:>8.2} {:>10.1} {:>8.0}% {:>8} {:>9}",
+            "{:<5} {:>10.0} {:>10.0} {:>8.2} {:>10.1} {:>8.0}% {:>8} {:>9} {:>6} {:>6}",
             format!("{} {}", bench.name(), class.name()),
             mops(t1),
             mops(tn),
             t1 / tn,
             gbs,
             100.0 * gbs / triad_gbs,
-            regions,
-            barriers
+            shape.regions,
+            shape.barriers,
+            rhs,
+            solve
         );
     }
 }
