@@ -70,10 +70,11 @@ pub fn build_document(results: &[TargetResult], index: usize, quick: bool) -> Js
     doc
 }
 
-/// The trajectory index encoded in a `BENCH_<n>.json` file name.
-pub fn index_of(path: &Path) -> Option<usize> {
+/// The trajectory index `n` of a `<prefix><n>.json` path (`BENCH_`,
+/// `SATURATION_`).
+pub fn index_of(path: &Path, prefix: &str) -> Option<usize> {
     let name = path.file_name()?.to_str()?;
-    name.strip_prefix("BENCH_")?
+    name.strip_prefix(prefix)?
         .strip_suffix(".json")?
         .parse()
         .ok()
@@ -84,59 +85,29 @@ pub fn bench_path(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("BENCH_{index}.json"))
 }
 
+/// Every `<prefix><n>.json` under `dir`, sorted by trajectory index;
+/// empty when `dir` is absent.
+pub fn trajectory_paths(dir: &Path, prefix: &str) -> Vec<(usize, PathBuf)> {
+    let mut found: Vec<(usize, PathBuf)> = match std::fs::read_dir(dir) {
+        Ok(entries) => entries
+            .flatten()
+            .filter_map(|e| {
+                let path = e.path();
+                index_of(&path, prefix).map(|n| (n, path))
+            })
+            .collect(),
+        Err(_) => Vec::new(),
+    };
+    found.sort_by_key(|(n, _)| *n);
+    found
+}
+
 /// The next free trajectory index under `dir`: one past the largest
 /// committed `BENCH_<n>.json`, or 0 for an empty (or absent) directory.
 pub fn next_index(dir: &Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter_map(|e| index_of(&e.path()))
-        .map(|n| n + 1)
-        .max()
-        .unwrap_or(0)
-}
-
-/// Every `BENCH_<n>.json` under `dir`, sorted by trajectory index.
-pub fn trajectory_paths(dir: &Path) -> Vec<(usize, PathBuf)> {
-    let mut found: Vec<(usize, PathBuf)> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .flatten()
-            .filter_map(|e| {
-                let path = e.path();
-                index_of(&path).map(|n| (n, path))
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    found.sort_by_key(|(n, _)| *n);
-    found
-}
-
-/// Trajectory index of a `SATURATION_<n>.json` path, if it is one.
-pub fn saturation_index_of(path: &Path) -> Option<usize> {
-    let name = path.file_name()?.to_str()?;
-    name.strip_prefix("SATURATION_")?
-        .strip_suffix(".json")?
-        .parse()
-        .ok()
-}
-
-/// Every `SATURATION_<n>.json` under `dir`, sorted by index.
-pub fn saturation_paths(dir: &Path) -> Vec<(usize, PathBuf)> {
-    let mut found: Vec<(usize, PathBuf)> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .flatten()
-            .filter_map(|e| {
-                let path = e.path();
-                saturation_index_of(&path).map(|n| (n, path))
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    found.sort_by_key(|(n, _)| *n);
-    found
+    trajectory_paths(dir, "BENCH_")
+        .last()
+        .map_or(0, |(n, _)| n + 1)
 }
 
 fn fmt_us(v: f64) -> String {
@@ -155,8 +126,7 @@ fn fmt_throughput(v: f64) -> String {
 
 fn wall_f(target: &JsonValue, key: &str) -> f64 {
     target
-        .get("wall")
-        .and_then(|w| w.get(key))
+        .at(&format!("wall.{key}"))
         .and_then(JsonValue::as_f64)
         .unwrap_or(0.0)
 }
@@ -313,10 +283,8 @@ pub fn render_markdown_with(doc: &JsonValue, saturation: Option<&JsonValue>) -> 
 pub fn render_saturation(doc: &JsonValue) -> String {
     let mut out = String::new();
     out.push_str("## Saturation\n\n");
-    let sweep = doc.get("sweep");
     let field = |key: &str| -> f64 {
-        sweep
-            .and_then(|s| s.get(key))
+        doc.at(&format!("sweep.{key}"))
             .and_then(JsonValue::as_f64)
             .unwrap_or(0.0)
     };
@@ -330,10 +298,7 @@ pub fn render_saturation(doc: &JsonValue) -> String {
         field("step"),
         field("requests_per_step"),
     ));
-    let knee_conns = doc
-        .get("knee")
-        .and_then(|k| k.get("conns"))
-        .and_then(JsonValue::as_f64);
+    let knee_conns = doc.at("knee.conns").and_then(JsonValue::as_f64);
     out.push_str(
         "| Conns | Throughput (req/s) | p50 (µs) | p99 (µs) | Hit rate | Errors | Dropped |\n\
          |---|---:|---:|---:|---:|---:|---:|\n",
@@ -441,7 +406,7 @@ mod tests {
             fake_result("host_stream_triad", 1200),
         ];
         let doc = build_document(&results, 3, true);
-        assert_eq!(benchdoc::validate(&doc), Ok(()));
+        assert_eq!(rvhpc_obs::Kind::Bench.validate(&doc), Ok(()));
         assert_eq!(doc.get("mode").and_then(JsonValue::as_str), Some("quick"));
 
         // Rendering is pure: serialize, reparse, render again — byte
@@ -465,13 +430,15 @@ mod tests {
         }
         std::fs::write(dir.join("baseline_metrics.json"), "{}").unwrap();
         assert_eq!(next_index(&dir), 3, "one past the largest index");
-        assert_eq!(
-            trajectory_paths(&dir)
+        std::fs::write(dir.join("SATURATION_1.json"), "{}").unwrap();
+        let indices = |prefix: &str| -> Vec<usize> {
+            trajectory_paths(&dir, prefix)
                 .into_iter()
                 .map(|(n, _)| n)
-                .collect::<Vec<_>>(),
-            vec![0, 2]
-        );
+                .collect()
+        };
+        assert_eq!(indices("BENCH_"), vec![0, 2]);
+        assert_eq!(indices("SATURATION_"), vec![1]);
         let _ = std::fs::remove_dir_all(&dir);
 
         let older = build_document(&[fake_result("host_cg_spmv", 1000)], 0, false);

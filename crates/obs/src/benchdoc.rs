@@ -4,13 +4,14 @@
 //! `rvhpc-bench`'s harness): system info, run mode, and per-target wall
 //! statistics plus optional throughput and stall-attribution sections.
 //! Documents are committed under `results/BENCH_<n>.json`, forming the
-//! repo's benchmark trajectory — `benchdiff` compares any two of them
-//! and CI gates regressions against `results/BENCH_0.json`.
+//! repo's benchmark trajectory — `obsdiff` compares any two of them
+//! and CI gates regressions against the newest. What a valid document
+//! holds is [`crate::doc::Kind::Bench`]'s to say.
 //!
 //! Wall statistics are *exact* (computed from the full sample vector,
 //! not a histogram) because a target runs tens to hundreds of
 //! iterations, small enough to keep every sample. The section still
-//! carries a `bucket_layout` tag ([`EXACT_LAYOUT`]) so `benchdiff` can
+//! carries a `bucket_layout` tag ([`EXACT_LAYOUT`]) so the diff can
 //! refuse to compare quantiles across layout versions, exactly as it
 //! does for [`crate::hist::BUCKET_LAYOUT`] histogram sections.
 
@@ -150,60 +151,6 @@ pub fn document(generator: &str, index: usize, quick: bool) -> JsonValue {
     ])
 }
 
-/// Structural validation of a benchmark document: schema tag, non-empty
-/// `targets` object, and per-target `wall` sections with a monotone
-/// quantile ladder. Returns the first problem found.
-pub fn validate(doc: &JsonValue) -> Result<(), String> {
-    crate::diff::expect_schema(doc, BENCH_SCHEMA)?;
-    for key in ["system", "targets"] {
-        if doc.get(key).is_none() {
-            return Err(format!("missing {key} section"));
-        }
-    }
-    let JsonValue::Object(targets) = doc.get("targets").expect("checked above") else {
-        return Err("targets section is not an object".to_string());
-    };
-    if targets.is_empty() {
-        return Err("targets section is empty".to_string());
-    }
-    for (name, target) in targets {
-        let Some(wall) = target.get("wall") else {
-            return Err(format!("target {name}: missing wall section"));
-        };
-        let num = |key: &str| {
-            wall.get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("target {name}: wall.{key} missing or non-numeric"))
-        };
-        let (count, min, p50, p99, max) = (
-            num("count")?,
-            num("min_us")?,
-            num("p50_us")?,
-            num("p99_us")?,
-            num("max_us")?,
-        );
-        if count < 1.0 {
-            return Err(format!("target {name}: zero iterations"));
-        }
-        if !(min <= p50 && p50 <= p99 && p99 <= max) {
-            return Err(format!(
-                "target {name}: quantile ladder not monotone \
-                 (min={min}, p50={p50}, p99={p99}, max={max})"
-            ));
-        }
-        if wall
-            .get("bucket_layout")
-            .and_then(JsonValue::as_str)
-            .is_none()
-        {
-            return Err(format!(
-                "target {name}: wall section has no bucket_layout tag"
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,29 +180,5 @@ mod tests {
         assert_eq!(s.p50_us, 50.0);
         assert_eq!(s.p99_us, 99.0);
         assert_eq!(s.max_us, 100.0);
-    }
-
-    #[test]
-    fn validate_accepts_a_minimal_document_and_names_failures() {
-        let mut doc = document("test", 0, true);
-        assert!(validate(&doc).unwrap_err().contains("system"));
-        if let JsonValue::Object(map) = &mut doc {
-            map.insert("system".to_string(), JsonValue::object([]));
-            map.insert(
-                "targets".to_string(),
-                JsonValue::object([(
-                    "t1".to_string(),
-                    JsonValue::object([(
-                        "wall".to_string(),
-                        WallStats::from_samples(&[10, 20, 30]).to_json(),
-                    )]),
-                )]),
-            );
-        }
-        assert_eq!(validate(&doc), Ok(()));
-
-        // Wrong schema is named in the error.
-        let bad = parse(r#"{"schema":"rvhpc-metrics/1"}"#).unwrap();
-        assert!(validate(&bad).unwrap_err().contains("rvhpc-metrics/1"));
     }
 }

@@ -1,47 +1,46 @@
 //! Regression diffing of two versioned rvhpc documents.
 //!
-//! Two document kinds share one machinery, dispatched on the `schema`
-//! tag by [`diff_any`]:
+//! [`diff_any`] is the one entry point. It reads each document's kind
+//! from its `schema` tag ([`Kind`]) and runs, in order:
 //!
-//! * `rvhpc-metrics/1` — serve/loadgen metrics ([`diff_documents`]).
-//! * `rvhpc-bench/1` — benchmark-trajectory documents
-//!   ([`diff_bench_documents`]): per-target wall-time quantiles under
-//!   the same ratio + floor rules, plus target-presence accounting
-//!   (a target present in the baseline but missing from the current
-//!   document is a regression — lost coverage must not pass silently;
-//!   new targets are informational unless `strict`).
+//! 1. **Kind guard** — documents of different or unknown kinds are not
+//!    compared at all: one [`Severity::Mismatch`].
+//! 2. **Validation** — each side must be a valid document of its kind
+//!    ([`Kind::validate`]); an invalid side is a mismatch naming it.
+//! 3. **Keyed diff** — the kind's children (the whole metrics document,
+//!    bench targets by name, sweep steps by connection count) are paired
+//!    by dotted path and walked in lockstep. A child the baseline has and
+//!    the current lacks is lost coverage and regresses; a new one is
+//!    informational unless `strict`.
+//! 4. **Invariants** — self-consistency of the *current* document,
+//!    machine-independent: `dropped` and `errors` counters must be zero,
+//!    and every latency section's quantile ladder must be monotone (and
+//!    all-zero when its `count` is zero).
+//! 5. **Drift** — the kind's whole-document rule: a saturation knee that
+//!    moved to fewer connections regresses.
 //!
-//! Latency sections carry a layout tag (`bucket_layout` on histogram
-//! and exact-stats sections, `layout` on timeseries rings). When the
-//! tags disagree the quantiles are not comparable, and the diff refuses
-//! with a [`Severity::Mismatch`] finding instead of silently comparing
-//! — binaries map mismatches to exit code 2, distinct from a genuine
-//! regression's 1.
-//!
-//! [`diff_documents`] walks a baseline and a current metrics document in
-//! lockstep and produces a [`DiffReport`]: every numeric change is
-//! reported, and a change becomes a *regression* when it crosses a
-//! configurable threshold. The rules mirror how the paper compares
-//! compiler/config generations (GCC 12 vs 15, SG2042 vs SG2044):
+//! The walk's rules mirror how the paper compares compiler/config
+//! generations (GCC 12 vs 15, SG2042 vs SG2044):
 //!
 //! * **Quantiles** — keys like `p50_us`/`p99_us`/`mean_us` fail when the
 //!   current value exceeds `baseline × max_quantile_ratio` and also the
 //!   absolute `floor_us` (so a 3 µs → 9 µs wiggle on an idle box never
 //!   gates a build).
-//! * **Counter invariants** — self-consistency of the *current* document,
-//!   machine-independent: `dropped` and `errors` counters must be zero,
-//!   and every latency section's quantile ladder must be monotone
-//!   (`p50 ≤ p99 ≤ max`, and all-zero when `count` is zero).
-//! * **Schema** — both documents must carry the same `schema` tag.
+//! * **Layouts** — latency sections carry a layout tag (`bucket_layout`
+//!   on histogram and exact-stats sections, `layout` on timeseries
+//!   rings). When the tags disagree the quantiles are not comparable, and
+//!   the section is refused with a mismatch instead of silently compared.
 //! * **Shape** — keys present on one side only are informational, or
 //!   regressions under `strict`.
 //!
-//! The report renders human-readable (one line per finding) and the
-//! `obsdiff` binary maps it onto exit codes for CI gating.
+//! The report renders human-readable (one line per finding), and
+//! [`DiffReport::exit_code`] maps it onto the exit codes CI gates on:
+//! mismatch (2, "wrong input") is distinct from regression (1, "slower").
 
+use crate::doc::{check_ladder, schema_tag, Kind};
 use crate::json::JsonValue;
 
-/// Thresholds for [`diff_documents`].
+/// Thresholds for [`diff_any`].
 #[derive(Debug, Clone)]
 pub struct DiffConfig {
     /// A quantile regresses when `current > baseline * this` (and above
@@ -52,15 +51,17 @@ pub struct DiffConfig {
     pub floor_us: f64,
     /// When set, keys present on one side only are regressions.
     pub strict: bool,
-    /// Per-class latency SLOs, `(class label, p99 budget in µs)`. Each
-    /// entry requires the *current* document to carry a
-    /// `classes.<class>.latency` section (anywhere in the tree — the
-    /// serve `qos` section and the loadgen report both qualify) whose
-    /// `p99_us` is at or under the budget. A missing class is a
-    /// [`Severity::Mismatch`] (the gated run produced no such traffic);
-    /// a busted budget is a [`Severity::Regression`]. Absolute checks
-    /// on the current document, independent of the baseline.
-    pub class_slos: Vec<(String, f64)>,
+}
+
+impl DiffConfig {
+    /// The severity of a shape change: a key or child on one side only.
+    fn shape_severity(&self) -> Severity {
+        if self.strict {
+            Severity::Regression
+        } else {
+            Severity::Info
+        }
+    }
 }
 
 impl Default for DiffConfig {
@@ -69,7 +70,6 @@ impl Default for DiffConfig {
             max_quantile_ratio: 2.0,
             floor_us: 200.0,
             strict: false,
-            class_slos: Vec::new(),
         }
     }
 }
@@ -82,9 +82,10 @@ pub enum Severity {
     /// A threshold or invariant violation; the diff fails.
     Regression,
     /// The documents (or sections of them) are not comparable at all:
-    /// different schema kinds, or latency sections with different
-    /// layout versions. Distinct from [`Severity::Regression`] so CI
-    /// can tell "slower" (exit 1) from "wrong input" (exit 2).
+    /// different schema kinds, an invalid document, or latency sections
+    /// with different layout versions. Distinct from
+    /// [`Severity::Regression`] so CI can tell "slower" (exit 1) from
+    /// "wrong input" (exit 2).
     Mismatch,
 }
 
@@ -99,7 +100,7 @@ pub struct Finding {
     pub severity: Severity,
 }
 
-/// Everything [`diff_documents`] found.
+/// Everything [`diff_any`] found.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
     /// All findings, document order.
@@ -139,6 +140,18 @@ impl DiffReport {
         self.mismatches().next().is_some()
     }
 
+    /// The process exit code the report maps to: 2 when anything was
+    /// incomparable, else 1 on a regression, else 0.
+    pub fn exit_code(&self) -> i32 {
+        if self.has_mismatches() {
+            2
+        } else if self.has_regressions() {
+            1
+        } else {
+            0
+        }
+    }
+
     /// Render the report: mismatches, then regressions, then info —
     /// one finding per line.
     pub fn render(&self) -> String {
@@ -176,20 +189,6 @@ impl DiffReport {
     }
 }
 
-/// The `schema` tag of a document, when present.
-pub fn doc_kind(doc: &JsonValue) -> Option<&str> {
-    doc.get("schema").and_then(JsonValue::as_str)
-}
-
-/// Check a document's `schema` tag against the one its kind requires.
-pub(crate) fn expect_schema(doc: &JsonValue, schema: &str) -> Result<(), String> {
-    match doc_kind(doc) {
-        Some(s) if s == schema => Ok(()),
-        Some(s) => Err(format!("schema is {s:?}, expected {schema:?}")),
-        None => Err("missing schema tag".to_string()),
-    }
-}
-
 /// Is this key a latency quantile/mean the ratio rule applies to?
 fn is_quantile_key(key: &str) -> bool {
     key == "mean_us" || (key.starts_with('p') && key.ends_with("_us"))
@@ -203,88 +202,51 @@ fn join(path: &str, key: &str) -> String {
     }
 }
 
-/// Compare two documents of any known kind, dispatching on the
-/// `schema` tag. Unknown or differing kinds produce a
-/// [`Severity::Mismatch`] report without attempting a comparison.
+/// Compare a baseline and a current document of the same known kind:
+/// kind guard, validation, keyed diff, invariants, drift (see the module
+/// docs).
 pub fn diff_any(baseline: &JsonValue, current: &JsonValue, cfg: &DiffConfig) -> DiffReport {
-    let (bk, ck) = (doc_kind(baseline), doc_kind(current));
-    if bk != ck {
-        let mut report = DiffReport::default();
-        report.push(
-            "schema",
-            Severity::Mismatch,
-            format!("document kinds differ: baseline {bk:?} vs current {ck:?}"),
-        );
-        return report;
-    }
-    match bk {
-        Some(crate::metrics::METRICS_SCHEMA) => diff_documents(baseline, current, cfg),
-        Some(crate::benchdoc::BENCH_SCHEMA) => diff_bench_documents(baseline, current, cfg),
-        Some(crate::saturation::SATURATION_SCHEMA) => {
-            crate::saturation::diff_saturation_documents(baseline, current, cfg)
-        }
-        other => {
-            let mut report = DiffReport::default();
-            report.push(
-                "schema",
-                Severity::Mismatch,
-                format!("unknown document kind {other:?}"),
-            );
-            report
-        }
-    }
-}
-
-/// Compare two `rvhpc-bench/1` benchmark documents: target presence,
-/// then per-target wall quantiles under the ratio + floor rules.
-pub fn diff_bench_documents(
-    baseline: &JsonValue,
-    current: &JsonValue,
-    cfg: &DiffConfig,
-) -> DiffReport {
     let mut report = DiffReport::default();
-    let (bm, cm) = (
-        baseline.get("mode").and_then(JsonValue::as_str),
-        current.get("mode").and_then(JsonValue::as_str),
-    );
-    if bm != cm {
-        report.push(
-            "mode",
-            Severity::Info,
-            format!("run modes differ: baseline {bm:?} vs current {cm:?}"),
-        );
-    }
-    fn targets(doc: &JsonValue) -> Option<Vec<(String, &JsonValue)>> {
-        let JsonValue::Object(map) = doc.get("targets")? else {
-            return None;
-        };
-        Some(
-            map.iter()
-                .map(|(name, target)| (format!("targets.{name}"), target))
-                .collect(),
-        )
-    }
-    let (Some(base_targets), Some(cur_targets)) = (targets(baseline), targets(current)) else {
-        report.push(
-            "targets",
-            Severity::Mismatch,
-            "one or both documents have no targets section".to_string(),
-        );
-        return report;
+    let kind = match (Kind::of(baseline), Kind::of(current)) {
+        (Some(bk), Some(ck)) if bk == ck => bk,
+        _ => {
+            let (bk, ck) = (schema_tag(baseline), schema_tag(current));
+            let message = if bk == ck {
+                format!("unknown document kind {bk:?}")
+            } else {
+                format!("document kinds differ: baseline {bk:?} vs current {ck:?}")
+            };
+            report.push("schema", Severity::Mismatch, message);
+            return report;
+        }
     };
-    diff_keyed(&base_targets, &cur_targets, "target", cfg, &mut report);
+    for (side, doc) in [("baseline", baseline), ("current", current)] {
+        if let Err(e) = kind.validate(doc) {
+            report.push(
+                side,
+                Severity::Mismatch,
+                format!("not a valid {} document: {e}", kind.schema()),
+            );
+        }
+    }
+    if report.has_mismatches() {
+        return report;
+    }
+    let (base, noun) = kind.children(baseline);
+    let (cur, _) = kind.children(current);
+    diff_keyed(&base, &cur, noun, cfg, &mut report);
     invariants(current, "", &mut report);
+    kind.drift(baseline, current, &mut report);
     report
 }
 
-/// Pair the children of two documents by dotted path — bench targets by
-/// name, sweep steps by connection count. A child on both sides is
-/// walked; one the baseline has and the current lacks is lost coverage,
-/// not noise, and reported as a regression so a filtered or truncated
-/// run can never pass a gate against a full baseline; one only the
-/// current has is informational unless `cfg.strict`. `noun` names the
-/// child kind in the messages.
-pub(crate) fn diff_keyed(
+/// Pair the children of two documents by dotted path. A child on both
+/// sides is walked; one the baseline has and the current lacks is lost
+/// coverage, not noise, and reported as a regression so a filtered or
+/// truncated run can never pass a gate against a full baseline; one only
+/// the current has is informational unless `cfg.strict`. `noun` names
+/// the child kind in the messages.
+fn diff_keyed(
     base: &[(String, &JsonValue)],
     cur: &[(String, &JsonValue)],
     noun: &str,
@@ -305,94 +267,14 @@ pub(crate) fn diff_keyed(
         if !base.iter().any(|(p, _)| p == path) {
             report.push(
                 path,
-                if cfg.strict {
-                    Severity::Regression
-                } else {
-                    Severity::Info
-                },
+                cfg.shape_severity(),
                 format!("new {noun}, absent from baseline"),
             );
         }
     }
 }
 
-/// Compare two metrics documents under `cfg`.
-pub fn diff_documents(baseline: &JsonValue, current: &JsonValue, cfg: &DiffConfig) -> DiffReport {
-    let mut report = DiffReport::default();
-    let schema = |doc: &JsonValue| {
-        doc.get("schema")
-            .and_then(JsonValue::as_str)
-            .map(String::from)
-    };
-    let (bs, cs) = (schema(baseline), schema(current));
-    if bs != cs {
-        report.push(
-            "schema",
-            Severity::Regression,
-            format!("schema mismatch: baseline {bs:?} vs current {cs:?}"),
-        );
-    }
-    walk(baseline, current, "", cfg, &mut report);
-    invariants(current, "", &mut report);
-    class_slo_checks(current, cfg, &mut report);
-    report
-}
-
-/// Find the first `classes.<class>.latency.p99_us` anywhere in `doc`
-/// (depth-first, document order); returns its dotted path and value.
-pub(crate) fn find_class_p99(doc: &JsonValue, path: &str, class: &str) -> Option<(String, f64)> {
-    let JsonValue::Object(map) = doc else {
-        return None;
-    };
-    if let Some(p99) = map
-        .get("classes")
-        .and_then(|c| c.get(class))
-        .and_then(|c| c.get("latency"))
-        .and_then(|l| l.get("p99_us"))
-        .and_then(JsonValue::as_f64)
-    {
-        let p = join(path, "classes");
-        return Some((format!("{p}.{class}.latency.p99_us"), p99));
-    }
-    map.iter()
-        .find_map(|(key, v)| find_class_p99(v, &join(path, key), class))
-}
-
-/// Enforce [`DiffConfig::class_slos`] against the current document.
-fn class_slo_checks(current: &JsonValue, cfg: &DiffConfig, report: &mut DiffReport) {
-    for (class, budget_us) in &cfg.class_slos {
-        match find_class_p99(current, "", class) {
-            None => report.push(
-                &format!("classes.{class}"),
-                Severity::Mismatch,
-                format!(
-                    "class SLO configured but the current document has no \
-                     classes.{class}.latency section"
-                ),
-            ),
-            Some((path, p99)) => {
-                let (severity, verdict) = if p99 > *budget_us {
-                    (Severity::Regression, "violated")
-                } else {
-                    (Severity::Info, "met")
-                };
-                report.push(
-                    &path,
-                    severity,
-                    format!("class SLO {verdict}: p99 {p99} us vs budget {budget_us} us"),
-                );
-            }
-        }
-    }
-}
-
-pub(crate) fn walk(
-    base: &JsonValue,
-    cur: &JsonValue,
-    path: &str,
-    cfg: &DiffConfig,
-    report: &mut DiffReport,
-) {
+fn walk(base: &JsonValue, cur: &JsonValue, path: &str, cfg: &DiffConfig, report: &mut DiffReport) {
     match (base, cur) {
         (JsonValue::Object(b), JsonValue::Object(c)) => {
             // Layout guard: a latency or timeseries section whose layout
@@ -423,11 +305,7 @@ pub(crate) fn walk(
                     Some(cv) => walk(bv, cv, &join(path, key), cfg, report),
                     None => report.push(
                         &join(path, key),
-                        if cfg.strict {
-                            Severity::Regression
-                        } else {
-                            Severity::Info
-                        },
+                        cfg.shape_severity(),
                         "present in baseline, missing in current".to_string(),
                     ),
                 }
@@ -436,11 +314,7 @@ pub(crate) fn walk(
                 if !b.contains_key(key) {
                     report.push(
                         &join(path, key),
-                        if cfg.strict {
-                            Severity::Regression
-                        } else {
-                            Severity::Info
-                        },
+                        cfg.shape_severity(),
                         "new in current, absent from baseline".to_string(),
                     );
                 }
@@ -473,18 +347,14 @@ pub(crate) fn walk(
         (b, c) if b == c => {}
         (b, c) => report.push(
             path,
-            if cfg.strict {
-                Severity::Regression
-            } else {
-                Severity::Info
-            },
+            cfg.shape_severity(),
             format!("type/value changed: {} -> {}", b.to_json(), c.to_json()),
         ),
     }
 }
 
 /// Self-consistency checks on the current document.
-pub(crate) fn invariants(doc: &JsonValue, path: &str, report: &mut DiffReport) {
+fn invariants(doc: &JsonValue, path: &str, report: &mut DiffReport) {
     let JsonValue::Object(map) = doc else { return };
 
     // Zero-tolerance counters: transport drops and unanswered errors.
@@ -500,29 +370,11 @@ pub(crate) fn invariants(doc: &JsonValue, path: &str, report: &mut DiffReport) {
         }
     }
 
-    // Latency sections: the quantile ladder must be monotone, and an
-    // empty histogram must report all zeros.
-    if let (Some(count), Some(p50), Some(p99), Some(max)) = (
-        map.get("count").and_then(JsonValue::as_f64),
-        map.get("p50_us").and_then(JsonValue::as_f64),
-        map.get("p99_us").and_then(JsonValue::as_f64),
-        map.get("max_us").and_then(JsonValue::as_f64),
-    ) {
-        if count == 0.0 && (p50 != 0.0 || p99 != 0.0 || max != 0.0) {
-            report.push(
-                path,
-                Severity::Regression,
-                format!(
-                    "empty histogram reports nonzero quantiles (p50={p50}, p99={p99}, max={max})"
-                ),
-            );
-        }
-        if p50 > p99 || p99 > max {
-            report.push(
-                path,
-                Severity::Regression,
-                format!("quantile ladder not monotone: p50={p50}, p99={p99}, max={max}"),
-            );
+    // A section with a count is a latency section: its quantile ladder
+    // must be monotone, and all zero when it is empty.
+    if map.contains_key("count") {
+        if let Err(e) = check_ladder(doc) {
+            report.push(path, Severity::Regression, e);
         }
     }
 
@@ -535,6 +387,7 @@ pub(crate) fn invariants(doc: &JsonValue, path: &str, report: &mut DiffReport) {
 mod tests {
     use super::*;
     use crate::json::parse;
+    use std::collections::BTreeMap;
 
     fn doc(p99: u64, dropped: u64) -> JsonValue {
         parse(&format!(
@@ -550,17 +403,19 @@ mod tests {
     #[test]
     fn identical_documents_have_no_regressions() {
         let a = doc(4000, 0);
-        let report = diff_documents(&a, &a.clone(), &DiffConfig::default());
+        let report = diff_any(&a, &a.clone(), &DiffConfig::default());
         assert!(!report.has_regressions(), "{}", report.render());
         assert!(report.render().contains("OK"));
+        assert_eq!(report.exit_code(), 0);
     }
 
     #[test]
     fn injected_p99_regression_fails_with_readable_report() {
         let base = doc(4000, 0);
         let bad = doc(9000, 0);
-        let report = diff_documents(&base, &bad, &DiffConfig::default());
+        let report = diff_any(&base, &bad, &DiffConfig::default());
         assert!(report.has_regressions());
+        assert_eq!(report.exit_code(), 1);
         let text = report.render();
         assert!(text.contains("FAIL"), "{text}");
         assert!(text.contains("loadgen.latency.p99_us"), "{text}");
@@ -571,7 +426,7 @@ mod tests {
     fn quantile_wiggle_below_floor_or_ratio_is_info_only() {
         let base = doc(4000, 0);
         // 1.5x: below the 2x ratio.
-        let report = diff_documents(&base, &doc(6000, 0), &DiffConfig::default());
+        let report = diff_any(&base, &doc(6000, 0), &DiffConfig::default());
         assert!(!report.has_regressions(), "{}", report.render());
         // 10x but below the absolute floor.
         let small_base = parse(
@@ -584,80 +439,14 @@ mod tests {
                 "min_us":1,"max_us":30,"p50_us":2,"p99_us":30}}"#,
         )
         .unwrap();
-        let report = diff_documents(&small_base, &small_cur, &DiffConfig::default());
-        assert!(!report.has_regressions(), "{}", report.render());
-    }
-
-    /// A loadgen-shaped document with a per-class breakdown.
-    fn classed_doc(interactive_p99: u64, bulk_p99: u64) -> JsonValue {
-        let class = |p99: u64| {
-            format!(
-                r#"{{"sent":100,"ok":100,"shed":0,"errors":0,"dropped":0,
-                    "latency":{{"count":100,"mean_us":{mean},"min_us":10,
-                                "max_us":{max},"p50_us":{mean},"p99_us":{p99}}}}}"#,
-                mean = p99 / 2,
-                max = p99 * 2,
-            )
-        };
-        parse(&format!(
-            r#"{{"schema":"rvhpc-metrics/1","generator":"rvhpc-loadgen",
-                "loadgen":{{"ok":200,"errors":0,"dropped":0,
-                "classes":{{"interactive":{i},"bulk":{b}}},
-                "latency":{{"count":200,"mean_us":500,"min_us":10,"max_us":9000,
-                            "p50_us":400,"p99_us":4000}}}}}}"#,
-            i = class(interactive_p99),
-            b = class(bulk_p99),
-        ))
-        .expect("classed doc parses")
-    }
-
-    #[test]
-    fn class_slos_gate_the_current_document() {
-        let slo = |class: &str, budget: f64| DiffConfig {
-            class_slos: vec![(class.to_string(), budget)],
-            ..DiffConfig::default()
-        };
-        let base = classed_doc(2000, 50_000);
-        let cur = classed_doc(2000, 50_000);
-
-        // Interactive under budget: clean, and the finding names the path.
-        let report = diff_documents(&base, &cur, &slo("interactive", 5000.0));
-        assert!(!report.has_regressions(), "{}", report.render());
-        assert!(
-            report
-                .render()
-                .contains("classes.interactive.latency.p99_us"),
-            "{}",
-            report.render()
-        );
-
-        // Bulk over budget: regression naming the busted class.
-        let report = diff_documents(&base, &cur, &slo("bulk", 5000.0));
-        assert!(report.has_regressions());
-        assert!(
-            report
-                .render()
-                .contains("REGRESSION loadgen.classes.bulk.latency.p99_us"),
-            "{}",
-            report.render()
-        );
-
-        // A configured class absent from the document: mismatch, not a
-        // silent pass.
-        let report = diff_documents(&base, &cur, &slo("batch", 5000.0));
-        assert!(report.has_mismatches(), "{}", report.render());
-        assert!(!report.has_regressions(), "{}", report.render());
-
-        // SLOs are absolute checks on the current doc: a class-less
-        // baseline gates the same way.
-        let report = diff_documents(&doc(4000, 0), &cur, &slo("interactive", 5000.0));
+        let report = diff_any(&small_base, &small_cur, &DiffConfig::default());
         assert!(!report.has_regressions(), "{}", report.render());
     }
 
     #[test]
     fn counter_invariants_catch_drops_and_broken_ladders() {
         let base = doc(4000, 0);
-        let report = diff_documents(&base, &doc(4000, 3), &DiffConfig::default());
+        let report = diff_any(&base, &doc(4000, 3), &DiffConfig::default());
         assert!(report.has_regressions());
         assert!(report.render().contains("dropped"), "{}", report.render());
 
@@ -666,7 +455,7 @@ mod tests {
                 "min_us":1,"max_us":50,"p50_us":40,"p99_us":20}}"#,
         )
         .unwrap();
-        let report = diff_documents(&broken, &broken.clone(), &DiffConfig::default());
+        let report = diff_any(&broken, &broken.clone(), &DiffConfig::default());
         assert!(report.has_regressions(), "non-monotone ladder must fail");
     }
 
@@ -690,6 +479,23 @@ mod tests {
             triad = target(triad_p50),
         ))
         .expect("bench doc parses")
+    }
+
+    /// The `wall` section of one target of a bench document, to doctor.
+    fn wall_of<'a>(doc: &'a mut JsonValue, target: &str) -> &'a mut BTreeMap<String, JsonValue> {
+        let JsonValue::Object(map) = doc else {
+            panic!("document is an object")
+        };
+        let Some(JsonValue::Object(targets)) = map.get_mut("targets") else {
+            panic!("document has targets")
+        };
+        let Some(JsonValue::Object(t)) = targets.get_mut(target) else {
+            panic!("document has target {target}")
+        };
+        let Some(JsonValue::Object(wall)) = t.get_mut("wall") else {
+            panic!("target {target} has a wall section")
+        };
+        wall
     }
 
     #[test]
@@ -775,27 +581,15 @@ mod tests {
         let report = diff_any(&metrics, &bench, &DiffConfig::default());
         assert!(report.has_mismatches());
         assert!(!report.has_regressions());
+        assert_eq!(report.exit_code(), 2);
 
         // Same kind, but one target's wall section uses a different
         // bucket layout: that section is refused (mismatch), and its
         // 10x-slower quantile must NOT surface as a regression.
         let base = bench_doc(1000, 4000);
         let mut cur = bench_doc(10_000, 4000);
-        if let Some(JsonValue::Object(wall)) = match &mut cur {
-            JsonValue::Object(map) => map
-                .get_mut("targets")
-                .and_then(|t| match t {
-                    JsonValue::Object(t) => t.get_mut("host_cg_spmv"),
-                    _ => None,
-                })
-                .and_then(|t| match t {
-                    JsonValue::Object(t) => t.get_mut("wall"),
-                    _ => None,
-                }),
-            _ => None,
-        } {
-            wall.insert("bucket_layout".to_string(), JsonValue::from("exact/2"));
-        }
+        wall_of(&mut cur, "host_cg_spmv")
+            .insert("bucket_layout".to_string(), JsonValue::from("exact/2"));
         let report = diff_any(&base, &cur, &DiffConfig::default());
         assert!(report.has_mismatches(), "{}", report.render());
         assert!(
@@ -807,6 +601,35 @@ mod tests {
         );
     }
 
+    /// Validation belongs to the diff, not to its callers: a bench
+    /// document with a backwards wall ladder or an untagged wall section
+    /// is a mismatch that names its side, never a regression.
+    #[test]
+    fn invalid_bench_documents_are_mismatches_from_diff_any() {
+        let base = bench_doc(1000, 4000);
+        let mut backwards = bench_doc(1000, 4000);
+        wall_of(&mut backwards, "host_cg_spmv")
+            .insert("p50_us".to_string(), JsonValue::from(5000.0));
+        let mut untagged = bench_doc(1000, 4000);
+        wall_of(&mut untagged, "host_stream_triad").remove("bucket_layout");
+        for (bad, needle) in [(&backwards, "not monotone"), (&untagged, "bucket_layout")] {
+            for (report, side) in [
+                (diff_any(&base, bad, &DiffConfig::default()), "current"),
+                (diff_any(bad, &base, &DiffConfig::default()), "baseline"),
+            ] {
+                assert_eq!(report.exit_code(), 2, "{}", report.render());
+                assert!(!report.has_regressions(), "{}", report.render());
+                assert!(
+                    report
+                        .mismatches()
+                        .any(|f| f.path == side && f.message.contains(needle)),
+                    "{}",
+                    report.render()
+                );
+            }
+        }
+    }
+
     #[test]
     fn schema_mismatch_and_strict_shape_changes_fail() {
         let base = doc(4000, 0);
@@ -814,15 +637,17 @@ mod tests {
         if let JsonValue::Object(map) = &mut other {
             map.insert("schema".to_string(), JsonValue::from("rvhpc-metrics/2"));
         }
-        assert!(diff_documents(&base, &other, &DiffConfig::default()).has_regressions());
+        let report = diff_any(&base, &other, &DiffConfig::default());
+        assert!(report.has_mismatches(), "{}", report.render());
+        assert!(!report.has_regressions(), "{}", report.render());
 
         let mut missing = doc(4000, 0);
         if let JsonValue::Object(map) = &mut missing {
             map.remove("loadgen");
         }
-        let lax = diff_documents(&base, &missing, &DiffConfig::default());
+        let lax = diff_any(&base, &missing, &DiffConfig::default());
         assert!(!lax.has_regressions(), "{}", lax.render());
-        let strict = diff_documents(
+        let strict = diff_any(
             &base,
             &missing,
             &DiffConfig {

@@ -42,6 +42,11 @@ impl JsonValue {
         }
     }
 
+    /// The value at a dotted path of object keys (`"knee.conns"`).
+    pub fn at(&self, path: &str) -> Option<&JsonValue> {
+        path.split('.').try_fold(self, |node, key| node.get(key))
+    }
+
     /// Convenience: numeric value.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -205,6 +210,16 @@ pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
         return Err(err(pos, "trailing characters after document"));
     }
     Ok(value)
+}
+
+/// Read and parse a JSON file. The error names the path and says whether
+/// the file could not be read or is not valid JSON; callers pick the exit
+/// code.
+pub fn read(path: impl AsRef<std::path::Path>) -> Result<JsonValue, String> {
+    let path = path.as_ref();
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    parse(&text).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))
 }
 
 fn err(offset: usize, message: &str) -> ParseError {
@@ -470,6 +485,15 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn dotted_paths_walk_objects_only() {
+        let doc = parse(r#"{"knee":{"conns":8},"steps":[{"conns":2}]}"#).unwrap();
+        assert_eq!(doc.at("knee.conns").and_then(JsonValue::as_f64), Some(8.0));
+        assert_eq!(doc.at("knee"), doc.get("knee"));
+        assert_eq!(doc.at("knee.p99_us"), None);
+        assert_eq!(doc.at("steps.conns"), None);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 pub mod benchdoc;
 pub mod chrome;
 pub mod diff;
+pub mod doc;
 pub mod event;
 pub mod hist;
 pub mod json;
@@ -41,9 +42,10 @@ pub mod slo;
 pub mod timeseries;
 pub mod trace;
 
-pub use benchdoc::{SystemInfo, WallStats, BENCH_SCHEMA};
+pub use benchdoc::{SystemInfo, WallStats};
 pub use chrome::{chrome_trace, write_chrome_trace};
-pub use diff::{diff_any, diff_bench_documents, diff_documents, doc_kind, DiffConfig, DiffReport};
+pub use diff::{diff_any, DiffConfig, DiffReport};
+pub use doc::Kind;
 pub use event::{Event, EventKind};
 pub use hist::LatencyHistogram;
 pub use json::JsonValue;
@@ -53,7 +55,7 @@ pub use recorder::{
     disabled_handle, drain_all, enabled, handle, init_from_env, now_us, pin_epoch, record,
     set_enabled, RecorderHandle, SpanStart, TraceData, TRACE_ENV,
 };
-pub use saturation::{knee_index, SweepStep, SATURATION_SCHEMA};
+pub use saturation::{knee_index, SweepStep};
 pub use slo::{evaluate, parse_rules, HealthReport, RuleSet, HEALTH_SCHEMA, SLO_SCHEMA};
 pub use timeseries::{Sample, Timeseries};
 pub use trace::{RetainedSpan, TraceCtx};

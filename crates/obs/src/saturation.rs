@@ -15,13 +15,12 @@
 //! can be committed, diffed, and gated like every other number here.
 //!
 //! Documents are committed as `results/SATURATION_<n>.json`, rendered
-//! into `BENCHMARKS.md`, and diffed by `obsdiff`'s doc-kind dispatch
-//! ([`diff_saturation_documents`]): steps are matched by connection
-//! count (a vanished step is lost coverage), per-step quantiles obey
-//! the usual ratio + floor rules, and a knee that moved to a *lower*
-//! connection count is a regression — the service saturates earlier.
+//! into `BENCHMARKS.md`, and diffed as [`crate::doc::Kind::Saturation`]:
+//! steps are matched by connection count (a vanished step is lost
+//! coverage), per-step quantiles obey the usual ratio + floor rules, and
+//! a knee that moved to a *lower* connection count is a regression — the
+//! service saturates earlier.
 
-use crate::diff::{DiffConfig, DiffReport, Severity};
 use crate::json::JsonValue;
 
 /// Schema tag stamped into every saturation document.
@@ -172,119 +171,11 @@ pub fn document(generator: &str, params: &SweepParams, steps: &[SweepStep]) -> J
     JsonValue::object(fields)
 }
 
-/// Structural validation: schema tag, a non-empty `steps` array in
-/// strictly ascending connection order with sane per-step numbers, and
-/// a `knee` whose connection count is one of the steps.
-pub fn validate(doc: &JsonValue) -> Result<(), String> {
-    crate::diff::expect_schema(doc, SATURATION_SCHEMA)?;
-    let Some(JsonValue::Array(steps)) = doc.get("steps") else {
-        return Err("missing steps array".to_string());
-    };
-    if steps.is_empty() {
-        return Err("steps array is empty".to_string());
-    }
-    let mut conns_seen = Vec::with_capacity(steps.len());
-    for (i, step) in steps.iter().enumerate() {
-        let num = |key: &str| {
-            step.get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("step {i}: {key} missing or non-numeric"))
-        };
-        let conns = num("conns")?;
-        if let Some(&prev) = conns_seen.last() {
-            if conns <= prev {
-                return Err(format!("step {i}: conns {conns} not above previous {prev}"));
-            }
-        }
-        conns_seen.push(conns);
-        let (p50, p99) = (num("p50_us")?, num("p99_us")?);
-        if p50 > p99 {
-            return Err(format!("step {i}: p50 {p50} above p99 {p99}"));
-        }
-        num("throughput_rps")?;
-        num("ok")?;
-    }
-    let knee_conns = doc
-        .get("knee")
-        .and_then(|k| k.get("conns"))
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing knee.conns")?;
-    if !conns_seen.contains(&knee_conns) {
-        return Err(format!("knee.conns {knee_conns} is not a sweep step"));
-    }
-    Ok(())
-}
-
-/// Compare two saturation documents: step coverage by connection count,
-/// per-step quantiles under the ratio + floor rules, knee drift, and
-/// the current document's counter invariants.
-pub fn diff_saturation_documents(
-    baseline: &JsonValue,
-    current: &JsonValue,
-    cfg: &DiffConfig,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    for (side, doc) in [("baseline", baseline), ("current", current)] {
-        if let Err(e) = validate(doc) {
-            report.push(
-                "steps",
-                Severity::Mismatch,
-                format!("{side} is not a valid saturation document: {e}"),
-            );
-        }
-    }
-    if report.has_mismatches() {
-        return report;
-    }
-    fn steps(doc: &JsonValue) -> Vec<(String, &JsonValue)> {
-        let Some(JsonValue::Array(steps)) = doc.get("steps") else {
-            return Vec::new();
-        };
-        steps
-            .iter()
-            .map(|step| {
-                let conns = step
-                    .get("conns")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(-1.0);
-                (format!("steps.conns_{conns}"), step)
-            })
-            .collect()
-    }
-    crate::diff::diff_keyed(
-        &steps(baseline),
-        &steps(current),
-        "sweep step",
-        cfg,
-        &mut report,
-    );
-    let knee_conns = |doc: &JsonValue| {
-        doc.get("knee")
-            .and_then(|k| k.get("conns"))
-            .and_then(JsonValue::as_f64)
-    };
-    if let (Some(base_knee), Some(cur_knee)) = (knee_conns(baseline), knee_conns(current)) {
-        if cur_knee < base_knee {
-            report.push(
-                "knee.conns",
-                Severity::Regression,
-                format!("saturation knee moved earlier: {base_knee} -> {cur_knee} connections"),
-            );
-        } else if cur_knee != base_knee {
-            report.push(
-                "knee.conns",
-                Severity::Info,
-                format!("saturation knee moved later: {base_knee} -> {cur_knee} connections"),
-            );
-        }
-    }
-    crate::diff::invariants(current, "", &mut report);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{diff_any, DiffConfig};
+    use crate::doc::Kind;
     use crate::json::parse;
 
     fn step(conns: u64, p99: f64, rps: f64) -> SweepStep {
@@ -329,14 +220,12 @@ mod tests {
     fn knee_lands_on_the_elbow_of_a_hockey_stick() {
         let steps = hockey_stick();
         let d = doc(&steps);
-        assert_eq!(validate(&d), Ok(()));
+        assert_eq!(Kind::Saturation.validate(&d), Ok(()));
         // Flat until 16 conns, wall after: the max-distance construction
         // picks 32 — the deepest point below the chord, where latency has
         // left the flat regime but the wall has not yet dominated.
         assert_eq!(
-            d.get("knee")
-                .and_then(|k| k.get("conns"))
-                .and_then(JsonValue::as_f64),
+            d.at("knee.conns").and_then(JsonValue::as_f64),
             Some(32.0),
             "{}",
             d.to_json()
@@ -353,13 +242,8 @@ mod tests {
         assert_eq!(knee_index(&[(1.0, 5.0), (2.0, 9.0)]), None);
         // A two-step document falls back to the last step as knee.
         let d = doc(&[step(2, 400.0, 2000.0), step(4, 800.0, 3000.0)]);
-        assert_eq!(validate(&d), Ok(()));
-        assert_eq!(
-            d.get("knee")
-                .and_then(|k| k.get("conns"))
-                .and_then(JsonValue::as_f64),
-            Some(4.0)
-        );
+        assert_eq!(Kind::Saturation.validate(&d), Ok(()));
+        assert_eq!(d.at("knee.conns").and_then(JsonValue::as_f64), Some(4.0));
     }
 
     #[test]
@@ -368,7 +252,7 @@ mod tests {
         if let JsonValue::Object(map) = &mut d {
             map.remove("knee");
         }
-        assert!(validate(&d).unwrap_err().contains("knee"));
+        assert!(Kind::Saturation.validate(&d).unwrap_err().contains("knee"));
 
         let unordered = parse(
             r#"{"schema":"rvhpc-saturation/1",
@@ -377,10 +261,14 @@ mod tests {
                 "knee":{"conns":8}}"#,
         )
         .unwrap();
-        assert!(validate(&unordered).unwrap_err().contains("not above"));
+        assert!(Kind::Saturation
+            .validate(&unordered)
+            .unwrap_err()
+            .contains("not above"));
 
         let wrong_kind = parse(r#"{"schema":"rvhpc-metrics/1"}"#).unwrap();
-        assert!(validate(&wrong_kind)
+        assert!(Kind::Saturation
+            .validate(&wrong_kind)
             .unwrap_err()
             .contains("rvhpc-metrics/1"));
     }
@@ -388,14 +276,14 @@ mod tests {
     #[test]
     fn self_diff_is_clean_and_latency_wall_regresses() {
         let base = doc(&hockey_stick());
-        let report = diff_saturation_documents(&base, &base.clone(), &DiffConfig::default());
+        let report = diff_any(&base, &base.clone(), &DiffConfig::default());
         assert!(!report.has_regressions(), "{}", report.render());
         assert!(!report.has_mismatches(), "{}", report.render());
 
         // Same sweep, but the 16-conn step's tail latency blew up 10x.
         let mut worse = hockey_stick();
         worse[3].p99_us *= 10.0;
-        let report = diff_saturation_documents(&base, &doc(&worse), &DiffConfig::default());
+        let report = diff_any(&base, &doc(&worse), &DiffConfig::default());
         assert!(report.has_regressions(), "{}", report.render());
         assert!(
             report.render().contains("steps.conns_16"),
@@ -410,7 +298,7 @@ mod tests {
         // Drop the 64-conn step: lost coverage.
         let mut fewer = hockey_stick();
         fewer.pop();
-        let report = diff_saturation_documents(&base, &doc(&fewer), &DiffConfig::default());
+        let report = diff_any(&base, &doc(&fewer), &DiffConfig::default());
         assert!(report.has_regressions(), "{}", report.render());
         assert!(
             report.render().contains("steps.conns_64"),
@@ -428,7 +316,7 @@ mod tests {
             step(32, 14000.0, 7200.0),
             step(64, 16000.0, 7100.0),
         ];
-        let report = diff_saturation_documents(&base, &doc(&earlier), &DiffConfig::default());
+        let report = diff_any(&base, &doc(&earlier), &DiffConfig::default());
         let text = report.render();
         assert!(
             report
@@ -439,11 +327,25 @@ mod tests {
     }
 
     #[test]
-    fn cross_kind_input_is_a_mismatch() {
+    fn cross_kind_and_invalid_input_are_mismatches() {
         let sat = doc(&hockey_stick());
         let metrics = parse(r#"{"schema":"rvhpc-metrics/1","loadgen":{"ok":1}}"#).unwrap();
-        let report = diff_saturation_documents(&sat, &metrics, &DiffConfig::default());
+        let report = diff_any(&sat, &metrics, &DiffConfig::default());
         assert!(report.has_mismatches());
         assert!(!report.has_regressions());
+
+        let mut kneeless = sat.clone();
+        if let JsonValue::Object(map) = &mut kneeless {
+            map.remove("knee");
+        }
+        let report = diff_any(&sat, &kneeless, &DiffConfig::default());
+        assert!(!report.has_regressions(), "{}", report.render());
+        assert!(
+            report
+                .mismatches()
+                .any(|f| f.path == "current" && f.message.contains("knee.conns")),
+            "{}",
+            report.render()
+        );
     }
 }

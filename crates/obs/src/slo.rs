@@ -23,7 +23,6 @@
 //! Everything here is a pure function of (rules, document): no clocks,
 //! no environment — the same inputs always render the same verdict.
 
-use crate::diff::find_class_p99;
 use crate::json::JsonValue;
 
 /// Schema tag of a rules file.
@@ -53,8 +52,9 @@ impl Breach {
 /// What one rule checks.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuleKind {
-    /// `classes.<class>.latency.p99_us` (found anywhere in the tree,
-    /// like the diff machinery's class SLOs) must be ≤ `max_us`.
+    /// `classes.<class>.latency.p99_us`, found anywhere in the tree (the
+    /// serve `qos` section and the loadgen report both qualify), must be
+    /// ≤ `max_us`.
     ClassP99Ceiling {
         /// QoS class label (`interactive`, `batch`, `bulk`).
         class: String,
@@ -311,6 +311,19 @@ impl HealthReport {
             .any(|o| o.status == RuleStatus::Mismatch)
     }
 
+    /// The process exit code the verdict maps to: 2 when a required rule
+    /// could not be evaluated, else 1 when failing, else 0 (ok or
+    /// degraded).
+    pub fn exit_code(&self) -> i32 {
+        if self.has_mismatches() {
+            2
+        } else if self.is_failing() {
+            1
+        } else {
+            0
+        }
+    }
+
     fn count(&self, status: RuleStatus) -> usize {
         self.outcomes.iter().filter(|o| o.status == status).count()
     }
@@ -397,11 +410,18 @@ impl HealthReport {
 
 /// Numeric value at a dotted path.
 fn path_value(doc: &JsonValue, path: &str) -> Option<f64> {
-    let mut node = doc;
-    for seg in path.split('.') {
-        node = node.get(seg)?;
-    }
-    node.as_f64().filter(|n| n.is_finite())
+    doc.at(path)?.as_f64().filter(|n| n.is_finite())
+}
+
+/// The first `classes.<class>.latency.p99_us` anywhere in `doc`
+/// (depth-first, document order).
+fn find_class_p99(doc: &JsonValue, class: &str) -> Option<f64> {
+    let JsonValue::Object(map) = doc else {
+        return None;
+    };
+    doc.at(&format!("classes.{class}.latency.p99_us"))
+        .and_then(JsonValue::as_f64)
+        .or_else(|| map.values().find_map(|v| find_class_p99(v, class)))
 }
 
 /// First cache hit rate in the tree: a `cache` object with
@@ -431,10 +451,7 @@ fn find_hit_rate(doc: &JsonValue) -> Option<Option<f64>> {
 /// `Some(values)` may hold fewer than `window` entries, and an entry is
 /// absent from the vec when that sample lacks the gauge.
 fn trailing_gauges(doc: &JsonValue, gauge: &str, window: usize) -> Option<Vec<f64>> {
-    let samples = match doc.get("timeseries").and_then(|t| t.get("samples")) {
-        Some(JsonValue::Array(s)) => s,
-        _ => return None,
-    };
+    let samples = doc.at("timeseries.samples")?.as_array()?;
     let start = samples.len().saturating_sub(window);
     Some(
         samples[start..]
@@ -495,15 +512,13 @@ pub fn evaluate(rules: &RuleSet, doc: &JsonValue) -> HealthReport {
         .rules
         .iter()
         .map(|rule| match &rule.kind {
-            // The search `obsdiff --class-slo` uses, so rules and the diff
-            // gate agree on which section they judge.
-            RuleKind::ClassP99Ceiling { class, max_us } => match find_class_p99(doc, "", class) {
+            RuleKind::ClassP99Ceiling { class, max_us } => match find_class_p99(doc, class) {
                 None => missing(
                     rule,
                     *max_us,
                     format!("document has no classes.{class}.latency section"),
                 ),
-                Some((_, p99)) => bounded(
+                Some(p99) => bounded(
                     rule,
                     p99,
                     *max_us,
@@ -671,6 +686,37 @@ mod tests {
         let report = evaluate(&rs, &server_doc(500, 0, &[0, 1, 2, 3]));
         assert_eq!(report.status(), "degraded", "{}", report.render());
         assert!(!report.is_failing());
+    }
+
+    /// The class search finds a loadgen report's `loadgen.classes` as
+    /// readily as a server's `qos.classes`; a class the document never
+    /// saw is a mismatch, not a pass.
+    #[test]
+    fn class_ceilings_find_the_class_anywhere() {
+        let loadgen = parse(
+            r#"{"schema":"rvhpc-metrics/1","generator":"rvhpc-loadgen",
+                "loadgen":{"ok":20,"errors":0,"dropped":0,
+                "classes":{"bulk":{"sent":10,"ok":10,
+                    "latency":{"count":10,"mean_us":25000,"min_us":10,
+                               "max_us":99000,"p50_us":25000,"p99_us":50000}}}}}"#,
+        )
+        .unwrap();
+        let report = evaluate(
+            &rules(r#"{"name":"b","kind":"class_p99_ceiling","class":"bulk","max_us":5000}"#),
+            &loadgen,
+        );
+        assert!(report.is_failing(), "{}", report.render());
+        assert_eq!(report.outcomes[0].value, Some(50000.0));
+        assert_eq!(report.exit_code(), 1);
+
+        let report = evaluate(
+            &rules(
+                r#"{"name":"i","kind":"class_p99_ceiling","class":"interactive","max_us":5000}"#,
+            ),
+            &loadgen,
+        );
+        assert!(report.has_mismatches(), "{}", report.render());
+        assert_eq!(report.exit_code(), 2);
     }
 
     #[test]

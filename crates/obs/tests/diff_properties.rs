@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rvhpc_obs::benchdoc::{self, WallStats};
-use rvhpc_obs::{diff_any, json::JsonValue, DiffConfig};
+use rvhpc_obs::{diff_any, json::JsonValue, DiffConfig, Kind};
 
 /// Build a bench document with `targets` synthetic targets, each with a
 /// deterministic sample vector derived from the seeds.
@@ -60,12 +60,11 @@ proptest! {
         strict_bit in 0u64..2,
     ) {
         let doc = synth_doc(&seeds);
-        prop_assert_eq!(benchdoc::validate(&doc), Ok(()));
+        prop_assert_eq!(Kind::Bench.validate(&doc), Ok(()));
         let cfg = DiffConfig {
             max_quantile_ratio: ratio_milli as f64 / 1000.0,
             floor_us: floor as f64,
             strict: strict_bit == 1,
-            class_slos: Vec::new(),
         };
         let report = diff_any(&doc, &doc.clone(), &cfg);
         prop_assert!(!report.has_regressions(), "{}", report.render());

@@ -7,17 +7,17 @@
 //! obsdiff baseline.json current.json --ratio 1.5   # tighter quantile gate
 //! obsdiff baseline.json current.json --floor-us 50 # lower noise floor
 //! obsdiff baseline.json current.json --strict      # shape changes fail too
-//! obsdiff base.json cur.json --class-slo interactive:2000000  # QoS p99 gate
 //! obsdiff --trajectory results/                    # render BENCH_* history
 //! ```
 //!
-//! Three document kinds are understood, dispatched on the `schema` tag:
-//! `rvhpc-metrics/1` (serve/loadgen metrics), `rvhpc-bench/1`
-//! (benchmark-trajectory documents from `reproduce bench`) and
-//! `rvhpc-saturation/1` (concurrency sweeps from `loadgen --sweep`). The
-//! first report line always names the detected kind and both file paths.
-//! An optional leading `bench`/`metrics`/`saturation` keyword asserts
-//! the kind — anything else is a mismatch, not a regression.
+//! Every document kind `rvhpc::obs::Kind` knows is understood, read from
+//! the `schema` tag: `rvhpc-metrics/1` (serve/loadgen metrics),
+//! `rvhpc-bench/1` (benchmark-trajectory documents from `reproduce
+//! bench`) and `rvhpc-saturation/1` (concurrency sweeps from `loadgen
+//! --sweep`). The first report line always names the detected kind and
+//! both file paths. An optional leading kind keyword (`bench`,
+//! `metrics`, `saturation`) asserts the kind — anything else is a
+//! mismatch, not a regression.
 //!
 //! Exit codes: `0` no regression, `1` regression found, `2` documents
 //! unreadable, unparseable, structurally invalid, or not comparable
@@ -26,15 +26,11 @@
 //! tell "this build is slower" from "you diffed the wrong files".
 
 use rvhpc::bench::record;
-use rvhpc::obs::{
-    benchdoc, diff_any, doc_kind, saturation, DiffConfig, JsonValue, BENCH_SCHEMA,
-    SATURATION_SCHEMA,
-};
+use rvhpc::obs::{diff_any, doc::schema_tag, json, DiffConfig, JsonValue, Kind};
 
 fn usage_text() -> &'static str {
     "usage: obsdiff [bench|metrics|saturation] BASELINE.json CURRENT.json\n\
      \x20              [--ratio R] [--floor-us N] [--strict]\n\
-     \x20              [--class-slo CLASS:P99_US]...\n\
      \x20      obsdiff --trajectory DIR\n\
      \x20 BASELINE.json: reference document (rvhpc-metrics/1, rvhpc-bench/1\n\
      \x20                or rvhpc-saturation/1)\n\
@@ -43,14 +39,11 @@ fn usage_text() -> &'static str {
      \x20                to auto-detect from the schema tag (both documents\n\
      \x20                must agree)\n\
      \x20 --ratio:       quantile regression ratio (default 2.0: fail when\n\
-     \x20                current > baseline * ratio)\n\
+     \x20                current > baseline * ratio); finite, at least 1.0\n\
      \x20 --floor-us:    ignore quantile growth below this absolute value\n\
-     \x20                (default 200 us — scheduler noise on idle latencies)\n\
+     \x20                (default 200 us — scheduler noise on idle latencies);\n\
+     \x20                finite, at least 0\n\
      \x20 --strict:      keys/targets present on one side only are regressions\n\
-     \x20 --class-slo:   absolute per-class p99 budget in us (repeatable), e.g.\n\
-     \x20                'interactive:2000000': the CURRENT document must carry\n\
-     \x20                a classes.CLASS.latency section with p99_us at or under\n\
-     \x20                the budget (missing class = exit 2, busted = exit 1)\n\
      \x20 --trajectory:  render the BENCH_<n>.json history under DIR as one\n\
      \x20                markdown table (median wall time per target) and exit\n\
      \x20 -h, --help:    print this help and exit\n\
@@ -66,24 +59,29 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn load(path: &str) -> JsonValue {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("obsdiff: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match rvhpc::obs::json::parse(text.trim()) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("obsdiff: {path} is not valid JSON: {e}");
-            std::process::exit(2);
-        }
+    json::read(path).unwrap_or_else(|e| {
+        eprintln!("obsdiff: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// A threshold flag's value: a finite number of at least `min`. A NaN or
+/// infinite threshold would silently disable the gate.
+fn threshold(flag: &str, arg: Option<String>, min: f64) -> f64 {
+    let value: f64 = arg
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a numeric argument")));
+    if !value.is_finite() {
+        usage_error(&format!("{flag} must be finite"));
     }
+    if value < min {
+        usage_error(&format!("{flag} must be at least {min:?}"));
+    }
+    value
 }
 
 fn trajectory(dir: &str) -> ! {
-    let entries = record::trajectory_paths(std::path::Path::new(dir));
+    let entries = record::trajectory_paths(std::path::Path::new(dir), "BENCH_");
     if entries.is_empty() {
         eprintln!("obsdiff: no BENCH_<n>.json documents under {dir}");
         std::process::exit(2);
@@ -102,54 +100,25 @@ fn trajectory(dir: &str) -> ! {
 
 fn main() {
     let mut cfg = DiffConfig::default();
-    let mut expect_kind: Option<&'static str> = None;
+    let mut expect_kind: Option<Kind> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if paths.is_empty() && expect_kind.is_none() {
+            expect_kind = Kind::from_keyword(&arg);
+            if expect_kind.is_some() {
+                continue;
+            }
+        }
         match arg.as_str() {
-            "--ratio" => {
-                cfg.max_quantile_ratio = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage_error("--ratio needs a numeric argument"));
-            }
-            "--floor-us" => {
-                cfg.floor_us = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage_error("--floor-us needs a numeric argument"));
-            }
+            "--ratio" => cfg.max_quantile_ratio = threshold("--ratio", args.next(), 1.0),
+            "--floor-us" => cfg.floor_us = threshold("--floor-us", args.next(), 0.0),
             "--strict" => cfg.strict = true,
-            "--class-slo" => {
-                let spec = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--class-slo needs CLASS:P99_US"));
-                let parsed = spec.split_once(':').and_then(|(class, budget)| {
-                    let budget: f64 = budget.trim().parse().ok()?;
-                    (!class.trim().is_empty() && budget >= 0.0)
-                        .then(|| (class.trim().to_string(), budget))
-                });
-                match parsed {
-                    Some(slo) => cfg.class_slos.push(slo),
-                    None => usage_error(&format!(
-                        "bad class SLO '{spec}' (expected CLASS:P99_US, e.g. interactive:2000000)"
-                    )),
-                }
-            }
             "--trajectory" => {
                 let dir = args
                     .next()
                     .unwrap_or_else(|| usage_error("--trajectory needs a directory"));
                 trajectory(&dir);
-            }
-            "bench" if paths.is_empty() && expect_kind.is_none() => {
-                expect_kind = Some(BENCH_SCHEMA);
-            }
-            "metrics" if paths.is_empty() && expect_kind.is_none() => {
-                expect_kind = Some(rvhpc::obs::metrics::METRICS_SCHEMA);
-            }
-            "saturation" if paths.is_empty() && expect_kind.is_none() => {
-                expect_kind = Some(SATURATION_SCHEMA);
             }
             "-h" | "--help" => {
                 println!("{}", usage_text());
@@ -162,41 +131,21 @@ fn main() {
     let [baseline_path, current_path] = paths.as_slice() else {
         usage_error("expected exactly two documents: BASELINE.json CURRENT.json");
     };
-    if cfg.max_quantile_ratio < 1.0 {
-        usage_error("--ratio must be at least 1.0");
-    }
 
     let baseline = load(baseline_path);
     let current = load(current_path);
 
-    let kind = doc_kind(&baseline).unwrap_or("<no schema tag>").to_string();
+    let kind = schema_tag(&baseline).unwrap_or("<no schema tag>");
     println!("obsdiff: {kind} — baseline {baseline_path} vs current {current_path}");
 
     if let Some(expected) = expect_kind {
         for (path, doc) in [(baseline_path, &baseline), (current_path, &current)] {
-            let found = doc_kind(doc);
-            if found != Some(expected) {
+            if Kind::of(doc) != Some(expected) {
                 eprintln!(
-                    "obsdiff: {path} is {found:?}, but the command line demands {expected:?}"
+                    "obsdiff: {path} is {:?}, but the command line demands {:?}",
+                    schema_tag(doc),
+                    expected.schema()
                 );
-                std::process::exit(2);
-            }
-        }
-    }
-    if doc_kind(&baseline) == Some(BENCH_SCHEMA) && doc_kind(&current) == Some(BENCH_SCHEMA) {
-        for (path, doc) in [(baseline_path, &baseline), (current_path, &current)] {
-            if let Err(e) = benchdoc::validate(doc) {
-                eprintln!("obsdiff: {path} is not a valid benchmark document: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if doc_kind(&baseline) == Some(SATURATION_SCHEMA)
-        && doc_kind(&current) == Some(SATURATION_SCHEMA)
-    {
-        for (path, doc) in [(baseline_path, &baseline), (current_path, &current)] {
-            if let Err(e) = saturation::validate(doc) {
-                eprintln!("obsdiff: {path} is not a valid saturation document: {e}");
                 std::process::exit(2);
             }
         }
@@ -204,10 +153,5 @@ fn main() {
 
     let report = diff_any(&baseline, &current, &cfg);
     print!("{}", report.render());
-    if report.has_mismatches() {
-        std::process::exit(2);
-    }
-    if report.has_regressions() {
-        std::process::exit(1);
-    }
+    std::process::exit(report.exit_code());
 }

@@ -48,20 +48,10 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn load(path: &str) -> JsonValue {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("obshealth: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match rvhpc::obs::json::parse(text.trim()) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("obshealth: {path} is not valid JSON: {e}");
-            std::process::exit(2);
-        }
-    }
+    rvhpc::obs::json::read(path).unwrap_or_else(|e| {
+        eprintln!("obshealth: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// One `{"op":"metrics"}` round trip against a live server.
@@ -156,10 +146,5 @@ fn main() {
             std::process::exit(3);
         }
     }
-    if report.has_mismatches() {
-        std::process::exit(2);
-    }
-    if report.is_failing() {
-        std::process::exit(1);
-    }
+    std::process::exit(report.exit_code());
 }

@@ -42,6 +42,7 @@ use rvhpc::eval::engine::{set_default_jobs, Engine, Query};
 use rvhpc::eval::{experiment, metrics, report, runner};
 use rvhpc::machines::{presets, MachineId};
 use rvhpc::npb::{BenchmarkId, Class};
+use rvhpc::obs::Kind;
 
 fn one(slug: &str) -> Option<String> {
     let out = match slug {
@@ -401,29 +402,22 @@ fn bench(rest: &[String]) -> ! {
     }
 
     if let Some(path) = render {
-        let load = |path: &str| -> rvhpc::obs::JsonValue {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("reproduce: cannot read {path}: {e}");
+        let load = |path: &str, kind: Kind| -> rvhpc::obs::JsonValue {
+            let doc = rvhpc::obs::json::read(path).unwrap_or_else(|e| {
+                eprintln!("reproduce: {e}");
                 std::process::exit(3);
             });
-            rvhpc::obs::json::parse(text.trim()).unwrap_or_else(|e| {
-                eprintln!("reproduce: {path} is not valid JSON: {e}");
-                std::process::exit(3);
-            })
-        };
-        let doc = load(&path);
-        if let Err(e) = rvhpc::obs::benchdoc::validate(&doc) {
-            eprintln!("reproduce: {path} is not a valid benchmark document: {e}");
-            std::process::exit(3);
-        }
-        let sat = saturation.map(|sat_path| {
-            let sat = load(&sat_path);
-            if let Err(e) = rvhpc::obs::saturation::validate(&sat) {
-                eprintln!("reproduce: {sat_path} is not a valid saturation document: {e}");
+            if let Err(e) = kind.validate(&doc) {
+                eprintln!(
+                    "reproduce: {path} is not a valid {} document: {e}",
+                    kind.schema()
+                );
                 std::process::exit(3);
             }
-            sat
-        });
+            doc
+        };
+        let doc = load(&path, Kind::Bench);
+        let sat = saturation.map(|sat_path| load(&sat_path, Kind::Saturation));
         print!("{}", record::render_markdown_with(&doc, sat.as_ref()));
         std::process::exit(0);
     } else if saturation.is_some() {
@@ -437,7 +431,7 @@ fn bench(rest: &[String]) -> ! {
     let (path, index) = match out {
         Some(p) => {
             let path = std::path::PathBuf::from(p);
-            let index = match record::index_of(&path) {
+            let index = match record::index_of(&path, "BENCH_") {
                 Some(index) => index,
                 // A quick run is a scratch document (CI's gate input):
                 // any name, numbered as what it would be if committed.
@@ -471,7 +465,7 @@ fn bench(rest: &[String]) -> ! {
         ));
     }
     let doc = record::build_document(&results, index, cfg.quick);
-    if let Err(e) = rvhpc::obs::benchdoc::validate(&doc) {
+    if let Err(e) = Kind::Bench.validate(&doc) {
         eprintln!("reproduce: generated document failed validation: {e}");
         std::process::exit(3);
     }

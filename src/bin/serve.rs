@@ -199,10 +199,7 @@ fn main() {
     // SLO rules are parsed strictly up front: a malformed rules file is
     // a usage error, not a silently unhealthy health op.
     if let Some(path) = &slo_path {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| usage_error(&format!("cannot read {}: {e}", path.display())));
-        let doc = rvhpc::obs::json::parse(&text)
-            .unwrap_or_else(|e| usage_error(&format!("bad JSON in {}: {e}", path.display())));
+        let doc = rvhpc::obs::json::read(path).unwrap_or_else(|e| usage_error(&e));
         match rvhpc::obs::parse_rules(&doc) {
             Ok(rules) => {
                 eprintln!(

@@ -8,7 +8,7 @@
 //! never drift from the numbers it claims to show).
 
 use rvhpc::bench::{harness, record};
-use rvhpc::obs::{benchdoc, diff_any, json, DiffConfig, JsonValue};
+use rvhpc::obs::{diff_any, json, DiffConfig, JsonValue, Kind};
 
 fn repo_file(rel: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
@@ -20,7 +20,7 @@ fn repo_file(rel: &str) -> String {
 /// baseline CI gates against and the one `BENCHMARKS.md` renders.
 fn newest_committed() -> (usize, JsonValue) {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    let (n, path) = record::trajectory_paths(&dir)
+    let (n, path) = record::trajectory_paths(&dir, "BENCH_")
         .into_iter()
         .next_back()
         .expect("at least one BENCH_<n>.json is committed");
@@ -43,10 +43,10 @@ fn quick_run_produces_valid_gateable_document() {
     let results = harness::run(&cfg);
     assert_eq!(results.len(), 1, "filter selects exactly one target");
     let doc = record::build_document(&results, 0, true);
-    assert_eq!(benchdoc::validate(&doc), Ok(()));
+    assert_eq!(Kind::Bench.validate(&doc), Ok(()));
     assert_eq!(
         doc.get("schema").and_then(JsonValue::as_str),
-        Some(benchdoc::BENCH_SCHEMA)
+        Some(Kind::Bench.schema())
     );
 
     // Self-diff (through a serialize/parse round-trip) is clean.
@@ -88,10 +88,10 @@ fn quick_run_produces_valid_gateable_document() {
 #[test]
 fn committed_baseline_validates() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    for (n, path) in record::trajectory_paths(&dir) {
+    for (n, path) in record::trajectory_paths(&dir, "BENCH_") {
         let text = std::fs::read_to_string(&path).expect("read trajectory doc");
         let doc = json::parse(text.trim()).expect("trajectory doc parses");
-        assert_eq!(benchdoc::validate(&doc), Ok(()), "BENCH_{n} invalid");
+        assert_eq!(Kind::Bench.validate(&doc), Ok(()), "BENCH_{n} invalid");
         assert_eq!(
             doc.get("mode").and_then(JsonValue::as_str),
             Some("full"),
@@ -127,14 +127,14 @@ fn committed_baseline_validates() {
 fn committed_benchmarks_md_matches_baseline_rendering() {
     let (n, doc) = newest_committed();
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    let (sat_n, sat_path) = record::saturation_paths(&dir)
+    let (sat_n, sat_path) = record::trajectory_paths(&dir, "SATURATION_")
         .into_iter()
         .next_back()
         .expect("at least one SATURATION_<n>.json is committed");
     let sat_text = std::fs::read_to_string(&sat_path).expect("read newest saturation doc");
     let sat = json::parse(sat_text.trim()).expect("newest saturation doc parses");
     assert_eq!(
-        rvhpc::obs::saturation::validate(&sat),
+        Kind::Saturation.validate(&sat),
         Ok(()),
         "SATURATION_{sat_n} invalid"
     );
@@ -154,7 +154,7 @@ fn committed_benchmarks_md_matches_baseline_rendering() {
 #[test]
 fn committed_documents_carry_their_own_index() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    for (n, path) in record::trajectory_paths(&dir) {
+    for (n, path) in record::trajectory_paths(&dir, "BENCH_") {
         let text = std::fs::read_to_string(&path).expect("read trajectory doc");
         let doc = json::parse(text.trim()).expect("trajectory doc parses");
         let index = doc.get("index").and_then(JsonValue::as_f64);
@@ -231,7 +231,7 @@ fn bench_out_settles_provenance_before_running() {
 #[test]
 fn trajectory_renders_committed_history() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    let docs: Vec<(usize, JsonValue)> = record::trajectory_paths(&dir)
+    let docs: Vec<(usize, JsonValue)> = record::trajectory_paths(&dir, "BENCH_")
         .into_iter()
         .map(|(n, path)| {
             let text = std::fs::read_to_string(&path).expect("read trajectory doc");

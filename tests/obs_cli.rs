@@ -72,6 +72,26 @@ fn usage_errors_exit_three() {
     assert_eq!(code, 3, "unknown flag is a usage error: {stderr}");
     let (code, _, stderr) = run(env!("CARGO_BIN_EXE_obsdiff"), &["only-one.json"]);
     assert_eq!(code, 3, "one positional path is a usage error: {stderr}");
+    // A threshold that is not a finite number would switch the gate off
+    // (`NaN < 1.0` is false, and nothing exceeds an infinite floor), and
+    // `--class-slo` is no option: the SLO rules file is the one class gate.
+    for flags in [
+        &["--ratio", "nan"][..],
+        &["--ratio", "inf"],
+        &["--ratio", "0.5"],
+        &["--floor-us", "inf"],
+        &["--floor-us", "nan"],
+        &["--floor-us", "-1"],
+        &["--class-slo", "interactive:2000000"],
+    ] {
+        let args = [
+            &["results/SATURATION_0.json", "results/SATURATION_0.json"][..],
+            flags,
+        ]
+        .concat();
+        let (code, _, stderr) = run(env!("CARGO_BIN_EXE_obsdiff"), &args);
+        assert_eq!(code, 3, "{flags:?} is a usage error: {stderr}");
+    }
 }
 
 /// The committed rules pass against the committed QoS baseline — this is
@@ -194,66 +214,96 @@ fn obshealth_out_writes_versioned_verdict() {
 /// `saturation` kind — the exact invocation the CI sweep gate runs.
 #[test]
 fn obsdiff_saturation_self_diff_is_clean() {
-    let (code, stdout, stderr) = run(
-        env!("CARGO_BIN_EXE_obsdiff"),
-        &[
-            "saturation",
-            "results/SATURATION_0.json",
-            "results/SATURATION_0.json",
-        ],
-    );
-    assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
-    assert!(stdout.contains("saturation"), "{stdout}");
+    for sweep in ["results/SATURATION_0.json", "results/SATURATION_1.json"] {
+        let (code, stdout, stderr) =
+            run(env!("CARGO_BIN_EXE_obsdiff"), &["saturation", sweep, sweep]);
+        assert_eq!(code, 0, "{sweep}\nstdout:\n{stdout}\nstderr:\n{stderr}");
+        assert!(stdout.contains("saturation"), "{stdout}");
+    }
 }
 
-/// Asserting the wrong kind is incomparable (exit 2), not a regression.
+/// Asserting the wrong kind, or auto-detecting two different kinds, is
+/// incomparable (exit 2), not a regression.
 #[test]
 fn obsdiff_kind_assertion_mismatch_exits_two() {
-    let (code, stdout, stderr) = run(
-        env!("CARGO_BIN_EXE_obsdiff"),
+    for args in [
         &[
             "saturation",
             "results/qos_baseline_metrics.json",
             "results/qos_baseline_metrics.json",
-        ],
-    );
-    assert_eq!(code, 2, "stdout:\n{stdout}\nstderr:\n{stderr}");
+        ][..],
+        &["results/baseline_metrics.json", "results/BENCH_7.json"],
+    ] {
+        let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_obsdiff"), args);
+        assert_eq!(code, 2, "{args:?}\nstdout:\n{stdout}\nstderr:\n{stderr}");
+    }
 }
 
-/// A sweep whose per-step p99s blew up 10x regresses against the
-/// committed baseline (exit 1).
-#[test]
-fn obsdiff_saturation_regression_exits_one() {
-    let text = std::fs::read_to_string(repo_path("results/SATURATION_0.json")).expect("read sweep");
-    let mut doctored = json::parse(text.trim()).expect("sweep parses");
-    if let JsonValue::Object(doc) = &mut doctored {
-        if let Some(JsonValue::Array(steps)) = doc.get_mut("steps") {
-            for step in steps.iter_mut() {
-                if let JsonValue::Object(step) = step {
-                    if let Some(JsonValue::Number(v)) = step.get_mut("p99_us") {
-                        *v *= 10.0;
-                    }
-                }
-            }
-        }
-        if let Some(JsonValue::Object(knee)) = doc.get_mut("knee") {
-            if let Some(JsonValue::Number(v)) = knee.get_mut("p99_us") {
+/// Multiply every number under each `(section, key)` of `rel` by 10.
+/// A section holding an array has each element doctored.
+fn ten_times_slower(rel: &str, fields: &[(&str, &str)]) -> JsonValue {
+    let text = std::fs::read_to_string(repo_path(rel)).expect("read committed doc");
+    let mut doc = json::parse(text.trim()).expect("committed doc parses");
+    let scale = |node: &mut JsonValue, key: &str| {
+        if let JsonValue::Object(map) = node {
+            if let Some(JsonValue::Number(v)) = map.get_mut(key) {
                 *v *= 10.0;
             }
         }
+    };
+    for (section, key) in fields {
+        let mut node = &mut doc;
+        for seg in section.split('.') {
+            node = match node {
+                JsonValue::Object(map) => map.get_mut(seg).expect("section exists"),
+                _ => panic!("{section} is not an object path"),
+            };
+        }
+        match node {
+            JsonValue::Array(items) => items.iter_mut().for_each(|item| scale(item, key)),
+            node => scale(node, key),
+        }
     }
-    let path = scratch("slow_sweep.json");
-    write_doc(&path, &doctored);
-    let (code, stdout, stderr) = run(
-        env!("CARGO_BIN_EXE_obsdiff"),
-        &[
-            "saturation",
+    doc
+}
+
+/// A committed document doctored 10x slower regresses against itself
+/// (exit 1), for a saturation sweep (every step's p99 and the knee's)
+/// and for a benchmark document (one target's whole wall ladder).
+#[test]
+fn obsdiff_saturation_regression_exits_one() {
+    let wall = "targets.host_cg_spmv.wall";
+    for (baseline, doctored) in [
+        (
             "results/SATURATION_0.json",
-            &path.display().to_string(),
-        ],
-    );
-    assert_eq!(code, 1, "stdout:\n{stdout}\nstderr:\n{stderr}");
-    assert!(stdout.contains("REGRESSION"), "{stdout}");
+            ten_times_slower(
+                "results/SATURATION_0.json",
+                &[("steps", "p99_us"), ("knee", "p99_us")],
+            ),
+        ),
+        (
+            "results/BENCH_7.json",
+            ten_times_slower(
+                "results/BENCH_7.json",
+                &[
+                    (wall, "min_us"),
+                    (wall, "p50_us"),
+                    (wall, "p99_us"),
+                    (wall, "max_us"),
+                    (wall, "mean_us"),
+                ],
+            ),
+        ),
+    ] {
+        let path = scratch(&format!("slow_{}", baseline.trim_start_matches("results/")));
+        write_doc(&path, &doctored);
+        let (code, stdout, stderr) = run(
+            env!("CARGO_BIN_EXE_obsdiff"),
+            &[baseline, &path.display().to_string()],
+        );
+        assert_eq!(code, 1, "{baseline}\nstdout:\n{stdout}\nstderr:\n{stderr}");
+        assert!(stdout.contains("REGRESSION"), "{stdout}");
+    }
 }
 
 /// `obsdiff` is the one diff CLI: to `reproduce`, `obs-diff` is an
