@@ -9,9 +9,11 @@
 //! derivation), and large grids evaluate in parallel under
 //! `RVHPC_JOBS` / `--jobs`.
 
+use std::fmt::Write as _;
+
 use rvhpc_machines::MachineId;
 use rvhpc_npb::{BenchmarkId, Class};
-use rvhpc_obs::JsonValue;
+use rvhpc_obs::json::Writer;
 
 use crate::engine::{Engine, MachineSel, Plan, Query};
 
@@ -111,37 +113,44 @@ pub fn grid_sweep(
     )
 }
 
-/// Serialize samples as a JSON array, through the workspace's shared
-/// JSON writer ([`rvhpc_obs::json`]) — one escaping/formatting
-/// implementation for sweeps, traces and metrics alike.
+/// Serialize samples as a JSON array, streamed through the workspace's
+/// shared JSON writer ([`rvhpc_obs::json::Writer`]) — one
+/// escaping/formatting implementation for sweeps, traces and metrics
+/// alike. Fields are written in key order, as a `JsonValue` object
+/// prints them.
 pub fn to_json(samples: &[Sample]) -> String {
-    JsonValue::Array(samples.iter().map(sample_json).collect()).to_json()
-}
-
-fn sample_json(s: &Sample) -> JsonValue {
-    JsonValue::object([
-        ("machine".to_string(), JsonValue::from(s.machine.name())),
-        ("bench".to_string(), JsonValue::from(s.bench.name())),
-        ("class".to_string(), JsonValue::from(s.class.name())),
-        ("threads".to_string(), JsonValue::from(u64::from(s.threads))),
-        ("seconds".to_string(), JsonValue::from(s.seconds)),
-        ("mops".to_string(), JsonValue::from(s.mops)),
-    ])
+    let mut out = String::with_capacity(2 + samples.len() * 128);
+    Writer::new(&mut out).array(|a| {
+        for s in samples {
+            a.item().object(|o| {
+                o.field("bench").string(s.bench.name());
+                o.field("class").string(s.class.name());
+                o.field("machine").string(s.machine.name());
+                o.field("mops").number(s.mops);
+                o.field("seconds").number(s.seconds);
+                o.field("threads").number(f64::from(s.threads));
+            });
+        }
+    });
+    out
 }
 
 /// Serialize samples as CSV.
 pub fn to_csv(samples: &[Sample]) -> String {
-    let mut out = String::from("machine,bench,class,threads,seconds,mops\n");
+    const HEADER: &str = "machine,bench,class,threads,seconds,mops\n";
+    let mut out = String::with_capacity(HEADER.len() + samples.len() * 64);
+    out.push_str(HEADER);
     for s in samples {
-        out.push_str(&format!(
-            "{},{},{},{},{},{}\n",
+        let _ = writeln!(
+            out,
+            "{},{},{},{},{},{}",
             s.machine.name(),
             s.bench.name(),
             s.class.name(),
             s.threads,
             s.seconds,
             s.mops
-        ));
+        );
     }
     out
 }
@@ -149,7 +158,90 @@ pub fn to_csv(samples: &[Sample]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvhpc_obs::json;
+    use rvhpc_obs::{json, JsonValue};
+
+    /// The tree a sample used to be rendered through: the oracle for the
+    /// streamed [`to_json`].
+    fn sample_json(s: &Sample) -> JsonValue {
+        JsonValue::object([
+            ("machine".to_string(), JsonValue::from(s.machine.name())),
+            ("bench".to_string(), JsonValue::from(s.bench.name())),
+            ("class".to_string(), JsonValue::from(s.class.name())),
+            ("threads".to_string(), JsonValue::from(u64::from(s.threads))),
+            ("seconds".to_string(), JsonValue::from(s.seconds)),
+            ("mops".to_string(), JsonValue::from(s.mops)),
+        ])
+    }
+
+    /// The CSV writer before it wrote rows in place: the oracle for
+    /// [`to_csv`].
+    fn csv_by_format(samples: &[Sample]) -> String {
+        let mut out = String::from("machine,bench,class,threads,seconds,mops\n");
+        for s in samples {
+            out.push_str(&format!(
+                "{},{},{},{},{},{}\n",
+                s.machine.name(),
+                s.bench.name(),
+                s.class.name(),
+                s.threads,
+                s.seconds,
+                s.mops
+            ));
+        }
+        out
+    }
+
+    /// Every machine, benchmark and class, threads 1 and 1024, and each
+    /// number shape the writer treats apart: NaN, ±inf, −0.0, integral,
+    /// at or above 9e15, fractional.
+    fn awkward_samples() -> Vec<Sample> {
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            42.0,
+            9e15,
+            2f64.powi(60),
+            0.123_456_789,
+            1e-9,
+        ];
+        let mut out = Vec::new();
+        let mut i = 0usize;
+        for machine in MachineId::ALL {
+            for bench in BenchmarkId::ALL {
+                for class in Class::ALL {
+                    out.push(Sample {
+                        machine,
+                        bench,
+                        class,
+                        threads: [1, 1024][i % 2],
+                        seconds: values[i % values.len()],
+                        mops: values[(i / values.len() + i) % values.len()],
+                    });
+                    i += 1;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_json_is_byte_equal_to_the_tree() {
+        let all = awkward_samples();
+        for samples in [&all[..], &all[..1], &[]] {
+            let tree = JsonValue::Array(samples.iter().map(sample_json).collect()).to_json();
+            assert_eq!(to_json(samples), tree);
+        }
+    }
+
+    #[test]
+    fn in_place_csv_is_byte_equal_to_the_formatted_rows() {
+        let all = awkward_samples();
+        for samples in [&all[..], &[]] {
+            assert_eq!(to_csv(samples), csv_by_format(samples));
+        }
+    }
 
     #[test]
     fn thread_sweep_clamps_and_dedups() {

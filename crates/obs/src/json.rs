@@ -1,10 +1,18 @@
-//! Minimal JSON document model: a writer for the exporters and a strict
-//! parser used by tests (and `--metrics` consumers) to validate output.
+//! Minimal JSON: one syntax implementation with two front ends, and a
+//! strict parser used by tests (and `--metrics` consumers) to validate
+//! output.
 //!
 //! The workspace serializes by hand rather than through serde, so this
-//! module is the single place JSON syntax lives. The model is deliberately
-//! small: no borrowing, no streaming — trace and metrics files are bounded
-//! by run length and fit comfortably in memory.
+//! module is the single place JSON syntax lives. The two front ends:
+//! - [`JsonValue`], an owned tree, for documents that are parsed, diffed
+//!   or validated — traces, metrics, bench and saturation documents.
+//! - [`Writer`], which streams values straight into a `String`, for bulk
+//!   record output (sweeps) that would otherwise build a tree only to
+//!   print and drop it. A streamed object takes its keys in strictly
+//!   ascending order, so it prints what the same tree prints.
+//!
+//! The tree renders through the writer, so escaping, number format and
+//! separators exist once.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -74,39 +82,140 @@ impl JsonValue {
     /// Serialize to a compact JSON string.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(Writer::new(&mut out));
         out
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, w: Writer<'_>) {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(n) => write_number(*n, out),
-            JsonValue::String(s) => write_string(s, out),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
+            JsonValue::Null => w.null(),
+            JsonValue::Bool(b) => w.bool(*b),
+            JsonValue::Number(n) => w.number(*n),
+            JsonValue::String(s) => w.string(s),
+            JsonValue::Array(items) => w.array(|a| {
+                for item in items {
+                    item.write(a.item());
                 }
-                out.push(']');
-            }
-            JsonValue::Object(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
+            }),
+            JsonValue::Object(map) => w.object(|o| {
+                for (k, v) in map {
+                    v.write(o.field(k));
                 }
-                out.push('}');
-            }
+            }),
         }
+    }
+}
+
+/// Writes exactly one JSON value at the end of a `String`.
+///
+/// Arrays and objects take a closure that writes their members, so the
+/// closing bracket cannot be forgotten. Every [`ArrayWriter::item`] and
+/// [`ObjectWriter::field`] must be given its value.
+pub struct Writer<'a> {
+    out: &'a mut String,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer that appends its value to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        Writer { out }
+    }
+
+    /// `null`
+    pub fn null(self) {
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`
+    pub fn bool(self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A number: integral values below 9e15 without a fraction, NaN and
+    /// ±inf as `null`.
+    pub fn number(self, n: f64) {
+        write_number(n, self.out);
+    }
+
+    /// An escaped string.
+    pub fn string(self, s: &str) {
+        write_string(s, self.out);
+    }
+
+    /// An array whose items `items` writes.
+    pub fn array(self, items: impl FnOnce(&mut ArrayWriter<'_>)) {
+        self.out.push('[');
+        let mut a = ArrayWriter {
+            out: self.out,
+            empty: true,
+        };
+        items(&mut a);
+        a.out.push(']');
+    }
+
+    /// An object whose fields `fields` writes, in strictly ascending key
+    /// order (checked in debug builds): the order a [`JsonValue::Object`]
+    /// prints in.
+    pub fn object(self, fields: impl FnOnce(&mut ObjectWriter<'_>)) {
+        self.out.push('{');
+        let mut o = ObjectWriter {
+            out: self.out,
+            empty: true,
+            #[cfg(debug_assertions)]
+            last_key: String::new(),
+        };
+        fields(&mut o);
+        o.out.push('}');
+    }
+}
+
+/// The items of an array being written; see [`Writer::array`].
+pub struct ArrayWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ArrayWriter<'_> {
+    /// The writer for the next item.
+    pub fn item(&mut self) -> Writer<'_> {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        Writer { out: self.out }
+    }
+}
+
+/// The fields of an object being written; see [`Writer::object`].
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+    #[cfg(debug_assertions)]
+    last_key: String,
+}
+
+impl ObjectWriter<'_> {
+    /// The writer for the value of field `key`, which must sort after
+    /// every key written before it.
+    pub fn field(&mut self, key: &str) -> Writer<'_> {
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                self.empty || self.last_key.as_str() < key,
+                "streamed JSON object keys must be strictly ascending: {:?} after {:?}",
+                key,
+                self.last_key
+            );
+            self.last_key.clear();
+            self.last_key.push_str(key);
+        }
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_string(key, self.out);
+        self.out.push(':');
+        Writer { out: self.out }
     }
 }
 
@@ -156,7 +265,10 @@ fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; null is the conventional encoding.
         out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 9e15 {
+    } else if n.abs() < 9e15 && (n as i64) as f64 == n {
+        // Below 9e15 the cast truncates exactly, so the round trip is the
+        // integrality test — without `f64::trunc`, a libm call on
+        // baseline x86-64.
         let _ = write!(out, "{}", n as i64);
     } else {
         let _ = write!(out, "{n}");
@@ -165,19 +277,29 @@ fn write_number(n: f64, out: &mut String) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Copy the runs between the bytes that need escaping. Those are all
+    // ASCII, so they never fall inside a multi-byte character and every
+    // run boundary is a char boundary.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -407,9 +529,128 @@ mod tests {
                 "tags".to_string(),
                 JsonValue::from(vec!["a", "b\"quoted\""]),
             ),
+            (
+                "flags".to_string(),
+                JsonValue::Array(vec![
+                    JsonValue::Bool(true),
+                    JsonValue::Bool(false),
+                    JsonValue::Null,
+                    JsonValue::Array(vec![]),
+                    JsonValue::object([]),
+                ]),
+            ),
+            ("count".to_string(), JsonValue::from(-0.0f64)),
         ]);
         let text = doc.to_json();
-        assert_eq!(parse(&text).expect("parses"), doc);
+        assert_eq!(
+            text,
+            r#"{"args":{"tid":3},"count":0,"dur":12.5,"flags":[true,false,null,[],{}],"name":"barrier-wait","tags":["a","b\"quoted\""]}"#
+        );
+        let back = parse(&text).expect("parses");
+        assert_eq!(back.to_json(), text);
+        assert_eq!(back.get("name"), doc.get("name"));
+    }
+
+    /// The integrality test before it dropped `f64::trunc`.
+    fn write_number_with_trunc(n: f64, out: &mut String) {
+        if !n.is_finite() {
+            out.push_str("null");
+        } else if n == n.trunc() && n.abs() < 9e15 {
+            let _ = write!(out, "{}", n as i64);
+        } else {
+            let _ = write!(out, "{n}");
+        }
+    }
+
+    #[test]
+    fn numbers_print_as_they_did_with_trunc() {
+        let e300 = format!("1{}", "0".repeat(300));
+        for (n, want) in [
+            (-0.0, "0"),
+            (0.5, "0.5"),
+            (-3.0, "-3"),
+            (-2.5, "-2.5"),
+            (2f64.powi(53), "9007199254740992"),
+            (9e15 - 1.0, "8999999999999999"),
+            (1.0 - 9e15, "-8999999999999999"),
+            (9e15, "9000000000000000"),
+            (2f64.powi(60), "1152921504606847000"),
+            (1e300, &e300),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            let (mut new, mut old) = (String::new(), String::new());
+            write_number(n, &mut new);
+            write_number_with_trunc(n, &mut old);
+            assert_eq!(new, want, "{n}");
+            assert_eq!(old, want, "{n}");
+        }
+    }
+
+    /// The string writer before it copied runs: one `char` at a time.
+    fn write_string_by_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn strings_print_as_they_did_char_by_char() {
+        let controls: String = (0u8..0x20).chain([0x7f]).map(char::from).collect();
+        let mut inputs = vec![
+            String::new(),
+            "plain ascii, nothing to escape".to_string(),
+            "µs · 走 · 𝄞".to_string(),
+            controls.clone(),
+            format!("a{controls}b"),
+            "\"quoted\"".to_string(),
+            "\\back\\".to_string(),
+            "\"\\mid\"dle\\\"".to_string(),
+            "走\"𝄞\\µ\n".to_string(),
+        ];
+        inputs.extend((0u8..0x20).chain([0x7f]).map(|b| char::from(b).to_string()));
+        for s in &inputs {
+            let (mut new, mut old) = (String::new(), String::new());
+            write_string(s, &mut new);
+            write_string_by_char(s, &mut old);
+            assert_eq!(new, old, "{s:?}");
+            assert_eq!(parse(&new).expect("parses").as_str(), Some(s.as_str()));
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn streamed_object_rejects_keys_out_of_order() {
+        let mut out = String::new();
+        Writer::new(&mut out).object(|o| {
+            o.field("machine").null();
+            o.field("bench").null();
+        });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn streamed_object_rejects_a_repeated_key() {
+        let mut out = String::new();
+        Writer::new(&mut out).object(|o| {
+            o.field("mops").null();
+            o.field("mops").null();
+        });
     }
 
     #[test]
