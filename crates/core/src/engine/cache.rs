@@ -7,6 +7,13 @@
 //! payload; counters are plain relaxed atomics read by the `engine`
 //! metrics section.
 //!
+//! **A key is hashed once.** [`key_hash`] is the one hash of a key: the
+//! fixed-key SipHash of `std`'s `DefaultHasher`. [`Hashed`] carries it
+//! beside the key, and everything downstream reuses it: the shard is
+//! the low bits of that hash (`hash & (SHARDS - 1)`), and each shard's
+//! map and the executor's dedup map index by it through
+//! [`IdentityState`], which hashes a `u64` to itself.
+//!
 //! Counter semantics, pinned by regression tests: a counter moves only
 //! when a *serving* probe runs — [`get_or_insert_with`], the executor's
 //! batch pre-pass via [`count_hit`]/[`count_miss`], never more than once
@@ -16,12 +23,18 @@
 //! `rvhpc-metrics/1` documents.
 //!
 //! The cache may be bounded with [`set_capacity`]: each shard keeps its
-//! keys in insertion order and evicts the oldest once past its share of
-//! the cap. Shard selection uses a fixed-key hasher, so the same key
-//! stream produces the same shard fills, the same eviction order, and —
-//! through the [`evict hook`](ShardedCache::set_evict_hook) — the same
-//! spill sequence into the disk tier, run after run. The hook is always
+//! entries in insertion order and evicts the oldest once past its share
+//! of the cap. The hash is fixed-key, so the same key stream produces
+//! the same shard fills, the same eviction order, and — through the
+//! [`evict hook`](ShardedCache::set_evict_hook) — the same spill
+//! sequence into the disk tier, run after run. The hook is always
 //! invoked *outside* the shard lock (spills do disk I/O).
+//!
+//! A shard holds each key once: its map goes from hash to `(key,
+//! value)`, and its FIFO queue holds only hashes. Two distinct keys
+//! with one 64-bit hash cannot both live in a shard; the second is
+//! simply not stored, so it is recomputed on each probe — slower, never
+//! wrong.
 //!
 //! Lookups never hold a lock across the compute closure: on a miss the
 //! value is produced outside the shard lock and inserted afterwards. Two
@@ -36,8 +49,9 @@
 //! [`peek`]: ShardedCache::peek
 //! [`set_capacity`]: ShardedCache::set_capacity
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -46,21 +60,125 @@ use parking_lot::Mutex;
 /// Number of independent shards; a power of two so the selector is a mask.
 const SHARDS: usize = 16;
 
+/// The hash of a key: fixed-key SipHash, so shard choice (hence
+/// eviction order) is a pure function of the key stream, not of
+/// per-process random state.
+pub fn key_hash<K: Hash + ?Sized>(key: &K) -> u64 {
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(key)
+}
+
+/// The shard a key with hash `hash` lives in: its low bits.
+pub(crate) fn shard_of(hash: u64) -> usize {
+    (hash as usize) & (SHARDS - 1)
+}
+
+/// A key with its [`key_hash`], computed once by [`Hashed::new`]. As a
+/// map key it hashes as that `u64` (meant for [`IdentityState`]) and
+/// compares by key, so a hash collision never merges two keys.
+#[derive(Debug, Clone, Copy)]
+pub struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: Hash> Hashed<K> {
+    /// Hash `key`.
+    pub fn new(key: K) -> Self {
+        Self {
+            hash: key_hash(&key),
+            key,
+        }
+    }
+}
+
+impl<K> Hashed<K> {
+    /// The carried [`key_hash`].
+    pub fn hash64(&self) -> u64 {
+        self.hash
+    }
+
+    /// The key.
+    pub fn key(&self) -> &K {
+        &self.key
+    }
+}
+
+impl<K: PartialEq> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Hashed<K> {}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// A hasher that passes one `u64` through: the hash of a `u64` key (or
+/// of a [`Hashed`]) is that value.
+#[derive(Default)]
+pub struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("IdentityHasher hashes a single u64");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// Map state for keys that are already hashes.
+pub type IdentityState = BuildHasherDefault<IdentityHasher>;
+
 /// Hook invoked (outside any shard lock) for each entry evicted by the
 /// capacity bound — the engine wires this to the disk-tier spill.
 pub type EvictHook<K, V> = Arc<dyn Fn(&K, &Arc<V>) + Send + Sync>;
 
 struct Shard<K, V> {
-    map: HashMap<K, Arc<V>>,
-    /// Keys in insertion order, driving deterministic FIFO eviction.
-    order: VecDeque<K>,
+    /// Key hash → the entry; the key is stored here and only here.
+    map: HashMap<u64, (K, Arc<V>), IdentityState>,
+    /// Key hashes in insertion order, driving deterministic FIFO eviction.
+    order: VecDeque<u64>,
 }
 
-impl<K, V> Shard<K, V> {
+impl<K: Eq, V> Shard<K, V> {
     fn new() -> Self {
         Self {
-            map: HashMap::new(),
+            map: HashMap::default(),
             order: VecDeque::new(),
+        }
+    }
+
+    fn get(&self, key: &Hashed<K>) -> Option<&Arc<V>> {
+        match self.map.get(&key.hash) {
+            Some((k, v)) if *k == key.key => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Store `value` unless the hash is taken — by this key, or by a
+    /// colliding one, which leaves this key uncached. Returns the value
+    /// the shard holds for `key`, if any.
+    fn put(&mut self, key: Hashed<K>, value: Arc<V>) -> Option<&Arc<V>> {
+        let hash = key.hash;
+        match self.map.entry(hash) {
+            Entry::Occupied(e) => {
+                let (k, v) = e.into_mut();
+                (*k == key.key).then_some(&*v)
+            }
+            Entry::Vacant(e) => {
+                self.order.push_back(hash);
+                Some(&e.insert((key.key, value)).1)
+            }
         }
     }
 }
@@ -68,9 +186,6 @@ impl<K, V> Shard<K, V> {
 /// A sharded `HashMap<K, Arc<V>>` memo table with an optional capacity.
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
-    /// Fixed-key SipHash: shard choice (hence eviction order) is a pure
-    /// function of the key stream, not of per-process random state.
-    hasher: BuildHasherDefault<DefaultHasher>,
     /// Total entry bound across shards; 0 = unbounded.
     capacity: AtomicUsize,
     hits: AtomicU64,
@@ -84,7 +199,6 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     pub fn new() -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
-            hasher: BuildHasherDefault::default(),
             capacity: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -93,9 +207,8 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let h = self.hasher.hash_one(key);
-        &self.shards[(h as usize) & (SHARDS - 1)]
+    fn shard(&self, key: &Hashed<K>) -> &Mutex<Shard<K, V>> {
+        &self.shards[shard_of(key.hash)]
     }
 
     /// Each shard's share of the capacity (at least one entry), or
@@ -115,11 +228,11 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
         };
         let mut out = Vec::new();
         while shard.map.len() > per {
-            let Some(k) = shard.order.pop_front() else {
+            let Some(h) = shard.order.pop_front() else {
                 break;
             };
-            if let Some(v) = shard.map.remove(&k) {
-                out.push((k, v));
+            if let Some(entry) = shard.map.remove(&h) {
+                out.push(entry);
             }
         }
         out
@@ -164,27 +277,30 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// serve-side `is_cached` checks go through here and must not skew
     /// the serving hit rate (see the module docs).
     pub fn peek(&self, key: &K) -> Option<Arc<V>> {
-        self.shard(key).lock().map.get(key).cloned()
+        self.peek_hashed(&Hashed::new(key.clone()))
+    }
+
+    /// [`ShardedCache::peek`] for a key hashed by the caller.
+    pub fn peek_hashed(&self, key: &Hashed<K>) -> Option<Arc<V>> {
+        self.shard(key).lock().get(key).cloned()
     }
 
     /// Fetch the value for `key`, computing it with `f` on a miss. The
     /// closure runs outside the shard lock.
     pub fn get_or_insert_with(&self, key: &K, f: impl FnOnce() -> V) -> Arc<V> {
-        if let Some(v) = self.shard(key).lock().map.get(key) {
+        let key = Hashed::new(key.clone());
+        let shard = self.shard(&key);
+        if let Some(v) = shard.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(v);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let computed = Arc::new(f());
         let (value, evicted) = {
-            let mut shard = self.shard(key).lock();
-            let value = if let Some(existing) = shard.map.get(key) {
-                Arc::clone(existing)
-            } else {
-                shard.map.insert(key.clone(), Arc::clone(&computed));
-                shard.order.push_back(key.clone());
-                computed
-            };
+            let mut shard = shard.lock();
+            let value = shard
+                .put(key, Arc::clone(&computed))
+                .map_or(computed, Arc::clone);
             (value, self.evict_overflow(&mut shard))
         };
         self.run_evict_hook(evicted);
@@ -196,12 +312,14 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// memory). Counts as neither hit nor miss — the executor already
     /// counted the probe that scheduled the computation.
     pub fn insert(&self, key: K, value: Arc<V>) {
+        self.insert_hashed(Hashed::new(key), value);
+    }
+
+    /// [`ShardedCache::insert`] for a key hashed by the caller.
+    pub fn insert_hashed(&self, key: Hashed<K>, value: Arc<V>) {
         let evicted = {
             let mut shard = self.shard(&key).lock();
-            if !shard.map.contains_key(&key) {
-                shard.map.insert(key.clone(), value);
-                shard.order.push_back(key);
-            }
+            shard.put(key, value);
             self.evict_overflow(&mut shard)
         };
         self.run_evict_hook(evicted);
@@ -212,9 +330,9 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     pub fn for_each(&self, mut f: impl FnMut(&K, &Arc<V>)) {
         for shard in &self.shards {
             let shard = shard.lock();
-            for key in &shard.order {
-                if let Some(v) = shard.map.get(key) {
-                    f(key, v);
+            for h in &shard.order {
+                if let Some((k, v)) = shard.map.get(h) {
+                    f(k, v);
                 }
             }
         }

@@ -2,7 +2,9 @@
 //!
 //! [`Engine`] owns the two memo caches (workload profiles and
 //! predictions) and evaluates [`Plan`]s: the plan's queries are
-//! deduplicated by content-addressed [`CacheKey`], cache hits are served
+//! deduplicated by content-addressed [`CacheKey`], hashed once
+//! ([`HashedKey`]) for the dedup, the probe, the insert and
+//! [`Resolved`], cache hits are served
 //! directly, and the remaining misses are computed in parallel on the
 //! workspace's own OpenMP-style pool ([`rvhpc_parallel::Pool`]) — the
 //! runtime the benchmarks run on is also the runtime the evaluation runs
@@ -25,8 +27,8 @@ use rvhpc_npb::{BenchmarkId, Class};
 use rvhpc_obs::{EventKind, JsonValue, TraceCtx};
 use rvhpc_parallel::Pool;
 
-use crate::engine::cache::ShardedCache;
-use crate::engine::plan::{Backend, CacheKey, Plan, Query};
+use crate::engine::cache::{IdentityState, ShardedCache};
+use crate::engine::plan::{Backend, CacheKey, HashedKey, Plan, Query};
 use crate::engine::store::DiskStore;
 use crate::model::{predict, Prediction, Scenario};
 
@@ -138,23 +140,43 @@ impl EngineMetrics {
     }
 }
 
-/// A plan's results, addressable by query. Built by [`Engine::resolve`];
-/// the builders in [`crate::experiment`] use it to keep their original
-/// loop structure while reading every number from the cache.
+/// A plan's results, addressable by query: one prediction per distinct
+/// key, in first-seen order, and where to find each key and each plan
+/// query among them. Built by [`Engine::resolve`] straight from the
+/// executor's dedup map; the builders in [`crate::experiment`] use it to
+/// keep their original loop structure while reading every number from
+/// the cache.
 pub struct Resolved {
-    map: HashMap<Query, Arc<Prediction>>,
+    /// The plan's custom-machine fingerprints, to key queries with.
+    fingerprints: Vec<u64>,
+    slot_of_key: HashMap<HashedKey, usize, IdentityState>,
+    results: Vec<Arc<Prediction>>,
+    /// The slot of each plan query, in plan order.
+    slot_of: Vec<usize>,
 }
 
 impl Resolved {
-    /// The prediction for `q`. Panics if `q` was not in the resolved
-    /// plan — a builder bug, not a data condition.
+    /// The prediction for `q`, or for any query with its key. Panics if
+    /// no query of the resolved plan has that key — a builder bug, not a
+    /// data condition.
     pub fn get(&self, q: &Query) -> &Prediction {
-        self.map
-            .get(q)
-            .unwrap_or_else(|| panic!("query missing from resolved plan: {q:?}"))
+        let key = HashedKey::new(CacheKey::of(q, &self.fingerprints));
+        match self.slot_of_key.get(&key) {
+            Some(&slot) => &self.results[slot],
+            None => panic!("query missing from resolved plan: {q:?}"),
+        }
+    }
+
+    /// The predictions in plan order.
+    fn in_plan_order(&self) -> Vec<Arc<Prediction>> {
+        self.slot_of
+            .iter()
+            .map(|&slot| Arc::clone(&self.results[slot]))
+            .collect()
     }
 }
 
+#[derive(Default)]
 struct ExecCounters {
     batches: u64,
     executed: u64,
@@ -188,11 +210,7 @@ impl Engine {
         Self {
             profiles: ShardedCache::new(),
             predictions: ShardedCache::new(),
-            exec: Mutex::new(ExecCounters {
-                batches: 0,
-                executed: 0,
-                capacity: 0,
-            }),
+            exec: Mutex::new(ExecCounters::default()),
             store: Mutex::new(None),
         }
     }
@@ -284,20 +302,34 @@ impl Engine {
         ]))
     }
 
-    /// Disk-tier probe on a hot miss: fetch, then promote into the hot
-    /// tier so repeats are pure memory hits. Counts a disk hit/miss on
-    /// the store's own counters; the caller counts the serving probe.
-    fn probe_store(&self, key: &CacheKey) -> Option<Arc<Prediction>> {
-        let store = self.store()?;
-        let pred = Arc::new(store.get(key.fingerprint())?);
-        self.predictions.insert(*key, Arc::clone(&pred));
+    /// Disk-tier probe on a hot miss (`fingerprint` is `key`'s): fetch,
+    /// then promote into the hot tier so repeats are pure memory hits.
+    /// Counts a disk hit/miss on the store's own counters; the caller
+    /// counts the serving probe.
+    fn probe_store(
+        &self,
+        store: &DiskStore,
+        key: &HashedKey,
+        fingerprint: u64,
+    ) -> Option<Arc<Prediction>> {
+        let pred = Arc::new(store.get(fingerprint)?);
+        self.predictions.insert_hashed(*key, Arc::clone(&pred));
         Some(pred)
     }
 
-    /// Persist a freshly computed prediction (write-through).
-    fn write_through(&self, key: &CacheKey, pred: &Arc<Prediction>) {
-        if let Some(store) = self.store() {
-            let _ = store.append(key.fingerprint(), pred);
+    /// Store a freshly computed prediction in the hot tier and, when a
+    /// disk tier is attached (`disk` holds it and `key`'s fingerprint),
+    /// write it through.
+    fn store_computed(
+        &self,
+        key: &HashedKey,
+        pred: &Arc<Prediction>,
+        disk: Option<(&DiskStore, u64)>,
+    ) {
+        self.predictions.insert_hashed(*key, Arc::clone(pred));
+        if let Some((store, fingerprint)) = disk {
+            // Append errors are counted by the store.
+            let _ = store.append(fingerprint, pred);
         }
     }
 
@@ -334,12 +366,14 @@ impl Engine {
     /// [`MachineSel::Custom`]: crate::engine::MachineSel::Custom
     pub fn resolve_one(&self, q: &Query) -> Arc<Prediction> {
         let plan = Plan::single(*q);
-        let key = plan.key_of(q);
-        if let Some(v) = self.predictions.peek(&key) {
+        let key = plan.hashed_key_of(q);
+        if let Some(v) = self.predictions.peek_hashed(&key) {
             self.predictions.count_hit();
             return v;
         }
-        if let Some(v) = self.probe_store(&key) {
+        let store = self.store();
+        let disk = store.as_deref().map(|s| (s, key.key().fingerprint()));
+        if let Some(v) = disk.and_then(|(s, fp)| self.probe_store(s, &key, fp)) {
             self.predictions.count_hit();
             return v;
         }
@@ -348,8 +382,7 @@ impl Engine {
         let profile = self.profile(q.bench, q.class);
         let scenario = q.scenario(&machine);
         let pred = Arc::new(compute_prediction(q, &profile, &scenario));
-        self.predictions.insert(key, Arc::clone(&pred));
-        self.write_through(&key, &pred);
+        self.store_computed(&key, &pred, disk);
         pred
     }
 
@@ -359,12 +392,12 @@ impl Engine {
     /// hit/miss accounting (the serving probe that follows counts
     /// exactly once).
     pub fn is_cached(&self, plan: &Plan, q: &Query) -> bool {
-        let key = plan.key_of(q);
-        if self.predictions.peek(&key).is_some() {
+        let key = plan.hashed_key_of(q);
+        if self.predictions.peek_hashed(&key).is_some() {
             return true;
         }
         match self.store() {
-            Some(store) => store.contains(key.fingerprint()),
+            Some(store) => store.contains(key.key().fingerprint()),
             None => false,
         }
     }
@@ -378,7 +411,7 @@ impl Engine {
     /// `rvhpc-serve`'s reactor answers hot hits through this without a
     /// shard worker.
     pub fn hot_hit(&self, plan: &Plan, q: &Query) -> Option<Arc<Prediction>> {
-        let pred = self.predictions.peek(&plan.key_of(q))?;
+        let pred = self.predictions.peek_hashed(&plan.hashed_key_of(q))?;
         let _prof = rvhpc_obs::prof::scope("engine.probe");
         rvhpc_obs::prof::mark("cache-hit");
         self.predictions.count_hit();
@@ -394,16 +427,13 @@ impl Engine {
 
     /// Evaluate a plan and return results addressable by query.
     pub fn resolve(&self, plan: &Plan) -> Resolved {
-        let preds = self.execute(plan);
-        Resolved {
-            map: plan.queries().iter().copied().zip(preds).collect(),
-        }
+        self.execute_inner(plan, jobs_from_env(), None, None)
     }
 
     /// Evaluate a plan with an explicit worker count; results in plan
     /// order and byte-for-byte independent of `jobs`.
     pub fn execute_with_jobs(&self, plan: &Plan, jobs: usize) -> Vec<Arc<Prediction>> {
-        self.execute_inner(plan, jobs, None, None)
+        self.execute_inner(plan, jobs, None, None).in_plan_order()
     }
 
     /// Evaluate a plan on a caller-provided persistent pool. Long-lived
@@ -415,6 +445,7 @@ impl Engine {
     /// pool-worker execution.
     pub fn execute_on(&self, plan: &Plan, pool: &Pool) -> Vec<Arc<Prediction>> {
         self.execute_inner(plan, pool.nthreads(), Some(pool), None)
+            .in_plan_order()
     }
 
     /// [`Engine::execute_on`] with a request trace attached: the dedup
@@ -429,6 +460,7 @@ impl Engine {
         trace: &mut TraceCtx,
     ) -> Vec<Arc<Prediction>> {
         self.execute_inner(plan, pool.nthreads(), Some(pool), Some(trace))
+            .in_plan_order()
     }
 
     fn execute_inner(
@@ -437,23 +469,26 @@ impl Engine {
         jobs: usize,
         pool: Option<&Pool>,
         mut trace: Option<&mut TraceCtx>,
-    ) -> Vec<Arc<Prediction>> {
+    ) -> Resolved {
         let jobs = jobs.max(1);
         let trace_id = trace.as_ref().map(|t| t.id());
+        let queries = plan.queries();
 
         // Deduplicate by content key, preserving first-seen order so the
-        // work list (and thus every counter) is deterministic.
+        // work list (and thus every counter) is deterministic. Each
+        // unique key keeps the index of its first query.
         if let Some(t) = trace.as_deref_mut() {
             t.push("dedup");
         }
         let prof_dedup = rvhpc_obs::prof::scope("engine.dedup");
-        let mut index_of: HashMap<CacheKey, usize> = HashMap::new();
-        let mut uniques: Vec<(CacheKey, Query)> = Vec::new();
+        let mut slot_of_key: HashMap<HashedKey, usize, IdentityState> =
+            HashMap::with_capacity_and_hasher(plan.len(), IdentityState::default());
+        let mut uniques: Vec<(HashedKey, usize)> = Vec::with_capacity(plan.len());
         let mut slot_of: Vec<usize> = Vec::with_capacity(plan.len());
-        for q in plan.queries() {
-            let key = plan.key_of(q);
-            let slot = *index_of.entry(key).or_insert_with(|| {
-                uniques.push((key, *q));
+        for (i, q) in queries.iter().enumerate() {
+            let key = plan.hashed_key_of(q);
+            let slot = *slot_of_key.entry(key).or_insert_with(|| {
+                uniques.push((key, i));
                 uniques.len() - 1
             });
             slot_of.push(slot);
@@ -463,19 +498,28 @@ impl Engine {
         }
         drop(prof_dedup);
 
-        // Probe the cache once per unique query.
+        // Probe the cache once per unique query; the disk tier, if any,
+        // is looked up once for the whole batch.
         let prof_probe = rvhpc_obs::prof::scope("engine.probe");
+        let store = self.store();
         let mut results: Vec<Option<Arc<Prediction>>> = Vec::with_capacity(uniques.len());
         let mut misses: Vec<usize> = Vec::new();
-        for (i, (key, _)) in uniques.iter().enumerate() {
-            if let Some(v) = self.predictions.peek(key) {
+        // Each miss's fingerprint when a disk tier is attached: taken once
+        // for the disk probe, reused for the write-through.
+        let mut fingerprints: Vec<u64> = Vec::new();
+        for (slot, (key, _)) in uniques.iter().enumerate() {
+            if let Some(v) = self.predictions.peek_hashed(key) {
                 self.predictions.count_hit();
                 results.push(Some(v));
                 if let Some(t) = trace.as_deref_mut() {
                     t.mark(EventKind::CacheProbe, "cache-hit");
                 }
                 rvhpc_obs::prof::mark("cache-hit");
-            } else if let Some(v) = self.probe_store(key) {
+                continue;
+            }
+            let disk = store.as_deref().map(|s| (s, key.key().fingerprint()));
+            let stored = disk.and_then(|(s, fp)| self.probe_store(s, key, fp));
+            if let Some(v) = stored {
                 self.predictions.count_hit();
                 results.push(Some(v));
                 if let Some(t) = trace.as_deref_mut() {
@@ -485,7 +529,8 @@ impl Engine {
             } else {
                 self.predictions.count_miss();
                 results.push(None);
-                misses.push(i);
+                misses.push(slot);
+                fingerprints.extend(disk.map(|(_, fp)| fp));
                 if let Some(t) = trace.as_deref_mut() {
                     t.mark(EventKind::CacheProbe, "cache-miss");
                 }
@@ -494,38 +539,56 @@ impl Engine {
         }
         drop(prof_probe);
 
-        // Compute the misses — in parallel on our own runtime when both
-        // the work and the worker count allow it.
-        let compute = |i: usize| -> Arc<Prediction> {
-            let (key, q) = &uniques[i];
-            let machine = plan.machine_of(q);
-            let profile = self.profile(q.bench, q.class);
-            let scenario = q.scenario(&machine);
-            let pred = Arc::new(compute_prediction(q, &profile, &scenario));
-            self.predictions.insert(*key, Arc::clone(&pred));
-            self.write_through(key, &pred);
-            pred
-        };
-
         let workers = jobs.min(misses.len().max(1));
         if let Some(t) = trace.as_deref_mut() {
             t.push("execute");
         }
         let prof_exec = rvhpc_obs::prof::scope("engine.execute");
+
+        // Derive each distinct (bench, class) profile the misses need
+        // once, before dispatch. Every further miss on it counts the
+        // profile-cache hit its own lookup would have.
+        let mut profiles: Vec<((BenchmarkId, Class), Arc<WorkloadProfile>)> = Vec::new();
+        for &slot in &misses {
+            let q = &queries[uniques[slot].1];
+            if profiles.iter().any(|(id, _)| *id == (q.bench, q.class)) {
+                self.profiles.count_hit();
+            } else {
+                profiles.push(((q.bench, q.class), self.profile(q.bench, q.class)));
+            }
+        }
+
+        // Compute the misses — in parallel on our own runtime when both
+        // the work and the worker count allow it.
+        let compute = |k: usize| -> Arc<Prediction> {
+            let (key, first) = &uniques[misses[k]];
+            let q = &queries[*first];
+            let (_, profile) = profiles
+                .iter()
+                .find(|(id, _)| *id == (q.bench, q.class))
+                .expect("profile resolved before dispatch");
+            let machine = plan.machine_of(q);
+            let scenario = q.scenario(&machine);
+            let pred = Arc::new(compute_prediction(q, profile, &scenario));
+            let disk = store.as_deref().zip(fingerprints.get(k).copied());
+            self.store_computed(key, &pred, disk);
+            pred
+        };
+
         // A caller-provided persistent pool always runs the misses — even
         // one — so a single cold request still executes on (and is traced
         // through) a real pool worker; the ephemeral path keeps its serial
         // shortcut to avoid spawning threads for trivial work.
         if pool.is_none() && (workers <= 1 || misses.len() <= 1) {
-            for &i in &misses {
-                results[i] = Some(compute(i));
+            for (k, &slot) in misses.iter().enumerate() {
+                results[slot] = Some(compute(k));
             }
         } else if !misses.is_empty() {
             let computed: Vec<Mutex<Option<Arc<Prediction>>>> =
                 misses.iter().map(|_| Mutex::new(None)).collect();
             let body = |team: &rvhpc_parallel::Team| {
                 team.for_dynamic(0, misses.len(), 1, |k| {
-                    *computed[k].lock() = Some(compute(misses[k]));
+                    *computed[k].lock() = Some(compute(k));
                 });
             };
             let run_batch = |pool: &Pool| match trace_id {
@@ -540,8 +603,8 @@ impl Engine {
                 Some(p) => run_batch(p),
                 None => run_batch(&Pool::new(workers)),
             }
-            for (k, &i) in misses.iter().enumerate() {
-                results[i] = Some(
+            for (k, &slot) in misses.iter().enumerate() {
+                results[slot] = Some(
                     computed[k]
                         .lock()
                         .take()
@@ -564,11 +627,15 @@ impl Engine {
             }
         }
 
-        // Scatter unique results back to plan order.
-        slot_of
-            .iter()
-            .map(|&slot| Arc::clone(results[slot].as_ref().expect("slot filled")))
-            .collect()
+        Resolved {
+            fingerprints: plan.fingerprints().to_vec(),
+            slot_of_key,
+            results: results
+                .into_iter()
+                .map(|r| r.expect("slot filled"))
+                .collect(),
+            slot_of,
+        }
     }
 
     /// Snapshot the cache and executor counters.

@@ -10,7 +10,8 @@
 //!   non-preset machines).
 //! * [`cache`] — sharded, thread-safe memo tables with hit/miss counters,
 //!   an optional capacity bound and deterministic FIFO eviction (the hot
-//!   tier of the two-tier store).
+//!   tier of the two-tier store). A key is hashed once ([`HashedKey`]);
+//!   its shard is the low bits of that hash.
 //! * [`store`] — the cold tier: a content-addressed, append-only on-disk
 //!   segment of crc32-checked prediction records with torn-tail recovery,
 //!   so a restarted process comes up warm.
@@ -29,8 +30,12 @@ pub mod cache;
 pub mod exec;
 pub mod plan;
 pub mod store;
+#[cfg(test)]
+mod tests;
 
 pub use cache::ShardedCache;
 pub use exec::{jobs_from_env, set_default_jobs, Engine, EngineMetrics, Resolved, JOBS_ENV};
-pub use plan::{machine_fingerprint, Backend, CacheKey, MachineSel, Plan, Query, SpecKind};
+pub use plan::{
+    machine_fingerprint, Backend, CacheKey, HashedKey, MachineSel, Plan, Query, SpecKind,
+};
 pub use store::{DiskStore, StoreMetrics};

@@ -8,13 +8,12 @@
 //! executor in [`crate::engine::exec`] evaluates a plan's deduplicated
 //! query set and hands results back in plan order.
 
-use std::hash::{Hash, Hasher};
-
 use rvhpc_archsim::SaturationLaw;
 use rvhpc_machines::{presets, CompilerConfig, Machine, MachineId};
 use rvhpc_npb::{BenchmarkId, Class};
 use rvhpc_parallel::BindPolicy;
 
+use crate::engine::cache::Hashed;
 use crate::model::Scenario;
 
 /// Which machine a query runs on: a named preset or an entry in the
@@ -148,7 +147,29 @@ impl CacheKey {
     pub fn fingerprint(&self) -> u64 {
         fnv1a(format!("{self:?}").as_bytes())
     }
+
+    /// The key of `q`, where `custom[i]` is the [`machine_fingerprint`]
+    /// of the machine `MachineSel::Custom(i)` names.
+    pub(crate) fn of(q: &Query, custom: &[u64]) -> CacheKey {
+        let machine = match q.machine {
+            MachineSel::Preset(id) => MachineKeyPart::Preset(id),
+            MachineSel::Custom(i) => MachineKeyPart::Custom(custom[i]),
+        };
+        CacheKey {
+            machine,
+            bench: q.bench,
+            class: q.class,
+            threads: q.threads,
+            spec: q.spec,
+            backend: q.backend,
+        }
+    }
 }
+
+/// A [`CacheKey`] with its hash, taken once: the form in which the
+/// executor deduplicates, the caches index and [`crate::engine::Resolved`]
+/// looks up a key.
+pub type HashedKey = Hashed<CacheKey>;
 
 /// Fingerprint a machine descriptor by content. The derived `Debug`
 /// encoding covers every field and prints floats with shortest-roundtrip
@@ -170,11 +191,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// An ordered batch of queries plus the custom machines they reference.
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
-    /// Each custom machine beside its [`machine_fingerprint`], taken once
-    /// when [`Plan::add_machine`] receives it: `key_of` runs several times
-    /// per served request and once per query of a sweep grid, and the
+    /// The custom machines, indexed by [`MachineSel::Custom`].
+    machines: Vec<Machine>,
+    /// Each custom machine's [`machine_fingerprint`], taken once when
+    /// [`Plan::add_machine`] receives it: `key_of` runs several times per
+    /// served request and once per query of a sweep grid, and the
     /// fingerprint formats the whole descriptor.
-    machines: Vec<(Machine, u64)>,
+    fingerprints: Vec<u64>,
     queries: Vec<Query>,
 }
 
@@ -194,8 +217,8 @@ impl Plan {
     /// Register a custom machine descriptor; the returned selector is
     /// valid for queries added to *this* plan.
     pub fn add_machine(&mut self, m: Machine) -> MachineSel {
-        let fingerprint = machine_fingerprint(&m);
-        self.machines.push((m, fingerprint));
+        self.fingerprints.push(machine_fingerprint(&m));
+        self.machines.push(m);
         MachineSel::Custom(self.machines.len() - 1)
     }
 
@@ -216,6 +239,7 @@ impl Plan {
     pub fn merge(&mut self, other: Plan) {
         let offset = self.machines.len();
         self.machines.extend(other.machines);
+        self.fingerprints.extend(other.fingerprints);
         self.queries.extend(other.queries.into_iter().map(|mut q| {
             if let MachineSel::Custom(i) = q.machine {
                 q.machine = MachineSel::Custom(i + offset);
@@ -245,34 +269,24 @@ impl Plan {
     pub fn machine_of(&self, q: &Query) -> Machine {
         match q.machine {
             MachineSel::Preset(id) => presets::by_id(id),
-            MachineSel::Custom(i) => self.machines[i].0.clone(),
+            MachineSel::Custom(i) => self.machines[i].clone(),
         }
     }
 
     /// The content-addressed cache key of a query in this plan's context.
     pub fn key_of(&self, q: &Query) -> CacheKey {
-        let machine = match q.machine {
-            MachineSel::Preset(id) => MachineKeyPart::Preset(id),
-            MachineSel::Custom(i) => MachineKeyPart::Custom(self.machines[i].1),
-        };
-        CacheKey {
-            machine,
-            bench: q.bench,
-            class: q.class,
-            threads: q.threads,
-            spec: q.spec,
-            backend: q.backend,
-        }
+        CacheKey::of(q, &self.fingerprints)
     }
-}
 
-/// Convenience `Hash` sanity helper used by tests: the `std` hash of a
-/// query (as opposed to the content fingerprint, which is stable across
-/// processes).
-pub fn std_hash_of(q: &Query) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    q.hash(&mut h);
-    h.finish()
+    /// [`Plan::key_of`], hashed: the one way the engine keys a query.
+    pub fn hashed_key_of(&self, q: &Query) -> HashedKey {
+        Hashed::new(self.key_of(q))
+    }
+
+    /// The custom machines' fingerprints, by [`MachineSel::Custom`] index.
+    pub(crate) fn fingerprints(&self) -> &[u64] {
+        &self.fingerprints
+    }
 }
 
 #[cfg(test)]
