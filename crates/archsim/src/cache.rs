@@ -51,35 +51,50 @@ impl std::iter::Sum for CacheStats {
     }
 }
 
-/// A set-associative cache with true-LRU replacement.
-///
-/// Each set keeps its lines most-recently-used first, so recency *is* the
-/// position: a hit moves the line to the front, a miss drops the last one —
-/// exact (not pseudo) LRU, which is what the miss-ratio estimates assume —
-/// and a re-reference of the newest line (the common case in a streaming
-/// replay) returns after one compare. A way holds the whole line number,
-/// not the tag, so a lookup needs no division; the set index is a mask when
-/// the set count is a power of two and a modulo otherwise (the Xeon 8170's
-/// 11-way 35.75 MiB L3 isn't).
-///
-/// Lines are allocated a block of sets at a time, when a set in the block
-/// is first touched. A 64 MiB L3 is a million lines, of which a
-/// kernel-sized replay touches a few thousand: allocated whole, it costs
-/// more to zero than the replay takes and sets the resident size of the
-/// process.
+/// Where a [`Cache`] keeps its lines: `ways` entries a set, each the line
+/// number plus one, most recently used first, zero for an empty way.
+pub trait Lines {
+    /// Storage for `sets × ways` lines, all empty.
+    fn new(sets: usize, ways: usize) -> Self;
+    /// The ways of `set`.
+    fn set(&mut self, set: usize, ways: usize) -> &mut [u64];
+    /// Empty every way.
+    fn clear(&mut self);
+}
+
+/// Every line in one array, allocated up front, set `s` at `s * ways`:
+/// the storage for a cache that is one [`Blocks`] block or less — an L1d, a
+/// TLB — where it saves the block table's load and test on every access.
 #[derive(Debug, Clone)]
-pub struct Cache {
-    sets: usize,
-    ways: usize,
-    line_shift: u32,
-    /// `sets - 1` when `sets` is a power of two.
-    set_mask: Option<u64>,
-    /// `blocks[set >> block_shift]` is empty until touched, then holds
-    /// `ways` entries for each of its sets: the line number plus one, most
-    /// recently used first, zero for an empty way.
+pub struct Flat(Vec<u64>);
+
+impl Lines for Flat {
+    fn new(sets: usize, ways: usize) -> Self {
+        Flat(vec![0; sets * ways])
+    }
+
+    #[inline]
+    fn set(&mut self, set: usize, ways: usize) -> &mut [u64] {
+        let first = set * ways;
+        &mut self.0[first..first + ways]
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+}
+
+/// Lines allocated a block of sets at a time, when a set in the block is
+/// first touched: the storage for a cache larger than a block. A 64 MiB L3
+/// is a million lines, of which a kernel-sized replay touches a few
+/// thousand: allocated whole, it costs more to zero than the replay takes
+/// and sets the resident size of the process.
+#[derive(Debug, Clone)]
+pub struct Blocks {
+    /// `blocks[set >> shift]` is empty until touched, then holds the ways
+    /// of each of its sets.
     blocks: Vec<Vec<u64>>,
-    block_shift: u32,
-    stats: CacheStats,
+    shift: u32,
 }
 
 /// Lines in a block, at most (32 KiB of state).
@@ -91,29 +106,102 @@ fn allocate(block: &mut Vec<u64>, lines: usize) {
     *block = vec![0; lines];
 }
 
+impl Lines for Blocks {
+    fn new(sets: usize, ways: usize) -> Self {
+        let shift = (BLOCK_LINES / ways).max(1).ilog2();
+        Blocks {
+            blocks: vec![Vec::new(); ((sets - 1) >> shift) + 1],
+            shift,
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, set: usize, ways: usize) -> &mut [u64] {
+        let block = &mut self.blocks[set >> self.shift];
+        if block.is_empty() {
+            allocate(block, ways << self.shift);
+        }
+        let first = (set & ((1 << self.shift) - 1)) * ways;
+        &mut block[first..first + ways]
+    }
+
+    fn clear(&mut self) {
+        self.blocks.iter_mut().for_each(|block| block.fill(0));
+    }
+}
+
+/// A set-associative cache with true-LRU replacement.
+///
+/// Each set keeps its lines most-recently-used first, so recency *is* the
+/// position: a hit moves the line to the front, a miss drops the last one —
+/// exact (not pseudo) LRU, which is what the miss-ratio estimates assume —
+/// and a re-reference of the newest line (the common case in a streaming
+/// replay) returns after one compare. A way holds the whole line number,
+/// not the tag, so a lookup needs no division; the set index is a mask when
+/// the set count is a power of two and a modulo otherwise (the Xeon 8170's
+/// 11-way 35.75 MiB L3 isn't).
+///
+/// The storage `L` is fixed by the type: [`Blocks`] (the default) for a
+/// cache larger than a block, [`Flat`] ([`FlatCache`]) for one that fits in
+/// a block. Both run the one replacement routine.
+#[derive(Debug, Clone)]
+pub struct Cache<L = Blocks> {
+    sets: usize,
+    ways: usize,
+    line_shift: u32,
+    /// `sets - 1` when `sets` is a power of two.
+    set_mask: Option<u64>,
+    lines: L,
+    stats: CacheStats,
+}
+
+/// A cache whose lines are one flat array.
+pub type FlatCache = Cache<Flat>;
+
+/// Put `key` in front of `ways` and push what was there back a way at a
+/// time, until the key's old copy turns up (a hit: everything behind it
+/// stays put) or the last way falls out (a miss). Returns whether it hit.
+#[inline(always)]
+fn promote(ways: &mut [u64], key: u64) -> bool {
+    let mut pushed = key;
+    for way in ways {
+        std::mem::swap(way, &mut pushed);
+        if pushed == key {
+            return true;
+        }
+    }
+    false
+}
+
 impl Cache {
+    /// Explicit geometry: `sets × ways` lines of `line_bytes`, in lazily
+    /// allocated blocks.
+    pub fn with_geometry(sets: usize, ways: usize, line_bytes: u32) -> Self {
+        Self::with_storage(sets, ways, line_bytes)
+    }
+}
+
+impl<L: Lines> Cache<L> {
     /// Build from a [`CacheSpec`] (uses its full capacity: for shared
-    /// caches, construct per-sharer slices via [`Cache::with_geometry`]).
+    /// caches, construct per-sharer slices via [`Cache::with_storage`]).
     pub fn new(spec: &CacheSpec) -> Self {
         let sets = (spec.size_bytes / (spec.line_bytes as u64 * spec.associativity as u64)).max(1)
             as usize;
-        Self::with_geometry(sets, spec.associativity as usize, spec.line_bytes)
+        Self::with_storage(sets, spec.associativity as usize, spec.line_bytes)
     }
 
-    /// Explicit geometry: `sets × ways` lines of `line_bytes`.
-    pub fn with_geometry(sets: usize, ways: usize, line_bytes: u32) -> Self {
+    /// Explicit geometry: `sets × ways` lines of `line_bytes`, kept in `L`.
+    pub fn with_storage(sets: usize, ways: usize, line_bytes: u32) -> Self {
         assert!(sets >= 1 && ways >= 1);
         // At least two bytes a line keeps `line + 1` from wrapping to the
         // empty marker.
         assert!(line_bytes.is_power_of_two() && line_bytes >= 2);
-        let block_shift = (BLOCK_LINES / ways).max(1).ilog2();
         Self {
             sets,
             ways,
             line_shift: line_bytes.trailing_zeros(),
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-            blocks: vec![Vec::new(); ((sets - 1) >> block_shift) + 1],
-            block_shift,
+            lines: L::new(sets, ways),
             stats: CacheStats::default(),
         }
     }
@@ -134,21 +222,8 @@ impl Cache {
             Some(mask) => line & mask,
             None => line % self.sets as u64,
         } as usize;
-        let block = &mut self.blocks[set >> self.block_shift];
-        if block.is_empty() {
-            allocate(block, self.ways << self.block_shift);
-        }
-        let first = (set & ((1 << self.block_shift) - 1)) * self.ways;
-        // Put the line in front and push what was there back a way at a
-        // time, until the line's old copy turns up (a hit: everything
-        // behind it stays put) or the last way falls out (a miss).
-        let key = line + 1;
-        let mut pushed = key;
-        for way in &mut block[first..first + self.ways] {
-            std::mem::swap(way, &mut pushed);
-            if pushed == key {
-                return true;
-            }
+        if promote(self.lines.set(set, self.ways), line + 1) {
+            return true;
         }
         self.stats.misses += 1;
         false
@@ -166,7 +241,7 @@ impl Cache {
 
     /// Invalidate all contents and reset statistics.
     pub fn flush(&mut self) {
-        self.blocks.iter_mut().for_each(|block| block.fill(0));
+        self.lines.clear();
         self.stats = CacheStats::default();
     }
 }

@@ -47,7 +47,9 @@ impl BranchPredictor {
     }
 
     /// Record the outcome of a conditional branch at `pc`; returns true if
-    /// the prediction was wrong.
+    /// the prediction was wrong. Inline across crates: the interpreter's
+    /// branch hook calls it once a branch.
+    #[inline]
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
         let slot = ((pc >> 1) & self.mask) as usize;
         let counter = &mut self.table[slot];

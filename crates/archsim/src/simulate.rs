@@ -8,7 +8,7 @@
 
 use rvhpc_machines::Machine;
 
-use crate::cache::Cache;
+use crate::cache::{Cache, CacheStats, FlatCache, Lines};
 use crate::counters::HierarchyCounters;
 use crate::hierarchy::MissBreakdown;
 use crate::stream_gen::AddressStream;
@@ -16,18 +16,20 @@ use crate::stream_gen::AddressStream;
 /// A three-level (or two-level) cache hierarchy that replays address
 /// traces. Caches are non-inclusive: each level is looked up on a miss in
 /// the previous one and allocates on miss, mirroring the estimate model's
-/// assumptions.
+/// assumptions. The private L1 is one flat array; the L2 and L3 slices
+/// (up to a million lines) allocate their blocks as they are touched.
 pub struct TraceHierarchy {
-    l1: Cache,
+    l1: FlatCache,
     l2: Cache,
     l3: Option<Cache>,
-    accesses: u64,
-    l1_hits: u64,
-    l2_hits: u64,
-    l3_hits: u64,
-    dram: u64,
     /// Counter values at the last phase-boundary snapshot.
     snapshot_mark: HierarchyCounters,
+}
+
+/// `bytes` of `ways`-way cache with `line`-byte lines, at least one set.
+fn sized<L: Lines>(bytes: f64, ways: u32, line: u32) -> Cache<L> {
+    let sets = ((bytes / f64::from(line) / f64::from(ways)) as usize).max(1);
+    Cache::with_storage(sets, ways as usize, line)
 }
 
 impl TraceHierarchy {
@@ -37,49 +39,34 @@ impl TraceHierarchy {
     pub fn for_thread(m: &Machine, threads: u32) -> Self {
         let threads = threads.max(1);
         let line = m.l1d.line_bytes;
-        let mk = |bytes: f64, assoc: u32| -> Cache {
-            let sets = ((bytes / f64::from(line) / f64::from(assoc)) as usize).max(1);
-            Cache::with_geometry(sets, assoc as usize, line)
-        };
         let l2_sharers = threads.min(m.l2.shared_by_cores).max(1);
-        let l1 = Cache::new(&m.l1d);
-        let l2 = mk(
+        let l2 = sized(
             m.l2.size_bytes as f64 / f64::from(l2_sharers),
             m.l2.associativity,
+            line,
         );
         let l3 = m.l3.as_ref().map(|l3| {
             let sharers = threads.min(l3.shared_by_cores).max(1);
-            mk(l3.size_bytes as f64 / f64::from(sharers), l3.associativity)
+            sized(
+                l3.size_bytes as f64 / f64::from(sharers),
+                l3.associativity,
+                line,
+            )
         });
         Self {
-            l1,
+            l1: FlatCache::new(&m.l1d),
             l2,
             l3,
-            accesses: 0,
-            l1_hits: 0,
-            l2_hits: 0,
-            l3_hits: 0,
-            dram: 0,
             snapshot_mark: HierarchyCounters::default(),
         }
     }
 
-    /// Explicit capacities in bytes (for tests and ablations).
+    /// Explicit capacities in bytes, 8-way (for tests and ablations).
     pub fn with_capacities(l1: u64, l2: u64, l3: Option<u64>, line: u32) -> Self {
-        let mk = |bytes: u64| {
-            let assoc = 8usize;
-            let sets = (bytes as usize / line as usize / assoc).max(1);
-            Cache::with_geometry(sets, assoc, line)
-        };
         Self {
-            l1: mk(l1),
-            l2: mk(l2),
-            l3: l3.map(mk),
-            accesses: 0,
-            l1_hits: 0,
-            l2_hits: 0,
-            l3_hits: 0,
-            dram: 0,
+            l1: sized(l1 as f64, 8, line),
+            l2: sized(l2 as f64, 8, line),
+            l3: l3.map(|bytes| sized(bytes as f64, 8, line)),
             snapshot_mark: HierarchyCounters::default(),
         }
     }
@@ -87,19 +74,10 @@ impl TraceHierarchy {
     /// Replay one access.
     #[inline]
     pub fn access(&mut self, addr: u64) {
-        self.accesses += 1;
-        if self.l1.access(addr) {
-            self.l1_hits += 1;
-        } else if self.l2.access(addr) {
-            self.l2_hits += 1;
-        } else if let Some(l3) = &mut self.l3 {
-            if l3.access(addr) {
-                self.l3_hits += 1;
-            } else {
-                self.dram += 1;
+        if !self.l1.access(addr) && !self.l2.access(addr) {
+            if let Some(l3) = &mut self.l3 {
+                l3.access(addr);
             }
-        } else {
-            self.dram += 1;
         }
     }
 
@@ -113,11 +91,6 @@ impl TraceHierarchy {
 
     /// Zero the counters (keeping cache contents — warm-up protocol).
     pub fn reset_stats(&mut self) {
-        self.accesses = 0;
-        self.l1_hits = 0;
-        self.l2_hits = 0;
-        self.l3_hits = 0;
-        self.dram = 0;
         self.snapshot_mark = HierarchyCounters::default();
         self.l1.reset_stats();
         self.l2.reset_stats();
@@ -126,14 +99,18 @@ impl TraceHierarchy {
         }
     }
 
-    /// Cumulative per-level service counts since the last reset.
+    /// Cumulative per-level service counts since the last reset, read off
+    /// the levels: each is looked up exactly when the one above it missed.
     pub fn counters(&self) -> HierarchyCounters {
+        let hits = |s: CacheStats| s.accesses - s.misses;
+        let (l1, l2) = (self.l1.stats(), self.l2.stats());
+        let l3 = self.l3.as_ref().map(Cache::stats);
         HierarchyCounters {
-            accesses: self.accesses,
-            l1_hits: self.l1_hits,
-            l2_hits: self.l2_hits,
-            l3_hits: self.l3_hits,
-            dram: self.dram,
+            accesses: l1.accesses,
+            l1_hits: hits(l1),
+            l2_hits: hits(l2),
+            l3_hits: l3.map_or(0, hits),
+            dram: l3.unwrap_or(l2).misses,
         }
     }
 
@@ -149,21 +126,22 @@ impl TraceHierarchy {
 
     /// The measured per-level service breakdown.
     pub fn breakdown(&self) -> MissBreakdown {
-        if self.accesses == 0 {
+        let c = self.counters();
+        if c.accesses == 0 {
             return MissBreakdown::default();
         }
-        let n = self.accesses as f64;
+        let n = c.accesses as f64;
         MissBreakdown {
-            l1: self.l1_hits as f64 / n,
-            l2: self.l2_hits as f64 / n,
-            l3: self.l3_hits as f64 / n,
-            dram: self.dram as f64 / n,
+            l1: c.l1_hits as f64 / n,
+            l2: c.l2_hits as f64 / n,
+            l3: c.l3_hits as f64 / n,
+            dram: c.dram as f64 / n,
         }
     }
 
     /// Total accesses replayed since the last reset.
     pub fn accesses(&self) -> u64 {
-        self.accesses
+        self.l1.stats().accesses
     }
 }
 

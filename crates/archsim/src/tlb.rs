@@ -8,12 +8,13 @@
 //! ablation benches); the analytic predictor subsumes its average effect
 //! in the calibrated per-benchmark constants.
 
-use crate::cache::{Cache, CacheStats};
+use crate::cache::{CacheStats, FlatCache};
 
 /// A set-associative TLB over fixed-size pages (reuses the LRU cache
-/// machinery with page-granular "lines").
+/// machinery with page-granular "lines", in one flat array: a TLB is a few
+/// dozen entries).
 pub struct Tlb {
-    inner: Cache,
+    inner: FlatCache,
     page_bytes: u64,
     /// Cycles to walk the page table on a miss.
     pub walk_cycles: u32,
@@ -31,7 +32,7 @@ impl Tlb {
         // Represent each page as one "line" of `page_bytes`.
         let sets = entries / ways;
         Self {
-            inner: Cache::with_geometry(sets, ways, page_bytes.min(u32::MAX as u64) as u32),
+            inner: FlatCache::with_storage(sets, ways, page_bytes.min(u32::MAX as u64) as u32),
             page_bytes,
             walk_cycles,
         }
