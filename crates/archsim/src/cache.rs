@@ -136,7 +136,7 @@ impl Lines for Blocks {
 /// position: a hit moves the line to the front, a miss drops the last one —
 /// exact (not pseudo) LRU, which is what the miss-ratio estimates assume —
 /// and a re-reference of the newest line (the common case in a streaming
-/// replay) returns after one compare. A way holds the whole line number,
+/// replay) returns after one compare, writing nothing. A way holds the whole line number,
 /// not the tag, so a lookup needs no division; the set index is a mask when
 /// the set count is a power of two and a modulo otherwise (the Xeon 8170's
 /// 11-way 35.75 MiB L3 isn't).
@@ -161,8 +161,12 @@ pub type FlatCache = Cache<Flat>;
 /// Put `key` in front of `ways` and push what was there back a way at a
 /// time, until the key's old copy turns up (a hit: everything behind it
 /// stays put) or the last way falls out (a miss). Returns whether it hit.
+/// A key already in front is a hit that writes nothing.
 #[inline(always)]
 fn promote(ways: &mut [u64], key: u64) -> bool {
+    if ways[0] == key {
+        return true;
+    }
     let mut pushed = key;
     for way in ways {
         std::mem::swap(way, &mut pushed);

@@ -109,14 +109,26 @@ impl ReplayStats {
     }
 }
 
+/// Load/store addresses a [`TraceConsumer`] queues before it replays them.
+pub const QUANTUM: usize = 1024;
+
 /// Consumes a trace-event stream into the per-thread cache hierarchy, the
 /// L1 dTLB model, and a branch predictor. One consumer models one hardware
 /// thread; `for_thread` shares L2/L3 capacity the same way the stream
 /// replays do.
+///
+/// Loads and stores are replayed a quantum at a time: their addresses
+/// queue until [`QUANTUM`] of them have, then all go through the TLB and
+/// then all through the hierarchy. The two share no state, so each still
+/// sees every access in program order and ends where an access-at-a-time
+/// replay would; [`TraceConsumer::stats`] replays what is queued first.
 pub struct TraceConsumer {
     hier: TraceHierarchy,
     tlb: Tlb,
     predictor: BranchPredictor,
+    /// Addresses not yet replayed, oldest first: the first `queued`.
+    pending: Box<[u64; QUANTUM]>,
+    queued: usize,
     instret: u64,
     loads: u64,
     stores: u64,
@@ -131,6 +143,8 @@ impl TraceConsumer {
             hier: TraceHierarchy::for_thread(machine, threads),
             tlb: Tlb::typical_l1_dtlb(),
             predictor: BranchPredictor::new(1024),
+            pending: Box::new([0; QUANTUM]),
+            queued: 0,
             instret: 0,
             loads: 0,
             stores: 0,
@@ -147,13 +161,11 @@ impl TraceConsumer {
         match ev {
             TraceEvent::Load { addr, .. } => {
                 self.loads += 1;
-                self.tlb.access(addr);
-                self.hier.access(addr);
+                self.queue(addr);
             }
             TraceEvent::Store { addr, .. } => {
                 self.stores += 1;
-                self.tlb.access(addr);
-                self.hier.access(addr);
+                self.queue(addr);
             }
             TraceEvent::Branch { pc, taken } => {
                 self.predictor.predict_and_update(pc, taken);
@@ -169,7 +181,39 @@ impl TraceConsumer {
         }
     }
 
-    pub fn stats(&self) -> ReplayStats {
+    /// Count `n` retired instructions at once: what `n` [`TraceEvent::Retire`]
+    /// events would.
+    pub fn retire(&mut self, n: u64) {
+        self.instret += n;
+    }
+
+    #[inline(always)]
+    fn queue(&mut self, addr: u64) {
+        self.pending[self.queued] = addr;
+        self.queued += 1;
+        if self.queued == QUANTUM {
+            self.replay();
+        }
+    }
+
+    /// Replay the queued addresses through the TLB, then through the
+    /// hierarchy. One out-of-line copy of both loops, whatever inlined
+    /// [`TraceConsumer::consume`].
+    #[inline(never)]
+    fn replay(&mut self) {
+        let pending = &self.pending[..self.queued];
+        for &addr in pending {
+            self.tlb.access(addr);
+        }
+        for &addr in pending {
+            self.hier.access(addr);
+        }
+        self.queued = 0;
+    }
+
+    /// Everything consumed so far, queued accesses included.
+    pub fn stats(&mut self) -> ReplayStats {
+        self.replay();
         ReplayStats {
             instret: self.instret,
             loads: self.loads,

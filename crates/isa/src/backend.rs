@@ -5,7 +5,7 @@
 
 use crate::cfg::build_cfg;
 use crate::interp::execute;
-use crate::ir::{ExtSet, Instr};
+use crate::ir::ExtSet;
 use crate::kernels::{build, KernelId, MAX_STEPS};
 use crate::trace::Tracer;
 use rvhpc_archsim::cache::CacheStats;
@@ -124,18 +124,14 @@ impl KernelCharacter {
 }
 
 /// Tracer adapter: forwards interpreter hooks into a [`TraceConsumer`].
+/// Retirements are not forwarded one at a time: [`characterize`] adds the
+/// run's `instret` once it is over.
 struct ReplayTracer<'a> {
     consumer: &'a mut TraceConsumer,
 }
 
 impl Tracer for ReplayTracer<'_> {
-    fn retire(&mut self, _pc: u64, _instr: &Instr) {
-        self.consumer.consume(TraceEvent::Retire);
-    }
-
-    // One copy of the TLB and hierarchy probes, not one per load and store
-    // arm of the interpreter's `match`.
-    #[inline(never)]
+    #[inline(always)]
     fn mem(&mut self, addr: u64, bytes: u8, is_store: bool) {
         let ev = if is_store {
             TraceEvent::Store { addr, bytes }
@@ -145,10 +141,12 @@ impl Tracer for ReplayTracer<'_> {
         self.consumer.consume(ev);
     }
 
+    #[inline(always)]
     fn branch(&mut self, pc: u64, taken: bool) {
         self.consumer.consume(TraceEvent::Branch { pc, taken });
     }
 
+    #[inline(always)]
     fn vector(&mut self, elems: u32, gather: bool) {
         self.consumer.consume(TraceEvent::Vector { elems, gather });
     }
@@ -172,22 +170,22 @@ pub fn characterize(
     } else {
         128
     };
-    let built = build(kernel, &ext_set, vlen);
+    let mut built = build(kernel, &ext_set, vlen);
     let prog = built.decode(&ext_set);
     let cfg = build_cfg(&prog);
 
     let mut consumer = TraceConsumer::for_thread(machine, threads.max(1));
-    let mut cpu = built.cpu.clone();
     let stats = {
         let mut tracer = ReplayTracer {
             consumer: &mut consumer,
         };
-        execute(&mut cpu, &prog, &mut tracer, MAX_STEPS)
+        execute(&mut built.cpu, &prog, &mut tracer, MAX_STEPS)
             .unwrap_or_else(|t| panic!("kernel {} trapped: {t}", kernel.name()))
     };
     built
-        .verify(&cpu)
+        .verify(&built.cpu)
         .unwrap_or_else(|e| panic!("kernel {} verification failed: {e}", kernel.name()));
+    consumer.retire(stats.instret);
     let replay = consumer.stats();
     debug_assert_eq!(replay.instret, stats.instret);
 

@@ -30,67 +30,77 @@ impl Memory {
         self.data.len()
     }
 
+    /// The `N` bytes at `addr`, all of them inside the memory, or a trap:
+    /// one bounds check, then a fixed-width copy.
+    #[inline(always)]
+    fn bytes<const N: usize>(&self, addr: u64) -> Result<&[u8; N], Trap> {
+        let off = addr.wrapping_sub(self.base) as usize;
+        off.checked_add(N)
+            .and_then(|end| self.data.get(off..end))
+            .map(|bytes| bytes.try_into().expect("a range of N bytes"))
+            .ok_or(Trap::OutOfBounds(addr))
+    }
+
+    /// [`Memory::bytes`], writable.
+    #[inline(always)]
+    fn bytes_mut<const N: usize>(&mut self, addr: u64) -> Result<&mut [u8; N], Trap> {
+        let off = addr.wrapping_sub(self.base) as usize;
+        off.checked_add(N)
+            .and_then(|end| self.data.get_mut(off..end))
+            .map(|bytes| bytes.try_into().expect("a range of N bytes"))
+            .ok_or(Trap::OutOfBounds(addr))
+    }
+
     #[inline]
-    fn offset(&self, addr: u64, bytes: usize) -> Result<usize, Trap> {
-        let off = addr.wrapping_sub(self.base);
-        if (off as usize)
-            .checked_add(bytes)
-            .is_some_and(|end| end <= self.data.len())
-        {
-            Ok(off as usize)
-        } else {
-            Err(Trap::OutOfBounds(addr))
-        }
-    }
-
     pub fn read_u64(&self, addr: u64) -> Result<u64, Trap> {
-        let o = self.offset(addr, 8)?;
-        Ok(u64::from_le_bytes(self.data[o..o + 8].try_into().unwrap()))
+        self.bytes(addr).map(|b| u64::from_le_bytes(*b))
     }
 
+    #[inline]
     pub fn read_u32(&self, addr: u64) -> Result<u32, Trap> {
-        let o = self.offset(addr, 4)?;
-        Ok(u32::from_le_bytes(self.data[o..o + 4].try_into().unwrap()))
+        self.bytes(addr).map(|b| u32::from_le_bytes(*b))
     }
 
+    #[inline]
     pub fn read_u16(&self, addr: u64) -> Result<u16, Trap> {
-        let o = self.offset(addr, 2)?;
-        Ok(u16::from_le_bytes(self.data[o..o + 2].try_into().unwrap()))
+        self.bytes(addr).map(|b| u16::from_le_bytes(*b))
     }
 
+    #[inline]
     pub fn read_u8(&self, addr: u64) -> Result<u8, Trap> {
-        let o = self.offset(addr, 1)?;
-        Ok(self.data[o])
+        self.bytes(addr).map(|b: &[u8; 1]| b[0])
     }
 
+    #[inline]
     pub fn read_f64(&self, addr: u64) -> Result<f64, Trap> {
         Ok(f64::from_bits(self.read_u64(addr)?))
     }
 
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, v: u64) -> Result<(), Trap> {
-        let o = self.offset(addr, 8)?;
-        self.data[o..o + 8].copy_from_slice(&v.to_le_bytes());
+        *self.bytes_mut(addr)? = v.to_le_bytes();
         Ok(())
     }
 
+    #[inline]
     pub fn write_u32(&mut self, addr: u64, v: u32) -> Result<(), Trap> {
-        let o = self.offset(addr, 4)?;
-        self.data[o..o + 4].copy_from_slice(&v.to_le_bytes());
+        *self.bytes_mut(addr)? = v.to_le_bytes();
         Ok(())
     }
 
+    #[inline]
     pub fn write_u16(&mut self, addr: u64, v: u16) -> Result<(), Trap> {
-        let o = self.offset(addr, 2)?;
-        self.data[o..o + 2].copy_from_slice(&v.to_le_bytes());
+        *self.bytes_mut(addr)? = v.to_le_bytes();
         Ok(())
     }
 
+    #[inline]
     pub fn write_u8(&mut self, addr: u64, v: u8) -> Result<(), Trap> {
-        let o = self.offset(addr, 1)?;
-        self.data[o] = v;
+        *self.bytes_mut(addr)? = [v];
         Ok(())
     }
 
+    #[inline]
     pub fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), Trap> {
         self.write_u64(addr, v.to_bits())
     }
@@ -144,9 +154,17 @@ impl Cpu {
     #[inline]
     fn set_x(&mut self, r: u8, v: u64) {
         if r != 0 {
-            self.x[r as usize] = v;
+            self.x[reg(r)] = v;
         }
     }
+}
+
+/// A register field as an index into a 32-entry file. Decoded fields are
+/// already below 32; the mask only tells the compiler so, which drops a
+/// bounds check from every register access.
+#[inline(always)]
+fn reg(r: u8) -> usize {
+    (r & 31) as usize
 }
 
 /// Counters accumulated by [`run`]; these are architectural counts, the
@@ -175,6 +193,18 @@ struct Slot {
     /// Op index of a `jal`/branch target, resolved once; [`NO_SLOT`] for
     /// every other op and for a target that is not an instruction.
     target: u32,
+    /// Op index of the slot that ends this one's straight-line run (see
+    /// [`ends_run`]), or the slot count when no slot at or after this one
+    /// does.
+    run_end: u32,
+}
+
+/// Whether `op` ends a straight-line run: it can send control somewhere
+/// other than the next slot (a branch, `jal`, `jalr`) or stop the loop
+/// (`ebreak`, `ecall`, an illegal op). Every other op goes to [`step`],
+/// these to [`control`].
+fn ends_run(op: Op) -> bool {
+    op.ends_block() || op == Op::Illegal
 }
 
 /// The program as the execute loop wants it: a dense slot array stepped by
@@ -213,7 +243,19 @@ impl Predecoded {
             } else {
                 NO_SLOT
             };
-            pre.slots.push(Slot { pc, instr, target });
+            pre.slots.push(Slot {
+                pc,
+                instr,
+                target,
+                run_end: NO_SLOT,
+            });
+        }
+        let mut run_end = pre.slots.len() as u32;
+        for (n, slot) in pre.slots.iter_mut().enumerate().rev() {
+            if ends_run(slot.instr.op) {
+                run_end = n as u32;
+            }
+            slot.run_end = run_end;
         }
         pre
     }
@@ -251,6 +293,12 @@ pub fn run(
 /// compiler can inline. On a trap `cpu.pc` is the pc of the instruction
 /// that trapped (for [`Trap::MisalignedPc`], the pc that is no instruction;
 /// for [`Trap::StepLimit`], the next one to execute).
+///
+/// Control moves a straight-line run at a time: the slots before the one
+/// that ends the run go through [`step`] on one step-budget check and one
+/// `instret` add, and only that last slot is control flow. Events, counts
+/// and every ending are those of [`run_reference`], which checks the
+/// budget, the pc and `ebreak` before every instruction.
 pub fn execute<T: Tracer + ?Sized>(
     cpu: &mut Cpu,
     prog: &DecodedProgram,
@@ -277,7 +325,21 @@ pub fn execute<T: Tracer + ?Sized>(
         n => n as usize,
     };
     loop {
-        // Past the last slot only by falling through it.
+        // `idx` is in a run, or one past the last slot. The run's body, as
+        // much of it as the budget allows, runs without a check.
+        let end = slots.get(idx).map_or(idx, |slot| slot.run_end as usize);
+        let body = ((end - idx) as u64).min(max_steps - stats.instret) as usize;
+        for slot in &slots[idx..idx + body] {
+            tracer.retire(slot.pc, &slot.instr);
+            if let Err(trap) = step(cpu, slot.pc, &slot.instr, tracer, &mut stats) {
+                cpu.pc = slot.pc;
+                return Err(trap);
+            }
+        }
+        stats.instret += body as u64;
+        idx += body;
+        // The run's last slot, unless the budget ran out first or the run
+        // fell off the end of the program.
         let slot = slots.get(idx);
         if stats.instret >= max_steps {
             cpu.pc = slot.map_or(pre.end_pc, |slot| slot.pc);
@@ -293,7 +355,7 @@ pub fn execute<T: Tracer + ?Sized>(
             cpu.pc = slot.pc;
             return Ok(stats);
         }
-        match step(cpu, slot.pc, &slot.instr, tracer, &mut stats) {
+        match control(cpu, slot.pc, &slot.instr, tracer, &mut stats) {
             Ok(None) => idx += 1,
             Ok(Some(_)) if slot.target != NO_SLOT => idx = slot.target as usize,
             Ok(Some(pc)) => match pre.slot_of(pc) {
@@ -309,9 +371,10 @@ pub fn execute<T: Tracer + ?Sized>(
 }
 
 /// The fetch-by-pc loop [`execute`] replaced, kept as the oracle the
-/// lock-step tests hold it to: it looks every pc up, so it shares nothing
-/// with the pre-decoding but the semantics in [`step`]. Not a production
-/// path.
+/// lock-step tests hold it to: it looks every pc up and checks the budget
+/// and `ebreak` before every instruction, so it shares nothing with the
+/// pre-decoding or the runs but the semantics in [`step`] and [`control`].
+/// Not a production path.
 pub fn run_reference(
     cpu: &mut Cpu,
     prog: &DecodedProgram,
@@ -333,16 +396,19 @@ pub fn run_reference(
         if instr.op == Op::Ebreak {
             return Ok(stats);
         }
-        cpu.pc = match step(cpu, pc, instr, tracer, &mut stats)? {
-            None => pc + instr.size as u64,
-            Some(target) => target,
+        let redirect = if ends_run(instr.op) {
+            control(cpu, pc, instr, tracer, &mut stats)?
+        } else {
+            step(cpu, pc, instr, tracer, &mut stats)?;
+            None
         };
+        cpu.pc = redirect.unwrap_or(pc + instr.size as u64);
     }
 }
 
-/// The semantics of one instruction (every op but `ebreak`, which the
-/// loops handle). Returns the pc control moves to when that is not the
-/// next instruction; `cpu.pc` is the caller's to maintain.
+/// The semantics of one instruction that does not end a run: control goes
+/// on to the next instruction unless it traps. `cpu.pc` is the caller's to
+/// maintain.
 #[inline(always)]
 fn step<T: Tracer + ?Sized>(
     cpu: &mut Cpu,
@@ -350,82 +416,49 @@ fn step<T: Tracer + ?Sized>(
     i: &Instr,
     tracer: &mut T,
     stats: &mut ExecStats,
-) -> Result<Option<u64>, Trap> {
-    let next_pc = pc + i.size as u64;
-    let rs1 = cpu.x[i.rs1 as usize];
-    let rs2 = cpu.x[i.rs2 as usize];
-    let mut redirect = None;
-    match i.op {
-        Op::Lui => cpu.set_x(i.rd, i.imm as u64),
-        Op::Auipc => cpu.set_x(i.rd, pc.wrapping_add(i.imm as u64)),
-        Op::Jal => {
-            cpu.set_x(i.rd, next_pc);
-            redirect = Some(pc.wrapping_add(i.imm as u64));
-        }
-        Op::Jalr => {
-            cpu.set_x(i.rd, next_pc);
-            redirect = Some(rs1.wrapping_add(i.imm as u64) & !1);
-        }
-        Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => {
-            let taken = match i.op {
-                Op::Beq => rs1 == rs2,
-                Op::Bne => rs1 != rs2,
-                Op::Blt => (rs1 as i64) < (rs2 as i64),
-                Op::Bge => (rs1 as i64) >= (rs2 as i64),
-                Op::Bltu => rs1 < rs2,
-                _ => rs1 >= rs2,
-            };
-            stats.branches += 1;
-            if taken {
-                stats.taken_branches += 1;
-                redirect = Some(pc.wrapping_add(i.imm as u64));
-            }
-            tracer.branch(pc, taken);
-        }
-        Op::Lb | Op::Lh | Op::Lw | Op::Ld | Op::Lbu | Op::Lhu | Op::Lwu => {
-            let addr = rs1.wrapping_add(i.imm as u64);
-            let (v, bytes) = match i.op {
-                Op::Lb => (cpu.mem.read_u8(addr)? as i8 as i64 as u64, 1),
-                Op::Lbu => (cpu.mem.read_u8(addr)? as u64, 1),
-                Op::Lh => (cpu.mem.read_u16(addr)? as i16 as i64 as u64, 2),
-                Op::Lhu => (cpu.mem.read_u16(addr)? as u64, 2),
-                Op::Lw => (cpu.mem.read_u32(addr)? as i32 as i64 as u64, 4),
-                Op::Lwu => (cpu.mem.read_u32(addr)? as u64, 4),
-                _ => (cpu.mem.read_u64(addr)?, 8),
-            };
-            cpu.set_x(i.rd, v);
+) -> Result<(), Trap> {
+    let rs1 = cpu.x[reg(i.rs1)];
+    let rs2 = cpu.x[reg(i.rs2)];
+    let imm = i.imm as u64;
+    // A scalar load of `$bytes` through `$read`, widened by `$extend`.
+    macro_rules! load {
+        ($read:ident, $bytes:literal, $extend:expr) => {{
+            let addr = rs1.wrapping_add(imm);
+            let v = cpu.mem.$read(addr)?;
+            cpu.set_x(i.rd, $extend(v));
             stats.loads += 1;
-            tracer.mem(addr, bytes, false);
-        }
-        Op::Sb | Op::Sh | Op::Sw | Op::Sd => {
-            let addr = rs1.wrapping_add(i.imm as u64);
-            let bytes = match i.op {
-                Op::Sb => {
-                    cpu.mem.write_u8(addr, rs2 as u8)?;
-                    1
-                }
-                Op::Sh => {
-                    cpu.mem.write_u16(addr, rs2 as u16)?;
-                    2
-                }
-                Op::Sw => {
-                    cpu.mem.write_u32(addr, rs2 as u32)?;
-                    4
-                }
-                _ => {
-                    cpu.mem.write_u64(addr, rs2)?;
-                    8
-                }
-            };
+            tracer.mem(addr, $bytes, false);
+        }};
+    }
+    // A scalar store of the low `$bytes` of `rs2` through `$write`.
+    macro_rules! store {
+        ($write:ident, $bytes:literal, $narrow:ty) => {{
+            let addr = rs1.wrapping_add(imm);
+            cpu.mem.$write(addr, rs2 as $narrow)?;
             stats.stores += 1;
-            tracer.mem(addr, bytes, true);
-        }
-        Op::Addi => cpu.set_x(i.rd, rs1.wrapping_add(i.imm as u64)),
+            tracer.mem(addr, $bytes, true);
+        }};
+    }
+    match i.op {
+        Op::Lui => cpu.set_x(i.rd, imm),
+        Op::Auipc => cpu.set_x(i.rd, pc.wrapping_add(imm)),
+        Op::Lb => load!(read_u8, 1, |v: u8| v as i8 as i64 as u64),
+        Op::Lbu => load!(read_u8, 1, u64::from),
+        Op::Lh => load!(read_u16, 2, |v: u16| v as i16 as i64 as u64),
+        Op::Lhu => load!(read_u16, 2, u64::from),
+        Op::Lw => load!(read_u32, 4, |v: u32| v as i32 as i64 as u64),
+        Op::Lwu => load!(read_u32, 4, u64::from),
+        Op::Ld => load!(read_u64, 8, |v: u64| v),
+        Op::Sb => store!(write_u8, 1, u8),
+        Op::Sh => store!(write_u16, 2, u16),
+        Op::Sw => store!(write_u32, 4, u32),
+        Op::Sd => store!(write_u64, 8, u64),
+        Op::Addi => cpu.set_x(i.rd, rs1.wrapping_add(imm)),
         Op::Slti => cpu.set_x(i.rd, ((rs1 as i64) < i.imm) as u64),
-        Op::Sltiu => cpu.set_x(i.rd, (rs1 < i.imm as u64) as u64),
-        Op::Xori => cpu.set_x(i.rd, rs1 ^ i.imm as u64),
-        Op::Ori => cpu.set_x(i.rd, rs1 | i.imm as u64),
-        Op::Andi => cpu.set_x(i.rd, rs1 & i.imm as u64),
+        Op::Sltiu => cpu.set_x(i.rd, (rs1 < imm) as u64),
+        Op::Xori => cpu.set_x(i.rd, rs1 ^ imm),
+        Op::Ori => cpu.set_x(i.rd, rs1 | imm),
+        Op::Andi => cpu.set_x(i.rd, rs1 & imm),
         Op::Slli => cpu.set_x(i.rd, rs1 << (i.imm & 63)),
         Op::Srli => cpu.set_x(i.rd, rs1 >> (i.imm & 63)),
         Op::Srai => cpu.set_x(i.rd, ((rs1 as i64) >> (i.imm & 63)) as u64),
@@ -439,7 +472,7 @@ fn step<T: Tracer + ?Sized>(
         Op::Sra => cpu.set_x(i.rd, ((rs1 as i64) >> (rs2 & 63)) as u64),
         Op::Or => cpu.set_x(i.rd, rs1 | rs2),
         Op::And => cpu.set_x(i.rd, rs1 & rs2),
-        Op::Addiw => cpu.set_x(i.rd, (rs1.wrapping_add(i.imm as u64) as i32) as i64 as u64),
+        Op::Addiw => cpu.set_x(i.rd, (rs1.wrapping_add(imm) as i32) as i64 as u64),
         Op::Slliw => cpu.set_x(i.rd, (((rs1 as u32) << (i.imm & 31)) as i32) as i64 as u64),
         Op::Srliw => cpu.set_x(i.rd, (((rs1 as u32) >> (i.imm & 31)) as i32) as i64 as u64),
         Op::Sraiw => cpu.set_x(i.rd, ((rs1 as i32) >> (i.imm & 31)) as i64 as u64),
@@ -449,8 +482,6 @@ fn step<T: Tracer + ?Sized>(
         Op::Srlw => cpu.set_x(i.rd, (((rs1 as u32) >> (rs2 & 31)) as i32) as i64 as u64),
         Op::Sraw => cpu.set_x(i.rd, ((rs1 as i32) >> (rs2 & 31)) as i64 as u64),
         Op::Fence => {}
-        Op::Ecall => return Err(Trap::IllegalInstruction(pc)),
-        Op::Ebreak => unreachable!("the loops halt on ebreak"),
         Op::Mul => cpu.set_x(i.rd, rs1.wrapping_mul(rs2)),
         Op::Mulh => cpu.set_x(
             i.rd,
@@ -501,104 +532,96 @@ fn step<T: Tracer + ?Sized>(
             cpu.set_x(i.rd, v as i32 as i64 as u64);
         }
         // A-extension subset with single-thread semantics: sc always succeeds.
-        Op::LrW | Op::AmoAddW | Op::AmoSwapW | Op::ScW => {
+        Op::LrW => {
+            let v = cpu.mem.read_u32(rs1)? as i32 as i64 as u64;
+            cpu.set_x(i.rd, v);
             stats.amo_ops += 1;
-            match i.op {
-                Op::LrW => {
-                    let v = cpu.mem.read_u32(rs1)? as i32 as i64 as u64;
-                    cpu.set_x(i.rd, v);
-                    stats.loads += 1;
-                    tracer.mem(rs1, 4, false);
-                }
-                Op::ScW => {
-                    cpu.mem.write_u32(rs1, rs2 as u32)?;
-                    cpu.set_x(i.rd, 0);
-                    stats.stores += 1;
-                    tracer.mem(rs1, 4, true);
-                }
-                _ => {
-                    let old = cpu.mem.read_u32(rs1)? as i32 as i64 as u64;
-                    let new = if i.op == Op::AmoAddW {
-                        (old as u32).wrapping_add(rs2 as u32)
-                    } else {
-                        rs2 as u32
-                    };
-                    cpu.mem.write_u32(rs1, new)?;
-                    cpu.set_x(i.rd, old);
-                    stats.loads += 1;
-                    stats.stores += 1;
-                    tracer.mem(rs1, 4, false);
-                    tracer.mem(rs1, 4, true);
-                }
-            }
+            stats.loads += 1;
+            tracer.mem(rs1, 4, false);
         }
-        Op::LrD | Op::AmoAddD | Op::AmoSwapD | Op::ScD => {
+        Op::ScW => {
+            cpu.mem.write_u32(rs1, rs2 as u32)?;
+            cpu.set_x(i.rd, 0);
             stats.amo_ops += 1;
-            match i.op {
-                Op::LrD => {
-                    let v = cpu.mem.read_u64(rs1)?;
-                    cpu.set_x(i.rd, v);
-                    stats.loads += 1;
-                    tracer.mem(rs1, 8, false);
-                }
-                Op::ScD => {
-                    cpu.mem.write_u64(rs1, rs2)?;
-                    cpu.set_x(i.rd, 0);
-                    stats.stores += 1;
-                    tracer.mem(rs1, 8, true);
-                }
-                _ => {
-                    let old = cpu.mem.read_u64(rs1)?;
-                    let new = if i.op == Op::AmoAddD {
-                        old.wrapping_add(rs2)
-                    } else {
-                        rs2
-                    };
-                    cpu.mem.write_u64(rs1, new)?;
-                    cpu.set_x(i.rd, old);
-                    stats.loads += 1;
-                    stats.stores += 1;
-                    tracer.mem(rs1, 8, false);
-                    tracer.mem(rs1, 8, true);
-                }
-            }
+            stats.stores += 1;
+            tracer.mem(rs1, 4, true);
+        }
+        Op::AmoAddW | Op::AmoSwapW => {
+            let old = cpu.mem.read_u32(rs1)? as i32 as i64 as u64;
+            let new = if i.op == Op::AmoAddW {
+                (old as u32).wrapping_add(rs2 as u32)
+            } else {
+                rs2 as u32
+            };
+            cpu.mem.write_u32(rs1, new)?;
+            cpu.set_x(i.rd, old);
+            stats.amo_ops += 1;
+            stats.loads += 1;
+            stats.stores += 1;
+            tracer.mem(rs1, 4, false);
+            tracer.mem(rs1, 4, true);
+        }
+        Op::LrD => {
+            let v = cpu.mem.read_u64(rs1)?;
+            cpu.set_x(i.rd, v);
+            stats.amo_ops += 1;
+            stats.loads += 1;
+            tracer.mem(rs1, 8, false);
+        }
+        Op::ScD => {
+            cpu.mem.write_u64(rs1, rs2)?;
+            cpu.set_x(i.rd, 0);
+            stats.amo_ops += 1;
+            stats.stores += 1;
+            tracer.mem(rs1, 8, true);
+        }
+        Op::AmoAddD | Op::AmoSwapD => {
+            let old = cpu.mem.read_u64(rs1)?;
+            let new = if i.op == Op::AmoAddD {
+                old.wrapping_add(rs2)
+            } else {
+                rs2
+            };
+            cpu.mem.write_u64(rs1, new)?;
+            cpu.set_x(i.rd, old);
+            stats.amo_ops += 1;
+            stats.loads += 1;
+            stats.stores += 1;
+            tracer.mem(rs1, 8, false);
+            tracer.mem(rs1, 8, true);
         }
         Op::Fld => {
-            let addr = rs1.wrapping_add(i.imm as u64);
-            cpu.f[i.rd as usize] = cpu.mem.read_f64(addr)?;
+            let addr = rs1.wrapping_add(imm);
+            cpu.f[reg(i.rd)] = cpu.mem.read_f64(addr)?;
             stats.loads += 1;
             tracer.mem(addr, 8, false);
         }
         Op::Fsd => {
-            let addr = rs1.wrapping_add(i.imm as u64);
-            cpu.mem.write_f64(addr, cpu.f[i.rs2 as usize])?;
+            let addr = rs1.wrapping_add(imm);
+            cpu.mem.write_f64(addr, cpu.f[reg(i.rs2)])?;
             stats.stores += 1;
             tracer.mem(addr, 8, true);
         }
-        Op::FaddD => cpu.f[i.rd as usize] = cpu.f[i.rs1 as usize] + cpu.f[i.rs2 as usize],
-        Op::FsubD => cpu.f[i.rd as usize] = cpu.f[i.rs1 as usize] - cpu.f[i.rs2 as usize],
-        Op::FmulD => cpu.f[i.rd as usize] = cpu.f[i.rs1 as usize] * cpu.f[i.rs2 as usize],
-        Op::FdivD => cpu.f[i.rd as usize] = cpu.f[i.rs1 as usize] / cpu.f[i.rs2 as usize],
+        Op::FaddD => cpu.f[reg(i.rd)] = cpu.f[reg(i.rs1)] + cpu.f[reg(i.rs2)],
+        Op::FsubD => cpu.f[reg(i.rd)] = cpu.f[reg(i.rs1)] - cpu.f[reg(i.rs2)],
+        Op::FmulD => cpu.f[reg(i.rd)] = cpu.f[reg(i.rs1)] * cpu.f[reg(i.rs2)],
+        Op::FdivD => cpu.f[reg(i.rd)] = cpu.f[reg(i.rs1)] / cpu.f[reg(i.rs2)],
         Op::FmaddD => {
-            cpu.f[i.rd as usize] =
-                cpu.f[i.rs1 as usize].mul_add(cpu.f[i.rs2 as usize], cpu.f[i.rs3 as usize])
+            cpu.f[reg(i.rd)] = cpu.f[reg(i.rs1)].mul_add(cpu.f[reg(i.rs2)], cpu.f[reg(i.rs3)])
         }
         Op::FmsubD => {
-            cpu.f[i.rd as usize] =
-                cpu.f[i.rs1 as usize].mul_add(cpu.f[i.rs2 as usize], -cpu.f[i.rs3 as usize])
+            cpu.f[reg(i.rd)] = cpu.f[reg(i.rs1)].mul_add(cpu.f[reg(i.rs2)], -cpu.f[reg(i.rs3)])
         }
         Op::FnmsubD => {
-            cpu.f[i.rd as usize] =
-                (-cpu.f[i.rs1 as usize]).mul_add(cpu.f[i.rs2 as usize], cpu.f[i.rs3 as usize])
+            cpu.f[reg(i.rd)] = (-cpu.f[reg(i.rs1)]).mul_add(cpu.f[reg(i.rs2)], cpu.f[reg(i.rs3)])
         }
         Op::FnmaddD => {
-            cpu.f[i.rd as usize] =
-                (-cpu.f[i.rs1 as usize]).mul_add(cpu.f[i.rs2 as usize], -cpu.f[i.rs3 as usize])
+            cpu.f[reg(i.rd)] = (-cpu.f[reg(i.rs1)]).mul_add(cpu.f[reg(i.rs2)], -cpu.f[reg(i.rs3)])
         }
-        Op::FmvDX => cpu.f[i.rd as usize] = f64::from_bits(rs1),
-        Op::FmvXD => cpu.set_x(i.rd, cpu.f[i.rs1 as usize].to_bits()),
-        Op::FcvtDW => cpu.f[i.rd as usize] = (rs1 as i32) as f64,
-        Op::FcvtDL => cpu.f[i.rd as usize] = (rs1 as i64) as f64,
+        Op::FmvDX => cpu.f[reg(i.rd)] = f64::from_bits(rs1),
+        Op::FmvXD => cpu.set_x(i.rd, cpu.f[reg(i.rs1)].to_bits()),
+        Op::FcvtDW => cpu.f[reg(i.rd)] = (rs1 as i32) as f64,
+        Op::FcvtDL => cpu.f[reg(i.rd)] = (rs1 as i64) as f64,
         Op::Sh1add => cpu.set_x(i.rd, (rs1 << 1).wrapping_add(rs2)),
         Op::Sh2add => cpu.set_x(i.rd, (rs1 << 2).wrapping_add(rs2)),
         Op::Sh3add => cpu.set_x(i.rd, (rs1 << 3).wrapping_add(rs2)),
@@ -632,7 +655,7 @@ fn step<T: Tracer + ?Sized>(
             for lane in 0..vl as usize {
                 let addr = rs1.wrapping_add(8 * lane as u64);
                 let v = cpu.mem.read_f64(addr)?;
-                cpu.v[i.rd as usize][lane] = v;
+                cpu.v[reg(i.rd)][lane] = v;
                 stats.loads += 1;
                 tracer.mem(addr, 8, false);
             }
@@ -644,7 +667,7 @@ fn step<T: Tracer + ?Sized>(
             let vl = cpu.vl;
             for lane in 0..vl as usize {
                 let addr = rs1.wrapping_add(8 * lane as u64);
-                cpu.mem.write_f64(addr, cpu.v[i.rd as usize][lane])?;
+                cpu.mem.write_f64(addr, cpu.v[reg(i.rd)][lane])?;
                 stats.stores += 1;
                 tracer.mem(addr, 8, true);
             }
@@ -656,10 +679,10 @@ fn step<T: Tracer + ?Sized>(
             // Indexed gather: byte offsets in v[vs2], base in rs1.
             let vl = cpu.vl;
             for lane in 0..vl as usize {
-                let off = cpu.v[i.rs2 as usize][lane].to_bits();
+                let off = cpu.v[reg(i.rs2)][lane].to_bits();
                 let addr = rs1.wrapping_add(off);
                 let v = cpu.mem.read_f64(addr)?;
-                cpu.v[i.rd as usize][lane] = v;
+                cpu.v[reg(i.rd)][lane] = v;
                 stats.loads += 1;
                 tracer.mem(addr, 8, false);
             }
@@ -669,10 +692,10 @@ fn step<T: Tracer + ?Sized>(
         }
         Op::VfmaccVf => {
             let vl = cpu.vl as usize;
-            let scalar = cpu.f[i.rs1 as usize];
+            let scalar = cpu.f[reg(i.rs1)];
             for lane in 0..vl {
-                let acc = cpu.v[i.rd as usize][lane];
-                cpu.v[i.rd as usize][lane] = scalar.mul_add(cpu.v[i.rs2 as usize][lane], acc);
+                let acc = cpu.v[reg(i.rd)][lane];
+                cpu.v[reg(i.rd)][lane] = scalar.mul_add(cpu.v[reg(i.rs2)][lane], acc);
             }
             stats.vector_ops += 1;
             stats.vector_elems += vl as u64;
@@ -680,9 +703,9 @@ fn step<T: Tracer + ?Sized>(
         }
         Op::VfmulVf => {
             let vl = cpu.vl as usize;
-            let scalar = cpu.f[i.rs1 as usize];
+            let scalar = cpu.f[reg(i.rs1)];
             for lane in 0..vl {
-                cpu.v[i.rd as usize][lane] = scalar * cpu.v[i.rs2 as usize][lane];
+                cpu.v[reg(i.rd)][lane] = scalar * cpu.v[reg(i.rs2)][lane];
             }
             stats.vector_ops += 1;
             stats.vector_elems += vl as u64;
@@ -691,14 +714,64 @@ fn step<T: Tracer + ?Sized>(
         Op::VfaddVv => {
             let vl = cpu.vl as usize;
             for lane in 0..vl {
-                cpu.v[i.rd as usize][lane] =
-                    cpu.v[i.rs1 as usize][lane] + cpu.v[i.rs2 as usize][lane];
+                cpu.v[reg(i.rd)][lane] = cpu.v[reg(i.rs1)][lane] + cpu.v[reg(i.rs2)][lane];
             }
             stats.vector_ops += 1;
             stats.vector_elems += vl as u64;
             tracer.vector(vl as u32, false);
         }
-        Op::Illegal => return Err(Trap::IllegalInstruction(pc)),
+        Op::Jal
+        | Op::Jalr
+        | Op::Beq
+        | Op::Bne
+        | Op::Blt
+        | Op::Bge
+        | Op::Bltu
+        | Op::Bgeu
+        | Op::Ecall
+        | Op::Ebreak
+        | Op::Illegal => unreachable!("{:?} ends a run", i.op),
     }
-    Ok(redirect)
+    Ok(())
+}
+
+/// The semantics of the op that ends a run, for every such op but `ebreak`
+/// (which the loops handle): the pc control moves to when that is not the
+/// next instruction. `cpu.pc` is the caller's to maintain.
+#[inline(always)]
+fn control<T: Tracer + ?Sized>(
+    cpu: &mut Cpu,
+    pc: u64,
+    i: &Instr,
+    tracer: &mut T,
+    stats: &mut ExecStats,
+) -> Result<Option<u64>, Trap> {
+    let rs1 = cpu.x[reg(i.rs1)];
+    let rs2 = cpu.x[reg(i.rs2)];
+    let next_pc = pc + i.size as u64;
+    let target = pc.wrapping_add(i.imm as u64);
+    let taken = match i.op {
+        Op::Jal => {
+            cpu.set_x(i.rd, next_pc);
+            return Ok(Some(target));
+        }
+        Op::Jalr => {
+            cpu.set_x(i.rd, next_pc);
+            return Ok(Some(rs1.wrapping_add(i.imm as u64) & !1));
+        }
+        Op::Beq => rs1 == rs2,
+        Op::Bne => rs1 != rs2,
+        Op::Blt => (rs1 as i64) < (rs2 as i64),
+        Op::Bge => (rs1 as i64) >= (rs2 as i64),
+        Op::Bltu => rs1 < rs2,
+        Op::Bgeu => rs1 >= rs2,
+        Op::Ecall | Op::Illegal => return Err(Trap::IllegalInstruction(pc)),
+        op => unreachable!("{op:?} does not end a run, or is ebreak"),
+    };
+    stats.branches += 1;
+    if taken {
+        stats.taken_branches += 1;
+    }
+    tracer.branch(pc, taken);
+    Ok(taken.then_some(target))
 }

@@ -6,7 +6,8 @@
 //! over random programs built with the crate's own encoders (which also
 //! makes this the encode → decode → execute round trip: every encoding is
 //! checked to decode to the op it was built as), over the four kernels,
-//! and over each way a run can end other than `ebreak`.
+//! over each way a run can end other than `ebreak`, and on each edge of
+//! the straight-line runs the new loop moves by.
 
 use proptest::prelude::*;
 use rvhpc_isa::encode::{
@@ -769,6 +770,85 @@ fn illegal_and_ecall_trap_at_their_own_pc() {
         assert_eq!(
             lockstep(&prog, &fresh_cpu(), 100),
             (Err(Trap::IllegalInstruction(TEXT + 8)), TEXT + 8)
+        );
+    }
+}
+
+// --- run boundaries, pinned ------------------------------------------------
+//
+// `execute` moves a straight-line run at a time: one budget check for the
+// run's body, then the slot that ends it as control flow. These place the
+// budget, an indirect target and a branch target on each edge of a run.
+
+#[test]
+fn a_budget_spent_on_the_body_stops_on_the_runs_branch() {
+    // Three addis, then `bne x0, x0, +8` (never taken), one addi, ebreak.
+    let prog = counting_program(3, |asm| {
+        asm.word(enc_b(0x63, 1, 0, 0, 8));
+        asm.addi(5, 5, 1);
+        asm.ebreak();
+    });
+    assert_eq!(
+        lockstep(&prog, &fresh_cpu(), 3),
+        (Err(Trap::StepLimit), TEXT + 12)
+    );
+    // One more step retires the branch and stops at the next run.
+    assert_eq!(
+        lockstep(&prog, &fresh_cpu(), 4),
+        (Err(Trap::StepLimit), TEXT + 16)
+    );
+}
+
+#[test]
+fn a_budget_spent_on_the_last_slot_of_a_program_without_ebreak() {
+    let prog = counting_program(4, |_| {});
+    assert_eq!(
+        lockstep(&prog, &fresh_cpu(), 3),
+        (Err(Trap::StepLimit), TEXT + 12)
+    );
+    // Spent exactly by the last slot: the budget is checked before the
+    // pc past the end, so this is a step limit, not a misaligned pc.
+    assert_eq!(
+        lockstep(&prog, &fresh_cpu(), 4),
+        (Err(Trap::StepLimit), TEXT + 16)
+    );
+    assert_eq!(
+        lockstep(&prog, &fresh_cpu(), 5),
+        (Err(Trap::MisalignedPc(TEXT + 16)), TEXT + 16)
+    );
+}
+
+#[test]
+fn a_jalr_into_the_middle_of_a_run_runs_the_rest_of_it() {
+    // `jalr x1, 0(x6)` to the second of three addis, then ebreak.
+    let prog = counting_program(0, |asm| {
+        asm.word(enc_i(0x67, 0, 1, 6, 0));
+        asm.addi(5, 5, 1);
+        asm.addi(5, 5, 1);
+        asm.addi(5, 5, 1);
+        asm.ebreak();
+    });
+    let mut cpu = fresh_cpu();
+    cpu.x[6] = TEXT + 8;
+    let (result, pc) = lockstep(&prog, &cpu, 100);
+    assert_eq!((result.unwrap().instret, pc), (4, TEXT + 16));
+    // And a budget that ends inside the part of the run it entered.
+    assert_eq!(lockstep(&prog, &cpu, 2), (Err(Trap::StepLimit), TEXT + 12));
+}
+
+#[test]
+fn a_taken_branch_to_its_own_slot_reenters_a_run_at_its_end() {
+    // Two addis, then `beq x0, x0, 0`: every later run is that branch
+    // alone, with an empty body, until the budget is spent on it.
+    let prog = counting_program(2, |asm| {
+        asm.word(enc_b(0x63, 0, 0, 0, 0));
+        asm.ebreak();
+    });
+    for budget in [2, 3, 7] {
+        assert_eq!(
+            lockstep(&prog, &fresh_cpu(), budget),
+            (Err(Trap::StepLimit), TEXT + 8),
+            "budget {budget}"
         );
     }
 }
