@@ -404,16 +404,13 @@ impl Engine {
 
     /// Serve `q` (keyed in `plan`'s context) from the hot tier if it is
     /// there. A hit is accounted as the one-query execution it stands in
-    /// for — one prediction hit, one batch, the `engine.probe` →
-    /// `cache-hit` profiler frames — so the counters read the same
-    /// whether this or [`Engine::execute_on`] served it. A miss counts
+    /// for — one prediction hit, one batch — so the counters read the
+    /// same whether this or [`Engine::execute_on`] served it. A miss counts
     /// nothing and leaves the disk tier and the compute to the executor.
     /// `rvhpc-serve`'s reactor answers hot hits through this without a
     /// shard worker.
     pub fn hot_hit(&self, plan: &Plan, q: &Query) -> Option<Arc<Prediction>> {
         let pred = self.predictions.peek_hashed(&plan.hashed_key_of(q))?;
-        let _prof = rvhpc_obs::prof::scope("engine.probe");
-        rvhpc_obs::prof::mark("cache-hit");
         self.predictions.count_hit();
         self.exec.lock().batches += 1;
         Some(pred)
@@ -480,7 +477,6 @@ impl Engine {
         if let Some(t) = trace.as_deref_mut() {
             t.push("dedup");
         }
-        let prof_dedup = rvhpc_obs::prof::scope("engine.dedup");
         let mut slot_of_key: HashMap<HashedKey, usize, IdentityState> =
             HashMap::with_capacity_and_hasher(plan.len(), IdentityState::default());
         let mut uniques: Vec<(HashedKey, usize)> = Vec::with_capacity(plan.len());
@@ -496,11 +492,9 @@ impl Engine {
         if let Some(t) = trace.as_deref_mut() {
             t.pop(EventKind::DedupMerge);
         }
-        drop(prof_dedup);
 
         // Probe the cache once per unique query; the disk tier, if any,
         // is looked up once for the whole batch.
-        let prof_probe = rvhpc_obs::prof::scope("engine.probe");
         let store = self.store();
         let mut results: Vec<Option<Arc<Prediction>>> = Vec::with_capacity(uniques.len());
         let mut misses: Vec<usize> = Vec::new();
@@ -514,7 +508,6 @@ impl Engine {
                 if let Some(t) = trace.as_deref_mut() {
                     t.mark(EventKind::CacheProbe, "cache-hit");
                 }
-                rvhpc_obs::prof::mark("cache-hit");
                 continue;
             }
             let disk = store.as_deref().map(|s| (s, key.key().fingerprint()));
@@ -525,7 +518,6 @@ impl Engine {
                 if let Some(t) = trace.as_deref_mut() {
                     t.mark(EventKind::CacheProbe, "store-hit");
                 }
-                rvhpc_obs::prof::mark("store-hit");
             } else {
                 self.predictions.count_miss();
                 results.push(None);
@@ -534,16 +526,13 @@ impl Engine {
                 if let Some(t) = trace.as_deref_mut() {
                     t.mark(EventKind::CacheProbe, "cache-miss");
                 }
-                rvhpc_obs::prof::mark("cache-miss");
             }
         }
-        drop(prof_probe);
 
         let workers = jobs.min(misses.len().max(1));
         if let Some(t) = trace.as_deref_mut() {
             t.push("execute");
         }
-        let prof_exec = rvhpc_obs::prof::scope("engine.execute");
 
         // Derive each distinct (bench, class) profile the misses need
         // once, before dispatch. Every further miss on it counts the
@@ -612,7 +601,6 @@ impl Engine {
                 );
             }
         }
-        drop(prof_exec);
         if let Some(t) = trace {
             t.pop(EventKind::EngineExec);
         }

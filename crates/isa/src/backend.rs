@@ -162,7 +162,6 @@ pub fn characterize(
     threads: u32,
     ext: IsaExt,
 ) -> KernelCharacter {
-    let _prof = rvhpc_obs::prof::scope("isa.characterize");
     let rvv_active = ext.rvv && machine.vector.is_rvv();
     let ext_set = ext.to_ext_set(rvv_active);
     let vlen = if rvv_active {

@@ -305,7 +305,6 @@ pub fn execute<T: Tracer + ?Sized>(
     tracer: &mut T,
     max_steps: u64,
 ) -> Result<ExecStats, Trap> {
-    let _prof = rvhpc_obs::prof::scope("isa.interp");
     let pre = Predecoded::new(prog);
     let slots = pre.slots.as_slice();
     let mut stats = ExecStats::default();

@@ -37,10 +37,6 @@ pub enum Compiler {
     Gcc9_2,
     /// GCC 8.4 (the Xeon 8170 system).
     Gcc8_4,
-    /// LLVM/Clang 18 — the paper's §7 names LLVM (which has supported RVV
-    /// auto-vectorisation since LLVM 14, longer than GCC) as future work;
-    /// modelled here as an extension experiment.
-    Llvm18,
 }
 
 impl Compiler {
@@ -53,7 +49,6 @@ impl Compiler {
             Compiler::Gcc11_2 => "GCC v11.2",
             Compiler::Gcc9_2 => "GCC v9.2",
             Compiler::Gcc8_4 => "GCC v8.4",
-            Compiler::Llvm18 => "LLVM/Clang v18",
         }
     }
 
@@ -61,9 +56,8 @@ impl Compiler {
     pub fn supports_vector(&self, v: VectorIsa) -> bool {
         match v {
             VectorIsa::None => false,
-            // Mainline GCC: RVV 1.0 auto-vectorisation from v14 onwards;
-            // LLVM has carried it since LLVM 14.
-            VectorIsa::Rvv1_0 { .. } => matches!(self, Compiler::Gcc15_2 | Compiler::Llvm18),
+            // Mainline GCC: RVV 1.0 auto-vectorisation from v14 onwards.
+            VectorIsa::Rvv1_0 { .. } => matches!(self, Compiler::Gcc15_2),
             // RVV 0.7.1: XuanTie fork only.
             VectorIsa::Rvv0_7 { .. } => matches!(self, Compiler::XuanTieGcc8_4),
             // x86 and Arm SIMD have been mature in GCC for a decade.
@@ -83,7 +77,6 @@ impl Compiler {
             // workload model on top of this base.
             Compiler::Gcc12_3 => 0.97,
             Compiler::XuanTieGcc8_4 => 1.0,
-            Compiler::Llvm18 => 0.99,
             _ => 1.0,
         }
     }
@@ -93,9 +86,6 @@ impl Compiler {
     pub fn vector_quality(&self, v: VectorIsa) -> f64 {
         match v {
             VectorIsa::None => 0.0,
-            // LLVM's longer-lived RVV back-end generates slightly tighter
-            // strip-mined loops than GCC 15.2's.
-            VectorIsa::Rvv1_0 { .. } if matches!(self, Compiler::Llvm18) => 0.88,
             VectorIsa::Rvv1_0 { .. } => 0.85,
             // The fork's hand-tuned 0.7.1 unit-stride codegen is
             // excellent — Table 3 shows the C920v1 *above* per-clock
@@ -122,9 +112,6 @@ impl Compiler {
     /// with perf); x86/Arm gather codegen is branch-free.
     pub fn indirect_branch_overhead(&self, v: VectorIsa) -> f64 {
         match v {
-            // LLVM's RVV gather strip-mining is less branchy than GCC's
-            // (fewer mispredicts), though still costly on the C920v2.
-            VectorIsa::Rvv1_0 { .. } if matches!(self, Compiler::Llvm18) => 1.5,
             VectorIsa::Rvv1_0 { .. } | VectorIsa::Rvv0_7 { .. } => 2.0,
             _ => 1.0,
         }
@@ -274,21 +261,6 @@ mod tests {
     fn rvv_gather_codegen_is_branchy() {
         assert!(Compiler::Gcc15_2.indirect_branch_overhead(RVV10_128) > 1.5);
         assert!((Compiler::Gcc8_4.indirect_branch_overhead(VectorIsa::Avx512) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn llvm_targets_rvv_1_0_but_not_0_7() {
-        assert!(Compiler::Llvm18.supports_vector(RVV10_128));
-        assert!(!Compiler::Llvm18.supports_vector(RVV07_128));
-        assert!(Compiler::Llvm18.vectorizes_gathers());
-    }
-
-    #[test]
-    fn llvm_gather_codegen_is_less_branchy_than_gcc() {
-        assert!(
-            Compiler::Llvm18.indirect_branch_overhead(RVV10_128)
-                < Compiler::Gcc15_2.indirect_branch_overhead(RVV10_128)
-        );
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod event;
 pub mod hist;
 pub mod json;
 pub mod metrics;
-pub mod prof;
 pub mod recorder;
 pub mod ring;
 pub mod saturation;
@@ -50,7 +49,6 @@ pub use event::{Event, EventKind};
 pub use hist::LatencyHistogram;
 pub use json::JsonValue;
 pub use metrics::{summarize, Summary};
-pub use prof::{profiling, set_profiling, Profile};
 pub use recorder::{
     disabled_handle, drain_all, enabled, handle, init_from_env, now_us, pin_epoch, record,
     set_enabled, RecorderHandle, SpanStart, TraceData, TRACE_ENV,

@@ -201,7 +201,6 @@ impl Pool {
             let results = &results;
             let job = move |tid: usize| {
                 let span = recorder.span_start();
-                let _prof = obs::prof::scope("pool.region");
                 let team = Team {
                     tid,
                     nthreads: n,
@@ -280,7 +279,6 @@ impl Team<'_> {
     #[inline]
     pub fn phase<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let span = self.recorder.span_start();
-        let _prof = obs::prof::scope(name);
         let r = f();
         self.recorder
             .record_span(span, EventKind::Phase, name, self.tid as u32, 0);

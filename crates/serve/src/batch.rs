@@ -271,7 +271,6 @@ fn worker_loop(
         }
 
         // Merge into one plan; job i contributes exactly query i.
-        let _prof = obs::prof::scope("serve.batch");
         let mut plan = Plan::new();
         for job in &jobs {
             plan.merge(job.plan.clone());
@@ -313,7 +312,6 @@ fn worker_loop(
                     pool = Pool::new(pool_threads.max(1));
                     restarts.fetch_add(1, Ordering::Relaxed);
                     note_recovery("worker-restart", u64::from(shard_id));
-                    obs::prof::mark("recover.worker-restart");
                     if attempt >= MAX_BATCH_ATTEMPTS {
                         break None;
                     }

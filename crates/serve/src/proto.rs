@@ -218,20 +218,9 @@ pub enum Request {
     Metrics,
     /// Return the server's slow-request log (retained span dumps).
     Slow,
-    /// Stream live telemetry: `samples` gauge snapshots as NDJSON, one
-    /// taken every `interval_ms` milliseconds.
-    Watch {
-        /// How many samples to stream before the op completes.
-        samples: u64,
-        /// Milliseconds between samples (0 = back-to-back).
-        interval_ms: u64,
-    },
     /// Evaluate the server's SLO rules against its live metrics and
     /// return the versioned health verdict.
     Health,
-    /// Return the profiler's collapsed-stack snapshot (empty when the
-    /// server was started without `--profile`).
-    Profile,
     /// Liveness check.
     Ping,
     /// Begin graceful drain and shut the server down.
@@ -516,20 +505,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             reject_unknown_keys(&doc, id, &["op", "id"], "request")?;
             Ok(Request::Slow)
         }
-        Some((Some("watch"), _)) => {
-            reject_unknown_keys(&doc, id, &["op", "id", "samples", "interval_ms"], "request")?;
-            Ok(Request::Watch {
-                samples: get_uint(&doc, id, "samples", 1, 10_000)?.unwrap_or(5),
-                interval_ms: get_uint(&doc, id, "interval_ms", 0, 60_000)?.unwrap_or(100),
-            })
-        }
         Some((Some("health"), _)) => {
             reject_unknown_keys(&doc, id, &["op", "id"], "request")?;
             Ok(Request::Health)
-        }
-        Some((Some("profile"), _)) => {
-            reject_unknown_keys(&doc, id, &["op", "id"], "request")?;
-            Ok(Request::Profile)
         }
         Some((Some("ping"), _)) => {
             reject_unknown_keys(&doc, id, &["op", "id"], "request")?;
@@ -798,33 +776,13 @@ mod tests {
             parse_request(r#"{"op":"health","id":2}"#).unwrap(),
             Request::Health
         );
-        assert_eq!(
-            parse_request(r#"{"op":"profile"}"#).unwrap(),
-            Request::Profile
-        );
         assert!(parse_request(r#"{"op":"health","bench":"cg"}"#).is_err());
-        assert!(parse_request(r#"{"op":"profile","samples":1}"#).is_err());
-    }
-
-    #[test]
-    fn watch_parses_with_defaults_and_bounds() {
-        assert_eq!(
-            parse_request(r#"{"op":"watch"}"#).unwrap(),
-            Request::Watch {
-                samples: 5,
-                interval_ms: 100
-            }
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"watch","samples":3,"interval_ms":0}"#).unwrap(),
-            Request::Watch {
-                samples: 3,
-                interval_ms: 0
-            }
-        );
-        assert!(parse_request(r#"{"op":"watch","samples":0}"#).is_err());
-        assert!(parse_request(r#"{"op":"watch","interval_ms":90000}"#).is_err());
-        assert!(parse_request(r#"{"op":"watch","bench":"cg"}"#).is_err());
+        // `profile` and `watch` are not ops: a structured invalid error.
+        for line in [r#"{"op":"profile"}"#, r#"{"op":"watch","samples":3}"#] {
+            let e = parse_request(line).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Invalid, "{line}");
+            assert!(e.message.contains("unknown op"), "{}", e.message);
+        }
     }
 
     #[test]

@@ -199,20 +199,13 @@ pub(super) struct PendingPredict {
     pub(super) enqueued_us: u64,
 }
 
-/// An in-progress admin `watch` stream, timed by the reactor clock.
-pub(super) struct WatchState {
-    pub(super) remaining: u64,
-    pub(super) interval: Duration,
-    pub(super) next_at: Instant,
-}
-
-/// What a connection is doing. While not `Ready` the reactor neither
-/// reads from nor parses the connection — the same one-request-at-a-time
-/// backpressure the blocking loop had.
+/// What a connection is doing: reading requests, or waiting on one
+/// predict. While `Predicting` the reactor neither reads from nor parses
+/// the connection — the same one-request-at-a-time backpressure the
+/// blocking loop had.
 pub(super) enum ConnState {
     Ready,
     Predicting(PendingPredict),
-    Watching(WatchState),
 }
 
 /// What the incremental frame scanner found.
@@ -321,19 +314,15 @@ impl Conn {
     pub(super) fn take_parked(&mut self) -> Option<PendingPredict> {
         match std::mem::replace(&mut self.state, ConnState::Ready) {
             ConnState::Predicting(p) => Some(p),
-            other => {
-                self.state = other;
-                None
-            }
+            ConnState::Ready => None,
         }
     }
 
     /// When the reactor clock next owes this connection a look: its
-    /// predict's deadline, its watch's next emission, or a stall cutoff.
+    /// predict's deadline or a stall cutoff.
     pub(super) fn next_wake(&self, stall_timeout: Duration) -> Option<Instant> {
         let state = match &self.state {
             ConnState::Predicting(p) => Some(p.deadline_at),
-            ConnState::Watching(w) => Some(w.next_at),
             ConnState::Ready => self.partial_since.map(|s| s + stall_timeout),
         };
         let write = self.write_blocked_since.map(|s| s + stall_timeout);

@@ -5,14 +5,13 @@
 //! Live telemetry: a [`Timeseries`](rvhpc_obs::Timeseries) ring collects
 //! gauge snapshots — either from a background sampler thread
 //! (`sample_interval_ms > 0`) or on demand at each `metrics` request
-//! (interval 0, deterministic) — and the admin `watch` op streams fresh
-//! snapshots as NDJSON, timed by the reactor clock instead of a parked
-//! thread.
+//! (interval 0, deterministic) — and returns them as the `timeseries`
+//! section.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use rvhpc_obs::{self as obs, metrics, JsonValue, LatencyHistogram};
+use rvhpc_obs::{metrics, JsonValue, LatencyHistogram};
 
 use super::Shared;
 use crate::batch::Batcher;
@@ -218,12 +217,6 @@ impl Shared {
             }
             if let Some(faults) = faults_section(&self.counters, &self.batcher) {
                 map.insert("faults".to_string(), faults);
-            }
-            // The continuous profile rides along the same way: only a server
-            // started with `--profile` ever grows this section.
-            let profile = obs::prof::snapshot();
-            if !profile.is_empty() {
-                map.insert("profile".to_string(), profile.to_json());
             }
             // And the cluster section only exists in router mode.
             if let Some(router) = &self.router {

@@ -1,7 +1,7 @@
 //! The reactor: one thread's event loop — accept, dispatch readiness to
 //! client connections and upstreams, collect off-reactor completions,
 //! tick the clocks — and the handlers for what a request line asks
-//! (admin ops, predicts, watch streams).
+//! (admin ops and predicts).
 //!
 //! Batch and pool completions come back through a [`ReactorHub`] whose
 //! [`poll::Waker`] pops the reactor out of its wait.
@@ -23,9 +23,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rvhpc_faults::{note_recovery, FaultSite};
-use rvhpc_obs::{self as obs, EventKind, JsonValue, Sample, TraceCtx};
+use rvhpc_obs::{self as obs, EventKind, JsonValue, TraceCtx};
 
-use super::conn::{Conn, ConnState, PendingPredict, Step, Verdict, WatchState};
+use super::conn::{Conn, ConnState, PendingPredict, Step, Verdict};
 use super::metrics::{bump, rate};
 use super::upstream::{Upstream, TOKEN_UPSTREAM};
 use super::{drain_requested, request_drain, Shared, READ_POLL};
@@ -260,8 +260,8 @@ impl Reactor {
         }
     }
 
-    /// Next wait's upper bound: the nearest deadline, watch emission,
-    /// or stall cutoff, capped at [`READ_POLL`] so drains are noticed.
+    /// Next wait's upper bound: the nearest predict deadline or stall
+    /// cutoff, capped at [`READ_POLL`] so drains are noticed.
     fn wait_timeout(&self) -> Duration {
         let stall = self.shared.stall_timeout;
         let nearest = self.conns.values().filter_map(|c| c.next_wake(stall));
@@ -310,11 +310,6 @@ impl Reactor {
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
             self.conn_io(id, |conn, poller| {
-                if let ConnState::Watching(_) = conn.state {
-                    // The blocking watch checked drain before each
-                    // emission and bailed; do the same.
-                    conn.state = ConnState::Ready;
-                }
                 conn.close_after_flush = true;
                 if matches!(conn.state, ConnState::Ready) && !conn.io.has_unsent() {
                     return Verdict::Close;
@@ -404,7 +399,7 @@ impl Reactor {
     }
 
     /// Process every complete request line buffered on the connection,
-    /// stopping when it leaves `Ready` (in-flight predict/watch), runs
+    /// stopping when it leaves `Ready` (in-flight predict), runs
     /// out of complete lines, or closes.
     pub(super) fn advance(&mut self, id: u64) {
         loop {
@@ -495,17 +490,6 @@ impl Reactor {
                     error_reply(None, ErrorKind::Invalid, hint)
                 }
             },
-            Ok(Request::Profile) => {
-                bump(&sh.counters.ok);
-                proto::render_ok(None, obs::prof::snapshot().to_json())
-            }
-            Ok(Request::Watch {
-                samples,
-                interval_ms,
-            }) => {
-                bump(&sh.counters.ok);
-                return self.start_watch(id, samples, interval_ms);
-            }
             Ok(Request::Quit) => {
                 bump(&sh.counters.ok);
                 quit = true;
@@ -536,7 +520,6 @@ impl Reactor {
         mut trace: TraceCtx,
     ) -> bool {
         let sh = Arc::clone(&self.shared);
-        let _prof = obs::prof::scope("serve.predict");
         // Per-class QoS accounting covers only requests that named a
         // class; class-less requests are admitted as interactive but
         // recorded nowhere class-specific, so their replies and metrics
@@ -756,50 +739,8 @@ impl Reactor {
         keep
     }
 
-    /// Begin (or fully serve) an admin `watch` stream. Interval 0 emits
-    /// every sample immediately; otherwise the first sample goes now
-    /// and the rest are timed by the reactor clock.
-    fn start_watch(&mut self, id: u64, samples: u64, interval_ms: u64) -> bool {
-        let burst = if interval_ms == 0 {
-            samples
-        } else {
-            samples.min(1)
-        };
-        for _ in 0..burst {
-            if drain_requested() {
-                return false;
-            }
-            let line = self.watch_sample_line();
-            self.queue_frame(id, &line);
-            if !self.conns.contains_key(&id) {
-                return false;
-            }
-        }
-        if samples > burst {
-            if let Some(conn) = self.conns.get_mut(&id) {
-                let interval = Duration::from_millis(interval_ms);
-                conn.state = ConnState::Watching(WatchState {
-                    remaining: samples - burst,
-                    interval,
-                    next_at: Instant::now() + interval,
-                });
-            }
-        }
-        true
-    }
-
-    /// One fresh gauge snapshot as a `watch` NDJSON line. Read-only:
-    /// streamed samples do not enter the timeseries ring.
-    fn watch_sample_line(&self) -> String {
-        let sample = Sample {
-            t_us: obs::now_us(),
-            gauges: self.shared.gauges().into_iter().collect(),
-        };
-        proto::render_ok(None, sample.to_json())
-    }
-
-    /// Reactor-clock work: expired predict deadlines, due watch
-    /// emissions, read/write stall sheds.
+    /// Reactor-clock work: expired predict deadlines and read/write
+    /// stall sheds.
     fn tick(&mut self) {
         let now = Instant::now();
         self.tick_upstreams(now);
@@ -824,38 +765,7 @@ impl Reactor {
                 }
                 continue;
             }
-            self.tick_watch(id, now);
             self.tick_stalls(id, now);
-        }
-    }
-
-    fn tick_watch(&mut self, id: u64, now: Instant) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            let ConnState::Watching(w) = &mut conn.state else {
-                return;
-            };
-            if now < w.next_at {
-                return;
-            }
-            if drain_requested() {
-                // The blocking watch bailed out before each emission on
-                // drain; close the stream the same way.
-                return self.close_conn(id);
-            }
-            w.remaining -= 1;
-            w.next_at += w.interval;
-            let finished = w.remaining == 0;
-            if finished {
-                conn.state = ConnState::Ready;
-            }
-            let line = self.watch_sample_line();
-            self.queue_frame(id, &line);
-            if finished {
-                return self.advance(id);
-            }
         }
     }
 

@@ -25,6 +25,7 @@ fn usage_text() -> &'static str {
     "usage: loadgen --addr HOST:PORT [--requests N] [--conns N] [--rate R]\n\
      \x20              [--mix preset|mixed] [--deadline-ms N] [--sample-ms N]\n\
      \x20              [--retry] [--retry-seed N] [--class-mix SPEC] [--out FILE]\n\
+     \x20              [--sweep LO:HI:STEP]\n\
      \x20 --addr:        server address (required)\n\
      \x20 --requests:    total requests to send (default 1000)\n\
      \x20 --conns:       concurrent connections (default 4)\n\
@@ -42,6 +43,9 @@ fn usage_text() -> &'static str {
      \x20 --class-mix:   weighted QoS class schedule, e.g. 'interactive:8,batch:2';\n\
      \x20                requests carry the scheduled priority field and the\n\
      \x20                report gains a per-class breakdown (default: class-less)\n\
+     \x20 --sweep:       run the mix once per connection count from LO to HI\n\
+     \x20                in steps of STEP and report the rvhpc-saturation/1\n\
+     \x20                (conns, p99) curve with its knee marked\n\
      \x20 --out:         also write the metrics document to FILE\n\
      \x20 -h, --help:    print this help and exit\n\
      exit codes: 0 all ok, 1 errors/drops observed, 2 usage error,\n\

@@ -13,7 +13,6 @@
 //! serve --faults 'seed=42,panic=5:40x3'  # deterministic fault injection
 //! serve --store ./store            # persistent prediction store (warm restarts)
 //! serve --cache-cap 4096           # bound the hot cache; overflow spills to disk
-//! serve --profile prof.folded      # continuous profiler; collapsed stacks on exit
 //! serve --slo results/slo_rules.json  # SLO rules backing the admin health op
 //! serve --reactors 4               # reactor (event loop) threads
 //! serve --route 127.0.0.1:7172,127.0.0.1:7173  # router mode: forward
@@ -36,7 +35,8 @@ fn usage_text() -> &'static str {
     "usage: serve [--addr HOST:PORT] [--shards N] [--queue N]\n\
      \x20            [--pool-threads N] [--deadline-ms N] [--metrics FILE]\n\
      \x20            [--slow-us N] [--sample-ms N] [--trace FILE] [--faults SPEC]\n\
-     \x20            [--store DIR] [--cache-cap N] [--reactors N] [--route NODES]\n\
+     \x20            [--store DIR] [--cache-cap N] [--slo FILE] [--reactors N]\n\
+     \x20            [--route NODES]\n\
      \x20 --addr:         bind address (default 127.0.0.1:7171; port 0 = ephemeral)\n\
      \x20 --shards:       batching worker shards (default: up to 4)\n\
      \x20 --queue:        admission queue depth per shard (default 128)\n\
@@ -60,6 +60,8 @@ fn usage_text() -> &'static str {
      \x20 --cache-cap:    bound the in-memory hot cache to N predictions;\n\
      \x20                 overflow evicts FIFO into the store when one is\n\
      \x20                 attached (default 0 = unbounded)\n\
+     \x20 --slo:          SLO rules file (rvhpc-slo/1, e.g. results/slo_rules.json)\n\
+     \x20                 backing the admin {\"op\":\"health\"} verdict\n\
      \x20 --reactors:     event-loop (reactor) threads sharing the listener\n\
      \x20                 (default: up to 4)\n\
      \x20 --route:        router mode: comma-separated node addresses; predicts\n\
@@ -89,7 +91,6 @@ fn main() {
     };
     let mut metrics_path: Option<std::path::PathBuf> = None;
     let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut profile_path: Option<std::path::PathBuf> = None;
     let mut slo_path: Option<std::path::PathBuf> = None;
     let mut faults_spec: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -147,13 +148,6 @@ fn main() {
                     usage_error("--route needs at least one node address");
                 }
                 config.route = Some(rvhpc::serve::RouterConfig::new(nodes));
-            }
-            "--profile" => {
-                profile_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--profile needs a file path"))
-                        .into(),
-                );
             }
             "--slo" => {
                 slo_path = Some(
@@ -217,9 +211,6 @@ fn main() {
     if trace_path.is_some() {
         rvhpc::obs::set_enabled(true);
     }
-    if profile_path.is_some() {
-        rvhpc::obs::set_profiling(true);
-    }
     let server = match Server::bind(config) {
         Ok(s) => s,
         Err(e) => {
@@ -238,22 +229,6 @@ fn main() {
             eprintln!("serve: drained cleanly");
             if let Some(path) = metrics_path {
                 if let Err(e) = std::fs::write(&path, doc.to_json() + "\n") {
-                    eprintln!("serve: cannot write {}: {e}", path.display());
-                    std::process::exit(3);
-                }
-            }
-            if let Some(path) = profile_path {
-                // The drain already merged every worker thread's counters
-                // into the global registry; `take` folds them into one
-                // deterministic collapsed-stack artifact.
-                let profile = rvhpc::obs::prof::take();
-                eprintln!(
-                    "serve: writing {} profile stacks ({} samples) to {}",
-                    profile.stacks.len(),
-                    profile.samples,
-                    path.display()
-                );
-                if let Err(e) = std::fs::write(&path, profile.to_folded()) {
                     eprintln!("serve: cannot write {}: {e}", path.display());
                     std::process::exit(3);
                 }

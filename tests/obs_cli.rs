@@ -45,11 +45,35 @@ fn write_doc(path: &Path, doc: &JsonValue) {
     std::fs::write(path, doc.to_json() + "\n").expect("write scratch doc");
 }
 
+/// Every `--flag` a binary's argument `match` accepts: the quoted
+/// `--` literals left of a `=>` in its source.
+fn parsed_flags(source: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(repo_path(source)).expect("read binary source");
+    let mut flags = Vec::new();
+    for line in text.lines() {
+        let line = line.trim_start();
+        let Some((pattern, _)) = line.split_once("=>") else {
+            continue;
+        };
+        if !line.starts_with('"') {
+            continue;
+        }
+        for lit in pattern.split('"').skip(1).step_by(2) {
+            if lit.starts_with("--") {
+                flags.push(lit.to_string());
+            }
+        }
+    }
+    flags
+}
+
 #[test]
 fn help_exits_zero_and_names_exit_codes() {
-    for bin in [
-        env!("CARGO_BIN_EXE_obsdiff"),
-        env!("CARGO_BIN_EXE_obshealth"),
+    for (bin, source) in [
+        (env!("CARGO_BIN_EXE_obsdiff"), "src/bin/obsdiff.rs"),
+        (env!("CARGO_BIN_EXE_obshealth"), "src/bin/obshealth.rs"),
+        (env!("CARGO_BIN_EXE_serve"), "src/bin/serve.rs"),
+        (env!("CARGO_BIN_EXE_loadgen"), "src/bin/loadgen.rs"),
     ] {
         let (code, stdout, _) = run(bin, &["--help"]);
         assert_eq!(code, 0, "{bin} --help must exit 0");
@@ -58,7 +82,19 @@ fn help_exits_zero_and_names_exit_codes() {
             stdout.contains("exit codes:"),
             "{bin} --help documents its exit codes"
         );
+        let flags = parsed_flags(source);
+        assert!(flags.len() > 2, "{source}: no argument match found");
+        for flag in flags {
+            assert!(
+                stdout.contains(&format!("{flag}:")),
+                "{bin} parses {flag} but --help does not document it"
+            );
+        }
     }
+    // `serve` has no profiler flag: `--profile` is an unknown argument.
+    let (code, _, stderr) = run(env!("CARGO_BIN_EXE_serve"), &["--profile", "x"]);
+    assert_eq!(code, 2, "serve --profile is a usage error: {stderr}");
+    assert!(stderr.contains("unknown argument '--profile'"), "{stderr}");
 }
 
 #[test]
