@@ -124,13 +124,6 @@ impl Machine {
         }
     }
 
-    /// Peak double-precision GFLOP/s of `p` cores: lanes × FPUs × 2 (FMA)
-    /// × clock. Scalar-only cores count one lane.
-    pub fn peak_gflops(&self, p: u32) -> f64 {
-        let lanes = self.vector.f64_lanes().max(1) as f64;
-        p as f64 * lanes * self.core.fpu_count as f64 * 2.0 * self.clock_ghz
-    }
-
     /// Total L2 capacity available to `p` close-packed cores, in bytes.
     pub fn l2_capacity_for(&self, p: u32) -> u64 {
         let clusters = p.div_ceil(self.cores_per_cluster).max(1);
@@ -146,16 +139,6 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use crate::presets;
-
-    #[test]
-    fn peak_gflops_scales_with_lanes_and_clock() {
-        let sky = presets::xeon8170();
-        // AVX-512: 8 lanes × 2 FPUs × 2 (FMA) × 2.1 GHz = 67.2 GFLOP/s/core.
-        assert!((sky.peak_gflops(1) - 67.2).abs() < 1e-9);
-        let sg = presets::sg2044();
-        // RVV128: 2 lanes × 1 FPU pipe × 2 × 2.6 GHz = 10.4 GFLOP/s/core.
-        assert!((sg.peak_gflops(1) - 10.4).abs() < 1e-9);
-    }
 
     #[test]
     fn l2_capacity_counts_clusters() {

@@ -43,7 +43,7 @@
 //! exported in a gated `faults` metrics section.
 //!
 //! The service is dependency-free by construction (std networking, the
-//! workspace's own JSON model) — see DESIGN.md §9.
+//! workspace's own JSON model) — see DESIGN.md §8.
 
 pub mod batch;
 pub mod client;

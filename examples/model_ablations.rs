@@ -62,7 +62,7 @@ fn cache_sharing() {
     }
 }
 
-/// The gather cost model across ISAs; `vector_ablation` shows the CG
+/// The gather cost model across ISAs; `reproduce table7` shows the CG
 /// anomaly it produces.
 fn vector_gather() {
     println!("\nVector gather cost across ISAs:");

@@ -3,7 +3,6 @@
 //! ```text
 //! reproduce                        # everything -> results/ + stdout
 //! reproduce table4                 # one experiment to stdout
-//! reproduce extensions             # the §7 future-work table (HPL/HPCG)
 //! reproduce --metrics out.json \
 //!           [BENCH] [CLASS] [THREADS]   # machine-readable metrics export
 //! reproduce --jobs 8               # engine worker count (else RVHPC_JOBS)
@@ -90,7 +89,6 @@ fn one(slug: &str) -> Option<String> {
             "Mop/s",
             &experiment::fig_kernel_data(BenchmarkId::Ft),
         ),
-        "extensions" => rvhpc::extras::experiment::render(),
         _ => return None,
     };
     Some(out)
@@ -104,7 +102,7 @@ fn usage_text() -> &'static str {
      \x20      reproduce isa [--report] [--ablate] [--compare [--tolerance R]]\n\
      \x20                [--kernel K] [--class C] [--threads N]\n\
      \x20                [--no-zba] [--no-zbb] [--no-rvv] [--metrics FILE]\n\
-     \x20 EXPERIMENT: table1..table8, fig1..fig6, stalls, extensions\n\
+     \x20 EXPERIMENT: table1..table8, fig1..fig6, stalls\n\
      \x20             (no argument: full report + results/ artifacts)\n\
      \x20 --jobs N:   prediction-engine worker count (default: RVHPC_JOBS,\n\
      \x20             then all available cores); output is byte-identical\n\
@@ -540,6 +538,4 @@ fn main() {
         Err(e) => eprintln!("warning: could not write artifacts: {e}"),
     }
     println!("{}", runner::full_report());
-    println!("\n## Extension (paper §7 future work) — predicted HPL / HPCG\n");
-    println!("{}", rvhpc::extras::experiment::render());
 }

@@ -7,7 +7,6 @@
 pub use rvhpc_archsim as archsim;
 pub use rvhpc_bench as bench;
 pub use rvhpc_core as eval;
-pub use rvhpc_extras as extras;
 pub use rvhpc_faults as faults;
 pub use rvhpc_isa as isa;
 pub use rvhpc_machines as machines;

@@ -344,16 +344,58 @@ fn obsdiff_saturation_regression_exits_one() {
 
 /// `obsdiff` is the one diff CLI: to `reproduce`, `obs-diff` is an
 /// unknown experiment (usage error, exit 2), not a second diff front end.
+/// Neither is `extensions`: HPL and HPCG are not part of the paper's
+/// evaluation.
 #[test]
-fn reproduce_obs_diff_is_an_unknown_experiment() {
-    let (code, _, stderr) = run(
-        env!("CARGO_BIN_EXE_reproduce"),
+fn removed_slugs_are_unknown_experiments() {
+    for args in [
         &[
             "obs-diff",
             "results/baseline_metrics.json",
             "results/baseline_metrics.json",
-        ],
-    );
-    assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.contains("unknown experiment 'obs-diff'"), "{stderr}");
+        ][..],
+        &["extensions"],
+    ] {
+        let (code, _, stderr) = run(env!("CARGO_BIN_EXE_reproduce"), args);
+        assert_eq!(code, 2, "{stderr}");
+        let unknown = format!("unknown experiment '{}'", args[0]);
+        assert!(stderr.contains(&unknown), "{stderr}");
+    }
+}
+
+/// The `EXPERIMENT:` line of `reproduce --help` and the slugs `reproduce`
+/// accepts are the same set: every listed slug (ranges such as
+/// `table1..table8` expanded) runs and prints something.
+#[test]
+fn every_documented_slug_runs() {
+    let (code, usage, _) = run(env!("CARGO_BIN_EXE_reproduce"), &["--help"]);
+    assert_eq!(code, 0);
+    let line = usage
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix("EXPERIMENT:"))
+        .expect("usage has an EXPERIMENT: line");
+    let mut slugs = Vec::new();
+    for item in line.split(',').map(str::trim) {
+        match item.split_once("..") {
+            Some((first, last)) => {
+                let prefix = first.trim_end_matches(|c: char| c.is_ascii_digit());
+                let lo: u32 = first[prefix.len()..].parse().expect(item);
+                let hi: u32 = last
+                    .strip_prefix(prefix)
+                    .and_then(|n| n.parse().ok())
+                    .expect(item);
+                slugs.extend((lo..=hi).map(|n| format!("{prefix}{n}")));
+            }
+            None => slugs.push(item.to_string()),
+        }
+    }
+    assert_eq!(slugs.len(), 15, "{slugs:?}");
+    for slug in &slugs {
+        let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_reproduce"), &[slug]);
+        assert_eq!(code, 0, "reproduce {slug}: {stderr}");
+        assert!(
+            !stdout.trim().is_empty(),
+            "reproduce {slug} printed nothing"
+        );
+    }
 }

@@ -49,13 +49,3 @@ fn class_w_pseudo_apps_converge() {
         assert!(r.verified.passed(), "{}: {:?}", r.name, r.verified);
     }
 }
-
-#[test]
-#[ignore = "slow: larger HPL/HPCG host runs"]
-fn extensions_at_larger_sizes() {
-    let pool = Pool::new(2);
-    let hpl = rvhpc::extras::hpl::run(512, &pool);
-    assert!(hpl.passed, "HPL residual {}", hpl.scaled_residual);
-    let hpcg = rvhpc::extras::hpcg::run(32, 40, &pool);
-    assert!(hpcg.passed, "HPCG residual {}", hpcg.relative_residual);
-}
