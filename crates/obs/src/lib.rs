@@ -37,7 +37,6 @@ pub mod metrics;
 pub mod recorder;
 pub mod ring;
 pub mod saturation;
-pub mod slo;
 pub mod timeseries;
 pub mod trace;
 
@@ -54,6 +53,5 @@ pub use recorder::{
     set_enabled, RecorderHandle, SpanStart, TraceData, TRACE_ENV,
 };
 pub use saturation::{knee_index, SweepStep};
-pub use slo::{evaluate, parse_rules, HealthReport, RuleSet, HEALTH_SCHEMA, SLO_SCHEMA};
 pub use timeseries::{Sample, Timeseries};
 pub use trace::{RetainedSpan, TraceCtx};

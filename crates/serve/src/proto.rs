@@ -218,9 +218,6 @@ pub enum Request {
     Metrics,
     /// Return the server's slow-request log (retained span dumps).
     Slow,
-    /// Evaluate the server's SLO rules against its live metrics and
-    /// return the versioned health verdict.
-    Health,
     /// Liveness check.
     Ping,
     /// Begin graceful drain and shut the server down.
@@ -505,10 +502,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             reject_unknown_keys(&doc, id, &["op", "id"], "request")?;
             Ok(Request::Slow)
         }
-        Some((Some("health"), _)) => {
-            reject_unknown_keys(&doc, id, &["op", "id"], "request")?;
-            Ok(Request::Health)
-        }
         Some((Some("ping"), _)) => {
             reject_unknown_keys(&doc, id, &["op", "id"], "request")?;
             Ok(Request::Ping)
@@ -772,13 +765,13 @@ mod tests {
         assert!(parse_request(r#"{"op":"ping","bench":"cg"}"#).is_err());
         assert_eq!(parse_request(r#"{"op":"slow"}"#).unwrap(), Request::Slow);
         assert!(parse_request(r#"{"op":"slow","samples":3}"#).is_err());
-        assert_eq!(
-            parse_request(r#"{"op":"health","id":2}"#).unwrap(),
-            Request::Health
-        );
-        assert!(parse_request(r#"{"op":"health","bench":"cg"}"#).is_err());
-        // `profile` and `watch` are not ops: a structured invalid error.
-        for line in [r#"{"op":"profile"}"#, r#"{"op":"watch","samples":3}"#] {
+        // `health`, `profile` and `watch` are not ops: a structured
+        // invalid error.
+        for line in [
+            r#"{"op":"health"}"#,
+            r#"{"op":"profile"}"#,
+            r#"{"op":"watch","samples":3}"#,
+        ] {
             let e = parse_request(line).unwrap_err();
             assert_eq!(e.kind, ErrorKind::Invalid, "{line}");
             assert!(e.message.contains("unknown op"), "{}", e.message);

@@ -127,9 +127,6 @@ pub struct ServerConfig {
     /// Capacity bound on the engine's hot prediction cache; overflow
     /// evicts FIFO into the disk store (when attached). 0 = unbounded.
     pub hot_cache_cap: usize,
-    /// SLO rules (`--slo FILE`) backing the admin `health` op. `None`
-    /// — the default — makes `health` an invalid-op error.
-    pub slo_rules: Option<obs::RuleSet>,
     /// Cluster router mode (`--route node1,node2,...`): predicts are
     /// forwarded to ring owners instead of served locally. `None` — the
     /// default — serves every predict from this process.
@@ -156,7 +153,6 @@ impl Default for ServerConfig {
             retry_after_ms: 100,
             store_dir: None,
             hot_cache_cap: 0,
-            slo_rules: None,
             route: None,
         }
     }
@@ -173,7 +169,6 @@ struct Shared {
     timeseries: Timeseries,
     slow_log: Mutex<VecDeque<JsonValue>>,
     slow_us: Option<u64>,
-    slo_rules: Option<obs::RuleSet>,
     default_deadline: Duration,
     stall_timeout: Duration,
     retry_after_ms: u64,
@@ -250,7 +245,6 @@ impl Server {
             ),
             slow_log: Mutex::new(VecDeque::new()),
             slow_us: config.slow_us,
-            slo_rules: config.slo_rules.clone(),
             default_deadline: Duration::from_millis(config.default_deadline_ms),
             stall_timeout: Duration::from_millis(config.stall_timeout_ms.max(1)),
             retry_after_ms: config.retry_after_ms,

@@ -479,17 +479,6 @@ impl Reactor {
                 let log = sh.slow_log.lock();
                 proto::render_ok(None, JsonValue::Array(log.iter().cloned().collect()))
             }
-            Ok(Request::Health) => match &sh.slo_rules {
-                Some(rules) => {
-                    bump(&sh.counters.ok);
-                    proto::render_ok(None, obs::evaluate(rules, &sh.metrics_doc()).to_json())
-                }
-                None => {
-                    bump(&sh.counters.invalid);
-                    let hint = "no SLO rules loaded (start the server with --slo FILE)";
-                    error_reply(None, ErrorKind::Invalid, hint)
-                }
-            },
             Ok(Request::Quit) => {
                 bump(&sh.counters.ok);
                 quit = true;

@@ -13,7 +13,6 @@
 //! serve --faults 'seed=42,panic=5:40x3'  # deterministic fault injection
 //! serve --store ./store            # persistent prediction store (warm restarts)
 //! serve --cache-cap 4096           # bound the hot cache; overflow spills to disk
-//! serve --slo results/slo_rules.json  # SLO rules backing the admin health op
 //! serve --reactors 4               # reactor (event loop) threads
 //! serve --route 127.0.0.1:7172,127.0.0.1:7173  # router mode: forward
 //!                                  # predicts to cluster nodes by ring owner
@@ -35,8 +34,7 @@ fn usage_text() -> &'static str {
     "usage: serve [--addr HOST:PORT] [--shards N] [--queue N]\n\
      \x20            [--pool-threads N] [--deadline-ms N] [--metrics FILE]\n\
      \x20            [--slow-us N] [--sample-ms N] [--trace FILE] [--faults SPEC]\n\
-     \x20            [--store DIR] [--cache-cap N] [--slo FILE] [--reactors N]\n\
-     \x20            [--route NODES]\n\
+     \x20            [--store DIR] [--cache-cap N] [--reactors N] [--route NODES]\n\
      \x20 --addr:         bind address (default 127.0.0.1:7171; port 0 = ephemeral)\n\
      \x20 --shards:       batching worker shards (default: up to 4)\n\
      \x20 --queue:        admission queue depth per shard (default 128)\n\
@@ -60,8 +58,6 @@ fn usage_text() -> &'static str {
      \x20 --cache-cap:    bound the in-memory hot cache to N predictions;\n\
      \x20                 overflow evicts FIFO into the store when one is\n\
      \x20                 attached (default 0 = unbounded)\n\
-     \x20 --slo:          SLO rules file (rvhpc-slo/1, e.g. results/slo_rules.json)\n\
-     \x20                 backing the admin {\"op\":\"health\"} verdict\n\
      \x20 --reactors:     event-loop (reactor) threads sharing the listener\n\
      \x20                 (default: up to 4)\n\
      \x20 --route:        router mode: comma-separated node addresses; predicts\n\
@@ -91,7 +87,6 @@ fn main() {
     };
     let mut metrics_path: Option<std::path::PathBuf> = None;
     let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut slo_path: Option<std::path::PathBuf> = None;
     let mut faults_spec: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -149,13 +144,6 @@ fn main() {
                 }
                 config.route = Some(rvhpc::serve::RouterConfig::new(nodes));
             }
-            "--slo" => {
-                slo_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--slo needs a file path"))
-                        .into(),
-                );
-            }
             "-h" | "--help" => {
                 println!("{}", usage_text());
                 return;
@@ -188,23 +176,6 @@ fn main() {
 
     if let Some(dir) = &config.store_dir {
         eprintln!("serve: persistent store at {}", dir.display());
-    }
-
-    // SLO rules are parsed strictly up front: a malformed rules file is
-    // a usage error, not a silently unhealthy health op.
-    if let Some(path) = &slo_path {
-        let doc = rvhpc::obs::json::read(path).unwrap_or_else(|e| usage_error(&e));
-        match rvhpc::obs::parse_rules(&doc) {
-            Ok(rules) => {
-                eprintln!(
-                    "serve: {} SLO rules from {}",
-                    rules.rules.len(),
-                    path.display()
-                );
-                config.slo_rules = Some(rules);
-            }
-            Err(e) => usage_error(&format!("bad SLO rules in {}: {e}", path.display())),
-        }
     }
 
     install_signal_drain();

@@ -428,58 +428,6 @@ fn idle_connection_flood_is_accepted_and_served() {
     handle.join().expect("server thread");
 }
 
-/// Admin `health` op: with SLO rules loaded it returns a versioned
-/// rvhpc-health/1 verdict; without rules it is a structured invalid
-/// error.
-#[test]
-fn health_admin_op() {
-    let _guard = SERVER_LOCK.lock().unwrap();
-
-    // Without rules: structured error, connection stays usable.
-    let (addr, handle) = boot(test_config());
-    let mut client = Client::connect(addr);
-    let reply = client.roundtrip(r#"{"op":"health"}"#);
-    assert!(
-        reply.contains(r#""ok":false"#) && reply.contains(r#""kind":"invalid""#),
-        "{reply}"
-    );
-    client.roundtrip(r#"{"op":"quit"}"#);
-    handle.join().expect("server thread");
-
-    // With the committed rules.
-    let rules_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/slo_rules.json");
-    let rules_text = std::fs::read_to_string(&rules_path).expect("read committed rules");
-    let rules_doc = json::parse(rules_text.trim()).expect("rules parse");
-    let rules = rvhpc::obs::parse_rules(&rules_doc).expect("committed rules are valid");
-    let (addr, handle) = boot(ServerConfig {
-        slo_rules: Some(rules),
-        ..test_config()
-    });
-    let mut client = Client::connect(addr);
-    for id in 1..=4 {
-        let line =
-            format!(r#"{{"id":{id},"bench":"cg","class":"A","threads":8,"machine":"sg2044"}}"#);
-        client.roundtrip(&line);
-    }
-
-    let reply = client.roundtrip(r#"{"op":"health"}"#);
-    let doc = json::parse(reply.trim_end()).expect("health reply parses");
-    let verdict = doc.get("result").expect("health carries a result");
-    assert_eq!(
-        verdict.get("schema").and_then(JsonValue::as_str),
-        Some(rvhpc::obs::HEALTH_SCHEMA)
-    );
-    let evaluated = verdict
-        .get("evaluated")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0);
-    assert!(evaluated >= 9.0, "all committed rules evaluated: {reply}");
-
-    client.roundtrip(r#"{"op":"quit"}"#);
-    handle.join().expect("server thread");
-}
-
 const PONG: &str = r#"{"ok":true,"result":"pong"}"#;
 
 /// A connection that pipelines `miss, hit, hit, ping` in one write gets
