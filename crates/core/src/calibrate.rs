@@ -17,15 +17,6 @@
 
 use rvhpc_npb::BenchmarkId;
 
-/// Table 3 anchors: SG2044, one core, class C, Mop/s.
-pub const ANCHOR_SG2044_1CORE_C: [(BenchmarkId, f64); 5] = [
-    (BenchmarkId::Is, 63.63),
-    (BenchmarkId::Mg, 1382.91),
-    (BenchmarkId::Ep, 40.76),
-    (BenchmarkId::Cg, 213.82),
-    (BenchmarkId::Ft, 1023.83),
-];
-
 /// The per-benchmark time-scale constants. Derived by running the
 /// *uncalibrated* model at the anchor scenario (see the `derivation`
 /// test, which recomputes and checks them); values > 1 mean the analytic
@@ -48,6 +39,7 @@ pub fn scale(bench: BenchmarkId) -> f64 {
 mod tests {
     use super::*;
     use crate::model::{predict, Scenario};
+    use crate::paper;
     use rvhpc_machines::presets;
     use rvhpc_npb::Class;
 
@@ -56,7 +48,7 @@ mod tests {
     #[test]
     fn anchors_match_table3_sg2044_column() {
         let m = presets::sg2044();
-        for (bench, paper_mops) in ANCHOR_SG2044_1CORE_C {
+        for (bench, paper_mops, _) in paper::TABLE3_SG_SINGLE {
             let profile = rvhpc_npb::profile(bench, Class::C);
             let pred = predict(&profile, &Scenario::paper_headline(&m, bench, 1));
             let rel = (pred.mops - paper_mops).abs() / paper_mops;

@@ -1,4 +1,5 @@
-//! One generator per paper table/figure.
+//! One generator per paper table/figure, and the [`SECTIONS`] registry
+//! that lists them once.
 //!
 //! Each experiment is expressed twice: a `*_plan` function that builds
 //! the declarative query batch (so [`crate::runner::full_report`] can
@@ -8,97 +9,160 @@
 //! typed rows (used by the shape-fidelity tests and benches). The
 //! corresponding `render` lives in [`crate::report`]. No experiment
 //! calls the predictor directly — every number flows through the
-//! engine's memo cache.
+//! engine's memo cache. [`residuals`] scores the same rows against the
+//! paper.
 
 use rvhpc_machines::{presets, Compiler, CompilerConfig, MachineId};
 use rvhpc_npb::{BenchmarkId, Class};
 
 use crate::engine::{Engine, Plan, Query, SpecKind};
-use crate::paper;
+use crate::{paper, report};
 
-/// Identifies a reproduced experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExperimentId {
-    Table1,
-    Table2,
-    Table3,
-    Table4,
-    Table5,
-    Table6,
-    Table7,
-    Table8,
-    Fig1,
-    Fig2Is,
-    Fig3Mg,
-    Fig4Ep,
-    Fig5Cg,
-    Fig6Ft,
+/// One section of the reproduction report, the single place a paper
+/// table or figure is listed: [`full_plan`], the full report and
+/// `reproduce <slug>` all iterate [`SECTIONS`].
+pub struct Section {
+    /// The `reproduce` argument that prints the body.
+    pub slug: &'static str,
+    /// The report heading, without the `## `.
+    pub heading: &'static str,
+    /// The query batch (empty where the section reads no prediction).
+    pub plan: fn() -> Plan,
+    /// Renders the body from the engine's cache.
+    pub body: fn() -> String,
 }
 
-impl ExperimentId {
-    /// All experiments, paper order.
-    pub const ALL: [ExperimentId; 14] = [
-        ExperimentId::Table1,
-        ExperimentId::Table2,
-        ExperimentId::Table3,
-        ExperimentId::Table4,
-        ExperimentId::Table5,
-        ExperimentId::Fig1,
-        ExperimentId::Fig2Is,
-        ExperimentId::Fig3Mg,
-        ExperimentId::Fig4Ep,
-        ExperimentId::Fig5Cg,
-        ExperimentId::Fig6Ft,
-        ExperimentId::Table6,
-        ExperimentId::Table7,
-        ExperimentId::Table8,
-    ];
+/// Every report section, in report order. [`full_plan`] merges their
+/// plans in this order too.
+pub static SECTIONS: [Section; 15] = [
+    Section {
+        slug: "table1",
+        heading: "Table 1 — NPB memory behaviour (Xeon 8170, 26 cores)",
+        plan: table1_plan,
+        body: || report::render_table1(&table1_data()),
+    },
+    Section {
+        slug: "table2",
+        heading: "Table 2 — RISC-V single-core Mop/s (class B)",
+        plan: table2_plan,
+        body: || report::render_table2(&table2_data()),
+    },
+    Section {
+        slug: "table3",
+        heading: "Table 3 — SG2044 vs SG2042, single core (class C)",
+        plan: table3_plan,
+        body: || report::render_sg_compare(&table3_data()),
+    },
+    Section {
+        slug: "table4",
+        heading: "Table 4 — SG2044 vs SG2042, 64 cores (class C)",
+        plan: table4_plan,
+        body: || report::render_sg_compare(&table4_data()),
+    },
+    Section {
+        slug: "table5",
+        heading: "Table 5 — CPU overview",
+        plan: Plan::new,
+        body: || {
+            let header = ["CPU", "ISA", "Part", "Base clock", "Cores", "Vector"];
+            let rows: Vec<Vec<String>> = table5_data().iter().map(|r| r.to_vec()).collect();
+            report::markdown_table(&header, &rows)
+        },
+    },
+    Section {
+        slug: "fig1",
+        heading: "Figure 1 — STREAM copy bandwidth scaling",
+        plan: Plan::new,
+        body: || fenced(report::ascii_plot("STREAM copy", "GB/s", &fig1_data())),
+    },
+    Section {
+        slug: "fig2",
+        heading: "Figure 2 — IS scaling (class C)",
+        plan: || fig_kernel_plan(BenchmarkId::Is),
+        body: || fig_kernel_body("Figure 2 — IS", BenchmarkId::Is),
+    },
+    Section {
+        slug: "fig3",
+        heading: "Figure 3 — MG scaling (class C)",
+        plan: || fig_kernel_plan(BenchmarkId::Mg),
+        body: || fig_kernel_body("Figure 3 — MG", BenchmarkId::Mg),
+    },
+    Section {
+        slug: "fig4",
+        heading: "Figure 4 — EP scaling (class C)",
+        plan: || fig_kernel_plan(BenchmarkId::Ep),
+        body: || fig_kernel_body("Figure 4 — EP", BenchmarkId::Ep),
+    },
+    Section {
+        slug: "fig5",
+        heading: "Figure 5 — CG scaling (class C)",
+        plan: || fig_kernel_plan(BenchmarkId::Cg),
+        body: || fig_kernel_body("Figure 5 — CG", BenchmarkId::Cg),
+    },
+    Section {
+        slug: "fig6",
+        heading: "Figure 6 — FT scaling (class C)",
+        plan: || fig_kernel_plan(BenchmarkId::Ft),
+        body: || fig_kernel_body("Figure 6 — FT", BenchmarkId::Ft),
+    },
+    Section {
+        slug: "table6",
+        heading: "Table 6 — pseudo-applications relative to SG2044 (class C)",
+        plan: table6_plan,
+        body: || report::render_table6(&table6_data()),
+    },
+    Section {
+        slug: "table7",
+        heading: "Table 7 — compiler/vectorisation, single core (class C)",
+        plan: table7_plan,
+        body: || report::render_compiler_table(&table7_data()),
+    },
+    Section {
+        slug: "table8",
+        heading: "Table 8 — compiler/vectorisation, 64 cores (class C)",
+        plan: table8_plan,
+        body: || report::render_compiler_table(&table8_data()),
+    },
+    Section {
+        slug: "stalls",
+        heading: "Stall attribution — SG2044, 64 cores (class C)",
+        plan: stall_attribution_plan,
+        body: || report::render_stall_attribution(&stall_attribution_data()),
+    },
+];
 
-    /// Short name used in file names.
-    pub fn slug(&self) -> &'static str {
-        match self {
-            ExperimentId::Table1 => "table1_memprofile",
-            ExperimentId::Table2 => "table2_riscv_single",
-            ExperimentId::Table3 => "table3_sg_single",
-            ExperimentId::Table4 => "table4_sg_multi",
-            ExperimentId::Table5 => "table5_overview",
-            ExperimentId::Table6 => "table6_pseudo",
-            ExperimentId::Table7 => "table7_compiler_single",
-            ExperimentId::Table8 => "table8_compiler_multi",
-            ExperimentId::Fig1 => "fig1_stream",
-            ExperimentId::Fig2Is => "fig2_is",
-            ExperimentId::Fig3Mg => "fig3_mg",
-            ExperimentId::Fig4Ep => "fig4_ep",
-            ExperimentId::Fig5Cg => "fig5_cg",
-            ExperimentId::Fig6Ft => "fig6_ft",
-        }
-    }
+/// The signed model-vs-paper error of every transcribed cell. Not a
+/// report section: `reproduce residuals` prints it on its own.
+pub static RESIDUALS: Section = Section {
+    slug: "residuals",
+    heading: "Residuals — model vs paper, every transcribed cell",
+    plan: full_plan,
+    body: || report::render_residuals(&residuals()),
+};
+
+/// The section `reproduce <slug>` prints, if any.
+pub fn section(slug: &str) -> Option<&'static Section> {
+    SECTIONS.iter().chain([&RESIDUALS]).find(|s| s.slug == slug)
+}
+
+fn fenced(text: String) -> String {
+    format!("```\n{text}```\n")
+}
+
+fn fig_kernel_body(title: &str, bench: BenchmarkId) -> String {
+    fenced(report::ascii_plot(title, "Mop/s", &fig_kernel_data(bench)))
 }
 
 /// The paper's thread sweep for the figures.
 pub const FIGURE_CORES: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// The union of every model-driven experiment's queries — the batch
+/// The union of every section's queries — the batch
 /// [`crate::runner::full_report`] executes once before rendering.
 pub fn full_plan() -> Plan {
     let mut plan = Plan::new();
-    plan.merge(table1_plan());
-    plan.merge(table2_plan());
-    plan.merge(table3_plan());
-    plan.merge(table4_plan());
-    for bench in [
-        BenchmarkId::Is,
-        BenchmarkId::Mg,
-        BenchmarkId::Ep,
-        BenchmarkId::Cg,
-        BenchmarkId::Ft,
-    ] {
-        plan.merge(fig_kernel_plan(bench));
+    for section in &SECTIONS {
+        plan.merge((section.plan)());
     }
-    plan.merge(table6_plan());
-    plan.merge(table7_plan());
-    plan.merge(table8_plan());
-    plan.merge(stall_attribution_plan());
     plan
 }
 
@@ -519,6 +583,141 @@ pub fn stall_attribution_data() -> Vec<StallRow> {
             }
         })
         .collect()
+}
+
+// ------------------------------------------------------------ Residuals
+
+/// What a residual cell compares. Mop/s and ratios are scored as a
+/// relative error in %; Table 1's shares in percentage points, left out
+/// of every MAPE because the paper's shares include zeros.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Measure {
+    Mops,
+    Ratio,
+    Points,
+}
+
+/// One table's signed model-vs-paper errors, read off the same rows its
+/// report section renders.
+#[derive(Debug, Clone)]
+pub struct Residuals {
+    /// The table's [`Section`] slug.
+    pub slug: &'static str,
+    pub columns: Vec<(&'static str, Measure)>,
+    /// Row label and one error per column; `None` where the paper
+    /// publishes no value or the machine lacks the cores.
+    pub rows: Vec<(String, Vec<Option<f64>>)>,
+}
+
+impl Residuals {
+    /// Score `rows`, each giving its label and per column the
+    /// `(model, paper)` pair, if both exist.
+    fn new<R>(
+        slug: &'static str,
+        columns: &[(&'static str, Measure)],
+        rows: &[R],
+        cells: impl Fn(&R) -> (String, Vec<Option<(f64, f64)>>),
+    ) -> Self {
+        let rows = rows
+            .iter()
+            .map(|r| {
+                let (label, pairs) = cells(r);
+                let errors = columns.iter().zip(pairs).map(|(&(_, measure), pair)| {
+                    pair.map(|(model, paper)| match measure {
+                        Measure::Points => model - paper,
+                        Measure::Mops | Measure::Ratio => 100.0 * (model - paper) / paper,
+                    })
+                });
+                (label, errors.collect())
+            })
+            .collect();
+        let columns = columns.to_vec();
+        Residuals {
+            slug,
+            columns,
+            rows,
+        }
+    }
+
+    /// Every scored cell's `(measure, signed error)`.
+    pub fn cells(&self) -> impl Iterator<Item = (Measure, f64)> + '_ {
+        self.rows.iter().flat_map(|(_, errors)| {
+            let measures = self.columns.iter().map(|&(_, measure)| measure);
+            measures.zip(errors).filter_map(|(m, e)| Some((m, (*e)?)))
+        })
+    }
+}
+
+/// Mean absolute error of the relative (%) cells among `cells`, and how
+/// many there were; percentage-point cells are skipped.
+pub fn mape(cells: impl IntoIterator<Item = (Measure, f64)>) -> (f64, usize) {
+    let (sum, n) = cells
+        .into_iter()
+        .filter(|&(measure, _)| measure != Measure::Points)
+        .fold((0.0, 0), |(sum, n), (_, e)| (sum + e.abs(), n + 1));
+    (sum / n.max(1) as f64, n)
+}
+
+/// Score every transcribed paper cell of Tables 1–4 and 6–8 against the
+/// model, from the same `table*_data` rows the report renders.
+pub fn residuals() -> Vec<Residuals> {
+    use Measure::{Mops, Points, Ratio};
+    let three = |bench: BenchmarkId, pairs: [(f64, f64); 3]| {
+        (bench.name().to_string(), pairs.map(Some).to_vec())
+    };
+    let sg = |slug, rows: Vec<SgCompareRow>| {
+        let columns = [("SG2044", Mops), ("SG2042", Mops), ("× faster", Ratio)];
+        Residuals::new(slug, &columns, &rows, |r| {
+            let ratio = (r.model_ratio(), r.paper_ratio());
+            let sg2044 = (r.model_sg2044, r.paper_sg2044);
+            three(r.bench, [sg2044, (r.model_sg2042, r.paper_sg2042), ratio])
+        })
+    };
+    let compiler = |slug, rows: Vec<CompilerRow>| {
+        let columns = ["GCC 12.3.1", "GCC 15.2 +vec", "GCC 15.2 −vec"].map(|c| (c, Mops));
+        Residuals::new(slug, &columns, &rows, |r| {
+            let gcc12 = (r.model_gcc12, r.paper_gcc12);
+            let vec = (r.model_gcc15_vec, r.paper_gcc15_vec);
+            three(
+                r.bench,
+                [gcc12, vec, (r.model_gcc15_novec, r.paper_gcc15_novec)],
+            )
+        })
+    };
+    let shares = ["cache stall", "DDR stall", "BW-bound"].map(|c| (c, Points));
+    let table1 = Residuals::new("table1", &shares, &table1_data(), |r| {
+        let cache = (r.model_cache_pct, r.paper_cache_pct);
+        let dram = (r.model_dram_pct, r.paper_dram_pct);
+        three(
+            r.bench,
+            [cache, dram, (r.model_bw_bound_pct, r.paper_bw_bound_pct)],
+        )
+    });
+    let machines = paper::TABLE2_MACHINES.map(|m| (m.name(), Mops));
+    let table2 = Residuals::new("table2", &machines, &table2_data(), |r| {
+        let pairs = r
+            .cells
+            .iter()
+            .map(|&(_, model, paper)| Some((model, paper?)));
+        (r.bench.name().to_string(), pairs.collect())
+    });
+    let machines = TABLE6_MACHINES.map(|m| (m.name(), Ratio));
+    let table6 = Residuals::new("table6", &machines, &table6_data(), |r| {
+        let pairs = r
+            .cells
+            .iter()
+            .map(|&(_, model, paper)| Some((model?, paper?)));
+        (format!("{} {}", r.bench.name(), r.cores), pairs.collect())
+    });
+    vec![
+        table1,
+        table2,
+        sg("table3", table3_data()),
+        sg("table4", table4_data()),
+        table6,
+        compiler("table7", table7_data()),
+        compiler("table8", table8_data()),
+    ]
 }
 
 #[cfg(test)]

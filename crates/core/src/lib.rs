@@ -42,5 +42,4 @@ pub mod runner;
 pub mod sweep;
 
 pub use engine::{Engine, Plan, Query};
-pub use experiment::ExperimentId;
 pub use model::{predict, Prediction, Scenario};

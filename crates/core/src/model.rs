@@ -370,16 +370,6 @@ pub fn predict(profile: &WorkloadProfile, scenario: &Scenario<'_>) -> Prediction
     }
 }
 
-/// Convenience: Mop/s for a benchmark/class/scenario.
-pub fn predict_mops(
-    bench: rvhpc_npb::BenchmarkId,
-    class: rvhpc_npb::Class,
-    scenario: &Scenario<'_>,
-) -> f64 {
-    let profile = rvhpc_npb::profile(bench, class);
-    predict(&profile, scenario).mops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

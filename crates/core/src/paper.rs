@@ -175,9 +175,6 @@ pub const TABLE8_COMPILER_MULTI: [CompilerRow; 5] = [
     (BenchmarkId::Ft, 20796.20, 22582.20, 21282.00),
 ];
 
-/// The five kernels, in the paper's table order.
-pub const KERNELS: [BenchmarkId; 5] = BenchmarkId::KERNELS;
-
 #[cfg(test)]
 mod tests {
     use super::*;

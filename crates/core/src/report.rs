@@ -1,12 +1,12 @@
 //! Rendering: markdown tables, CSV, and ASCII scaling plots.
 
 use crate::experiment::{
-    CompilerRow, Curve, SgCompareRow, StallRow, Table1Row, Table2Row, Table6Row,
+    self, CompilerRow, Curve, Measure, Residuals, SgCompareRow, StallRow, Table1Row, Table2Row,
+    Table6Row,
 };
-use rvhpc_machines::MachineId;
 
 /// Render a generic markdown table.
-pub fn markdown_table(header: &[String], rows: &[Vec<String>]) -> String {
+pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     out.push_str(&format!("| {} |\n", header.join(" | ")));
     out.push_str(&format!(
@@ -34,7 +34,7 @@ pub fn fmt(v: f64) -> String {
 
 /// Table 1 as markdown (model vs paper).
 pub fn render_table1(rows: &[Table1Row]) -> String {
-    let header: Vec<String> = [
+    let header = [
         "Benchmark",
         "cache stall % (model)",
         "cache stall % (paper)",
@@ -42,9 +42,7 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
         "DDR stall % (paper)",
         "BW-bound % (model)",
         "BW-bound % (paper)",
-    ]
-    .map(String::from)
-    .to_vec();
+    ];
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -65,11 +63,9 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 /// Table 2 as markdown: per machine `model (paper)` with the %-of-SG2044
 /// line the paper prints in red.
 pub fn render_table2(rows: &[Table2Row]) -> String {
-    let mut header = vec!["Benchmark".to_string()];
+    let mut header = vec!["Benchmark"];
     if let Some(first) = rows.first() {
-        for (mid, _, _) in &first.cells {
-            header.push(mid.name().to_string());
-        }
+        header.extend(first.cells.iter().map(|(mid, _, _)| mid.name()));
     }
     let mut body = Vec::new();
     for r in rows {
@@ -89,14 +85,12 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 
 /// Tables 3/4 as markdown.
 pub fn render_sg_compare(rows: &[SgCompareRow]) -> String {
-    let header: Vec<String> = [
+    let header = [
         "Benchmark",
         "SG2044 model (paper)",
         "SG2042 model (paper)",
         "× faster model (paper)",
-    ]
-    .map(String::from)
-    .to_vec();
+    ];
     let body = rows
         .iter()
         .map(|r| {
@@ -113,16 +107,14 @@ pub fn render_sg_compare(rows: &[SgCompareRow]) -> String {
 
 /// Table 6 as markdown.
 pub fn render_table6(rows: &[Table6Row]) -> String {
-    let header: Vec<String> = [
+    let header = [
         "Benchmark",
         "Cores",
         "SG2042",
         "EPYC",
         "Skylake",
         "ThunderX2",
-    ]
-    .map(String::from)
-    .to_vec();
+    ];
     let body = rows
         .iter()
         .map(|r| {
@@ -142,14 +134,12 @@ pub fn render_table6(rows: &[Table6Row]) -> String {
 
 /// Tables 7/8 as markdown.
 pub fn render_compiler_table(rows: &[CompilerRow]) -> String {
-    let header: Vec<String> = [
+    let header = [
         "Benchmark",
         "GCC 12.3.1 model (paper)",
         "GCC 15.2 +vec model (paper)",
         "GCC 15.2 −vec model (paper)",
-    ]
-    .map(String::from)
-    .to_vec();
+    ];
     let body = rows
         .iter()
         .map(|r| {
@@ -172,16 +162,14 @@ pub fn render_compiler_table(rows: &[CompilerRow]) -> String {
 /// SG2044 at full chip, plus the average DRAM queue depth — the markdown
 /// twin of the `--metrics` JSON totals.
 pub fn render_stall_attribution(rows: &[StallRow]) -> String {
-    let header: Vec<String> = [
+    let header = [
         "Benchmark",
         "compute %",
         "cache stall %",
         "DDR stall %",
         "BW-bound %",
         "avg DRAM queue",
-    ]
-    .map(String::from)
-    .to_vec();
+    ];
     let body = rows
         .iter()
         .map(|r| {
@@ -195,23 +183,72 @@ pub fn render_stall_attribution(rows: &[StallRow]) -> String {
             ]
         })
         .collect::<Vec<_>>();
-    markdown_table(&header, &body)
+    format!(
+        "Model cycle accounting per benchmark; the same numbers are exported \
+         per-core by `reproduce --metrics`.\n\n{}",
+        markdown_table(&header, &body)
+    )
+}
+
+/// The residual grids: per table, the signed error of every cell and the
+/// table's MAPE; then the MAPE over every scored cell and over the Tables
+/// 2–4 Mop/s cells (the figure `benchmark/` reports as `model_mape_pct`).
+pub fn render_residuals(tables: &[Residuals]) -> String {
+    let mut out = String::from(
+        "Signed error of every transcribed paper cell: (model − paper) / paper \
+         in %, Table 1 in percentage points; – where the paper has no value.\n",
+    );
+    for t in tables {
+        let heading = experiment::section(t.slug).map_or(t.slug, |s| s.heading);
+        let mut header = vec!["Benchmark"];
+        header.extend(t.columns.iter().map(|&(name, _)| name));
+        let body: Vec<Vec<String>> = t
+            .rows
+            .iter()
+            .map(|(label, errors)| {
+                let cells = errors
+                    .iter()
+                    .map(|e| e.map_or("–".to_string(), |e| format!("{e:+.1}")));
+                std::iter::once(label.clone()).chain(cells).collect()
+            })
+            .collect();
+        let (pct, n) = experiment::mape(t.cells());
+        let score = match n {
+            0 => "Percentage points; no MAPE (the paper's shares include zeros).".to_string(),
+            _ => format!("MAPE {pct:.2} % over {n} cells"),
+        };
+        let grid = markdown_table(&header, &body);
+        out.push_str(&format!("\n### {heading}\n\n{grid}\n{score}\n"));
+    }
+    let (all, n_all) = experiment::mape(tables.iter().flat_map(Residuals::cells));
+    let (mops, n_mops) = experiment::mape(
+        tables
+            .iter()
+            .filter(|t| ["table2", "table3", "table4"].contains(&t.slug))
+            .flat_map(Residuals::cells)
+            .filter(|&(measure, _)| measure == Measure::Mops),
+    );
+    out.push_str(&format!(
+        "\nAll tables: MAPE {all:.2} % over {n_all} cells\n\n\
+         Tables 2–4 Mop/s (`model_mape_pct`): MAPE {mops:.2} % over {n_mops} cells\n"
+    ));
+    out
+}
+
+/// The largest core count and the largest value over `curves` (at least
+/// 1 and 1e-12, so a plot's scale never divides by zero).
+fn extent(curves: &[Curve]) -> (f64, f64) {
+    let points = || curves.iter().flat_map(|c| c.points.iter());
+    let max_x = points().map(|&(x, _)| x).max().unwrap_or(1) as f64;
+    let max_y = points().map(|&(_, y)| y).fold(0.0f64, f64::max).max(1e-12);
+    (max_x, max_y)
 }
 
 /// ASCII log-log-ish scaling plot of a set of curves (cores on x).
 pub fn ascii_plot(title: &str, unit: &str, curves: &[Curve]) -> String {
     const WIDTH: usize = 64;
     const HEIGHT: usize = 16;
-    let max_y = curves
-        .iter()
-        .flat_map(|c| c.points.iter().map(|&(_, y)| y))
-        .fold(0.0f64, f64::max)
-        .max(1e-12);
-    let max_x = curves
-        .iter()
-        .flat_map(|c| c.points.iter().map(|&(x, _)| x))
-        .max()
-        .unwrap_or(1) as f64;
+    let (max_x, max_y) = extent(curves);
     let mut grid = vec![vec![b' '; WIDTH]; HEIGHT];
     let marks: [u8; 5] = [b'*', b'o', b'+', b'x', b'#'];
     for (ci, c) in curves.iter().enumerate() {
@@ -250,16 +287,7 @@ pub fn svg_plot(title: &str, unit: &str, curves: &[Curve]) -> String {
     const MT: f64 = 40.0;
     const MB: f64 = 50.0;
     let colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"];
-    let max_y = curves
-        .iter()
-        .flat_map(|c| c.points.iter().map(|&(_, y)| y))
-        .fold(0.0f64, f64::max)
-        .max(1e-12);
-    let max_x = curves
-        .iter()
-        .flat_map(|c| c.points.iter().map(|&(x, _)| x))
-        .max()
-        .unwrap_or(1) as f64;
+    let (max_x, max_y) = extent(curves);
     let px = |cores: u32| -> f64 {
         ML + (cores as f64).log2() / max_x.log2().max(1e-12) * (W - ML - MR)
     };
@@ -371,19 +399,15 @@ pub fn curves_csv(curves: &[Curve]) -> String {
     out
 }
 
-/// Machine name helper for external callers.
-pub fn machine_name(id: MachineId) -> &'static str {
-    id.name()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvhpc_machines::MachineId;
 
     #[test]
     fn markdown_table_shape() {
         let md = markdown_table(
-            &["A".into(), "B".into()],
+            &["A", "B"],
             &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
         );
         let lines: Vec<&str> = md.lines().collect();

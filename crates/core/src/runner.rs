@@ -7,14 +7,17 @@
 //! renders every table and figure from the warm cache. Output is
 //! byte-identical at any worker count.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
 use rvhpc_npb::BenchmarkId;
 
 use crate::engine::{jobs_from_env, Engine};
-use crate::experiment::{self, ExperimentId};
+use crate::experiment::{self, SECTIONS};
 use crate::report;
+
+/// The report's opening paragraph, before the first section.
+pub const REPORT_PREAMBLE: &str = "# rvhpc reproduction report\n\nModel-predicted results for \
+     every table and figure of the SG2044 paper; paper values in parentheses where published.\n";
 
 /// Generate the full reproduction report (one markdown document with
 /// every table/figure, model vs paper) at the default worker count.
@@ -24,107 +27,31 @@ pub fn full_report() -> String {
 
 /// Generate the full reproduction report with an explicit worker count.
 /// The whole scenario grid is evaluated as one engine batch up front;
-/// the per-experiment renders below then resolve from the cache, so the
-/// returned string is byte-identical for any `jobs`.
+/// each [`SECTIONS`] body then resolves from the cache, so the returned
+/// string is byte-identical for any `jobs`.
 pub fn full_report_with_jobs(jobs: usize) -> String {
     Engine::global().execute_with_jobs(&experiment::full_plan(), jobs);
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# rvhpc reproduction report\n\nModel-predicted results for every \
-         table and figure of the SG2044 paper; paper values in parentheses \
-         where published.\n"
-    );
-
-    let _ = writeln!(
-        out,
-        "## Table 1 — NPB memory behaviour (Xeon 8170, 26 cores)\n"
-    );
-    out.push_str(&report::render_table1(&experiment::table1_data()));
-
-    let _ = writeln!(out, "\n## Table 2 — RISC-V single-core Mop/s (class B)\n");
-    out.push_str(&report::render_table2(&experiment::table2_data()));
-
-    let _ = writeln!(
-        out,
-        "\n## Table 3 — SG2044 vs SG2042, single core (class C)\n"
-    );
-    out.push_str(&report::render_sg_compare(&experiment::table3_data()));
-
-    let _ = writeln!(out, "\n## Table 4 — SG2044 vs SG2042, 64 cores (class C)\n");
-    out.push_str(&report::render_sg_compare(&experiment::table4_data()));
-
-    let _ = writeln!(out, "\n## Table 5 — CPU overview\n");
-    let t5 = experiment::table5_data();
-    let header: Vec<String> = ["CPU", "ISA", "Part", "Base clock", "Cores", "Vector"]
-        .map(String::from)
-        .to_vec();
-    let rows: Vec<Vec<String>> = t5.iter().map(|r| r.to_vec()).collect();
-    out.push_str(&report::markdown_table(&header, &rows));
-
-    let _ = writeln!(out, "\n## Figure 1 — STREAM copy bandwidth scaling\n```");
-    out.push_str(&report::ascii_plot(
-        "STREAM copy",
-        "GB/s",
-        &experiment::fig1_data(),
-    ));
-    let _ = writeln!(out, "```");
-
-    for (fig, bench) in [
-        ("Figure 2 — IS", BenchmarkId::Is),
-        ("Figure 3 — MG", BenchmarkId::Mg),
-        ("Figure 4 — EP", BenchmarkId::Ep),
-        ("Figure 5 — CG", BenchmarkId::Cg),
-        ("Figure 6 — FT", BenchmarkId::Ft),
-    ] {
-        let _ = writeln!(out, "\n## {fig} scaling (class C)\n```");
-        out.push_str(&report::ascii_plot(
-            fig,
-            "Mop/s",
-            &experiment::fig_kernel_data(bench),
-        ));
-        let _ = writeln!(out, "```");
+    let mut out = String::from(REPORT_PREAMBLE);
+    for section in &SECTIONS {
+        out.push_str(&render_section(section.heading, &(section.body)()));
     }
-
-    let _ = writeln!(
-        out,
-        "\n## Table 6 — pseudo-applications relative to SG2044 (class C)\n"
-    );
-    out.push_str(&report::render_table6(&experiment::table6_data()));
-
-    let _ = writeln!(
-        out,
-        "\n## Table 7 — compiler/vectorisation, single core (class C)\n"
-    );
-    out.push_str(&report::render_compiler_table(&experiment::table7_data()));
-
-    let _ = writeln!(
-        out,
-        "\n## Table 8 — compiler/vectorisation, 64 cores (class C)\n"
-    );
-    out.push_str(&report::render_compiler_table(&experiment::table8_data()));
-
-    let _ = writeln!(
-        out,
-        "\n## Stall attribution — SG2044, 64 cores (class C)\n\nModel \
-         cycle accounting per benchmark; the same numbers are exported \
-         per-core by `reproduce --metrics`.\n"
-    );
-    out.push_str(&report::render_stall_attribution(
-        &experiment::stall_attribution_data(),
-    ));
-
     out
 }
 
-/// Write per-experiment CSV/markdown artifacts into `dir` and the full
-/// report as `REPORT.md`. Returns the list of files written.
+/// One report section: its heading, a blank line, then the body — a
+/// fenced plot sits directly under its heading.
+fn render_section(heading: &str, body: &str) -> String {
+    let gap = if body.starts_with("```") { "" } else { "\n" };
+    format!("\n## {heading}\n{gap}{body}")
+}
+
+/// Write the rendered `report` as `REPORT.md` and the per-figure CSV/SVG
+/// artifacts into `dir`. Returns the list of files written.
 ///
-/// `full_report()` warms the engine with the merged plan, so the
+/// Rendering the report warmed the engine with the merged plan, so the
 /// per-figure CSV/SVG regeneration below is pure cache hits; a second
 /// call in the same process recomputes nothing.
-pub fn write_artifacts(dir: &Path) -> std::io::Result<Vec<String>> {
+pub fn write_artifacts(dir: &Path, report: &str) -> std::io::Result<Vec<String>> {
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     let mut save = |name: &str, contents: &str| -> std::io::Result<()> {
@@ -134,31 +61,28 @@ pub fn write_artifacts(dir: &Path) -> std::io::Result<Vec<String>> {
         Ok(())
     };
 
-    save("REPORT.md", &full_report())?;
-    save(
-        "fig1_stream.csv",
-        &report::curves_csv(&experiment::fig1_data()),
-    )?;
-    save(
-        "fig1_stream.svg",
-        &report::svg_plot("Figure 1 — STREAM copy", "GB/s", &experiment::fig1_data()),
-    )?;
-    for (id, bench) in [
-        (ExperimentId::Fig2Is, BenchmarkId::Is),
-        (ExperimentId::Fig3Mg, BenchmarkId::Mg),
-        (ExperimentId::Fig4Ep, BenchmarkId::Ep),
-        (ExperimentId::Fig5Cg, BenchmarkId::Cg),
-        (ExperimentId::Fig6Ft, BenchmarkId::Ft),
+    save("REPORT.md", report)?;
+    let mut figures = vec![(
+        "fig1_stream",
+        "Figure 1 — STREAM copy".to_string(),
+        "GB/s",
+        experiment::fig1_data(),
+    )];
+    for (stem, bench) in [
+        ("fig2_is", BenchmarkId::Is),
+        ("fig3_mg", BenchmarkId::Mg),
+        ("fig4_ep", BenchmarkId::Ep),
+        ("fig5_cg", BenchmarkId::Cg),
+        ("fig6_ft", BenchmarkId::Ft),
     ] {
-        let curves = experiment::fig_kernel_data(bench);
-        save(&format!("{}.csv", id.slug()), &report::curves_csv(&curves))?;
+        let title = format!("{} scaling, class C", bench.name());
+        figures.push((stem, title, "Mop/s", experiment::fig_kernel_data(bench)));
+    }
+    for (stem, title, unit, curves) in figures {
+        save(&format!("{stem}.csv"), &report::curves_csv(&curves))?;
         save(
-            &format!("{}.svg", id.slug()),
-            &report::svg_plot(
-                &format!("{} scaling, class C", bench.name()),
-                "Mop/s",
-                &curves,
-            ),
+            &format!("{stem}.svg"),
+            &report::svg_plot(&title, unit, &curves),
         )?;
     }
     Ok(written)
@@ -196,7 +120,7 @@ mod tests {
     fn artifacts_are_written() {
         let dir = std::env::temp_dir().join("rvhpc_artifacts_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let files = write_artifacts(&dir).expect("write artifacts");
+        let files = write_artifacts(&dir, &full_report()).expect("write artifacts");
         assert!(files.contains(&"REPORT.md".to_string()));
         assert!(files.iter().any(|f| f.ends_with(".csv")));
         assert!(dir.join("REPORT.md").exists());

@@ -130,13 +130,6 @@ impl Array4 {
         &self.data[base..base + self.n4]
     }
 
-    /// The contiguous `n4`-vector at `(i, j, k)`, mutably.
-    #[inline]
-    pub fn vec_at_mut(&mut self, i: usize, j: usize, k: usize) -> &mut [f64] {
-        let base = self.idx(i, j, k, 0);
-        &mut self.data[base..base + self.n4]
-    }
-
     /// The underlying flat storage.
     #[inline]
     pub fn flat(&self) -> &[f64] {

@@ -37,16 +37,6 @@ pub fn check_npb(computed: f64, reference: f64) -> VerifyStatus {
     check(computed, reference, EPSILON, Provenance::NpbReference)
 }
 
-/// Verify against a golden value recorded from this implementation.
-pub fn check_self(computed: f64, reference: f64) -> VerifyStatus {
-    check(
-        computed,
-        reference,
-        EPSILON_RELAXED,
-        Provenance::SelfReference,
-    )
-}
-
 /// Hold `value` to the bit patterns recorded from an earlier port on 1, 2
 /// and 3 threads. A team adds its members' partial sums in `tid` order, so
 /// the last bits depend on the team size and on nothing else.

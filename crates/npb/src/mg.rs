@@ -656,29 +656,6 @@ pub fn profile(class: Class) -> WorkloadProfile {
     }
 }
 
-/// Debug helper: print the rnm2 sequence for `iters` V-cycles (used during
-/// development to compare convergence factors against the reference).
-#[doc(hidden)]
-pub fn debug_sequence(class: Class, pool: &Pool, iters: usize) {
-    let params = class::mg_params(class);
-    let n = params.n;
-    let c = c_coef(class);
-    let mut st = MgState::new(n);
-    let top = st.lt - 1;
-    zran3(&mut st.v, n);
-    comm3(&mut st.v, pool);
-    resid(&st.u[top], VSource::Separate(&st.v), &mut st.r[top], pool);
-    println!("r0 = {:.6e}", norm2u3(&st.r[top], n, pool));
-    let mut prev = norm2u3(&st.r[top], n, pool);
-    for it in 1..=iters {
-        st.mg3p(&c, pool);
-        resid(&st.u[top], VSource::Separate(&st.v), &mut st.r[top], pool);
-        let r = norm2u3(&st.r[top], n, pool);
-        println!("it {it}: rnm2 = {:.6e}  factor {:.4}", r, r / prev);
-        prev = r;
-    }
-}
-
 #[cfg(test)]
 mod reference;
 

@@ -109,11 +109,6 @@ impl WorkloadProfile {
         self.phases.iter().map(|p| p.flops).sum()
     }
 
-    /// Total memory references across phases.
-    pub fn total_mem_refs(&self) -> f64 {
-        self.phases.iter().map(|p| p.mem_refs).sum()
-    }
-
     /// Largest phase working set in bytes (the "does it fit in cache"
     /// scale of the benchmark).
     pub fn peak_working_set(&self) -> f64 {

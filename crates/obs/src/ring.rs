@@ -29,15 +29,6 @@ struct Slot {
     words: [AtomicU64; WORDS],
 }
 
-impl Slot {
-    fn empty() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: [const { AtomicU64::new(0) }; WORDS],
-        }
-    }
-}
-
 /// A fixed-capacity single-producer ring of [`Event`]s.
 pub struct EventRing {
     slots: Box<[Slot]>,
@@ -50,8 +41,11 @@ impl EventRing {
     /// power of two, minimum 2, so wrapping is a mask).
     pub fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
+        // SAFETY: a `Slot` is nothing but `AtomicU64`s, so all-zero bits
+        // are a valid empty slot (seq 0, no write yet).
+        let slots = unsafe { Box::<[Slot]>::new_zeroed_slice(cap).assume_init() };
         EventRing {
-            slots: (0..cap).map(|_| Slot::empty()).collect(),
+            slots,
             head: AtomicU64::new(0),
         }
     }

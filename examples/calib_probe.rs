@@ -18,15 +18,16 @@
 //! `cargo test -p rvhpc-core` — the `anchors_match_table3_sg2044_column`
 //! test enforces the 2% closure this probe targets.
 
-use rvhpc_core::calibrate::{self, ANCHOR_SG2044_1CORE_C};
+use rvhpc_core::calibrate;
 use rvhpc_core::model::{predict, Scenario};
+use rvhpc_core::paper;
 use rvhpc_machines::presets;
 use rvhpc_npb::Class;
 
 fn main() {
     let m = presets::sg2044();
     println!("bench   model Mop/s   paper Mop/s   committed k   re-derived k");
-    for (bench, paper_mops) in ANCHOR_SG2044_1CORE_C {
+    for (bench, paper_mops, _) in paper::TABLE3_SG_SINGLE {
         let profile = rvhpc_npb::profile(bench, Class::C);
         let k0 = calibrate::scale(bench);
         let scenario = Scenario::paper_headline(&m, bench, 1);

@@ -3,6 +3,7 @@
 //! ```text
 //! reproduce                        # everything -> results/ + stdout
 //! reproduce table4                 # one experiment to stdout
+//! reproduce residuals              # signed model-vs-paper error per cell
 //! reproduce --metrics out.json \
 //!           [BENCH] [CLASS] [THREADS]   # machine-readable metrics export
 //! reproduce --jobs 8               # engine worker count (else RVHPC_JOBS)
@@ -15,83 +16,33 @@
 //! report merges all experiments into one query plan, executes it once
 //! in parallel (`--jobs N`, or the `RVHPC_JOBS` environment variable,
 //! or all available cores), and renders from the warm cache. Output is
-//! byte-identical at any worker count.
-//!
-//! `--metrics` writes the versioned `rvhpc-metrics/1` JSON document for
-//! one predicted run on the SG2044 (default CG C 64): run identity,
-//! per-phase times, global stall attribution, the exact per-core
-//! counter partition, and the engine's cache/executor counters.
-//!
-//! `bench` runs the curated benchmark suite (host kernels, engine
-//! batches, serve loopback) and appends the next `BENCH_<n>.json` to the
-//! committed trajectory under `results/`; see README "Benchmark
-//! trajectory". `bench --render` regenerates `BENCHMARKS.md` from a
-//! committed document, byte-identically.
-//!
-//! `isa` exercises the instruction-level backend: each kernel is
-//! assembled for the selected extension set, decoded, interpreted with
-//! trace replay into the archsim models, and reported rvr-style
-//! (instret, IPC, ops/instr, branch-miss %). Output is deterministic —
-//! byte-identical across runs and `--jobs` values.
+//! byte-identical at any worker count. `--help` describes `--metrics`,
+//! `bench` and `isa`.
 //!
 //! Exit codes: `0` success, `1` `isa --compare` beyond tolerance, `2`
 //! usage error, `3` output write failure or unreadable/invalid input.
 
+use std::io::Write as _;
+
 use rvhpc::eval::engine::{set_default_jobs, Engine, Query};
-use rvhpc::eval::{experiment, metrics, report, runner};
+use rvhpc::eval::{experiment, metrics, runner};
 use rvhpc::machines::{presets, MachineId};
 use rvhpc::npb::{BenchmarkId, Class};
 use rvhpc::obs::Kind;
 
-fn one(slug: &str) -> Option<String> {
-    let out = match slug {
-        "table1" => report::render_table1(&experiment::table1_data()),
-        "table2" => report::render_table2(&experiment::table2_data()),
-        "table3" => report::render_sg_compare(&experiment::table3_data()),
-        "table4" => report::render_sg_compare(&experiment::table4_data()),
-        "table5" => {
-            let rows: Vec<Vec<String>> = experiment::table5_data()
-                .iter()
-                .map(|r| r.to_vec())
-                .collect();
-            let header: Vec<String> = ["CPU", "ISA", "Part", "Base clock", "Cores", "Vector"]
-                .map(String::from)
-                .to_vec();
-            report::markdown_table(&header, &rows)
-        }
-        "table6" => report::render_table6(&experiment::table6_data()),
-        "table7" => report::render_compiler_table(&experiment::table7_data()),
-        "table8" => report::render_compiler_table(&experiment::table8_data()),
-        "stalls" => report::render_stall_attribution(&experiment::stall_attribution_data()),
-        "fig1" => report::ascii_plot("Figure 1 — STREAM copy", "GB/s", &experiment::fig1_data()),
-        "fig2" => report::ascii_plot(
-            "Figure 2 — IS",
-            "Mop/s",
-            &experiment::fig_kernel_data(BenchmarkId::Is),
-        ),
-        "fig3" => report::ascii_plot(
-            "Figure 3 — MG",
-            "Mop/s",
-            &experiment::fig_kernel_data(BenchmarkId::Mg),
-        ),
-        "fig4" => report::ascii_plot(
-            "Figure 4 — EP",
-            "Mop/s",
-            &experiment::fig_kernel_data(BenchmarkId::Ep),
-        ),
-        "fig5" => report::ascii_plot(
-            "Figure 5 — CG",
-            "Mop/s",
-            &experiment::fig_kernel_data(BenchmarkId::Cg),
-        ),
-        "fig6" => report::ascii_plot(
-            "Figure 6 — FT",
-            "Mop/s",
-            &experiment::fig_kernel_data(BenchmarkId::Ft),
-        ),
-        _ => return None,
-    };
-    Some(out)
+/// Write `text` to stdout. A closed or failing stdout is a write
+/// failure like any other: one line on stderr, exit 3.
+fn emit(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        fail(&format!("could not write stdout: {e}"));
+    }
+}
+
+/// Report a write failure or bad input in one line and exit 3.
+fn fail(msg: &str) -> ! {
+    let _ = writeln!(std::io::stderr(), "reproduce: {msg}");
+    std::process::exit(3);
 }
 
 fn usage_text() -> &'static str {
@@ -102,8 +53,10 @@ fn usage_text() -> &'static str {
      \x20      reproduce isa [--report] [--ablate] [--compare [--tolerance R]]\n\
      \x20                [--kernel K] [--class C] [--threads N]\n\
      \x20                [--no-zba] [--no-zbb] [--no-rvv] [--metrics FILE]\n\
-     \x20 EXPERIMENT: table1..table8, fig1..fig6, stalls\n\
-     \x20             (no argument: full report + results/ artifacts)\n\
+     \x20 EXPERIMENT: table1..table8, fig1..fig6, stalls, residuals\n\
+     \x20             (no argument: full report + results/ artifacts;\n\
+     \x20             residuals: the signed model-vs-paper error of every\n\
+     \x20             transcribed paper cell, with a MAPE per table)\n\
      \x20 --jobs N:   prediction-engine worker count (default: RVHPC_JOBS,\n\
      \x20             then all available cores); output is byte-identical\n\
      \x20             at any value\n\
@@ -137,6 +90,20 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value after `flag`, or a usage error saying what it needs.
+fn value(it: &mut std::slice::Iter<'_, String>, flag: &str, what: &str) -> String {
+    it.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs {what}")))
+        .to_string()
+}
+
+fn parse_class(s: &str) -> Class {
+    Class::ALL
+        .into_iter()
+        .find(|c| c.name().eq_ignore_ascii_case(s))
+        .unwrap_or_else(|| usage_error(&format!("unknown class '{s}'")))
+}
+
 fn write_metrics(path: &std::path::Path, rest: &[String]) {
     let bench = match rest.first() {
         None => BenchmarkId::Cg,
@@ -145,13 +112,7 @@ fn write_metrics(path: &std::path::Path, rest: &[String]) {
             .find(|b| b.name().eq_ignore_ascii_case(s))
             .unwrap_or_else(|| usage_error(&format!("unknown benchmark '{s}'"))),
     };
-    let class = match rest.get(1) {
-        None => Class::C,
-        Some(s) => Class::ALL
-            .into_iter()
-            .find(|c| c.name().eq_ignore_ascii_case(s))
-            .unwrap_or_else(|| usage_error(&format!("unknown class '{s}'"))),
-    };
+    let class = rest.get(1).map_or(Class::C, |s| parse_class(s));
     let threads: u32 = match rest.get(2) {
         None => 64,
         Some(s) => s
@@ -173,8 +134,7 @@ fn write_metrics(path: &std::path::Path, rest: &[String]) {
     let doc =
         metrics::prediction_document_with_engine(&profile, &scenario, &pred, &engine.metrics());
     if let Err(e) = std::fs::write(path, doc.to_json()) {
-        eprintln!("reproduce: could not write {}: {e}", path.display());
-        std::process::exit(3);
+        fail(&format!("could not write {}: {e}", path.display()));
     }
     eprintln!(
         "wrote metrics for {} class {} at {} threads to {}",
@@ -220,22 +180,12 @@ fn isa_cmd(rest: &[String]) -> ! {
                     .unwrap_or_else(|| usage_error("--tolerance needs a ratio >= 1"));
             }
             "--kernel" => {
-                let name = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--kernel needs a name"));
-                let k = KernelId::parse(name)
+                let name = value(&mut it, arg, "a name");
+                let k = KernelId::parse(&name)
                     .unwrap_or_else(|| usage_error(&format!("unknown kernel '{name}'")));
                 kernels = vec![k];
             }
-            "--class" => {
-                let s = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--class needs a letter"));
-                class = Class::ALL
-                    .into_iter()
-                    .find(|c| c.name().eq_ignore_ascii_case(s))
-                    .unwrap_or_else(|| usage_error(&format!("unknown class '{s}'")));
-            }
+            "--class" => class = parse_class(&value(&mut it, arg, "a letter")),
             "--threads" => {
                 threads = it
                     .next()
@@ -243,13 +193,7 @@ fn isa_cmd(rest: &[String]) -> ! {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage_error("--threads needs a positive count"));
             }
-            "--metrics" => {
-                metrics_out = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--metrics needs a file path"))
-                        .to_string(),
-                );
-            }
+            "--metrics" => metrics_out = Some(value(&mut it, arg, "a file path")),
             other => usage_error(&format!("unknown isa argument '{other}'")),
         }
     }
@@ -261,14 +205,17 @@ fn isa_cmd(rest: &[String]) -> ! {
         .iter()
         .map(|&k| isa_backend::run_kernel(k, class, &scenario, ext))
         .collect();
-    print!("{}", isa_backend::isa_report(&runs, &scenario, ext));
+    let mut out = isa_backend::isa_report(&runs, &scenario, ext);
 
     if ablate {
         // Per-extension ablation: measured instret under each single-
         // extension drop, relative to the *selected* base extension set.
-        println!("\nAblation (instret, Δ% vs {}):\n", ext.label());
-        println!("| kernel | base | -zba | Δ% | -zbb | Δ% | -rvv | Δ% |");
-        println!("|---|---:|---:|---:|---:|---:|---:|---:|");
+        out += &format!(
+            "\nAblation (instret, Δ% vs {}):\n\n\
+             | kernel | base | -zba | Δ% | -zbb | Δ% | -rvv | Δ% |\n\
+             |---|---:|---:|---:|---:|---:|---:|---:|\n",
+            ext.label()
+        );
         for &k in &kernels {
             let base = isa_backend::run_kernel(k, class, &scenario, ext).character;
             let drop = |e: IsaExt| isa_backend::run_kernel(k, class, &scenario, e).character;
@@ -276,8 +223,8 @@ fn isa_cmd(rest: &[String]) -> ! {
             let no_zbb = drop(IsaExt { zbb: false, ..ext });
             let no_rvv = drop(IsaExt { rvv: false, ..ext });
             let delta = |i: u64| 100.0 * (i as f64 - base.instret as f64) / base.instret as f64;
-            println!(
-                "| {} | {} | {} | {:+.1} | {} | {:+.1} | {} | {:+.1} |",
+            out += &format!(
+                "| {} | {} | {} | {:+.1} | {} | {:+.1} | {} | {:+.1} |\n",
                 k.name(),
                 base.instret,
                 no_zba.instret,
@@ -299,21 +246,20 @@ fn isa_cmd(rest: &[String]) -> ! {
         let doc =
             metrics::with_section(doc, "isa", isa_backend::isa_section(&runs, &scenario, ext));
         if let Err(e) = std::fs::write(&path, doc.to_json()) {
-            eprintln!("reproduce: could not write {path}: {e}");
-            std::process::exit(3);
+            fail(&format!("could not write {path}: {e}"));
         }
         eprintln!("wrote isa metrics for {} kernel(s) to {path}", runs.len());
     }
 
+    let mut worst = 1.0f64;
     if compare {
-        println!(
-            "\nBackend agreement (class {}, {} threads):\n",
+        out += &format!(
+            "\nBackend agreement (class {}, {} threads):\n\n\
+             | kernel | profile s | isa s | ratio | tolerance | verdict |\n\
+             |---|---:|---:|---:|---:|---|\n",
             class.name(),
             scenario.threads
         );
-        println!("| kernel | profile s | isa s | ratio | tolerance | verdict |");
-        println!("|---|---:|---:|---:|---:|---|");
-        let mut worst = 1.0f64;
         for r in &runs {
             let template = match r.kernel {
                 KernelId::Triad => isa_backend::triad_profile(class),
@@ -323,8 +269,8 @@ fn isa_cmd(rest: &[String]) -> ! {
             let ratio = (r.prediction.seconds / analytic.seconds)
                 .max(analytic.seconds / r.prediction.seconds);
             worst = worst.max(ratio);
-            println!(
-                "| {} | {:.4} | {:.4} | {:.2} | {:.2} | {} |",
+            out += &format!(
+                "| {} | {:.4} | {:.4} | {:.2} | {:.2} | {} |\n",
                 r.kernel.name(),
                 analytic.seconds,
                 r.prediction.seconds,
@@ -333,13 +279,14 @@ fn isa_cmd(rest: &[String]) -> ! {
                 if ratio <= tolerance { "ok" } else { "FAIL" },
             );
         }
-        if worst > tolerance {
-            eprintln!(
-                "reproduce: isa backend diverges from profile backend \
-                 (worst ratio {worst:.2} > tolerance {tolerance:.2})"
-            );
-            std::process::exit(1);
-        }
+    }
+    emit(&out);
+    if worst > tolerance {
+        eprintln!(
+            "reproduce: isa backend diverges from profile backend \
+             (worst ratio {worst:.2} > tolerance {tolerance:.2})"
+        );
+        std::process::exit(1);
     }
     std::process::exit(0);
 }
@@ -367,56 +314,28 @@ fn bench(rest: &[String]) -> ! {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => cfg.quick = true,
-            "--filter" => {
-                cfg.filter = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--filter needs a pattern"))
-                        .to_string(),
-                );
-            }
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--out needs a file path"))
-                        .to_string(),
-                );
-            }
-            "--render" => {
-                render = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--render needs a document path"))
-                        .to_string(),
-                );
-            }
-            "--saturation" => {
-                saturation = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--saturation needs a document path"))
-                        .to_string(),
-                );
-            }
+            "--filter" => cfg.filter = Some(value(&mut it, arg, "a pattern")),
+            "--out" => out = Some(value(&mut it, arg, "a file path")),
+            "--render" => render = Some(value(&mut it, arg, "a document path")),
+            "--saturation" => saturation = Some(value(&mut it, arg, "a document path")),
             other => usage_error(&format!("unknown bench argument '{other}'")),
         }
     }
 
     if let Some(path) = render {
         let load = |path: &str, kind: Kind| -> rvhpc::obs::JsonValue {
-            let doc = rvhpc::obs::json::read(path).unwrap_or_else(|e| {
-                eprintln!("reproduce: {e}");
-                std::process::exit(3);
-            });
+            let doc = rvhpc::obs::json::read(path).unwrap_or_else(|e| fail(&e.to_string()));
             if let Err(e) = kind.validate(&doc) {
-                eprintln!(
-                    "reproduce: {path} is not a valid {} document: {e}",
+                fail(&format!(
+                    "{path} is not a valid {} document: {e}",
                     kind.schema()
-                );
-                std::process::exit(3);
+                ));
             }
             doc
         };
         let doc = load(&path, Kind::Bench);
         let sat = saturation.map(|sat_path| load(&sat_path, Kind::Saturation));
-        print!("{}", record::render_markdown_with(&doc, sat.as_ref()));
+        emit(&record::render_markdown_with(&doc, sat.as_ref()));
         std::process::exit(0);
     } else if saturation.is_some() {
         usage_error("--saturation only makes sense together with --render");
@@ -464,23 +383,21 @@ fn bench(rest: &[String]) -> ! {
     }
     let doc = record::build_document(&results, index, cfg.quick);
     if let Err(e) = Kind::Bench.validate(&doc) {
-        eprintln!("reproduce: generated document failed validation: {e}");
-        std::process::exit(3);
+        fail(&format!("generated document failed validation: {e}"));
     }
     if let Some(parent) = path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
     if let Err(e) = std::fs::write(&path, doc.to_json()) {
-        eprintln!("reproduce: could not write {}: {e}", path.display());
-        std::process::exit(3);
+        fail(&format!("could not write {}: {e}", path.display()));
     }
-    println!(
-        "bench: {} document {index} ({} target(s)) -> {}\n",
+    emit(&format!(
+        "bench: {} document {index} ({} target(s)) -> {}\n\n{}",
         if cfg.quick { "quick" } else { "full" },
         results.len(),
-        path.display()
-    );
-    print!("{}", record::render_table(&doc));
+        path.display(),
+        record::render_table(&doc)
+    ));
     std::process::exit(0);
 }
 
@@ -508,7 +425,7 @@ fn main() {
 
     match args.first().map(String::as_str) {
         Some("-h") | Some("--help") => {
-            println!("{}", usage_text());
+            emit(&format!("{}\n", usage_text()));
             return;
         }
         Some("--metrics") => {
@@ -524,18 +441,22 @@ fn main() {
             usage_error(&format!("unknown option '{slug}'"));
         }
         Some(slug) => {
-            match one(slug) {
-                Some(out) => println!("{out}"),
+            match experiment::section(slug) {
+                Some(section) => emit(&format!("{}\n", (section.body)())),
                 None => usage_error(&format!("unknown experiment '{slug}'")),
             }
             return;
         }
         None => {}
     }
+    let report = runner::full_report();
     let dir = std::path::Path::new("results");
-    match runner::write_artifacts(dir) {
+    match runner::write_artifacts(dir, &report) {
         Ok(files) => eprintln!("wrote {} artifacts to {}", files.len(), dir.display()),
-        Err(e) => eprintln!("warning: could not write artifacts: {e}"),
+        Err(e) => fail(&format!(
+            "could not write artifacts to {}: {e}",
+            dir.display()
+        )),
     }
-    println!("{}", runner::full_report());
+    emit(&format!("{report}\n"));
 }

@@ -11,6 +11,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use rvhpc::eval::experiment;
 use rvhpc::obs::{json, JsonValue};
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -284,7 +285,7 @@ fn every_documented_slug_runs() {
             None => slugs.push(item.to_string()),
         }
     }
-    assert_eq!(slugs.len(), 15, "{slugs:?}");
+    assert_eq!(slugs.len(), 16, "{slugs:?}");
     for slug in &slugs {
         let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_reproduce"), &[slug]);
         assert_eq!(code, 0, "reproduce {slug}: {stderr}");
@@ -293,4 +294,56 @@ fn every_documented_slug_runs() {
             "reproduce {slug} printed nothing"
         );
     }
+}
+
+/// `reproduce <slug>` prints exactly that registry section's body — the
+/// text the full report carries under the section's heading.
+#[test]
+fn every_slug_prints_its_section_body() {
+    for section in experiment::SECTIONS.iter().chain([&experiment::RESIDUALS]) {
+        let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_reproduce"), &[section.slug]);
+        assert_eq!(code, 0, "reproduce {}: {stderr}", section.slug);
+        assert_eq!(
+            stdout,
+            format!("{}\n", (section.body)()),
+            "{}",
+            section.slug
+        );
+    }
+}
+
+/// A `results` path that cannot be a directory is a write failure: one
+/// line on stderr and exit 3, not a warning and exit 0.
+#[test]
+fn unwritable_results_dir_exits_3() {
+    let cwd = scratch("results_is_a_file");
+    std::fs::create_dir_all(&cwd).expect("create cwd");
+    std::fs::write(cwd.join("results"), "not a directory").expect("write file");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .current_dir(&cwd)
+        .output()
+        .expect("spawn reproduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("could not write artifacts"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+/// A closed stdout (`reproduce fig1 | head -1` once `head` has exited)
+/// is a write failure too: exit 3 with one line, never a panic (101).
+#[test]
+fn closed_stdout_exits_3_not_101() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("fig1")
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .expect("spawn reproduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }

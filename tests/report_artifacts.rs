@@ -1,7 +1,7 @@
 //! Integration: the end-to-end reproduction driver produces complete,
 //! well-formed artifacts.
 
-use rvhpc::eval::runner;
+use rvhpc::eval::{experiment, report, runner};
 
 #[test]
 fn full_report_is_complete_and_annotated_with_paper_values() {
@@ -26,10 +26,24 @@ fn full_report_is_complete_and_annotated_with_paper_values() {
     }
 }
 
+/// The report is the preamble followed by every registry section's
+/// heading and body, in registry order; a fenced plot sits directly under
+/// its heading, anything else after a blank line.
+#[test]
+fn full_report_is_the_preamble_then_every_section_in_order() {
+    let mut expected = runner::REPORT_PREAMBLE.to_string();
+    for section in &experiment::SECTIONS {
+        let body = (section.body)();
+        let gap = if body.starts_with("```") { "" } else { "\n" };
+        expected.push_str(&format!("\n## {}\n{gap}{body}", section.heading));
+    }
+    assert_eq!(runner::full_report(), expected);
+}
+
 #[test]
 fn artifacts_written_to_disk_round_trip() {
     let dir = std::env::temp_dir().join(format!("rvhpc_it_{}", std::process::id()));
-    let files = runner::write_artifacts(&dir).expect("write artifacts");
+    let files = runner::write_artifacts(&dir, &runner::full_report()).expect("write artifacts");
     assert!(files.len() >= 7, "expected report + 6 CSVs, got {files:?}");
     // CSVs parse as (machine, cores, value) triples.
     for f in files.iter().filter(|f| f.ends_with(".csv")) {
@@ -51,4 +65,26 @@ fn artifacts_written_to_disk_round_trip() {
         assert!(rows >= 7, "{f}: too few rows");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// EXPERIMENTS.md's residual grids are exactly what `reproduce residuals`
+/// prints, so a model change shows as a doc diff instead of drifting.
+#[test]
+fn committed_experiments_md_matches_residuals_rendering() {
+    const BEGIN: &str = "<!-- BEGIN reproduce residuals -->\n";
+    const END: &str = "<!-- END reproduce residuals -->";
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
+    let (_, after) = doc
+        .split_once(BEGIN)
+        .expect("EXPERIMENTS.md has the BEGIN marker");
+    let (committed, _) = after
+        .split_once(END)
+        .expect("EXPERIMENTS.md has the END marker");
+    let rendered = format!("{}\n", report::render_residuals(&experiment::residuals()));
+    assert_eq!(
+        committed, rendered,
+        "EXPERIMENTS.md's residuals are stale — replace the block between the \
+         markers with `reproduce residuals`"
+    );
 }

@@ -24,9 +24,9 @@ fn second_artifact_pass_recomputes_nothing() {
     let dir = std::env::temp_dir().join("rvhpc_engine_warm_artifacts");
     let _ = std::fs::remove_dir_all(&dir);
 
-    runner::write_artifacts(&dir).expect("cold artifact pass");
+    runner::write_artifacts(&dir, &runner::full_report()).expect("cold artifact pass");
     let warm = Engine::global().metrics();
-    runner::write_artifacts(&dir).expect("warm artifact pass");
+    runner::write_artifacts(&dir, &runner::full_report()).expect("warm artifact pass");
     let after = Engine::global().metrics();
 
     assert_eq!(
