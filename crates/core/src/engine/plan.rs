@@ -421,4 +421,46 @@ mod tests {
         assert_eq!(s.threads, expect.threads);
         assert!(!s.compiler.vectorize, "CG on RVV keeps vectorisation off");
     }
+
+    /// The fingerprints address every disk-store record and place every
+    /// request on a shard and the cluster ring. Both hash `Debug` output,
+    /// so renaming or deleting a field or variant reachable from
+    /// `Machine` or `CacheKey` re-keys them; these values pin it.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let pinned: [(MachineId, u64); 11] = [
+            (MachineId::Sg2044, 0xcdff_c78d_d8f4_9c04),
+            (MachineId::Sg2042, 0x041f_0e92_4142_f6a8),
+            (MachineId::Epyc7742, 0x52b7_8ac6_c7b8_6a75),
+            (MachineId::Xeon8170, 0x0eee_143c_bdac_ba2f),
+            (MachineId::ThunderX2, 0x5564_e720_601b_0f03),
+            (MachineId::VisionFiveV2, 0x8a9c_4560_7cc5_4c8b),
+            (MachineId::VisionFiveV1, 0x986b_de7b_975b_fe09),
+            (MachineId::SiFiveU740, 0x5c52_1a58_c980_0f53),
+            (MachineId::AllWinnerD1, 0x3c2b_1bbb_c7fc_c3be),
+            (MachineId::BananaPiF3, 0xdb5d_fcb9_5ac4_8b73),
+            (MachineId::MilkVJupyter, 0xf23c_8ad0_9160_9e1c),
+        ];
+        for (id, want) in pinned {
+            assert_eq!(machine_fingerprint(&presets::by_id(id)), want, "{id:?}");
+        }
+        let mut custom = presets::sg2044();
+        custom.clock_ghz = 3.2;
+        custom.cores = 32;
+        assert_eq!(machine_fingerprint(&custom), 0xfcd5_d5e3_d8e1_5d5a);
+
+        let mut p = Plan::new();
+        let preset = Query::paper(MachineId::Sg2044, BenchmarkId::Cg, Class::C, 64);
+        let sel = p.add_machine(custom);
+        let custom_q = Query {
+            machine: sel,
+            bench: BenchmarkId::Mg,
+            class: Class::B,
+            threads: 16,
+            spec: SpecKind::Headline,
+            backend: Backend::Isa(rvhpc_isa::IsaExt::full()),
+        };
+        assert_eq!(p.key_of(&preset).fingerprint(), 0x77f6_d728_26d9_e14d);
+        assert_eq!(p.key_of(&custom_q).fingerprint(), 0x6481_f934_d697_3ca6);
+    }
 }
