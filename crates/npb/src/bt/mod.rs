@@ -30,11 +30,11 @@ use crate::profile::{AccessPattern, PhaseProfile, WorkloadProfile};
 use crate::{Benchmark, BenchmarkId};
 
 /// The BT benchmark.
-pub struct Bt;
+pub(crate) struct Bt;
 
 /// Raw outputs of a pseudo-application run (shared by BT/SP/LU).
 #[derive(Debug, Clone)]
-pub struct AppOutput {
+pub(crate) struct AppOutput {
     /// Σ of the five RMS residual components after the final step.
     pub rhs_norm: f64,
     /// Σ of the five RMS solution-error components after the final step.
@@ -164,7 +164,7 @@ fn line_solve(f: &mut Fields, c: &CfdConstants, dir: Direction, pool: &Pool) {
 }
 
 /// One full ADI time step (NPB `adi`).
-pub fn adi_step(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
+pub(crate) fn adi_step(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
     f.compute_aux(pool);
     compute_rhs(f, c, pool);
     scale_rhs_by_dt(f, c, pool);
@@ -175,7 +175,7 @@ pub fn adi_step(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
 }
 
 /// Run the full BT benchmark computation.
-pub fn compute(class: Class, pool: &Pool) -> AppOutput {
+pub(crate) fn compute(class: Class, pool: &Pool) -> AppOutput {
     let p = class::bt_params(class);
     let n = p.problem_size;
     let c = CfdConstants::new(n, p.dt);
@@ -218,10 +218,6 @@ fn reference(class: Class) -> Option<(f64, f64)> {
 }
 
 impl Benchmark for Bt {
-    fn id(&self) -> BenchmarkId {
-        BenchmarkId::Bt
-    }
-
     fn run(&self, class: Class, pool: &Pool) -> BenchResult {
         let out = compute(class, pool);
         let verified = verify_app(&out, reference(class));
@@ -278,7 +274,7 @@ pub(crate) fn verify_app(out: &AppOutput, reference: Option<(f64, f64)>) -> Veri
 /// blocked Thomas elimination (~900 flops/point) — compute-dense, which is
 /// why BT has the lowest memory stall rate of the three
 /// pseudo-applications (paper Table 1: 8% cache, 9% DDR).
-pub fn profile(class: Class) -> WorkloadProfile {
+pub(crate) fn profile(class: Class) -> WorkloadProfile {
     let p = class::bt_params(class);
     let n3 = (p.problem_size as f64).powi(3);
     let steps = p.niter as f64;

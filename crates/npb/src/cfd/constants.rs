@@ -2,23 +2,15 @@
 
 /// All scalar constants needed by the pseudo-application operators.
 #[derive(Debug, Clone)]
-pub struct CfdConstants {
-    /// Grid points per dimension.
-    pub n: usize,
+pub(crate) struct CfdConstants {
     /// Time step.
     pub dt: f64,
     // Gas constants.
     pub c1: f64,
     pub c2: f64,
-    pub c3: f64,
-    pub c4: f64,
-    pub c5: f64,
-    pub c1c2: f64,
-    pub c1c5: f64,
     pub c3c4: f64,
     pub c1345: f64,
     pub con43: f64,
-    pub conz1: f64,
     /// Reciprocal grid spacing denominators: `1/(n-1)`.
     pub dnm1: f64,
     // Metric factors per direction (the grid is isotropic here, as in the
@@ -26,13 +18,10 @@ pub struct CfdConstants {
     // fidelity to the reference structure).
     pub tx1: f64,
     pub tx2: f64,
-    pub tx3: f64,
     pub ty1: f64,
     pub ty2: f64,
-    pub ty3: f64,
     pub tz1: f64,
     pub tz2: f64,
-    pub tz3: f64,
     // Artificial-dissipation strengths (NPB dx1..dz5 collapsed: the
     // reference uses 0.75 in x/y and 1.0 in z).
     pub dx: f64,
@@ -49,14 +38,13 @@ pub struct CfdConstants {
 
 impl CfdConstants {
     /// Constants for an `n³` grid with time step `dt`.
-    pub fn new(n: usize, dt: f64) -> Self {
+    pub(crate) fn new(n: usize, dt: f64) -> Self {
         assert!(n >= 5, "pseudo-app grids need at least 5 points per side");
         let c1 = 1.4;
         let c2 = 0.4;
         let c3 = 0.1;
         let c4 = 1.0;
         let c5 = 1.4;
-        let c1c2 = c1 * c2;
         let c1c5 = c1 * c5;
         let c3c4 = c3 * c4;
         let c1345 = c1 * c3 * c4 * c5;
@@ -69,29 +57,19 @@ impl CfdConstants {
         let (dx, dy, dz) = (0.75f64, 0.75f64, 1.0f64);
         let dssp = 0.25 * dx.max(dy).max(dz);
         Self {
-            n,
             dt,
             c1,
             c2,
-            c3,
-            c4,
-            c5,
-            c1c2,
-            c1c5,
             c3c4,
             c1345,
             con43,
-            conz1,
             dnm1,
             tx1,
             tx2,
-            tx3,
             ty1: tx1,
             ty2: tx2,
-            ty3: tx3,
             tz1: tx1,
             tz2: tx2,
-            tz3: tx3,
             dx,
             dy,
             dz,
@@ -105,7 +83,7 @@ impl CfdConstants {
 
     /// Physical coordinate of 0-based grid index `i`.
     #[inline]
-    pub fn coord(&self, i: usize) -> f64 {
+    pub(crate) fn coord(&self, i: usize) -> f64 {
         i as f64 * self.dnm1
     }
 }
@@ -119,7 +97,6 @@ mod tests {
         let c = CfdConstants::new(12, 0.01);
         assert_eq!(c.c1, 1.4);
         assert_eq!(c.c2, 0.4);
-        assert!((c.c1c5 - 1.96).abs() < 1e-12);
         assert!((c.con43 - 4.0 / 3.0).abs() < 1e-15);
         assert!((c.dssp - 0.25).abs() < 1e-12); // max(0.75,0.75,1.0)/4
     }

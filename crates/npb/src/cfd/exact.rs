@@ -5,7 +5,7 @@
 
 /// NPB's `ce` coefficient table (`ce[m][j]` = coefficient j of component
 /// m, as in `bt.f`/`sp.f`/`lu.f` `set_constants`).
-pub const CE: [[f64; 13]; 5] = [
+pub(crate) const CE: [[f64; 13]; 5] = [
     [
         2.0, 0.0, 0.0, 4.0, 5.0, 3.0, 0.5, 0.02, 0.01, 0.03, 0.5, 0.4, 0.3,
     ],
@@ -26,7 +26,7 @@ pub const CE: [[f64; 13]; 5] = [
 /// Evaluate the exact solution at normalized coordinates
 /// `(xi, eta, zeta) ∈ [0,1]³` (NPB `exact_solution`).
 #[inline]
-pub fn exact_solution(xi: f64, eta: f64, zeta: f64) -> [f64; 5] {
+pub(crate) fn exact_solution(xi: f64, eta: f64, zeta: f64) -> [f64; 5] {
     let mut out = [0.0f64; 5];
     for (m, o) in out.iter_mut().enumerate() {
         let ce = &CE[m];

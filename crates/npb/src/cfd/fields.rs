@@ -9,7 +9,7 @@ use crate::common::array::{Array3, Array4};
 /// Conserved variables plus the auxiliary per-point quantities all three
 /// pseudo-applications precompute before each RHS evaluation.
 #[derive(Debug, Clone)]
-pub struct Fields {
+pub(crate) struct Fields {
     /// Conserved state `u(i,j,k,m)`: ρ, ρu, ρv, ρw, E.
     pub u: Array4,
     /// Right-hand side / residual, same shape.
@@ -32,7 +32,7 @@ pub struct Fields {
 
 impl Fields {
     /// Allocate zeroed fields for an `n³` grid.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             u: Array4::new(n, n, n, 5),
             rhs: Array4::new(n, n, n, 5),
@@ -49,7 +49,7 @@ impl Fields {
 
     /// NPB `initialize`: trilinear blend of the exact solution's face
     /// values in the interior, exact values on the boundary faces.
-    pub fn initialize(&mut self, c: &CfdConstants, pool: &Pool) {
+    pub(crate) fn initialize(&mut self, c: &CfdConstants, pool: &Pool) {
         let n = self.n;
         self.fill_state(pool, |i, j, k| {
             let (xi, eta, zeta) = (c.coord(i), c.coord(j), c.coord(k));
@@ -83,7 +83,7 @@ impl Fields {
 
     /// Recompute the auxiliary fields from `u` (the prologue of NPB
     /// `compute_rhs`).
-    pub fn compute_aux(&mut self, pool: &Pool) {
+    pub(crate) fn compute_aux(&mut self, pool: &Pool) {
         let n = self.n;
         let uf = self.u.flat();
         let aux = [

@@ -9,7 +9,7 @@ use crate::cfd::rhs::Direction;
 
 /// Inviscid flux Jacobian `A_d = ∂F_d/∂U` at a point with conserved state
 /// `u` (ρ, ρu, ρv, ρw, E).
-pub fn flux_jacobian(u: &[f64], dir: Direction, c: &CfdConstants) -> Mat5 {
+pub(crate) fn flux_jacobian(u: &[f64], dir: Direction, c: &CfdConstants) -> Mat5 {
     debug_assert_eq!(u.len(), 5);
     let d = dir.momentum(); // 1, 2, or 3
     let t1 = 1.0 / u[0];
@@ -54,7 +54,7 @@ pub fn flux_jacobian(u: &[f64], dir: Direction, c: &CfdConstants) -> Mat5 {
 
 /// Viscous Jacobian `N_d` at a point (NPB `njac`): diagonal-dominant block
 /// whose normal component carries the 4/3 factor.
-pub fn viscous_jacobian(u: &[f64], dir: Direction, c: &CfdConstants) -> Mat5 {
+pub(crate) fn viscous_jacobian(u: &[f64], dir: Direction, c: &CfdConstants) -> Mat5 {
     debug_assert_eq!(u.len(), 5);
     let d = dir.momentum();
     let t1 = 1.0 / u[0];

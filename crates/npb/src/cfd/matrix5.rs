@@ -2,15 +2,12 @@
 //! `matmul_sub`, `matvec_sub`, `binvcrhs`, `binvrhs`).
 
 /// A dense 5×5 block, row-major.
-pub type Mat5 = [[f64; 5]; 5];
+pub(crate) type Mat5 = [[f64; 5]; 5];
 /// A 5-vector.
-pub type Vec5 = [f64; 5];
-
-/// The zero block.
-pub const ZERO: Mat5 = [[0.0; 5]; 5];
+pub(crate) type Vec5 = [f64; 5];
 
 /// The identity block.
-pub const IDENTITY: Mat5 = {
+pub(crate) const IDENTITY: Mat5 = {
     let mut m = [[0.0; 5]; 5];
     let mut i = 0;
     while i < 5 {
@@ -22,7 +19,7 @@ pub const IDENTITY: Mat5 = {
 
 /// `c -= a · b` (NPB `matmul_sub`).
 #[inline]
-pub fn matmul_sub(a: &Mat5, b: &Mat5, c: &mut Mat5) {
+pub(crate) fn matmul_sub(a: &Mat5, b: &Mat5, c: &mut Mat5) {
     for i in 0..5 {
         for j in 0..5 {
             let mut s = 0.0;
@@ -36,7 +33,7 @@ pub fn matmul_sub(a: &Mat5, b: &Mat5, c: &mut Mat5) {
 
 /// `v -= a · x` (NPB `matvec_sub`).
 #[inline]
-pub fn matvec_sub(a: &Mat5, x: &Vec5, v: &mut Vec5) {
+pub(crate) fn matvec_sub(a: &Mat5, x: &Vec5, v: &mut Vec5) {
     for i in 0..5 {
         let mut s = 0.0;
         for k in 0..5 {
@@ -49,7 +46,7 @@ pub fn matvec_sub(a: &Mat5, x: &Vec5, v: &mut Vec5) {
 /// Gauss–Jordan: transform `c ← b⁻¹·c` and `r ← b⁻¹·r`, destroying `b`
 /// (NPB `binvcrhs`; no pivoting, as in the reference — the blocks are
 /// strongly diagonally dominant for stable time steps).
-pub fn binvcrhs(b: &mut Mat5, c: &mut Mat5, r: &mut Vec5) {
+pub(crate) fn binvcrhs(b: &mut Mat5, c: &mut Mat5, r: &mut Vec5) {
     for p in 0..5 {
         let pivot = 1.0 / b[p][p];
         for j in p + 1..5 {
@@ -76,7 +73,7 @@ pub fn binvcrhs(b: &mut Mat5, c: &mut Mat5, r: &mut Vec5) {
 }
 
 /// Gauss–Jordan: `r ← b⁻¹·r`, destroying `b` (NPB `binvrhs`).
-pub fn binvrhs(b: &mut Mat5, r: &mut Vec5) {
+pub(crate) fn binvrhs(b: &mut Mat5, r: &mut Vec5) {
     for p in 0..5 {
         let pivot = 1.0 / b[p][p];
         for j in p + 1..5 {
@@ -100,7 +97,8 @@ pub fn binvrhs(b: &mut Mat5, r: &mut Vec5) {
 /// destroying `a`). For matrices that are not diagonally dominant — SP's
 /// eigenvector matrices have structural zeros on the diagonal, and its
 /// tests check the closed-form inverse against this solve.
-pub fn solve5_pivot(a: &mut Mat5, r: &mut Vec5) {
+#[cfg(test)]
+pub(crate) fn solve5_pivot(a: &mut Mat5, r: &mut Vec5) {
     for p in 0..5 {
         // Partial pivot.
         let mut best = p;

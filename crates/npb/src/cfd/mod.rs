@@ -24,17 +24,13 @@
 //! * [`norms`] — RMS residual and solution-error norms used for
 //!   verification.
 
-pub mod constants;
-pub mod exact;
-pub mod fields;
-pub mod jacobians;
-pub mod matrix5;
-pub mod norms;
-pub mod rhs;
-
-pub use constants::CfdConstants;
-pub use exact::exact_solution;
-pub use fields::Fields;
+pub(crate) mod constants;
+pub(crate) mod exact;
+pub(crate) mod fields;
+pub(crate) mod jacobians;
+pub(crate) mod matrix5;
+pub(crate) mod norms;
+pub(crate) mod rhs;
 
 /// Admissible (positive density and pressure) conserved states, each with
 /// an arbitrary right-hand side, from the NPB generator.

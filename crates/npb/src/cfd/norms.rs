@@ -9,7 +9,7 @@ use crate::cfd::fields::Fields;
 
 /// Per-component RMS of `u − u_exact` over the grid, normalized by the
 /// interior extent (NPB `error_norm`).
-pub fn error_norm(f: &Fields, c: &CfdConstants, pool: &Pool) -> [f64; 5] {
+pub(crate) fn error_norm(f: &Fields, c: &CfdConstants, pool: &Pool) -> [f64; 5] {
     let n = f.n;
     let uf = f.u.flat();
     let sums = pool.run(|team| {
@@ -35,7 +35,7 @@ pub fn error_norm(f: &Fields, c: &CfdConstants, pool: &Pool) -> [f64; 5] {
 }
 
 /// Per-component RMS of the rhs over the interior (NPB `rhs_norm`).
-pub fn rhs_norm(f: &Fields, pool: &Pool) -> [f64; 5] {
+pub(crate) fn rhs_norm(f: &Fields, pool: &Pool) -> [f64; 5] {
     let n = f.n;
     let rf = f.rhs.flat();
     let sums = pool.run(|team| {
@@ -66,7 +66,7 @@ fn finalize(sums: &[f64], n: usize) -> [f64; 5] {
 }
 
 /// Aggregate a 5-vector norm into one scalar for golden-value pinning.
-pub fn norm_scalar(v: &[f64; 5]) -> f64 {
+pub(crate) fn norm_scalar(v: &[f64; 5]) -> f64 {
     v.iter().sum()
 }
 

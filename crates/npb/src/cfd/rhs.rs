@@ -19,7 +19,7 @@ use crate::cfd::matrix5::Vec5;
 
 /// One sweep direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
+pub(crate) enum Direction {
     X,
     Y,
     Z,
@@ -27,11 +27,11 @@ pub enum Direction {
 
 impl Direction {
     /// All three, in NPB's sweep order.
-    pub const ALL: [Direction; 3] = [Direction::X, Direction::Y, Direction::Z];
+    pub(crate) const ALL: [Direction; 3] = [Direction::X, Direction::Y, Direction::Z];
 
     /// Flat-index stride to the next point along this direction.
     #[inline]
-    pub fn stride(self, n: usize) -> usize {
+    pub(crate) fn stride(self, n: usize) -> usize {
         match self {
             Direction::X => 1,
             Direction::Y => n,
@@ -42,7 +42,7 @@ impl Direction {
     /// Index (0-based) of the momentum component advected by this
     /// direction (ρu, ρv, ρw).
     #[inline]
-    pub fn momentum(self) -> usize {
+    pub(crate) fn momentum(self) -> usize {
         match self {
             Direction::X => 1,
             Direction::Y => 2,
@@ -52,7 +52,7 @@ impl Direction {
 
     /// The two velocity components (0-based) transverse to this direction.
     #[inline]
-    pub fn transverse(self) -> (usize, usize) {
+    pub(crate) fn transverse(self) -> (usize, usize) {
         match self {
             Direction::X => (1, 2),
             Direction::Y => (0, 2),
@@ -161,7 +161,7 @@ impl Stencil<'_> {
 /// starts a row from its `forcing` row and, at each interior point, adds
 /// the X, Y and Z contributions in that order. A point's position along
 /// each direction is the loop index of that direction.
-pub fn compute_rhs(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
+pub(crate) fn compute_rhs(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
     let n = f.n;
     let stencil = Stencil {
         n,
@@ -209,7 +209,7 @@ fn interior_of_row(j: usize, n: usize) -> std::ops::Range<usize> {
 }
 
 /// Scale the interior rhs by `dt` (BT/SP epilogue of `compute_rhs`).
-pub fn scale_rhs_by_dt(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
+pub(crate) fn scale_rhs_by_dt(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
     let n = f.n;
     let dt = c.dt;
     let planes = interior_planes(pool, f.rhs.flat_mut(), n);
@@ -226,7 +226,7 @@ pub fn scale_rhs_by_dt(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
 
 /// `u += scale · rhs` on the interior: NPB `add` for BT and SP (`scale` 1,
 /// and `1.0 * x` is `x`), the relaxed update that ends LU's `ssor`.
-pub fn add_update(f: &mut Fields, scale: f64, pool: &Pool) {
+pub(crate) fn add_update(f: &mut Fields, scale: f64, pool: &Pool) {
     let n = f.n;
     let rhs = f.rhs.flat();
     let planes = interior_planes(pool, f.u.flat_mut(), n);
@@ -248,7 +248,7 @@ pub fn add_update(f: &mut Fields, scale: f64, pool: &Pool) {
 /// NPB's `exact_rhs` evaluates the same finite-difference operator on the
 /// exact solution; obtaining it by running the operator itself guarantees
 /// the discrete identity `RHS(u_exact) = forcing + L(u_exact) = 0`.
-pub fn compute_forcing(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
+pub(crate) fn compute_forcing(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
     // Temporarily fill u with the exact solution everywhere.
     let saved_u = f.u.clone();
     f.fill_state(pool, |i, j, k| {

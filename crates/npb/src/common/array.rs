@@ -8,7 +8,7 @@ use std::ops::{Index, IndexMut};
 
 /// Dense 3-D array of `f64` with `k` (the last index) contiguous.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Array3 {
+pub(crate) struct Array3 {
     n1: usize,
     n2: usize,
     n3: usize,
@@ -17,7 +17,7 @@ pub struct Array3 {
 
 impl Array3 {
     /// Zero-filled `n1 × n2 × n3` array.
-    pub fn new(n1: usize, n2: usize, n3: usize) -> Self {
+    pub(crate) fn new(n1: usize, n2: usize, n3: usize) -> Self {
         Self {
             n1,
             n2,
@@ -28,45 +28,45 @@ impl Array3 {
 
     /// Dimensions `(n1, n2, n3)`.
     #[inline]
-    pub fn dims(&self) -> (usize, usize, usize) {
+    pub(crate) fn dims(&self) -> (usize, usize, usize) {
         (self.n1, self.n2, self.n3)
     }
 
     /// Flat offset of `(i, j, k)`.
     #[inline]
-    pub fn idx(&self, i: usize, j: usize, k: usize) -> usize {
+    pub(crate) fn idx(&self, i: usize, j: usize, k: usize) -> usize {
         debug_assert!(i < self.n1 && j < self.n2 && k < self.n3);
         (i * self.n2 + j) * self.n3 + k
     }
 
     /// The underlying flat storage.
     #[inline]
-    pub fn flat(&self) -> &[f64] {
+    pub(crate) fn flat(&self) -> &[f64] {
         &self.data
     }
 
     /// The underlying flat storage, mutably.
     #[inline]
-    pub fn flat_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn flat_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
     /// One contiguous `k`-row at `(i, j)`.
     #[inline]
-    pub fn row(&self, i: usize, j: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize, j: usize) -> &[f64] {
         let base = self.idx(i, j, 0);
         &self.data[base..base + self.n3]
     }
 
     /// One contiguous `k`-row at `(i, j)`, mutably.
     #[inline]
-    pub fn row_mut(&mut self, i: usize, j: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize, j: usize) -> &mut [f64] {
         let base = self.idx(i, j, 0);
         &mut self.data[base..base + self.n3]
     }
 
     /// Fill with zeros.
-    pub fn zero(&mut self) {
+    pub(crate) fn zero(&mut self) {
         self.data.fill(0.0);
     }
 }
@@ -90,7 +90,7 @@ impl IndexMut<(usize, usize, usize)> for Array3 {
 /// Dense 4-D array of `f64` with the last index contiguous — used for the
 /// pseudo-applications' `u(i,j,k,m)` 5-component state fields.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Array4 {
+pub(crate) struct Array4 {
     n1: usize,
     n2: usize,
     n3: usize,
@@ -100,7 +100,7 @@ pub struct Array4 {
 
 impl Array4 {
     /// Zero-filled `n1 × n2 × n3 × n4` array.
-    pub fn new(n1: usize, n2: usize, n3: usize, n4: usize) -> Self {
+    pub(crate) fn new(n1: usize, n2: usize, n3: usize, n4: usize) -> Self {
         Self {
             n1,
             n2,
@@ -110,35 +110,22 @@ impl Array4 {
         }
     }
 
-    /// Dimensions `(n1, n2, n3, n4)`.
-    #[inline]
-    pub fn dims(&self) -> (usize, usize, usize, usize) {
-        (self.n1, self.n2, self.n3, self.n4)
-    }
-
     /// Flat offset of `(i, j, k, m)`.
     #[inline]
-    pub fn idx(&self, i: usize, j: usize, k: usize, m: usize) -> usize {
+    pub(crate) fn idx(&self, i: usize, j: usize, k: usize, m: usize) -> usize {
         debug_assert!(i < self.n1 && j < self.n2 && k < self.n3 && m < self.n4);
         ((i * self.n2 + j) * self.n3 + k) * self.n4 + m
     }
 
-    /// The contiguous `n4`-vector at `(i, j, k)` (one grid point's state).
-    #[inline]
-    pub fn vec_at(&self, i: usize, j: usize, k: usize) -> &[f64] {
-        let base = self.idx(i, j, k, 0);
-        &self.data[base..base + self.n4]
-    }
-
     /// The underlying flat storage.
     #[inline]
-    pub fn flat(&self) -> &[f64] {
+    pub(crate) fn flat(&self) -> &[f64] {
         &self.data
     }
 
     /// The underlying flat storage, mutably.
     #[inline]
-    pub fn flat_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn flat_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 }
@@ -191,7 +178,8 @@ mod tests {
         for m in 0..5 {
             a[(1, 0, 1, m)] = m as f64;
         }
-        assert_eq!(a.vec_at(1, 0, 1), &[0.0, 1.0, 2.0, 3.0, 4.0]);
+        let base = a.idx(1, 0, 1, 0);
+        assert_eq!(&a.flat()[base..base + 5], &[0.0, 1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.idx(0, 0, 1, 0) - a.idx(0, 0, 0, 0), 5);
     }
 

@@ -54,7 +54,7 @@ impl IsParams {
     pub fn total_keys(&self) -> usize {
         1 << self.total_keys_log2
     }
-    pub fn max_key(&self) -> usize {
+    pub(crate) fn max_key(&self) -> usize {
         1 << self.max_key_log2
     }
 }
@@ -77,7 +77,7 @@ pub fn is_params(class: Class) -> IsParams {
 }
 
 /// EP problem size: 2^m random-number pairs.
-pub fn ep_m(class: Class) -> u32 {
+pub(crate) fn ep_m(class: Class) -> u32 {
     match class {
         Class::T => 18,
         Class::S => 24,
@@ -121,7 +121,7 @@ pub fn cg_params(class: Class) -> CgParams {
 
 /// MG problem size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MgParams {
+pub(crate) struct MgParams {
     /// Grid is `n³`.
     pub n: usize,
     /// V-cycle iterations.
@@ -129,7 +129,7 @@ pub struct MgParams {
 }
 
 /// MG problem sizes per class.
-pub fn mg_params(class: Class) -> MgParams {
+pub(crate) fn mg_params(class: Class) -> MgParams {
     let (n, nit) = match class {
         Class::T => (16, 4),
         Class::S => (32, 4),
@@ -172,7 +172,7 @@ pub fn ft_params(class: Class) -> FtParams {
 
 /// BT/SP/LU pseudo-application problem size (cubic grids).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AppParams {
+pub(crate) struct AppParams {
     /// Grid points per dimension.
     pub problem_size: usize,
     /// Time steps.
@@ -182,7 +182,7 @@ pub struct AppParams {
 }
 
 /// BT problem sizes per class.
-pub fn bt_params(class: Class) -> AppParams {
+pub(crate) fn bt_params(class: Class) -> AppParams {
     let (n, niter, dt) = match class {
         Class::T => (8, 20, 0.015),
         Class::S => (12, 60, 0.010),
@@ -199,7 +199,7 @@ pub fn bt_params(class: Class) -> AppParams {
 }
 
 /// SP problem sizes per class.
-pub fn sp_params(class: Class) -> AppParams {
+pub(crate) fn sp_params(class: Class) -> AppParams {
     let (n, niter, dt) = match class {
         Class::T => (8, 50, 0.010),
         Class::S => (12, 100, 0.015),
@@ -216,7 +216,7 @@ pub fn sp_params(class: Class) -> AppParams {
 }
 
 /// LU problem sizes per class.
-pub fn lu_params(class: Class) -> AppParams {
+pub(crate) fn lu_params(class: Class) -> AppParams {
     let (n, niter, dt) = match class {
         Class::T => (8, 20, 0.5),
         Class::S => (12, 50, 0.5),

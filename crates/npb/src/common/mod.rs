@@ -4,8 +4,8 @@
 
 pub mod array;
 pub mod class;
-pub mod mops;
+pub(crate) mod mops;
 pub mod randdp;
 pub mod result;
-pub mod timers;
+pub(crate) mod timers;
 pub mod verify;

@@ -10,7 +10,7 @@ use crate::BenchmarkId;
 
 /// Total operation count (the Mop/s numerator × 10⁶ is ops; this returns
 /// ops) for `bench` at `class`.
-pub fn total_ops(bench: BenchmarkId, class: Class) -> f64 {
+pub(crate) fn total_ops(bench: BenchmarkId, class: Class) -> f64 {
     match bench {
         BenchmarkId::Is => {
             let p = class::is_params(class);
@@ -57,7 +57,7 @@ pub fn total_ops(bench: BenchmarkId, class: Class) -> f64 {
 }
 
 /// Mop/s for a run of `bench`/`class` that took `seconds`.
-pub fn mops(bench: BenchmarkId, class: Class, seconds: f64) -> f64 {
+pub(crate) fn mops(bench: BenchmarkId, class: Class, seconds: f64) -> f64 {
     if seconds <= 0.0 {
         return 0.0;
     }

@@ -57,7 +57,7 @@ const LANES: usize = 8;
 /// independent recurrences instead of one. The lanes stay integers; each
 /// element is the conversion [`randlc`] returns, so every element and the
 /// final state are bit-identical to the sequential form.
-pub fn vranlc(x: &mut f64, a: f64, y: &mut [f64]) {
+pub(crate) fn vranlc(x: &mut f64, a: f64, y: &mut [f64]) {
     let a = a as u64;
     let (head, tail) = y.split_at_mut(LANES.min(y.len()));
     let mut state = *x as u64;

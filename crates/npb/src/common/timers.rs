@@ -4,7 +4,7 @@ use std::time::Instant;
 
 /// A set of accumulating stopwatch timers (NPB's `timer_start/stop/read`).
 #[derive(Debug)]
-pub struct Timers {
+pub(crate) struct Timers {
     slots: Vec<Slot>,
 }
 
@@ -19,7 +19,7 @@ struct StartStamp(Instant);
 
 impl Timers {
     /// Create `n` timers, all zeroed and stopped.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             slots: vec![
                 Slot {
@@ -31,34 +31,26 @@ impl Timers {
         }
     }
 
-    /// Reset timer `i` to zero (and stop it).
-    pub fn clear(&mut self, i: usize) {
-        self.slots[i] = Slot {
-            accumulated: 0.0,
-            started: None,
-        };
-    }
-
     /// Start timer `i`. Starting a running timer restarts its current lap.
-    pub fn start(&mut self, i: usize) {
+    pub(crate) fn start(&mut self, i: usize) {
         self.slots[i].started = Some(StartStamp(Instant::now()));
     }
 
     /// Stop timer `i`, accumulating the elapsed lap.
-    pub fn stop(&mut self, i: usize) {
+    pub(crate) fn stop(&mut self, i: usize) {
         if let Some(StartStamp(t0)) = self.slots[i].started.take() {
             self.slots[i].accumulated += t0.elapsed().as_secs_f64();
         }
     }
 
     /// Accumulated seconds on timer `i` (not counting a running lap).
-    pub fn read(&self, i: usize) -> f64 {
+    pub(crate) fn read(&self, i: usize) -> f64 {
         self.slots[i].accumulated
     }
 }
 
 /// Time a closure, returning (elapsed seconds, result).
-pub fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
+pub(crate) fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let t0 = Instant::now();
     let r = f();
     (t0.elapsed().as_secs_f64(), r)

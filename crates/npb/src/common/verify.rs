@@ -3,12 +3,12 @@
 use crate::common::result::{Provenance, VerifyStatus};
 
 /// NPB's standard verification tolerance (relative).
-pub const EPSILON: f64 = 1.0e-8;
+pub(crate) const EPSILON: f64 = 1.0e-8;
 
 /// Looser tolerance used for values accumulated across many
 /// order-sensitive parallel reductions (NPB uses 1e-8 for serial runs; the
 /// OpenMP versions accept reduction reordering, and so do we).
-pub const EPSILON_RELAXED: f64 = 1.0e-6;
+pub(crate) const EPSILON_RELAXED: f64 = 1.0e-6;
 
 /// Compare `computed` against `reference` with relative tolerance `eps`.
 pub fn check(computed: f64, reference: f64, eps: f64, provenance: Provenance) -> VerifyStatus {

@@ -31,11 +31,11 @@ const SEED: f64 = 271828183.0;
 const A: f64 = 1220703125.0;
 
 /// The EP benchmark.
-pub struct Ep;
+pub(crate) struct Ep;
 
 /// Raw outputs of an EP run, before verification.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EpOutput {
+pub(crate) struct EpOutput {
     /// Sum of accepted X deviates.
     pub sx: f64,
     /// Sum of accepted Y deviates.
@@ -47,7 +47,7 @@ pub struct EpOutput {
 }
 
 /// Run the EP computation at exponent `m` on `pool` and return the sums.
-pub fn compute(m: u32, pool: &Pool) -> EpOutput {
+pub(crate) fn compute(m: u32, pool: &Pool) -> EpOutput {
     let mk = MK.min(m);
     let nk = 1usize << mk; // pairs per batch
     let nn = 1usize << (m - mk); // number of batches
@@ -162,10 +162,6 @@ fn reference_sums(class: Class) -> (f64, f64, Provenance) {
 }
 
 impl Benchmark for Ep {
-    fn id(&self) -> BenchmarkId {
-        BenchmarkId::Ep
-    }
-
     fn run(&self, class: Class, pool: &Pool) -> BenchResult {
         let m = class::ep_m(class);
         let (dt, out) = timed(|| compute(m, pool));
@@ -201,7 +197,7 @@ impl Benchmark for Ep {
 /// The generator counts are those of NPB's own split-double `randlc`, the
 /// code the paper compiled and ran on the modelled CPUs — not of this
 /// port's integer step (`common::randdp`), which the model does not time.
-pub fn profile(class: Class) -> WorkloadProfile {
+pub(crate) fn profile(class: Class) -> WorkloadProfile {
     let m = class::ep_m(class);
     let pairs = 2.0f64.powi(m as i32);
     let accept = std::f64::consts::FRAC_PI_4;

@@ -35,7 +35,7 @@ use crate::{Benchmark, BenchmarkId};
 const ALPHA: f64 = 1.0e-6;
 
 /// The FT benchmark.
-pub struct Ft;
+pub(crate) struct Ft;
 
 /// Minimal complex number (kept local: the kernels need only mul/add).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -60,13 +60,8 @@ impl C64 {
     }
 
     #[inline]
-    pub fn scale(self, s: f64) -> C64 {
+    pub(crate) fn scale(self, s: f64) -> C64 {
         C64::new(self.re * s, self.im * s)
-    }
-
-    #[inline]
-    pub fn norm_sq(self) -> f64 {
-        self.re * self.re + self.im * self.im
     }
 }
 
@@ -309,7 +304,7 @@ pub fn checksum(field: &[C64], p: FtParams) -> C64 {
 
 /// Raw outputs of an FT run.
 #[derive(Debug, Clone)]
-pub struct FtOutput {
+pub(crate) struct FtOutput {
     /// Checksum after each iteration.
     pub checksums: Vec<C64>,
     /// Seconds in the timed section.
@@ -317,7 +312,7 @@ pub struct FtOutput {
 }
 
 /// Run the full FT benchmark computation.
-pub fn compute(class: Class, pool: &Pool) -> FtOutput {
+pub(crate) fn compute(class: Class, pool: &Pool) -> FtOutput {
     let p = class::ft_params(class);
     let mut st = FtState::new(p);
     compute_twiddle(&mut st, pool);
@@ -422,10 +417,6 @@ fn reference_checksum(class: Class) -> Option<(f64, f64)> {
 }
 
 impl Benchmark for Ft {
-    fn id(&self) -> BenchmarkId {
-        BenchmarkId::Ft
-    }
-
     fn run(&self, class: Class, pool: &Pool) -> BenchResult {
         let out = compute(class, pool);
         let last = *out.checksums.last().expect("niter >= 1");
@@ -487,7 +478,7 @@ impl Benchmark for Ft {
 /// y/z passes gather and scatter pencils at strides of `16·nx` and
 /// `16·nx·ny` bytes — the transposition traffic that dominates FT's memory
 /// behaviour. Plus one streaming evolve multiply per iteration.
-pub fn profile(class: Class) -> WorkloadProfile {
+pub(crate) fn profile(class: Class) -> WorkloadProfile {
     let p = class::ft_params(class);
     let nt = p.ntotal() as f64;
     let ffts = p.niter as f64 + 1.0;
@@ -551,6 +542,10 @@ pub fn profile(class: Class) -> WorkloadProfile {
 mod tests {
     use super::*;
 
+    fn norm_sq(v: &C64) -> f64 {
+        v.re * v.re + v.im * v.im
+    }
+
     fn plan_pair(n: usize) -> (FftPlan, Vec<C64>, Vec<C64>) {
         (
             FftPlan::new(n),
@@ -594,9 +589,9 @@ mod tests {
             .map(|i| C64::new(((i * 7) % 13) as f64 / 13.0, ((i * 5) % 11) as f64 / 11.0))
             .collect();
         x.copy_from_slice(&orig);
-        let time_energy: f64 = orig.iter().map(|v| v.norm_sq()).sum();
+        let time_energy: f64 = orig.iter().map(norm_sq).sum();
         fft_1d(&plan, &mut x, &mut y, false);
-        let freq_energy: f64 = x.iter().map(|v| v.norm_sq()).sum();
+        let freq_energy: f64 = x.iter().map(norm_sq).sum();
         assert!(
             (freq_energy / n as f64 - time_energy).abs() < 1e-9 * time_energy,
             "Parseval violated: {} vs {}",
@@ -617,7 +612,7 @@ mod tests {
         }
         fft_1d(&plan, &mut x, &mut y, false);
         for (k, v) in x.iter().enumerate() {
-            let mag = v.norm_sq().sqrt();
+            let mag = norm_sq(v).sqrt();
             if k == k0 {
                 assert!((mag - n as f64).abs() < 1e-9, "peak {mag} at {k}");
             } else {
@@ -773,7 +768,7 @@ mod tests {
     fn checksum_magnitudes_decay_monotonically() {
         // The evolve step damps the spectrum: |checksum| decreases.
         let out = compute(Class::T, &Pool::new(2));
-        let mags: Vec<f64> = out.checksums.iter().map(|c| c.norm_sq().sqrt()).collect();
+        let mags: Vec<f64> = out.checksums.iter().map(|c| norm_sq(c).sqrt()).collect();
         for w in mags.windows(2) {
             assert!(w[1] < w[0] * 1.000001, "not decaying: {mags:?}");
         }

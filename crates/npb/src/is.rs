@@ -33,7 +33,7 @@ const LOG2_NUM_BUCKETS: u32 = 10;
 const NUM_PROBES: usize = 5;
 
 /// The IS benchmark.
-pub struct Is;
+pub(crate) struct Is;
 
 /// Raw outputs of an IS run.
 #[derive(Debug, Clone)]
@@ -50,7 +50,7 @@ pub struct IsOutput {
 
 /// Generate the NPB IS key sequence in parallel (each key consumes exactly
 /// four generator steps, so threads can jump to their slice).
-pub fn generate_keys(params: IsParams, pool: &Pool) -> Vec<u32> {
+pub(crate) fn generate_keys(params: IsParams, pool: &Pool) -> Vec<u32> {
     let n = params.total_keys();
     let k4 = (params.max_key() / 4) as f64;
     let mut keys = vec![0u32; n];
@@ -313,10 +313,6 @@ fn full_verify(keys: &[u32], state: &RankState, pool: &Pool) -> bool {
 }
 
 impl Benchmark for Is {
-    fn id(&self) -> BenchmarkId {
-        BenchmarkId::Is
-    }
-
     fn run(&self, class: Class, pool: &Pool) -> BenchResult {
         let params = class::is_params(class);
         let out = compute(params, pool);
@@ -352,7 +348,7 @@ impl Benchmark for Is {
 /// counting-sort pass whose histogram increments wander across the bucket's
 /// value range — the data-dependent latency chain that keeps IS
 /// cache-stalled (Table 1). Integer-only: no flops.
-pub fn profile(class: Class) -> WorkloadProfile {
+pub(crate) fn profile(class: Class) -> WorkloadProfile {
     let p = class::is_params(class);
     let n = p.total_keys() as f64;
     let iters = p.iterations as f64;

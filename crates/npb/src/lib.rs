@@ -15,7 +15,7 @@
 //! ## Running a benchmark
 //!
 //! ```
-//! use rvhpc_npb::{Benchmark, BenchmarkId, Class};
+//! use rvhpc_npb::{BenchmarkId, Class};
 //! use rvhpc_parallel::Pool;
 //!
 //! let pool = Pool::new(2);
@@ -33,14 +33,14 @@
 //! to regenerate the paper's tables at paper scale — classes and core
 //! counts this host cannot run natively.
 
-pub mod bt;
+pub(crate) mod bt;
 pub mod cfd;
 pub mod cg;
 pub mod common;
-pub mod ep;
+pub(crate) mod ep;
 pub mod ft;
 pub mod is;
-pub mod lu;
+pub(crate) mod lu;
 pub mod mg;
 pub mod profile;
 pub mod sp;
@@ -112,9 +112,7 @@ impl BenchmarkId {
 }
 
 /// A runnable NPB benchmark.
-pub trait Benchmark {
-    /// Which benchmark this is.
-    fn id(&self) -> BenchmarkId;
+pub(crate) trait Benchmark {
     /// Execute at `class` on `pool`, returning timing, Mop/s and
     /// verification status.
     fn run(&self, class: Class, pool: &Pool) -> BenchResult;

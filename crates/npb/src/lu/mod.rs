@@ -15,7 +15,7 @@
 //! Verification is self-referenced plus stability invariants (DESIGN.md
 //! §2).
 
-use rvhpc_parallel::{CachePadded, Pool, SyncSlice};
+use rvhpc_parallel::{Pool, SyncSlice};
 
 use crate::bt::{verify_app, AppOutput};
 use crate::cfd::constants::CfdConstants;
@@ -35,11 +35,11 @@ use crate::{Benchmark, BenchmarkId};
 const OMEGA: f64 = 1.2;
 
 /// The LU benchmark.
-pub struct Lu;
+pub(crate) struct Lu;
 
 /// Interior points grouped by hyperplane `i + j + k = h`, as flat indices.
 /// Hyperplane order is ascending; reversing gives the upper sweep order.
-pub fn hyperplanes(n: usize) -> Vec<Vec<u32>> {
+pub(crate) fn hyperplanes(n: usize) -> Vec<Vec<u32>> {
     let lo = 3; // smallest interior i+j+k (1+1+1)
     let hi = 3 * (n - 2); // largest
     let mut planes: Vec<Vec<u32>> = vec![Vec::new(); hi - lo + 1];
@@ -252,131 +252,19 @@ fn upper_sweep(f: &mut Fields, c: &CfdConstants, planes: &[Vec<u32>], pool: &Poo
     });
 }
 
-/// Lower sweep in NPB's classic *pipelined* formulation: the j-range is
-/// split across the team; k-planes flow through the pipeline, with thread
-/// t starting plane k only after thread t−1 finished its j-block of the
-/// same plane. Both formulations are topological orders of the same
-/// dependence DAG, so their results are bit-identical (tested).
-fn lower_sweep_pipelined(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
-    let n = f.n;
-    let uf = f.u.flat();
-    let rsd = SyncSlice::new(f.rhs.flat_mut());
-    let progress = progress_flags(pool.nthreads());
-    pool.run(|team| {
-        let t = team.tid();
-        let jr = team.static_range(1, n - 1);
-        team.phase("ssor-sweeps", || {
-            for k in 1..n - 1 {
-                if t > 0 {
-                    // Wait until the neighbour finished this plane.
-                    team.wait_until(|| {
-                        progress[t - 1].load(std::sync::atomic::Ordering::Acquire) >= k
-                    });
-                }
-                for j in jr.clone() {
-                    for i in 1..n - 1 {
-                        let p = (k * n + j) * n + i;
-                        // SAFETY: (i−1) precedes in this loop; (j−1) was
-                        // completed by thread t−1 (waited on above) or by this
-                        // thread; (k−1) completed in the previous pipeline
-                        // stage of this thread.
-                        unsafe { lower_update(p, n, uf, &rsd, c) };
-                    }
-                }
-                progress[t].store(k, std::sync::atomic::Ordering::Release);
-            }
-        });
-        team.barrier();
-    });
-}
-
-/// Upper sweep, pipelined in the reverse direction.
-fn upper_sweep_pipelined(f: &mut Fields, c: &CfdConstants, pool: &Pool) {
-    let n = f.n;
-    let uf = f.u.flat();
-    let rsd = SyncSlice::new(f.rhs.flat_mut());
-    // progress[t] = number of planes completed by thread t.
-    let progress = progress_flags(pool.nthreads());
-    pool.run(|team| {
-        let t = team.tid();
-        let p_threads = team.nthreads();
-        let jr = team.static_range(1, n - 1);
-        let mut done = 0usize;
-        team.phase("ssor-sweeps", || {
-            for k in (1..n - 1).rev() {
-                if t + 1 < p_threads {
-                    team.wait_until(|| {
-                        progress[t + 1].load(std::sync::atomic::Ordering::Acquire) > done
-                    });
-                }
-                for j in jr.clone().rev() {
-                    for i in (1..n - 1).rev() {
-                        let p = (k * n + j) * n + i;
-                        // SAFETY: mirror of the lower sweep with upper
-                        // neighbours.
-                        unsafe { upper_update(p, n, uf, &rsd, c) };
-                    }
-                }
-                done += 1;
-                progress[t].store(done, std::sync::atomic::Ordering::Release);
-            }
-        });
-        team.barrier();
-    });
-}
-
-/// One pipeline progress flag per thread, each on its own cache line so
-/// a thread publishing its plane does not invalidate its neighbour's flag.
-type ProgressFlag = CachePadded<std::sync::atomic::AtomicUsize>;
-
-fn progress_flags(nthreads: usize) -> Vec<ProgressFlag> {
-    (0..nthreads)
-        .map(|_| CachePadded::new(std::sync::atomic::AtomicUsize::new(0)))
-        .collect()
-}
-
-/// Which SSOR parallelization to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SsorStrategy {
-    /// Wavefront over i+j+k hyperplanes (LU-HP; the default here).
-    #[default]
-    Hyperplane,
-    /// NPB's classic software pipeline over k-planes.
-    Pipelined,
-}
-
-/// One SSOR iteration (hyperplane strategy).
-pub fn ssor_step(f: &mut Fields, c: &CfdConstants, planes: &[Vec<u32>], pool: &Pool) {
-    ssor_step_with(f, c, planes, pool, SsorStrategy::Hyperplane);
-}
-
-/// One SSOR iteration with an explicit sweep strategy.
-pub fn ssor_step_with(
-    f: &mut Fields,
-    c: &CfdConstants,
-    planes: &[Vec<u32>],
-    pool: &Pool,
-    strategy: SsorStrategy,
-) {
+/// One SSOR iteration.
+pub(crate) fn ssor_step(f: &mut Fields, c: &CfdConstants, planes: &[Vec<u32>], pool: &Pool) {
     f.compute_aux(pool);
     compute_rhs(f, c, pool);
     scale_rhs_by_dt(f, c, pool);
-    match strategy {
-        SsorStrategy::Hyperplane => {
-            lower_sweep(f, c, planes, pool);
-            upper_sweep(f, c, planes, pool);
-        }
-        SsorStrategy::Pipelined => {
-            lower_sweep_pipelined(f, c, pool);
-            upper_sweep_pipelined(f, c, pool);
-        }
-    }
+    lower_sweep(f, c, planes, pool);
+    upper_sweep(f, c, planes, pool);
     // NPB `ssor`'s final update: `u += Δ/(ω(2−ω))`.
     add_update(f, 1.0 / (OMEGA * (2.0 - OMEGA)), pool);
 }
 
 /// Run the full LU benchmark computation.
-pub fn compute(class: Class, pool: &Pool) -> AppOutput {
+pub(crate) fn compute(class: Class, pool: &Pool) -> AppOutput {
     let p = class::lu_params(class);
     let n = p.problem_size;
     let c = CfdConstants::new(n, p.dt);
@@ -416,10 +304,6 @@ fn reference(class: Class) -> Option<(f64, f64)> {
 }
 
 impl Benchmark for Lu {
-    fn id(&self) -> BenchmarkId {
-        BenchmarkId::Lu
-    }
-
     fn run(&self, class: Class, pool: &Pool) -> BenchResult {
         let out = compute(class, pool);
         let verified = verify_app(&out, reference(class));
@@ -441,7 +325,7 @@ impl Benchmark for Lu {
 /// solve per point per sweep), with a barrier per hyperplane — ~6n
 /// barriers per step, the suite's heaviest synchronization load, plus the
 /// wavefront imbalance of triangular hyperplane sizes.
-pub fn profile(class: Class) -> WorkloadProfile {
+pub(crate) fn profile(class: Class) -> WorkloadProfile {
     let p = class::lu_params(class);
     let n = p.problem_size as f64;
     let n3 = n.powi(3);
@@ -619,41 +503,29 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_and_hyperplane_sweeps_agree_bitwise() {
-        // Both are topological orders of the same dependence DAG: every
-        // point consumes exactly its three lower (resp. upper) neighbours'
-        // *new* values, so the results must be identical to the last bit.
+    fn hyperplane_sweeps_agree_bitwise_across_thread_counts() {
+        // A hyperplane holds points that do not depend on each other, so
+        // however a team splits it, every point consumes exactly its
+        // three lower (resp. upper) neighbours' *new* values, and the
+        // result must be identical to the last bit.
         let p = class::lu_params(Class::T);
         let c = CfdConstants::new(p.problem_size, p.dt);
         let planes = hyperplanes(p.problem_size);
-        let run_with = |strategy: SsorStrategy, threads: usize| -> Vec<u64> {
+        let run_with = |threads: usize| -> Vec<u64> {
             let pool = Pool::new(threads);
             let mut f = Fields::new(p.problem_size);
             f.initialize(&c, &pool);
             compute_forcing(&mut f, &c, &pool);
             for _ in 0..3 {
-                ssor_step_with(&mut f, &c, &planes, &pool, strategy);
+                ssor_step(&mut f, &c, &planes, &pool);
             }
             f.u.flat().iter().map(|v| v.to_bits()).collect()
         };
-        let hp = run_with(SsorStrategy::Hyperplane, 1);
-        for (strategy, threads) in [
-            (SsorStrategy::Hyperplane, 4),
-            (SsorStrategy::Pipelined, 1),
-            (SsorStrategy::Pipelined, 3),
-        ] {
-            let other = run_with(strategy, threads);
-            assert_eq!(
-                hp, other,
-                "{strategy:?} with {threads} threads diverged from serial hyperplane"
-            );
-        }
-    }
-
-    #[test]
-    fn progress_flags_do_not_share_cache_lines() {
-        assert!(std::mem::size_of::<ProgressFlag>() >= 128);
-        assert!(std::mem::align_of::<ProgressFlag>() >= 128);
+        assert_eq!(
+            run_with(1),
+            run_with(4),
+            "4 threads diverged from the serial sweep"
+        );
     }
 
     /// `error_norm` as commit bb19309 computed it (a dense `D` solved by `binvrhs`, `compute_rhs` in three sweeps): the arrow and the fused operator may not move a bit.

@@ -29,7 +29,7 @@ use crate::profile::{AccessPattern, PhaseProfile, WorkloadProfile};
 use crate::{Benchmark, BenchmarkId};
 
 /// The MG benchmark.
-pub struct Mg;
+pub(crate) struct Mg;
 
 /// Residual-operator coefficients (NPB's `a`): center, faces, edges,
 /// corners. The face coefficient is exactly zero and its term is skipped,
@@ -521,7 +521,7 @@ impl ResidualBench {
 
 /// Raw outputs of an MG run.
 #[derive(Debug, Clone)]
-pub struct MgOutput {
+pub(crate) struct MgOutput {
     /// Final residual L2 norm.
     pub rnm2: f64,
     /// Seconds in the timed section.
@@ -529,7 +529,7 @@ pub struct MgOutput {
 }
 
 /// Run the full MG benchmark computation.
-pub fn compute(class: Class, pool: &Pool) -> MgOutput {
+pub(crate) fn compute(class: Class, pool: &Pool) -> MgOutput {
     let params = class::mg_params(class);
     let n = params.n;
     let c = c_coef(class);
@@ -582,10 +582,6 @@ fn reference_rnm2(class: Class) -> (f64, Provenance) {
 }
 
 impl Benchmark for Mg {
-    fn id(&self) -> BenchmarkId {
-        BenchmarkId::Mg
-    }
-
     fn run(&self, class: Class, pool: &Pool) -> BenchResult {
         let out = compute(class, pool);
         let (rref, prov) = reference_rnm2(class);
@@ -608,7 +604,7 @@ impl Benchmark for Mg {
 /// plus a geometric tail over the coarser levels (× 8/7). Stencils stream
 /// three planes of the input array plus the output — the paper's
 /// bandwidth-bound workload.
-pub fn profile(class: Class) -> WorkloadProfile {
+pub(crate) fn profile(class: Class) -> WorkloadProfile {
     let p = class::mg_params(class);
     let n3 = (p.n * p.n * p.n) as f64;
     let nit = p.nit as f64;

@@ -72,16 +72,6 @@ pub struct PhaseProfile {
     pub branch_misrate: f64,
 }
 
-impl PhaseProfile {
-    /// Arithmetic intensity in flops per byte of raw traffic.
-    pub fn flops_per_byte(&self) -> f64 {
-        if self.mem_refs <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.flops / (self.mem_refs * self.elem_bytes as f64)
-    }
-}
-
 /// Machine-independent description of one benchmark at one class.
 #[derive(Debug, Clone)]
 pub struct WorkloadProfile {
@@ -99,23 +89,9 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
-    /// Total dynamic instructions across phases.
-    pub fn total_instructions(&self) -> f64 {
-        self.phases.iter().map(|p| p.instructions).sum()
-    }
-
     /// Total floating-point operations across phases.
     pub fn total_flops(&self) -> f64 {
         self.phases.iter().map(|p| p.flops).sum()
-    }
-
-    /// Largest phase working set in bytes (the "does it fit in cache"
-    /// scale of the benchmark).
-    pub fn peak_working_set(&self) -> f64 {
-        self.phases
-            .iter()
-            .map(|p| p.working_set_bytes)
-            .fold(0.0, f64::max)
     }
 
     /// Internal consistency checks; all profiles must satisfy these (see
@@ -211,12 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn flops_per_byte() {
-        let ph = dummy_phase();
-        assert!((ph.flops_per_byte() - 50.0 / 240.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn all_real_profiles_validate() {
         for b in BenchmarkId::ALL {
             for c in Class::ALL {
@@ -230,18 +200,26 @@ mod tests {
 
     #[test]
     fn profiles_scale_with_class() {
+        let total_instructions =
+            |p: &WorkloadProfile| p.phases.iter().map(|ph| ph.instructions).sum::<f64>();
+        let peak_working_set = |p: &WorkloadProfile| {
+            p.phases
+                .iter()
+                .map(|ph| ph.working_set_bytes)
+                .fold(0.0, f64::max)
+        };
         for b in BenchmarkId::ALL {
             let small = crate::profile(b, Class::S);
             let big = crate::profile(b, Class::C);
             assert!(
-                big.total_instructions() > 10.0 * small.total_instructions(),
+                total_instructions(&big) > 10.0 * total_instructions(&small),
                 "{b:?} instructions do not scale"
             );
             // EP's working set is its fixed-size batch buffer (2^MK pairs
             // regardless of class); every other benchmark's must grow.
             if b != BenchmarkId::Ep {
                 assert!(
-                    big.peak_working_set() > small.peak_working_set(),
+                    peak_working_set(&big) > peak_working_set(&small),
                     "{b:?} ws"
                 );
             }

@@ -26,7 +26,9 @@ use rvhpc_parallel::{Pool, SyncSlice};
 use crate::bt::{verify_app, AppOutput};
 use crate::cfd::constants::CfdConstants;
 use crate::cfd::fields::Fields;
-use crate::cfd::matrix5::{Mat5, Vec5};
+#[cfg(test)]
+use crate::cfd::matrix5::Mat5;
+use crate::cfd::matrix5::Vec5;
 use crate::cfd::norms::{error_norm, norm_scalar, rhs_norm};
 use crate::cfd::rhs::{add_update, compute_forcing, compute_rhs, scale_rhs_by_dt, Direction};
 use crate::common::class::{self, Class};
@@ -37,7 +39,7 @@ use crate::profile::{AccessPattern, PhaseProfile, WorkloadProfile};
 use crate::{Benchmark, BenchmarkId};
 
 /// The SP benchmark.
-pub struct Sp;
+pub(crate) struct Sp;
 
 /// What the eigenvectors of all three flux Jacobians at one grid point are
 /// made of: velocity, kinetic energy per unit mass and sound speed. The
@@ -114,7 +116,8 @@ impl EigenBasis {
 /// plus the eigenvalues `(w, w, w, w+a, w−a)`. The solver never forms it
 /// (see `EigenBasis`); it is the definition the closed forms are tested
 /// against.
-pub fn eigen_decomposition(u: &[f64], dir: Direction, c: &CfdConstants) -> (Mat5, [f64; 5]) {
+#[cfg(test)]
+pub(crate) fn eigen_decomposition(u: &[f64], dir: Direction, c: &CfdConstants) -> (Mat5, [f64; 5]) {
     let d = dir.momentum();
     let (t1, t2) = dir.transverse();
     let basis = EigenBasis::at(u, 1.0 / u[0], c);
@@ -368,7 +371,7 @@ fn adi_step(f: &mut Fields, c: &CfdConstants, scratch: &[Mutex<LineScratch>], po
 }
 
 /// Run the full SP benchmark computation.
-pub fn compute(class: Class, pool: &Pool) -> AppOutput {
+pub(crate) fn compute(class: Class, pool: &Pool) -> AppOutput {
     let p = class::sp_params(class);
     let n = p.problem_size;
     let c = CfdConstants::new(n, p.dt);
@@ -408,10 +411,6 @@ fn reference(class: Class) -> Option<(f64, f64)> {
 }
 
 impl Benchmark for Sp {
-    fn id(&self) -> BenchmarkId {
-        BenchmarkId::Sp
-    }
-
     fn run(&self, class: Class, pool: &Pool) -> BenchResult {
         let out = compute(class, pool);
         let verified = verify_app(&out, reference(class));
@@ -433,7 +432,7 @@ impl Benchmark for Sp {
 /// five scalar pentadiagonal sweeps: less compute per point, more passes
 /// over memory — the highest memory-stall pseudo-application in the
 /// paper's Table 1 (20% cache + 21% DDR stalls).
-pub fn profile(class: Class) -> WorkloadProfile {
+pub(crate) fn profile(class: Class) -> WorkloadProfile {
     let p = class::sp_params(class);
     let n3 = (p.problem_size as f64).powi(3);
     let steps = p.niter as f64;
