@@ -46,7 +46,7 @@
 //! [`get_or_insert_with`]: ShardedCache::get_or_insert_with
 //! [`count_hit`]: ShardedCache::count_hit
 //! [`count_miss`]: ShardedCache::count_miss
-//! [`peek`]: ShardedCache::peek
+//! [`peek`]: ShardedCache::peek_hashed
 //! [`set_capacity`]: ShardedCache::set_capacity
 
 use std::collections::hash_map::Entry;
@@ -63,7 +63,7 @@ const SHARDS: usize = 16;
 /// The hash of a key: fixed-key SipHash, so shard choice (hence
 /// eviction order) is a pure function of the key stream, not of
 /// per-process random state.
-pub fn key_hash<K: Hash + ?Sized>(key: &K) -> u64 {
+pub(crate) fn key_hash<K: Hash + ?Sized>(key: &K) -> u64 {
     BuildHasherDefault::<DefaultHasher>::default().hash_one(key)
 }
 
@@ -83,7 +83,7 @@ pub struct Hashed<K> {
 
 impl<K: Hash> Hashed<K> {
     /// Hash `key`.
-    pub fn new(key: K) -> Self {
+    pub(crate) fn new(key: K) -> Self {
         Self {
             hash: key_hash(&key),
             key,
@@ -93,12 +93,13 @@ impl<K: Hash> Hashed<K> {
 
 impl<K> Hashed<K> {
     /// The carried [`key_hash`].
-    pub fn hash64(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn hash64(&self) -> u64 {
         self.hash
     }
 
     /// The key.
-    pub fn key(&self) -> &K {
+    pub(crate) fn key(&self) -> &K {
         &self.key
     }
 }
@@ -120,7 +121,7 @@ impl<K> Hash for Hashed<K> {
 /// A hasher that passes one `u64` through: the hash of a `u64` key (or
 /// of a [`Hashed`]) is that value.
 #[derive(Default)]
-pub struct IdentityHasher(u64);
+pub(crate) struct IdentityHasher(u64);
 
 impl Hasher for IdentityHasher {
     fn finish(&self) -> u64 {
@@ -137,11 +138,11 @@ impl Hasher for IdentityHasher {
 }
 
 /// Map state for keys that are already hashes.
-pub type IdentityState = BuildHasherDefault<IdentityHasher>;
+pub(crate) type IdentityState = BuildHasherDefault<IdentityHasher>;
 
 /// Hook invoked (outside any shard lock) for each entry evicted by the
 /// capacity bound — the engine wires this to the disk-tier spill.
-pub type EvictHook<K, V> = Arc<dyn Fn(&K, &Arc<V>) + Send + Sync>;
+pub(crate) type EvictHook<K, V> = Arc<dyn Fn(&K, &Arc<V>) + Send + Sync>;
 
 struct Shard<K, V> {
     /// Key hash → the entry; the key is stored here and only here.
@@ -196,7 +197,7 @@ pub struct ShardedCache<K, V> {
 
 impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// An empty, unbounded cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             capacity: AtomicUsize::new(0),
@@ -254,7 +255,7 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
 
     /// Bound the cache to `capacity` total entries (0 = unbounded),
     /// sweeping overfull shards immediately.
-    pub fn set_capacity(&self, capacity: usize) {
+    pub(crate) fn set_capacity(&self, capacity: usize) {
         self.capacity.store(capacity, Ordering::Relaxed);
         for shard in &self.shards {
             let evicted = self.evict_overflow(&mut shard.lock());
@@ -263,31 +264,25 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     }
 
     /// The configured capacity (0 = unbounded).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity.load(Ordering::Relaxed)
     }
 
     /// Install the eviction hook. Runs outside any shard lock, once per
     /// evicted entry, in eviction order.
-    pub fn set_evict_hook(&self, hook: EvictHook<K, V>) {
+    pub(crate) fn set_evict_hook(&self, hook: EvictHook<K, V>) {
         *self.evict_hook.lock() = Some(hook);
     }
 
-    /// Look the key up without computing or counting. A warmth probe:
-    /// serve-side `is_cached` checks go through here and must not skew
-    /// the serving hit rate (see the module docs).
-    pub fn peek(&self, key: &K) -> Option<Arc<V>> {
-        self.peek_hashed(&Hashed::new(key.clone()))
-    }
-
-    /// [`ShardedCache::peek`] for a key hashed by the caller.
-    pub fn peek_hashed(&self, key: &Hashed<K>) -> Option<Arc<V>> {
+    /// Look the key up without computing or counting: a warmth probe,
+    /// which must not skew the serving hit rate (see the module docs).
+    pub(crate) fn peek_hashed(&self, key: &Hashed<K>) -> Option<Arc<V>> {
         self.shard(key).lock().get(key).cloned()
     }
 
     /// Fetch the value for `key`, computing it with `f` on a miss. The
     /// closure runs outside the shard lock.
-    pub fn get_or_insert_with(&self, key: &K, f: impl FnOnce() -> V) -> Arc<V> {
+    pub(crate) fn get_or_insert_with(&self, key: &K, f: impl FnOnce() -> V) -> Arc<V> {
         let key = Hashed::new(key.clone());
         let shard = self.shard(&key);
         if let Some(v) = shard.lock().get(&key) {
@@ -311,12 +306,7 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// parallel fill, and by the disk tier promoting a record into
     /// memory). Counts as neither hit nor miss — the executor already
     /// counted the probe that scheduled the computation.
-    pub fn insert(&self, key: K, value: Arc<V>) {
-        self.insert_hashed(Hashed::new(key), value);
-    }
-
-    /// [`ShardedCache::insert`] for a key hashed by the caller.
-    pub fn insert_hashed(&self, key: Hashed<K>, value: Arc<V>) {
+    pub(crate) fn insert_hashed(&self, key: Hashed<K>, value: Arc<V>) {
         let evicted = {
             let mut shard = self.shard(&key).lock();
             shard.put(key, value);
@@ -327,7 +317,7 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
 
     /// Visit every entry, shard by shard in insertion order (used by the
     /// snapshot-on-drain path). Holds one shard lock at a time.
-    pub fn for_each(&self, mut f: impl FnMut(&K, &Arc<V>)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&K, &Arc<V>)) {
         for shard in &self.shards {
             let shard = shard.lock();
             for h in &shard.order {
@@ -339,39 +329,34 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     }
 
     /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
     /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
     /// Entries evicted by the capacity bound so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
     /// Count a probe that found the key present, performed by the
     /// executor's batch pre-pass.
-    pub fn count_hit(&self) {
+    pub(crate) fn count_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count a probe that missed and scheduled a computation.
-    pub fn count_miss(&self) {
+    pub(crate) fn count_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of cached entries across all shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -405,13 +390,13 @@ mod tests {
         let c: ShardedCache<u32, u32> = ShardedCache::new();
         c.get_or_insert_with(&1, || 10);
         for _ in 0..100 {
-            c.peek(&1);
-            c.peek(&2);
+            c.peek_hashed(&Hashed::new(1));
+            c.peek_hashed(&Hashed::new(2));
         }
         assert_eq!((c.hits(), c.misses()), (0, 1));
         c.get_or_insert_with(&1, || 10);
         assert_eq!((c.hits(), c.misses()), (1, 1));
-        c.insert(2, Arc::new(20));
+        c.insert_hashed(Hashed::new(2), Arc::new(20));
         assert_eq!(
             (c.hits(), c.misses()),
             (1, 1),
@@ -438,7 +423,7 @@ mod tests {
         // The first insert wins; every probe (including the computing
         // thread that lost the race) returns the stored value.
         for k in 0..64usize {
-            let stored = *c.peek(&(k as u32)).expect("stored");
+            let stored = *c.peek_hashed(&Hashed::new(k as u32)).expect("stored");
             assert!((0..8).any(|t| stored == k as u64 * 31 + t));
             for seen in &all {
                 assert_eq!(seen[k], stored, "thread observed a non-stored value");
@@ -456,7 +441,7 @@ mod tests {
         c.set_evict_hook(Arc::new(move |k, _v| sink.lock().push(*k)));
         c.set_capacity(SHARDS); // one entry per shard
         for k in 0..64u32 {
-            c.insert(k, Arc::new(k));
+            c.insert_hashed(Hashed::new(k), Arc::new(k));
         }
         assert!(c.len() <= SHARDS);
         assert_eq!(
@@ -469,7 +454,10 @@ mod tests {
         // is older (smaller, for this insertion order) than the survivor
         // in its shard.
         for &k in spilled.lock().iter() {
-            assert!(c.peek(&k).is_none(), "evicted key {k} still present");
+            assert!(
+                c.peek_hashed(&Hashed::new(k)).is_none(),
+                "evicted key {k} still present"
+            );
         }
     }
 
@@ -482,7 +470,7 @@ mod tests {
             c.set_evict_hook(Arc::new(move |k, _v| sink.lock().push(*k)));
             c.set_capacity(8);
             for k in 0..200u32 {
-                c.insert(k, Arc::new(k));
+                c.insert_hashed(Hashed::new(k), Arc::new(k));
             }
             let spills = spilled.lock().clone();
             let mut survivors = Vec::new();
@@ -496,7 +484,7 @@ mod tests {
     fn shrinking_capacity_sweeps_immediately() {
         let c: ShardedCache<u32, u32> = ShardedCache::new();
         for k in 0..64u32 {
-            c.insert(k, Arc::new(k));
+            c.insert_hashed(Hashed::new(k), Arc::new(k));
         }
         assert_eq!(c.len(), 64);
         c.set_capacity(SHARDS);

@@ -26,8 +26,8 @@
 //! `sweep` is a plan constructor, and `runner::full_report` merges every
 //! plan into one batch, executes it once, and renders from cache.
 
-pub mod cache;
-pub mod exec;
+pub(crate) mod cache;
+pub(crate) mod exec;
 pub mod plan;
 pub mod store;
 #[cfg(test)]
@@ -38,4 +38,3 @@ pub use exec::{jobs_from_env, set_default_jobs, Engine, EngineMetrics, Resolved,
 pub use plan::{
     machine_fingerprint, Backend, CacheKey, HashedKey, MachineSel, Plan, Query, SpecKind,
 };
-pub use store::{DiskStore, StoreMetrics};

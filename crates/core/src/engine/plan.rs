@@ -279,7 +279,7 @@ impl Plan {
     }
 
     /// [`Plan::key_of`], hashed: the one way the engine keys a query.
-    pub fn hashed_key_of(&self, q: &Query) -> HashedKey {
+    pub(crate) fn hashed_key_of(&self, q: &Query) -> HashedKey {
         Hashed::new(self.key_of(q))
     }
 

@@ -18,8 +18,8 @@
 //! dies mid-record leaves a *torn tail*, and opening the segment scans
 //! every record, stops at the first incomplete or crc-failing one, and
 //! truncates the file back to the last good boundary. Only the torn
-//! tail is lost; [`DiskStore::truncated_bytes`] and
-//! [`DiskStore::restored`] report exactly what recovery did. The chaos
+//! tail is lost; the `truncated_bytes` and `restored` counters of
+//! [`DiskStore::metrics`] report exactly what recovery did. The chaos
 //! suite injects torn appends through the same
 //! [`TornWriter`](rvhpc_faults::TornWriter) shredder the reply path
 //! uses (site `store`), via [`DiskStore::set_shred_hook`], and asserts
@@ -39,13 +39,13 @@ use crate::model::{PhaseTime, Prediction};
 use rvhpc_archsim::{HierarchyCounters, QueueOccupancy, StallAccount};
 
 /// Segment magic: identifies the file and pins the layout version.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"rvhpcsg1";
+pub(crate) const SEGMENT_MAGIC: [u8; 8] = *b"rvhpcsg1";
 
 /// Segment file name inside the store directory.
-pub const SEGMENT_FILE: &str = "predictions.seg";
+pub(crate) const SEGMENT_FILE: &str = "predictions.seg";
 
 /// Bytes of record header before the payload: fp u64 + len u32 + crc u32.
-pub const RECORD_HEADER_LEN: usize = 16;
+pub(crate) const RECORD_HEADER_LEN: usize = 16;
 
 /// Sanity bound on payload size; anything larger is treated as torn.
 const MAX_PAYLOAD: usize = 1 << 20;
@@ -80,7 +80,7 @@ const fn crc_table() -> [u32; 256] {
 static CRC_TABLE: [u32; 256] = crc_table();
 
 /// IEEE crc32 of `bytes` (the polynomial zip/png/gzip use).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xffff_ffffu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
@@ -242,7 +242,7 @@ pub fn decode_prediction(bytes: &[u8]) -> Result<Prediction, String> {
 }
 
 /// Frame a payload as one on-disk record (header + payload).
-pub fn encode_record(fp: u64, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_record(fp: u64, payload: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
     put_u64(&mut rec, fp);
     put_u32(&mut rec, payload.len() as u32);
@@ -280,7 +280,7 @@ pub struct StoreMetrics {
 
 impl StoreMetrics {
     /// Deterministic JSON object (fixed key order).
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(self) -> JsonValue {
         JsonValue::object(vec![
             ("entries".to_string(), JsonValue::from(self.entries)),
             ("bytes".to_string(), JsonValue::from(self.bytes)),
@@ -344,7 +344,7 @@ impl std::fmt::Debug for DiskStore {
 
 impl DiskStore {
     /// Segment path for a store directory.
-    pub fn segment_path(dir: &Path) -> PathBuf {
+    pub(crate) fn segment_path(dir: &Path) -> PathBuf {
         dir.join(SEGMENT_FILE)
     }
 
@@ -452,7 +452,7 @@ impl DiskStore {
     }
 
     /// Whether a fingerprint is indexed. A warmth probe: never counts.
-    pub fn contains(&self, fp: u64) -> bool {
+    pub(crate) fn contains(&self, fp: u64) -> bool {
         self.inner.lock().unwrap().index.contains_key(&fp)
     }
 
@@ -531,21 +531,6 @@ impl DiskStore {
     /// Segment size on disk.
     pub fn bytes(&self) -> u64 {
         self.inner.lock().unwrap().end
-    }
-
-    /// Records restored by the open-time scan.
-    pub fn restored(&self) -> u64 {
-        self.restored
-    }
-
-    /// Torn-tail bytes dropped by the open-time scan.
-    pub fn truncated_bytes(&self) -> u64 {
-        self.truncated_bytes
-    }
-
-    /// Injected torn appends healed in-line.
-    pub fn torn_recoveries(&self) -> u64 {
-        self.torn_recoveries.load(Ordering::Relaxed)
     }
 
     /// Counter snapshot for metrics export.
@@ -666,8 +651,8 @@ mod tests {
             assert_eq!(store.len(), 2);
         }
         let store = DiskStore::open(&dir).expect("reopen");
-        assert_eq!(store.restored(), 2);
-        assert_eq!(store.truncated_bytes(), 0);
+        assert_eq!(store.metrics().restored, 2);
+        assert_eq!(store.metrics().truncated_bytes, 0);
         assert_eq!(bits(&store.get(10).expect("hit")), bits(&p0));
         assert_eq!(bits(&store.get(11).expect("hit")), bits(&p1));
         assert!(store.get(12).is_none());
@@ -700,8 +685,8 @@ mod tests {
         for cut in first_end..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             let store = DiskStore::open(&dir).expect("recovering open");
-            assert_eq!(store.restored(), 1, "cut at {cut}");
-            assert_eq!(store.truncated_bytes(), (cut - first_end) as u64);
+            assert_eq!(store.metrics().restored, 1, "cut at {cut}");
+            assert_eq!(store.metrics().truncated_bytes, (cut - first_end) as u64);
             assert_eq!(store.bytes(), first_end as u64);
             assert_eq!(bits(&store.get(1).unwrap()), bits(&p0));
             assert!(store.get(2).is_none(), "torn record must be dropped");
@@ -725,7 +710,7 @@ mod tests {
             std::fs::write(&path, &dirty).unwrap();
             let store = DiskStore::open(&dir).expect("open survives corruption");
             assert_eq!(
-                store.restored(),
+                store.metrics().restored,
                 0,
                 "flip at byte {i} must fail the crc and drop the record"
             );
@@ -741,7 +726,7 @@ mod tests {
         // Shorter than the magic: treated as a torn header, reset clean.
         std::fs::write(&path, b"rvh").unwrap();
         let store = DiskStore::open(&dir).expect("open");
-        assert_eq!(store.truncated_bytes(), 3);
+        assert_eq!(store.metrics().truncated_bytes, 3);
         assert_eq!(store.len(), 0);
         drop(store);
         // A full-length wrong magic is someone else's file: refuse.
@@ -764,13 +749,13 @@ mod tests {
             assert!(store.append(1, &p).unwrap());
             assert!(store.append(2, &sample_prediction(4)).unwrap());
             assert!(store.append(3, &sample_prediction(5)).unwrap());
-            assert_eq!(store.torn_recoveries(), 2);
+            assert_eq!(store.metrics().torn_recoveries, 2);
             assert_eq!(store.metrics().appends, 3);
         }
         // Every record healed: a fresh open restores all three whole.
         let store = DiskStore::open(&dir).expect("reopen");
-        assert_eq!(store.restored(), 3);
-        assert_eq!(store.truncated_bytes(), 0);
+        assert_eq!(store.metrics().restored, 3);
+        assert_eq!(store.metrics().truncated_bytes, 0);
         assert_eq!(bits(&store.get(1).unwrap()), bits(&p));
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -170,7 +170,7 @@ pub fn full_plan() -> Plan {
 
 /// Table 1 row: model-predicted stall profile on the Xeon 8170 vs paper.
 #[derive(Debug, Clone)]
-pub struct Table1Row {
+pub(crate) struct Table1Row {
     pub bench: BenchmarkId,
     pub model_cache_pct: f64,
     pub model_dram_pct: f64,
@@ -185,7 +185,7 @@ fn table1_query(bench: BenchmarkId) -> Query {
 }
 
 /// The Table 1 query batch.
-pub fn table1_plan() -> Plan {
+pub(crate) fn table1_plan() -> Plan {
     let mut plan = Plan::new();
     for &(bench, ..) in paper::TABLE1_XEON_PROFILE.iter() {
         plan.push(table1_query(bench));
@@ -194,7 +194,7 @@ pub fn table1_plan() -> Plan {
 }
 
 /// Generate Table 1 (Xeon 8170, 26 threads, class C equivalents).
-pub fn table1_data() -> Vec<Table1Row> {
+pub(crate) fn table1_data() -> Vec<Table1Row> {
     let r = Engine::global().resolve(&table1_plan());
     paper::TABLE1_XEON_PROFILE
         .iter()
@@ -225,7 +225,7 @@ pub struct Table2Row {
 }
 
 /// The Table 2 query batch.
-pub fn table2_plan() -> Plan {
+pub(crate) fn table2_plan() -> Plan {
     let mut plan = Plan::new();
     for &(bench, _) in paper::TABLE2_RISCV_SINGLE.iter() {
         for &mid in paper::TABLE2_MACHINES.iter() {
@@ -270,7 +270,7 @@ impl SgCompareRow {
     pub fn model_ratio(&self) -> f64 {
         self.model_sg2044 / self.model_sg2042
     }
-    pub fn paper_ratio(&self) -> f64 {
+    pub(crate) fn paper_ratio(&self) -> f64 {
         self.paper_sg2044 / self.paper_sg2042
     }
 }
@@ -303,12 +303,12 @@ fn sg_compare(threads: u32, paper_rows: &[(BenchmarkId, f64, f64); 5]) -> Vec<Sg
 }
 
 /// The Table 3 query batch.
-pub fn table3_plan() -> Plan {
+pub(crate) fn table3_plan() -> Plan {
     sg_compare_plan(1, &paper::TABLE3_SG_SINGLE)
 }
 
 /// The Table 4 query batch.
-pub fn table4_plan() -> Plan {
+pub(crate) fn table4_plan() -> Plan {
     sg_compare_plan(64, &paper::TABLE4_SG_MULTI)
 }
 
@@ -325,7 +325,7 @@ pub fn table4_data() -> Vec<SgCompareRow> {
 // ---------------------------------------------------------------- Table 5
 
 /// Table 5 is static machine data.
-pub fn table5_data() -> Vec<[String; 6]> {
+pub(crate) fn table5_data() -> Vec<[String; 6]> {
     presets::overview()
 }
 
@@ -356,7 +356,7 @@ pub fn fig1_data() -> Vec<Curve> {
 }
 
 /// The query batch behind one of Figures 2–6.
-pub fn fig_kernel_plan(bench: BenchmarkId) -> Plan {
+pub(crate) fn fig_kernel_plan(bench: BenchmarkId) -> Plan {
     let mut plan = Plan::new();
     for m in presets::hpc_five() {
         for &p in FIGURE_CORES.iter().filter(|&&p| p <= m.cores) {
@@ -395,7 +395,7 @@ pub struct Table6Row {
 }
 
 /// Table 6 comparison machines, column order.
-pub const TABLE6_MACHINES: [MachineId; 4] = [
+pub(crate) const TABLE6_MACHINES: [MachineId; 4] = [
     MachineId::Sg2042,
     MachineId::Epyc7742,
     MachineId::Xeon8170,
@@ -403,7 +403,7 @@ pub const TABLE6_MACHINES: [MachineId; 4] = [
 ];
 
 /// The Table 6 query batch.
-pub fn table6_plan() -> Plan {
+pub(crate) fn table6_plan() -> Plan {
     let mut plan = Plan::new();
     for &(bench, _) in paper::TABLE6_PSEUDO.iter() {
         for &cores in paper::TABLE6_CORES.iter() {
@@ -521,12 +521,12 @@ fn compiler_table(threads: u32, paper_rows: &[paper::CompilerRow; 5]) -> Vec<Com
 }
 
 /// The Table 7 query batch.
-pub fn table7_plan() -> Plan {
+pub(crate) fn table7_plan() -> Plan {
     compiler_plan(1, &paper::TABLE7_COMPILER_SINGLE)
 }
 
 /// The Table 8 query batch.
-pub fn table8_plan() -> Plan {
+pub(crate) fn table8_plan() -> Plan {
     compiler_plan(64, &paper::TABLE8_COMPILER_MULTI)
 }
 
@@ -546,7 +546,7 @@ pub fn table8_data() -> Vec<CompilerRow> {
 /// full-chip run spends its cycles and the DRAM queue depth the model
 /// holds responsible.
 #[derive(Debug, Clone)]
-pub struct StallRow {
+pub(crate) struct StallRow {
     pub bench: BenchmarkId,
     pub compute_pct: f64,
     pub cache_pct: f64,
@@ -556,7 +556,7 @@ pub struct StallRow {
 }
 
 /// The stall-attribution query batch.
-pub fn stall_attribution_plan() -> Plan {
+pub(crate) fn stall_attribution_plan() -> Plan {
     let mut plan = Plan::new();
     for &bench in BenchmarkId::ALL.iter() {
         plan.push(Query::headline(MachineId::Sg2044, bench, Class::C, 64));
@@ -566,7 +566,7 @@ pub fn stall_attribution_plan() -> Plan {
 
 /// Stall attribution for every benchmark on the SG2044 at 64 cores
 /// (class C) — the observability view behind `reproduce --metrics`.
-pub fn stall_attribution_data() -> Vec<StallRow> {
+pub(crate) fn stall_attribution_data() -> Vec<StallRow> {
     let r = Engine::global().resolve(&stall_attribution_plan());
     BenchmarkId::ALL
         .iter()
@@ -640,7 +640,7 @@ impl Residuals {
     }
 
     /// Every scored cell's `(measure, signed error)`.
-    pub fn cells(&self) -> impl Iterator<Item = (Measure, f64)> + '_ {
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (Measure, f64)> + '_ {
         self.rows.iter().flat_map(|(_, errors)| {
             let measures = self.columns.iter().map(|&(_, measure)| measure);
             measures.zip(errors).filter_map(|(m, e)| Some((m, (*e)?)))
@@ -650,7 +650,7 @@ impl Residuals {
 
 /// Mean absolute error of the relative (%) cells among `cells`, and how
 /// many there were; percentage-point cells are skipped.
-pub fn mape(cells: impl IntoIterator<Item = (Measure, f64)>) -> (f64, usize) {
+pub(crate) fn mape(cells: impl IntoIterator<Item = (Measure, f64)>) -> (f64, usize) {
     let (sum, n) = cells
         .into_iter()
         .filter(|&(measure, _)| measure != Measure::Points)

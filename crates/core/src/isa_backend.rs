@@ -32,7 +32,7 @@ use crate::model::{predict, Prediction, Scenario};
 
 /// The kernel that stands in for a benchmark at instruction granularity,
 /// if one is implemented.
-pub fn kernel_for(bench: BenchmarkId) -> Option<KernelId> {
+pub(crate) fn kernel_for(bench: BenchmarkId) -> Option<KernelId> {
     match bench {
         BenchmarkId::Cg => Some(KernelId::Spmv),
         BenchmarkId::Mg => Some(KernelId::MgResid),
@@ -204,7 +204,7 @@ impl IsaRun {
     /// class-scale prediction: measured ISA instructions over the
     /// predicted wall cycles across the active cores. Bandwidth-bound
     /// kernels therefore report low IPC — the pipeline is waiting.
-    pub fn effective_ipc(&self, scenario: &Scenario<'_>) -> f64 {
+    pub(crate) fn effective_ipc(&self, scenario: &Scenario<'_>) -> f64 {
         let p = scenario.threads.min(scenario.machine.cores).max(1) as f64;
         let clock_hz = scenario.machine.clock_ghz * 1e9;
         let elems = self.profile.total_flops() / self.character.flops_per_elem;

@@ -101,7 +101,7 @@ impl Prediction {
     /// `total mod p` cores carry one extra), stall cycles and queue
     /// occupancy are split evenly. Summing the returned sets reproduces
     /// the run-global values (exactly for the integer counters).
-    pub fn per_core(&self, p: u32) -> Vec<CoreCounters> {
+    pub(crate) fn per_core(&self, p: u32) -> Vec<CoreCounters> {
         let p = p.max(1);
         let share = |total: u64, i: u64| -> u64 {
             total / u64::from(p) + u64::from(i < total % u64::from(p))

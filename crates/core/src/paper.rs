@@ -10,7 +10,7 @@ use rvhpc_npb::BenchmarkId;
 
 /// Table 1: NPB memory behaviour on the Xeon Platinum 8170 (26 cores):
 /// `(benchmark, cache-stall %, DDR-stall %, DDR-bandwidth-bound %)`.
-pub const TABLE1_XEON_PROFILE: [(BenchmarkId, f64, f64, f64); 8] = [
+pub(crate) const TABLE1_XEON_PROFILE: [(BenchmarkId, f64, f64, f64); 8] = [
     (BenchmarkId::Is, 35.0, 0.0, 16.0),
     (BenchmarkId::Mg, 34.0, 20.0, 88.0),
     (BenchmarkId::Ep, 11.0, 0.0, 0.0),
@@ -24,7 +24,7 @@ pub const TABLE1_XEON_PROFILE: [(BenchmarkId, f64, f64, f64); 8] = [
 /// Table 2: single-core Mop/s at class B across the RISC-V machines.
 /// Columns in [`TABLE2_MACHINES`] order; `None` = DNR (the AllWinner D1
 /// cannot hold FT class B in 1 GB).
-pub const TABLE2_MACHINES: [MachineId; 7] = [
+pub(crate) const TABLE2_MACHINES: [MachineId; 7] = [
     MachineId::Sg2044,
     MachineId::VisionFiveV2,
     MachineId::VisionFiveV1,
@@ -35,7 +35,7 @@ pub const TABLE2_MACHINES: [MachineId; 7] = [
 ];
 
 /// Rows of Table 2 (kernel, per-machine Mop/s).
-pub const TABLE2_RISCV_SINGLE: [(BenchmarkId, [Option<f64>; 7]); 5] = [
+pub(crate) const TABLE2_RISCV_SINGLE: [(BenchmarkId, [Option<f64>; 7]); 5] = [
     (
         BenchmarkId::Is,
         [
@@ -108,7 +108,7 @@ pub const TABLE3_SG_SINGLE: [(BenchmarkId, f64, f64); 5] = [
 ];
 
 /// Table 4: 64-core class C, `(kernel, SG2044 Mop/s, SG2042 Mop/s)`.
-pub const TABLE4_SG_MULTI: [(BenchmarkId, f64, f64); 5] = [
+pub(crate) const TABLE4_SG_MULTI: [(BenchmarkId, f64, f64); 5] = [
     (BenchmarkId::Is, 3038.14, 618.50),
     (BenchmarkId::Mg, 32457.83, 14397.69),
     (BenchmarkId::Ep, 2538.38, 1675.25),
@@ -117,13 +117,13 @@ pub const TABLE4_SG_MULTI: [(BenchmarkId, f64, f64); 5] = [
 ];
 
 /// Table 6 core counts.
-pub const TABLE6_CORES: [u32; 4] = [16, 26, 32, 64];
+pub(crate) const TABLE6_CORES: [u32; 4] = [16, 26, 32, 64];
 
 /// Table 6: pseudo-application runtimes relative to the SG2044 (a value of
 /// 2.0 = that CPU is twice as fast as the SG2044 at that core count).
 /// `(bench, core-count row) -> [SG2042, EPYC, Skylake, ThunderX2]`;
 /// `None` where the machine lacks that many cores.
-pub const TABLE6_PSEUDO: [(BenchmarkId, [[Option<f64>; 4]; 4]); 3] = [
+pub(crate) const TABLE6_PSEUDO: [(BenchmarkId, [[Option<f64>; 4]; 4]); 3] = [
     (
         BenchmarkId::Bt,
         [
@@ -155,10 +155,10 @@ pub const TABLE6_PSEUDO: [(BenchmarkId, [[Option<f64>; 4]; 4]); 3] = [
 
 /// Tables 7/8 column layout: `(GCC 12.3.1, GCC 15.2 vector, GCC 15.2 no
 /// vector)` Mop/s on the SG2044 at class C.
-pub type CompilerRow = (BenchmarkId, f64, f64, f64);
+pub(crate) type CompilerRow = (BenchmarkId, f64, f64, f64);
 
 /// Table 7: single core.
-pub const TABLE7_COMPILER_SINGLE: [CompilerRow; 5] = [
+pub(crate) const TABLE7_COMPILER_SINGLE: [CompilerRow; 5] = [
     (BenchmarkId::Is, 62.94, 63.63, 62.75),
     (BenchmarkId::Mg, 1373.31, 1382.92, 1300.27),
     (BenchmarkId::Ep, 40.56, 40.76, 40.75),
@@ -167,7 +167,7 @@ pub const TABLE7_COMPILER_SINGLE: [CompilerRow; 5] = [
 ];
 
 /// Table 8: all 64 cores.
-pub const TABLE8_COMPILER_MULTI: [CompilerRow; 5] = [
+pub(crate) const TABLE8_COMPILER_MULTI: [CompilerRow; 5] = [
     (BenchmarkId::Is, 2255.72, 3038.14, 3024.63),
     (BenchmarkId::Mg, 32186.04, 32457.83, 31892.70),
     (BenchmarkId::Ep, 2529.91, 2542.53, 2538.38),

@@ -6,7 +6,7 @@ use crate::experiment::{
 };
 
 /// Render a generic markdown table.
-pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     out.push_str(&format!("| {} |\n", header.join(" | ")));
     out.push_str(&format!(
@@ -20,7 +20,7 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Format a float with sensible benchmark precision.
-pub fn fmt(v: f64) -> String {
+pub(crate) fn fmt(v: f64) -> String {
     if v == 0.0 {
         "0".into()
     } else if v.abs() >= 1000.0 {
@@ -33,7 +33,7 @@ pub fn fmt(v: f64) -> String {
 }
 
 /// Table 1 as markdown (model vs paper).
-pub fn render_table1(rows: &[Table1Row]) -> String {
+pub(crate) fn render_table1(rows: &[Table1Row]) -> String {
     let header = [
         "Benchmark",
         "cache stall % (model)",
@@ -62,7 +62,7 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 
 /// Table 2 as markdown: per machine `model (paper)` with the %-of-SG2044
 /// line the paper prints in red.
-pub fn render_table2(rows: &[Table2Row]) -> String {
+pub(crate) fn render_table2(rows: &[Table2Row]) -> String {
     let mut header = vec!["Benchmark"];
     if let Some(first) = rows.first() {
         header.extend(first.cells.iter().map(|(mid, _, _)| mid.name()));
@@ -84,7 +84,7 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 }
 
 /// Tables 3/4 as markdown.
-pub fn render_sg_compare(rows: &[SgCompareRow]) -> String {
+pub(crate) fn render_sg_compare(rows: &[SgCompareRow]) -> String {
     let header = [
         "Benchmark",
         "SG2044 model (paper)",
@@ -106,7 +106,7 @@ pub fn render_sg_compare(rows: &[SgCompareRow]) -> String {
 }
 
 /// Table 6 as markdown.
-pub fn render_table6(rows: &[Table6Row]) -> String {
+pub(crate) fn render_table6(rows: &[Table6Row]) -> String {
     let header = [
         "Benchmark",
         "Cores",
@@ -133,7 +133,7 @@ pub fn render_table6(rows: &[Table6Row]) -> String {
 }
 
 /// Tables 7/8 as markdown.
-pub fn render_compiler_table(rows: &[CompilerRow]) -> String {
+pub(crate) fn render_compiler_table(rows: &[CompilerRow]) -> String {
     let header = [
         "Benchmark",
         "GCC 12.3.1 model (paper)",
@@ -161,7 +161,7 @@ pub fn render_compiler_table(rows: &[CompilerRow]) -> String {
 /// Stall-attribution section: where each benchmark's cycles go on the
 /// SG2044 at full chip, plus the average DRAM queue depth — the markdown
 /// twin of the `--metrics` JSON totals.
-pub fn render_stall_attribution(rows: &[StallRow]) -> String {
+pub(crate) fn render_stall_attribution(rows: &[StallRow]) -> String {
     let header = [
         "Benchmark",
         "compute %",
@@ -245,7 +245,7 @@ fn extent(curves: &[Curve]) -> (f64, f64) {
 }
 
 /// ASCII log-log-ish scaling plot of a set of curves (cores on x).
-pub fn ascii_plot(title: &str, unit: &str, curves: &[Curve]) -> String {
+pub(crate) fn ascii_plot(title: &str, unit: &str, curves: &[Curve]) -> String {
     const WIDTH: usize = 64;
     const HEIGHT: usize = 16;
     let (max_x, max_y) = extent(curves);
@@ -389,7 +389,7 @@ pub fn svg_plot(title: &str, unit: &str, curves: &[Curve]) -> String {
 }
 
 /// Curves as CSV (`machine,cores,value`).
-pub fn curves_csv(curves: &[Curve]) -> String {
+pub(crate) fn curves_csv(curves: &[Curve]) -> String {
     let mut out = String::from("machine,cores,value\n");
     for c in curves {
         for &(x, y) in &c.points {

@@ -30,7 +30,12 @@ pub struct Sample {
 
 /// The query batch behind [`thread_sweep`]: one query per thread count,
 /// clamped to the machine's cores (duplicates after clamping dropped).
-pub fn thread_plan(machine: MachineId, bench: BenchmarkId, class: Class, threads: &[u32]) -> Plan {
+pub(crate) fn thread_plan(
+    machine: MachineId,
+    bench: BenchmarkId,
+    class: Class,
+    threads: &[u32],
+) -> Plan {
     let cores = rvhpc_machines::presets::by_id(machine).cores;
     let mut seen = std::collections::BTreeSet::new();
     let mut plan = Plan::new();
@@ -45,7 +50,7 @@ pub fn thread_plan(machine: MachineId, bench: BenchmarkId, class: Class, threads
 /// The query batch behind [`grid_sweep`]: the full
 /// (machine × bench × threads) product for one class, merged into a
 /// single plan so the engine evaluates it as one deduplicated batch.
-pub fn grid_plan(
+pub(crate) fn grid_plan(
     machines: &[MachineId],
     benches: &[BenchmarkId],
     class: Class,
