@@ -17,18 +17,8 @@ pub struct CacheSpec {
 }
 
 impl CacheSpec {
-    /// Number of sets.
-    pub fn sets(&self) -> u64 {
-        self.size_bytes / (self.line_bytes as u64 * self.associativity as u64)
-    }
-
-    /// Capacity available per sharing core, in bytes.
-    pub fn bytes_per_core(&self) -> u64 {
-        self.size_bytes / self.shared_by_cores as u64
-    }
-
     /// Convenience constructor with KiB capacity.
-    pub fn kib(
+    pub(crate) fn kib(
         size_kib: u64,
         associativity: u32,
         shared_by_cores: u32,
@@ -44,7 +34,7 @@ impl CacheSpec {
     }
 
     /// Convenience constructor with MiB capacity.
-    pub fn mib(
+    pub(crate) fn mib(
         size_mib: u64,
         associativity: u32,
         shared_by_cores: u32,
@@ -67,15 +57,6 @@ mod tests {
     fn set_arithmetic() {
         let l1 = CacheSpec::kib(64, 4, 1, 4);
         assert_eq!(l1.size_bytes, 65536);
-        assert_eq!(l1.sets(), 65536 / (64 * 4));
-        assert_eq!(l1.bytes_per_core(), 65536);
-    }
-
-    #[test]
-    fn shared_capacity_divides() {
-        // SG2044 L2: 2 MiB per 4-core cluster.
-        let l2 = CacheSpec::mib(2, 16, 4, 24);
-        assert_eq!(l2.bytes_per_core(), 512 * 1024);
     }
 
     #[test]
@@ -86,7 +67,8 @@ mod tests {
             CacheSpec::mib(2, 16, 4, 24),
             CacheSpec::mib(64, 16, 64, 45),
         ] {
-            assert!(c.sets().is_power_of_two(), "{c:?}");
+            let sets = c.size_bytes / (u64::from(c.line_bytes) * u64::from(c.associativity));
+            assert!(sets.is_power_of_two(), "{c:?}");
         }
     }
 }

@@ -53,7 +53,7 @@ impl Compiler {
     }
 
     /// Whether this compiler can auto-vectorise for the given vector ISA.
-    pub fn supports_vector(&self, v: VectorIsa) -> bool {
+    pub(crate) fn supports_vector(&self, v: VectorIsa) -> bool {
         match v {
             VectorIsa::None => false,
             // Mainline GCC: RVV 1.0 auto-vectorisation from v14 onwards.
@@ -141,19 +141,6 @@ impl CompilerConfig {
     /// Whether vector code will actually be emitted for `v`.
     pub fn emits_vector(&self, v: VectorIsa) -> bool {
         self.vectorize && self.compiler.supports_vector(v)
-    }
-
-    /// Display label like "GCC v15.2 (vector)" / "GCC v15.2 (no vector)".
-    pub fn label(&self) -> String {
-        format!(
-            "{} ({})",
-            self.compiler.name(),
-            if self.vectorize {
-                "vector"
-            } else {
-                "no vector"
-            }
-        )
     }
 }
 
@@ -261,14 +248,5 @@ mod tests {
     fn rvv_gather_codegen_is_branchy() {
         assert!(Compiler::Gcc15_2.indirect_branch_overhead(RVV10_128) > 1.5);
         assert!((Compiler::Gcc8_4.indirect_branch_overhead(VectorIsa::Avx512) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn labels_render() {
-        let cfg = CompilerConfig {
-            compiler: Compiler::Gcc15_2,
-            vectorize: true,
-        };
-        assert_eq!(cfg.label(), "GCC v15.2 (vector)");
     }
 }

@@ -108,55 +108,14 @@ pub struct Machine {
     pub memory: MemorySpec,
 }
 
-impl Machine {
-    /// Cores per NUMA region.
-    pub fn cores_per_numa(&self) -> u32 {
-        self.cores / self.numa_regions
-    }
-
-    /// Chip topology in the form the parallel runtime's placement logic
-    /// wants.
-    pub fn topology(&self) -> rvhpc_parallel::Topology {
-        rvhpc_parallel::Topology {
-            cores: self.cores as usize,
-            cores_per_cluster: self.cores_per_cluster as usize,
-            cores_per_numa: self.cores_per_numa() as usize,
-        }
-    }
-
-    /// Total L2 capacity available to `p` close-packed cores, in bytes.
-    pub fn l2_capacity_for(&self, p: u32) -> u64 {
-        let clusters = p.div_ceil(self.cores_per_cluster).max(1);
-        clusters as u64 * self.l2.size_bytes
-    }
-
-    /// Per-core cycle time in nanoseconds.
-    pub fn cycle_ns(&self) -> f64 {
-        1.0 / self.clock_ghz
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::presets;
 
     #[test]
-    fn l2_capacity_counts_clusters() {
-        let sg = presets::sg2044();
-        // 1 core still owns a whole 2 MiB cluster L2.
-        assert_eq!(sg.l2_capacity_for(1), 2 * 1024 * 1024);
-        // 8 cores = 2 clusters = 4 MiB.
-        assert_eq!(sg.l2_capacity_for(8), 4 * 1024 * 1024);
-        // 64 cores = 16 clusters = 32 MiB.
-        assert_eq!(sg.l2_capacity_for(64), 32 * 1024 * 1024);
-    }
-
-    #[test]
     fn numa_arithmetic() {
         let epyc = presets::epyc7742();
         assert_eq!(epyc.numa_regions, 4);
-        assert_eq!(epyc.cores_per_numa(), 16);
-        let topo = epyc.topology();
-        assert_eq!(topo.cores_per_numa, 16);
+        assert_eq!(epyc.cores / epyc.numa_regions, 16);
     }
 }

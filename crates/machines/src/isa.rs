@@ -15,7 +15,7 @@ pub enum Isa {
 
 impl Isa {
     /// Display string matching the paper's Table 5.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Isa::X86_64 => "x86-64",
             Isa::Aarch64 => "ARMv8.1",
@@ -62,23 +62,6 @@ impl VectorIsa {
         }
     }
 
-    /// Number of `f64` lanes.
-    pub fn f64_lanes(&self) -> u32 {
-        self.width_bits() / 64
-    }
-
-    /// Number of `u32` lanes.
-    pub fn u32_lanes(&self) -> u32 {
-        self.width_bits() / 32
-    }
-
-    /// Whether the extension has hardware gather (indexed load) support.
-    /// All the vector ISAs here do — what differs wildly is the *cost*,
-    /// which the simulator models ([`VectorIsa::gather_cost_factor`]).
-    pub fn has_gather(&self) -> bool {
-        !matches!(self, VectorIsa::None)
-    }
-
     /// Relative per-element cost of a gather versus a unit-stride vector
     /// load. Calibrated values: AVX-512/AVX2 gathers are microcoded but
     /// reasonably fast; NEON has no true gather (compilers synthesize with
@@ -98,7 +81,7 @@ impl VectorIsa {
     }
 
     /// Display string matching the paper's Table 5.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             VectorIsa::None => "none",
             VectorIsa::Rvv0_7 { .. } => "RVV v0.7.1",
@@ -118,16 +101,6 @@ impl VectorIsa {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lane_counts() {
-        assert_eq!(VectorIsa::Avx512.f64_lanes(), 8);
-        assert_eq!(VectorIsa::Avx2.f64_lanes(), 4);
-        assert_eq!(VectorIsa::Neon.f64_lanes(), 2);
-        assert_eq!(VectorIsa::Rvv1_0 { vlen_bits: 128 }.f64_lanes(), 2);
-        assert_eq!(VectorIsa::Rvv1_0 { vlen_bits: 256 }.f64_lanes(), 4);
-        assert_eq!(VectorIsa::None.f64_lanes(), 0);
-    }
 
     #[test]
     fn rvv_versions_distinguished() {

@@ -23,8 +23,8 @@
 
 pub mod cache;
 pub mod compiler;
-pub mod cpu;
-pub mod isa;
+pub(crate) mod cpu;
+pub(crate) mod isa;
 pub mod memory;
 pub mod presets;
 

@@ -242,7 +242,7 @@ pub fn visionfive_v2() -> Machine {
 /// StarFive VisionFive V1 (JH7100): 2 × SiFive U74 @ 1.0 GHz; the JH7100's
 /// uncached memory path makes its effective memory performance far worse
 /// than the JH7110's (consistent with the paper's Table 2 and \[4\]).
-pub fn visionfive_v1() -> Machine {
+pub(crate) fn visionfive_v1() -> Machine {
     Machine {
         id: MachineId::VisionFiveV1,
         part: "JH7100 (U74)",
@@ -276,7 +276,7 @@ pub fn visionfive_v1() -> Machine {
 
 /// SiFive HiFive Unmatched (Freedom U740): 4 × U74 @ 1.2 GHz, 16 GB DDR4;
 /// the FU740's memory controller sustains a small fraction of peak.
-pub fn sifive_u740() -> Machine {
+pub(crate) fn sifive_u740() -> Machine {
     Machine {
         id: MachineId::SiFiveU740,
         part: "Freedom U740",
@@ -308,7 +308,7 @@ pub fn sifive_u740() -> Machine {
 
 /// AllWinner D1: 1 × XuanTie C906 @ 1.0 GHz, RVV v0.7.1 (128-bit), 1 GB
 /// DDR3 — too little memory to run FT class B (paper: DNR).
-pub fn allwinner_d1() -> Machine {
+pub(crate) fn allwinner_d1() -> Machine {
     Machine {
         id: MachineId::AllWinnerD1,
         part: "D1 (C906)",
@@ -374,7 +374,7 @@ pub fn banana_pi_f3() -> Machine {
 
 /// Milk-V Jupiter (SpacemiT M1): the K1's higher-clocked, better-cooled
 /// sibling @ 1.8 GHz (paper §3).
-pub fn milkv_jupiter() -> Machine {
+pub(crate) fn milkv_jupiter() -> Machine {
     let mut m = banana_pi_f3();
     m.id = MachineId::MilkVJupyter;
     m.part = "SpacemiT M1 (X60)";
@@ -439,19 +439,6 @@ pub fn all() -> Vec<Machine> {
 /// The five HPC-class machines of Table 5 / §5, in table order.
 pub fn hpc_five() -> Vec<Machine> {
     vec![epyc7742(), xeon8170(), thunderx2(), sg2042(), sg2044()]
-}
-
-/// The seven RISC-V machines of Table 2, in column order.
-pub fn riscv_seven() -> Vec<Machine> {
-    vec![
-        sg2044(),
-        visionfive_v2(),
-        visionfive_v1(),
-        sifive_u740(),
-        allwinner_d1(),
-        banana_pi_f3(),
-        milkv_jupiter(),
-    ]
 }
 
 /// Render the paper's Table 5 (CPU overview) as rows of strings.
@@ -559,13 +546,5 @@ mod tests {
                 assert_eq!(m.numa_regions, 1, "{:?}", m.id);
             }
         }
-    }
-
-    #[test]
-    fn riscv_seven_matches_table2_columns() {
-        let cols = riscv_seven();
-        assert_eq!(cols.len(), 7);
-        assert!(cols.iter().all(|m| m.isa.is_riscv()));
-        assert_eq!(cols[0].id, MachineId::Sg2044);
     }
 }
