@@ -18,10 +18,10 @@
 use crate::json::JsonValue;
 
 /// Schema tag stamped into every benchmark document.
-pub const BENCH_SCHEMA: &str = "rvhpc-bench/1";
+pub(crate) const BENCH_SCHEMA: &str = "rvhpc-bench/1";
 
 /// Layout tag for exact (full-sample-vector) wall statistics.
-pub const EXACT_LAYOUT: &str = "exact/1";
+pub(crate) const EXACT_LAYOUT: &str = "exact/1";
 
 /// Host facts recorded alongside the numbers: enough to tell whether two
 /// documents are comparable at all (same machine? same toolchain?).

@@ -124,7 +124,7 @@ impl DiffReport {
     }
 
     /// The mismatches only (incomparable documents or sections).
-    pub fn mismatches(&self) -> impl Iterator<Item = &Finding> {
+    pub(crate) fn mismatches(&self) -> impl Iterator<Item = &Finding> {
         self.findings
             .iter()
             .filter(|f| f.severity == Severity::Mismatch)

@@ -50,7 +50,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable lowercase label, used as the Chrome-trace category.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             EventKind::BarrierWait => "barrier-wait",
             EventKind::CriticalWait => "critical-wait",

@@ -15,7 +15,7 @@ use crate::json::JsonValue;
 /// every exported latency section carries this tag and `benchdiff`
 /// refuses to compare sections whose tags disagree. Bump it whenever
 /// `EXACT`, `SUBBUCKETS` or `OCTAVES` change.
-pub const BUCKET_LAYOUT: &str = "log64x32/1";
+pub(crate) const BUCKET_LAYOUT: &str = "log64x32/1";
 
 /// Exact region: values `0..EXACT` each get their own bucket.
 const EXACT: u64 = 64;

@@ -122,12 +122,12 @@ impl<'a> Writer<'a> {
     }
 
     /// `null`
-    pub fn null(self) {
+    pub(crate) fn null(self) {
         self.out.push_str("null");
     }
 
     /// `true` / `false`
-    pub fn bool(self, b: bool) {
+    pub(crate) fn bool(self, b: bool) {
         self.out.push_str(if b { "true" } else { "false" });
     }
 

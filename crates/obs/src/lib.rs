@@ -30,11 +30,11 @@ pub mod benchdoc;
 pub mod chrome;
 pub mod diff;
 pub mod doc;
-pub mod event;
+pub(crate) mod event;
 pub mod hist;
 pub mod json;
 pub mod metrics;
-pub mod recorder;
+pub(crate) mod recorder;
 pub mod ring;
 pub mod saturation;
 pub mod timeseries;

@@ -24,7 +24,7 @@ pub const TRACE_ENV: &str = "RVHPC_TRACE";
 /// Default per-thread ring capacity (events). At ~48 bytes of payload per
 /// slot this is ~3 MiB per thread, enough for every chunk acquisition of a
 /// class-B NPB run.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -100,12 +100,12 @@ impl SpanStart {
     /// A span start pinned to an explicit epoch-relative timestamp —
     /// used by [`crate::trace::TraceCtx`] when retaining spans for a
     /// slow-request dump while global recording is off.
-    pub fn at(start_us: u64) -> Self {
+    pub(crate) fn at(start_us: u64) -> Self {
         SpanStart(Some(start_us))
     }
 
     /// The start timestamp, when one was taken.
-    pub fn value(self) -> Option<u64> {
+    pub(crate) fn value(self) -> Option<u64> {
         self.0
     }
 }
@@ -149,21 +149,6 @@ impl RecorderHandle {
                 start_us,
                 dur_us: end.saturating_sub(start_us),
                 arg,
-            });
-        }
-    }
-
-    /// Record a point-in-time counter sample.
-    #[inline]
-    pub fn record_counter(self, name: &'static str, tid: u32, value: u64) {
-        if self.on {
-            record(Event {
-                kind: EventKind::Counter,
-                name,
-                tid,
-                start_us: now_us(),
-                dur_us: 0,
-                arg: value,
             });
         }
     }
@@ -233,7 +218,6 @@ mod tests {
         let h = handle();
         let s = h.span_start();
         h.record_span(s, EventKind::Phase, "off-phase", 0, 0);
-        h.record_counter("off-counter", 0, 1);
         assert!(
             !drain_all()
                 .events
@@ -242,14 +226,13 @@ mod tests {
             "disabled handle must record nothing"
         );
 
-        // Enabled: spans and counters land in the drain, in order.
+        // Enabled: spans land in the drain, in order.
         set_enabled(true);
         let h = handle();
         assert!(h.is_enabled());
         let s = h.span_start();
         std::thread::sleep(std::time::Duration::from_millis(2));
         h.record_span(s, EventKind::Phase, "on-phase", 3, 42);
-        h.record_counter("on-counter", 3, 7);
 
         // Another thread records into its own ring; both appear.
         set_enabled(true);
@@ -275,7 +258,6 @@ mod tests {
         );
         assert_eq!(phase.tid, 3);
         assert_eq!(phase.arg, 42);
-        assert!(data.events.iter().any(|e| e.name == "on-counter"));
         assert!(data.events.iter().any(|e| e.name == "on-thread2"));
         assert!(
             data.events
@@ -289,10 +271,11 @@ mod tests {
         set_enabled(true);
         let live = handle();
         set_enabled(false);
-        live.record_counter("late-counter", 0, 9);
-        assert!(drain_all().events.iter().any(|e| e.name == "late-counter"));
+        live.record_span(live.span_start(), EventKind::Phase, "late-phase", 0, 9);
+        assert!(drain_all().events.iter().any(|e| e.name == "late-phase"));
         // ...and a disabled_handle never records.
-        disabled_handle().record_counter("never", 0, 1);
+        let off = disabled_handle();
+        off.record_span(off.span_start(), EventKind::Phase, "never", 0, 1);
         assert!(!drain_all().events.iter().any(|e| e.name == "never"));
     }
 }

@@ -30,7 +30,7 @@ struct Slot {
 }
 
 /// A fixed-capacity single-producer ring of [`Event`]s.
-pub struct EventRing {
+pub(crate) struct EventRing {
     slots: Box<[Slot]>,
     /// Total events ever pushed (not wrapped). Only the owner advances it.
     head: AtomicU64,
@@ -39,7 +39,7 @@ pub struct EventRing {
 impl EventRing {
     /// Create a ring holding up to `capacity` events (rounded up to a
     /// power of two, minimum 2, so wrapping is a mask).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
         // SAFETY: a `Slot` is nothing but `AtomicU64`s, so all-zero bits
         // are a valid empty slot (seq 0, no write yet).
@@ -50,24 +50,19 @@ impl EventRing {
         }
     }
 
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Total events pushed over the ring's lifetime.
-    pub fn pushed(&self) -> u64 {
+    pub(crate) fn pushed(&self) -> u64 {
         self.head.load(Ordering::Acquire)
     }
 
     /// Events lost to wrapping (pushed minus capacity, when positive).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.pushed().saturating_sub(self.slots.len() as u64)
     }
 
     /// Append an event. MUST only be called from the owning thread —
     /// enforced by the recorder, which hands each thread its own ring.
-    pub fn push(&self, ev: &Event) {
+    pub(crate) fn push(&self, ev: &Event) {
         let i = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(i as usize) & (self.slots.len() - 1)];
 
@@ -90,7 +85,7 @@ impl EventRing {
     /// Snapshot every event currently resident in the ring, oldest first.
     /// Never blocks the writer; a slot being overwritten mid-copy is
     /// detected by its sequence number and skipped.
-    pub fn drain(&self) -> Vec<Event> {
+    pub(crate) fn drain(&self) -> Vec<Event> {
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
         let start = head.saturating_sub(cap);
@@ -182,8 +177,8 @@ mod tests {
 
     #[test]
     fn capacity_rounds_to_power_of_two() {
-        assert_eq!(EventRing::with_capacity(5).capacity(), 8);
-        assert_eq!(EventRing::with_capacity(0).capacity(), 2);
+        assert_eq!(EventRing::with_capacity(5).slots.len(), 8);
+        assert_eq!(EventRing::with_capacity(0).slots.len(), 2);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::json::JsonValue;
 
 /// Schema tag stamped into every saturation document.
-pub const SATURATION_SCHEMA: &str = "rvhpc-saturation/1";
+pub(crate) const SATURATION_SCHEMA: &str = "rvhpc-saturation/1";
 
 /// One concurrency level of a sweep, as recorded by loadgen.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +53,7 @@ pub struct SweepStep {
 
 impl SweepStep {
     /// Render one step object.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         let mut fields = vec![
             ("conns".to_string(), JsonValue::from(self.conns)),
             ("ok".to_string(), JsonValue::from(self.ok)),

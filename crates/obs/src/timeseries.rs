@@ -26,7 +26,7 @@ pub const DEFAULT_CAPACITY: usize = 3600;
 /// Version tag for the sample-ring layout (sample shape + eviction
 /// semantics), stamped into every `timeseries` section so consumers can
 /// refuse cross-version comparisons instead of silently mixing layouts.
-pub const RING_LAYOUT: &str = "gauge-ring/1";
+pub(crate) const RING_LAYOUT: &str = "gauge-ring/1";
 
 /// One gauge snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +39,7 @@ pub struct Sample {
 
 impl Sample {
     /// Render as one element of the `samples` array.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         JsonValue::object([
             ("t_us".to_string(), JsonValue::from(self.t_us)),
             (
@@ -95,48 +95,13 @@ impl Timeseries {
     }
 
     /// Append a prepared sample, evicting the oldest when full.
-    pub fn push(&self, sample: Sample) {
+    pub(crate) fn push(&self, sample: Sample) {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         if inner.samples.len() == self.capacity {
             inner.samples.pop_front();
             inner.evicted += 1;
         }
         inner.samples.push_back(sample);
-    }
-
-    /// Number of resident samples.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .samples
-            .len()
-    }
-
-    /// Whether no sample has been taken yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The most recent sample, if any.
-    pub fn latest(&self) -> Option<Sample> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .samples
-            .back()
-            .cloned()
-    }
-
-    /// Snapshot all resident samples, oldest first.
-    pub fn samples(&self) -> Vec<Sample> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .samples
-            .iter()
-            .cloned()
-            .collect()
     }
 
     /// Render the `timeseries` metrics section.
@@ -159,6 +124,11 @@ impl Timeseries {
 mod tests {
     use super::*;
 
+    fn samples(ts: &Timeseries) -> Vec<Sample> {
+        let inner = ts.inner.lock().unwrap();
+        inner.samples.iter().cloned().collect()
+    }
+
     fn gauges(v: f64) -> Vec<(String, f64)> {
         vec![
             ("requests_ok".to_string(), v),
@@ -172,8 +142,8 @@ mod tests {
         for i in 0..5 {
             ts.sample_now(gauges(i as f64));
         }
-        assert_eq!(ts.len(), 3);
-        let samples = ts.samples();
+        let samples = samples(&ts);
+        assert_eq!(samples.len(), 3);
         assert_eq!(samples[0].gauges["requests_ok"], 2.0);
         assert_eq!(samples[2].gauges["requests_ok"], 4.0);
         let doc = ts.to_json();
@@ -191,7 +161,7 @@ mod tests {
         let ts = Timeseries::new(16, 1_000_000);
         ts.sample_now(gauges(1.0));
         ts.sample_now(gauges(2.0));
-        let samples = ts.samples();
+        let samples = samples(&ts);
         assert!(samples[0].t_us <= samples[1].t_us);
         // Gauge key order is deterministic regardless of insertion order.
         let a = Sample {
@@ -209,14 +179,5 @@ mod tests {
             parsed.get("interval_us").and_then(JsonValue::as_f64),
             Some(1_000_000.0)
         );
-    }
-
-    #[test]
-    fn latest_reflects_the_newest_sample() {
-        let ts = Timeseries::new(4, 0);
-        assert!(ts.is_empty());
-        assert!(ts.latest().is_none());
-        ts.sample_now(gauges(9.0));
-        assert_eq!(ts.latest().unwrap().gauges["requests_ok"], 9.0);
     }
 }

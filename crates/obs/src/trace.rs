@@ -35,7 +35,7 @@ pub struct RetainedSpan {
 
 impl RetainedSpan {
     /// Render as one element of a slow-request dump.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(self) -> JsonValue {
         JsonValue::object([
             ("kind".to_string(), JsonValue::from(self.kind.label())),
             ("name".to_string(), JsonValue::from(self.name)),
@@ -77,11 +77,6 @@ impl TraceCtx {
         }
     }
 
-    /// A context that records nothing and retains nothing.
-    pub fn disabled() -> Self {
-        Self::with_handle(0, 0, recorder::disabled_handle())
-    }
-
     /// The trace id every span of this context carries.
     pub fn id(&self) -> u64 {
         self.id
@@ -100,11 +95,6 @@ impl TraceCtx {
             recorder::pin_epoch();
         }
         self.retain = retain;
-    }
-
-    /// Number of open spans.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
     }
 
     /// Open a span named `name`; close it with [`TraceCtx::pop`].
@@ -152,7 +142,7 @@ impl TraceCtx {
     /// Record a complete span from explicit timestamps — used for spans
     /// whose endpoints live on different threads (queue wait: admission
     /// happens on the connection thread, pickup on the shard worker).
-    pub fn record_between(
+    pub(crate) fn record_between(
         &mut self,
         kind: EventKind,
         name: &'static str,
@@ -201,14 +191,6 @@ impl TraceCtx {
         self.record_between(kind, name, now, now);
     }
 
-    /// Run `f` inside a span of `kind` named `name`.
-    pub fn span<R>(&mut self, kind: EventKind, name: &'static str, f: impl FnOnce() -> R) -> R {
-        self.push(name);
-        let r = f();
-        self.pop(kind);
-        r
-    }
-
     /// The spans retained so far (closed spans only, in close order).
     pub fn retained(&self) -> &[RetainedSpan] {
         &self.retained
@@ -221,7 +203,7 @@ impl TraceCtx {
             ("trace_id".to_string(), JsonValue::from(self.id)),
             (
                 "spans".to_string(),
-                JsonValue::Array(self.retained.iter().map(RetainedSpan::to_json).collect()),
+                JsonValue::Array(self.retained.iter().map(|s| s.to_json()).collect()),
             ),
         ])
     }
@@ -233,11 +215,11 @@ mod tests {
 
     #[test]
     fn disabled_ctx_records_and_retains_nothing() {
-        let mut ctx = TraceCtx::disabled();
+        let mut ctx = TraceCtx::with_handle(0, 0, crate::recorder::disabled_handle());
         ctx.push("parse");
         ctx.pop(EventKind::ProtoParse);
         ctx.mark(EventKind::CacheProbe, "cache-hit");
-        assert_eq!(ctx.depth(), 0);
+        assert_eq!(ctx.stack.len(), 0);
         assert!(ctx.retained().is_empty());
     }
 
@@ -270,11 +252,11 @@ mod tests {
         ctx.set_retain(true);
         ctx.push("outer");
         ctx.push("inner");
-        assert_eq!(ctx.depth(), 2);
+        assert_eq!(ctx.stack.len(), 2);
         ctx.pop(EventKind::EngineExec);
         ctx.pop(EventKind::ProtoParse);
         ctx.pop(EventKind::ProtoParse); // extra pop: no-op
-        assert_eq!(ctx.depth(), 0);
+        assert_eq!(ctx.stack.len(), 0);
         assert_eq!(ctx.retained()[0].name, "inner");
         assert_eq!(ctx.retained()[1].name, "outer");
     }
