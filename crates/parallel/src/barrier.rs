@@ -30,7 +30,7 @@ pub struct CentralizedBarrier {
 
 impl CentralizedBarrier {
     /// Barrier for a team of `n` threads (`n >= 1`).
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n >= 1, "barrier team must have at least one thread");
         Self {
             count: CachePadded::new(AtomicUsize::new(0)),
@@ -44,7 +44,7 @@ impl CentralizedBarrier {
 
     /// Block until all `n` participants have called `wait`, each passing
     /// its own team-local thread id.
-    pub fn wait(&self, tid: usize) {
+    pub(crate) fn wait(&self, tid: usize) {
         debug_assert!(
             tid < self.n,
             "tid {tid} out of range for team of {}",

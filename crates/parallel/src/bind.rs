@@ -21,35 +21,6 @@ pub struct Topology {
     pub cores_per_numa: usize,
 }
 
-impl Topology {
-    /// A flat topology: one cluster, one NUMA domain.
-    pub fn flat(cores: usize) -> Self {
-        Self {
-            cores,
-            cores_per_cluster: cores,
-            cores_per_numa: cores,
-        }
-    }
-
-    /// Cluster index of a core.
-    #[inline]
-    pub fn cluster_of(&self, core: usize) -> usize {
-        core / self.cores_per_cluster.max(1)
-    }
-
-    /// NUMA domain index of a core.
-    #[inline]
-    pub fn numa_of(&self, core: usize) -> usize {
-        core / self.cores_per_numa.max(1)
-    }
-
-    /// Number of clusters on the chip.
-    #[inline]
-    pub fn clusters(&self) -> usize {
-        self.cores.div_ceil(self.cores_per_cluster.max(1))
-    }
-}
-
 /// Placement policy (the useful subset of `OMP_PROC_BIND`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BindPolicy {
@@ -66,7 +37,7 @@ pub enum BindPolicy {
 
 impl BindPolicy {
     /// Parse from the `OMP_PROC_BIND`-style strings used in config/env.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "false" | "unbound" | "none" => Some(Self::Unbound),
             "close" | "true" => Some(Self::Close),
@@ -98,24 +69,18 @@ pub fn placement(policy: BindPolicy, nthreads: usize, topo: &Topology) -> Vec<us
     }
 }
 
-/// Number of distinct clusters occupied by a placement — determines how much
-/// cluster-shared L2 capacity the team can use in aggregate.
-pub fn clusters_occupied(cores: &[usize], topo: &Topology) -> usize {
-    let mut seen = vec![false; topo.clusters().max(1)];
-    let mut count = 0;
-    for &c in cores {
-        let cl = topo.cluster_of(c);
-        if !seen[cl] {
-            seen[cl] = true;
-            count += 1;
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of distinct clusters occupied by a placement — how much
+    /// cluster-shared L2 capacity the team can use in aggregate.
+    fn clusters_occupied(cores: &[usize], topo: &Topology) -> usize {
+        let mut clusters: Vec<usize> = cores.iter().map(|c| c / topo.cores_per_cluster).collect();
+        clusters.sort_unstable();
+        clusters.dedup();
+        clusters.len()
+    }
 
     fn sg_topology() -> Topology {
         // SG2044: 64 cores in clusters of 4, single NUMA domain.
@@ -179,20 +144,5 @@ mod tests {
         assert_eq!(BindPolicy::parse("CLOSE"), Some(BindPolicy::Close));
         assert_eq!(BindPolicy::parse("spread"), Some(BindPolicy::Spread));
         assert_eq!(BindPolicy::parse("bogus"), None);
-    }
-
-    #[test]
-    fn numa_arithmetic() {
-        // EPYC 7742: 64 cores, 4 NUMA regions of 16, L3 groups of 4.
-        let topo = Topology {
-            cores: 64,
-            cores_per_cluster: 4,
-            cores_per_numa: 16,
-        };
-        assert_eq!(topo.numa_of(0), 0);
-        assert_eq!(topo.numa_of(15), 0);
-        assert_eq!(topo.numa_of(16), 1);
-        assert_eq!(topo.numa_of(63), 3);
-        assert_eq!(topo.clusters(), 16);
     }
 }

@@ -37,7 +37,7 @@ impl RuntimeConfig {
 
     /// Same as [`RuntimeConfig::from_env`] but with an injectable lookup,
     /// for deterministic tests.
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
+    pub(crate) fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         let nthreads = lookup("RVHPC_NUM_THREADS")
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1)

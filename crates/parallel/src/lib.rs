@@ -13,21 +13,21 @@
 //!   closure (the equivalent of `#pragma omp parallel`).
 //! * [`Team`] — the per-thread view of a parallel region: thread id, team
 //!   size, work-sharing loops ([`Team::for_static`], [`Team::for_dynamic`],
-//!   [`Team::for_guided`]), [`Team::barrier`], reductions
+//!   [`Team::for_schedule`]), [`Team::barrier`], reductions
 //!   ([`Team::reduce_sum`], [`Team::reduce_f64_vec`]) and
 //!   [`Team::critical`] sections.
-//! * [`schedule::Schedule`] — static / static-chunked / dynamic / guided
+//! * [`Schedule`] — static / static-chunked / dynamic / guided
 //!   loop schedules, mirroring `schedule(...)` clauses.
-//! * [`barrier`] — the sense-reversing centralized team barrier, safe when
+//! * [`CentralizedBarrier`] — the sense-reversing team barrier, safe when
 //!   the machine is oversubscribed.
 //! * [`CachePadded`] — 128-byte alignment that keeps the runtime's hot
-//!   atomics (and LU's pipeline progress flags) on their own cache lines.
-//! * [`bind`] — thread-placement policies mirroring `OMP_PROC_BIND`
+//!   atomics on their own cache lines.
+//! * [`placement`] — thread-placement policies mirroring `OMP_PROC_BIND`
 //!   (`false`/`close`/`spread`), used by the architecture simulator to
 //!   reproduce the paper's §5.2 placement experiment.
-//! * [`sync_slice::TeamChunks`] — one slice dealt to the team in the blocks
+//! * [`TeamChunks`] — one slice dealt to the team in the blocks
 //!   of a static schedule, each member's part an ordinary `&mut [T]`;
-//!   [`sync_slice::SyncSlice`] — the escape hatch for the disjoint writes
+//!   [`SyncSlice`] — the escape hatch for the disjoint writes
 //!   that are not contiguous blocks.
 //!
 //! ## Example
@@ -45,15 +45,14 @@
 //! assert!(sums.iter().all(|&s| s == (0..n as u64).sum::<u64>()));
 //! ```
 
-pub mod barrier;
-pub mod bind;
-pub mod config;
+pub(crate) mod barrier;
+pub(crate) mod bind;
+pub(crate) mod config;
 mod dispatch;
 mod padded;
-pub mod pool;
-pub mod reduce;
-pub mod schedule;
-pub mod sync_slice;
+pub(crate) mod pool;
+pub(crate) mod schedule;
+pub(crate) mod sync_slice;
 mod wait;
 
 pub use barrier::CentralizedBarrier;

@@ -12,7 +12,7 @@ pub struct CachePadded<T>(T);
 
 impl<T> CachePadded<T> {
     /// Pads and aligns `value` to 128 bytes.
-    pub const fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         Self(value)
     }
 }

@@ -31,10 +31,9 @@ use crate::barrier::CentralizedBarrier;
 use crate::dispatch::Dispatch;
 use crate::padded::CachePadded;
 use crate::schedule::{self, Schedule};
-use crate::wait::poll_until;
 
 /// Width of the widest array reduction supported by [`Team::reduce_f64_vec`].
-pub const MAX_REDUCE_WIDTH: usize = 64;
+pub(crate) const MAX_REDUCE_WIDTH: usize = 64;
 
 /// Per-team shared structures, reused across parallel regions.
 struct TeamShared {
@@ -264,14 +263,6 @@ impl Team<'_> {
             .record_span(span, EventKind::BarrierWait, "barrier", self.tid as u32, 0);
     }
 
-    /// Wait for a condition another member will make true — a pipeline's
-    /// progress flag, say — the way the barrier waits for its release:
-    /// poll, and offer the CPU to the scheduler every 64th poll (`wait.rs`).
-    #[inline]
-    pub fn wait_until(&self, ready: impl FnMut() -> bool) {
-        poll_until(ready, || false);
-    }
-
     /// Run `f` as a named algorithmic phase. With tracing on, this
     /// thread's execution of `f` is recorded as a `phase` span under
     /// `name` — benchmarks use names matching their `PhaseProfile`
@@ -302,7 +293,7 @@ impl Team<'_> {
 
     /// Static loop without the ending barrier (`nowait`).
     #[inline]
-    pub fn for_static_nowait(&self, lo: usize, hi: usize, mut body: impl FnMut(usize)) {
+    pub(crate) fn for_static_nowait(&self, lo: usize, hi: usize, mut body: impl FnMut(usize)) {
         let range = self.static_range(lo, hi);
         let len = range.len() as u64;
         let span = self.recorder.span_start();
@@ -424,12 +415,6 @@ impl Team<'_> {
         self.for_schedule(lo, hi, Schedule::Dynamic(chunk), body);
     }
 
-    /// Guided work-sharing loop (`schedule(guided, min_chunk)`).
-    #[inline]
-    pub fn for_guided(&self, lo: usize, hi: usize, min_chunk: usize, body: impl FnMut(usize)) {
-        self.for_schedule(lo, hi, Schedule::Guided(min_chunk), body);
-    }
-
     /// Claim the shared counter for the next dynamic/guided loop episode.
     ///
     /// Counters are double-buffered by collective parity: the counter a loop
@@ -469,28 +454,6 @@ impl Team<'_> {
         let mut acc = 0u64;
         for row in &self.shared.reduce_slots {
             acc = acc.wrapping_add(row[0].load(Ordering::Relaxed));
-        }
-        self.barrier();
-        acc
-    }
-
-    /// Max-reduce a per-thread `f64`.
-    pub fn reduce_max(&self, local: f64) -> f64 {
-        self.reduce_with(local, f64::max)
-    }
-
-    /// Min-reduce a per-thread `f64`.
-    pub fn reduce_min(&self, local: f64) -> f64 {
-        self.reduce_with(local, f64::min)
-    }
-
-    /// Reduce with an arbitrary associative combiner.
-    pub fn reduce_with(&self, local: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        self.store_slot(0, local.to_bits());
-        self.barrier();
-        let mut acc = f64::from_bits(self.shared.reduce_slots[0][0].load(Ordering::Relaxed));
-        for row in &self.shared.reduce_slots[1..] {
-            acc = op(acc, f64::from_bits(row[0].load(Ordering::Relaxed)));
         }
         self.barrier();
         acc
@@ -617,7 +580,7 @@ mod tests {
         let n = 1234usize;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         pool.run(|team| {
-            team.for_guided(0, n, 4, |i| {
+            team.for_schedule(0, n, Schedule::Guided(4), |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -650,7 +613,7 @@ mod tests {
             team.for_dynamic(0, n, 5, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
-            team.for_guided(0, n, 2, |i| {
+            team.for_schedule(0, n, Schedule::Guided(2), |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             team.for_dynamic(0, n, 1, |i| {
@@ -672,19 +635,6 @@ mod tests {
         let expect = (0..n).map(|i| i as f64).sum::<f64>();
         for v in out {
             assert_eq!(v, expect);
-        }
-    }
-
-    #[test]
-    fn reduce_min_max() {
-        let pool = Pool::new(4);
-        let out = pool.run(|team| {
-            let local = team.tid() as f64 * 10.0 - 5.0;
-            (team.reduce_min(local), team.reduce_max(local))
-        });
-        for (mn, mx) in out {
-            assert_eq!(mn, -5.0);
-            assert_eq!(mx, 25.0);
         }
     }
 

@@ -29,7 +29,12 @@ impl Schedule {
 /// under a static block distribution. Remainder iterations are spread one
 /// each over the lowest-numbered threads, exactly like `schedule(static)`.
 #[inline]
-pub fn static_block(lo: usize, hi: usize, tid: usize, nthreads: usize) -> std::ops::Range<usize> {
+pub(crate) fn static_block(
+    lo: usize,
+    hi: usize,
+    tid: usize,
+    nthreads: usize,
+) -> std::ops::Range<usize> {
     debug_assert!(tid < nthreads);
     let total = hi.saturating_sub(lo);
     let base = total / nthreads;

@@ -51,18 +51,6 @@ impl<'a, T> SyncSlice<'a, T> {
         Self { data }
     }
 
-    /// Length of the underlying slice.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the underlying slice is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Read element `i`.
     ///
     /// # Safety
@@ -110,7 +98,7 @@ impl<'a, T> SyncSlice<'a, T> {
     /// Dereferencing must honour the same disjointness contract as
     /// [`SyncSlice::get_mut`].
     #[inline]
-    pub unsafe fn ptr_at(&self, i: usize) -> *mut T {
+    pub(crate) unsafe fn ptr_at(&self, i: usize) -> *mut T {
         assert!(i <= self.data.len(), "index {i} out of bounds");
         // SAFETY: `i <= len` (checked above), so the offset stays inside
         // the slice or one past its end; `UnsafeCell<T>` has `T`'s layout.
