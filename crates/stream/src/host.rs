@@ -27,7 +27,7 @@ impl StreamKernel {
     ];
 
     /// Bytes moved per element (8-byte doubles).
-    pub fn bytes_per_element(&self) -> u64 {
+    pub(crate) fn bytes_per_element(&self) -> u64 {
         match self {
             StreamKernel::Copy | StreamKernel::Scale => 16,
             StreamKernel::Add | StreamKernel::Triad => 24,

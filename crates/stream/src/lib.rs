@@ -10,7 +10,7 @@
 //!   Figure 1 (copy bandwidth vs core count on the SG2044 and SG2042)
 //!   through the `rvhpc-archsim` DRAM model.
 
-pub mod host;
+pub(crate) mod host;
 pub mod model;
 
 pub use host::{run_host_stream, HostStreamResult, StreamKernel};

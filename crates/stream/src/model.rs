@@ -3,8 +3,6 @@
 use rvhpc_archsim::DramModel;
 use rvhpc_machines::Machine;
 
-use crate::host::StreamKernel;
-
 /// One point of a simulated STREAM scaling curve.
 #[derive(Debug, Clone)]
 pub struct StreamPoint {
@@ -16,22 +14,6 @@ pub struct StreamPoint {
 pub fn simulate_copy_bandwidth(machine: &Machine, cores: u32) -> f64 {
     let dram = DramModel::new(&machine.memory, &machine.core, machine.clock_ghz);
     dram.bandwidth(cores)
-}
-
-/// Per-kernel *reported* bandwidth (STREAM convention: counted bytes,
-/// excluding the write-allocate fetch the hardware actually performs).
-///
-/// Copy/scale move two counted streams but three bus streams (read +
-/// write-allocate + write-back); add/triad move three counted over four on
-/// the bus. Reported bandwidth therefore differs slightly per kernel:
-/// with the bus saturated at `B`, a 2-stream kernel reports `B·2/3` and a
-/// 3-stream kernel `B·3/4` — the familiar few-percent triad ≥ copy gap.
-pub fn simulate_kernel_bandwidth(machine: &Machine, kernel: StreamKernel, cores: u32) -> f64 {
-    let bus = simulate_copy_bandwidth(machine, cores) * 1.5; // copy counts 2/3 of its bus traffic
-    match kernel {
-        StreamKernel::Copy | StreamKernel::Scale => bus * 2.0 / 3.0,
-        StreamKernel::Add | StreamKernel::Triad => bus * 3.0 / 4.0,
-    }
 }
 
 /// The full Figure 1 curve for a machine at the paper's core counts.
@@ -52,33 +34,6 @@ mod tests {
     use rvhpc_machines::presets;
 
     const FIG1_CORES: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
-
-    #[test]
-    fn triad_reports_slightly_more_than_copy() {
-        let m = presets::sg2044();
-        for cores in [1u32, 8, 64] {
-            let copy = simulate_kernel_bandwidth(&m, StreamKernel::Copy, cores);
-            let triad = simulate_kernel_bandwidth(&m, StreamKernel::Triad, cores);
-            let ratio = triad / copy;
-            assert!(
-                (1.05..1.2).contains(&ratio),
-                "triad/copy at {cores} cores: {ratio:.3}"
-            );
-        }
-    }
-
-    #[test]
-    fn copy_kernel_matches_fig1_definition() {
-        let m = presets::sg2042();
-        for cores in [1u32, 4, 64] {
-            assert!(
-                (simulate_kernel_bandwidth(&m, StreamKernel::Copy, cores)
-                    - simulate_copy_bandwidth(&m, cores))
-                .abs()
-                    < 1e-9
-            );
-        }
-    }
 
     #[test]
     fn figure1_shape_sg2042_plateau_and_sg2044_scaling() {
