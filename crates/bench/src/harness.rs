@@ -81,7 +81,7 @@ pub struct Work {
 
 impl Work {
     /// Throughput in `unit` for one iteration taking `us` microseconds.
-    pub fn at_us(&self, us: f64) -> f64 {
+    pub(crate) fn at_us(&self, us: f64) -> f64 {
         if us <= 0.0 {
             return 0.0;
         }
@@ -171,7 +171,7 @@ fn stall_snapshot(iterations: usize, mut f: impl FnMut()) -> JsonValue {
 
 /// The deterministic query grid shared by the engine targets — the same
 /// shape the serve load generator replays.
-pub fn grid_plan(n: usize) -> Plan {
+pub(crate) fn grid_plan(n: usize) -> Plan {
     const THREADS: [u32; 4] = [1, 8, 32, 64];
     let mut plan = Plan::new();
     for k in 0..n {

@@ -16,12 +16,12 @@ use rvhpc_obs::JsonValue;
 use crate::harness::TargetResult;
 
 /// Generator tag stamped into documents produced by this module.
-pub const GENERATOR: &str = "rvhpc-bench-harness";
+pub(crate) const GENERATOR: &str = "rvhpc-bench-harness";
 
 /// One target's document section: group, iteration count, exact wall
 /// stats, derived throughput (from the median), and the stall summary
 /// for parallel targets.
-pub fn target_to_json(r: &TargetResult) -> JsonValue {
+pub(crate) fn target_to_json(r: &TargetResult) -> JsonValue {
     let wall = WallStats::from_samples(&r.samples_us);
     let mut pairs = vec![
         ("group".to_string(), JsonValue::from(r.group)),
@@ -199,18 +199,12 @@ fn render_stalls(name: &str, target: &JsonValue) -> Option<String> {
     Some(out)
 }
 
-/// Render the full `BENCHMARKS.md` from one benchmark document. Pure:
-/// the same document always produces byte-identical markdown.
-pub fn render_markdown(doc: &JsonValue) -> String {
-    render_markdown_with(doc, None)
-}
-
-/// As [`render_markdown`], optionally appending a "Saturation" section
-/// rendered from an `rvhpc-saturation/1` sweep document (`loadgen
-/// --sweep`). Still a pure function of its inputs: the committed
-/// `BENCHMARKS.md` regenerates byte-identical from the committed
-/// `BENCH_<n>.json` + `SATURATION_<n>.json` pair.
-pub fn render_markdown_with(doc: &JsonValue, saturation: Option<&JsonValue>) -> String {
+/// Render the full `BENCHMARKS.md` from one benchmark document,
+/// optionally appending a "Saturation" section rendered from an
+/// `rvhpc-saturation/1` sweep document (`loadgen --sweep`). Pure: the
+/// committed `BENCHMARKS.md` regenerates byte-identical from the
+/// committed `BENCH_<n>.json` + `SATURATION_<n>.json` pair.
+pub fn render_markdown(doc: &JsonValue, saturation: Option<&JsonValue>) -> String {
     let mut out = String::new();
     let index = doc.get("index").and_then(JsonValue::as_f64).unwrap_or(0.0);
     let mode = doc.get("mode").and_then(JsonValue::as_str).unwrap_or("?");
@@ -280,7 +274,7 @@ pub fn render_markdown_with(doc: &JsonValue, saturation: Option<&JsonValue>) -> 
 
 /// The "Saturation" section: one row per sweep step, knee marked. A
 /// pure function of the `rvhpc-saturation/1` document.
-pub fn render_saturation(doc: &JsonValue) -> String {
+pub(crate) fn render_saturation(doc: &JsonValue) -> String {
     let mut out = String::new();
     out.push_str("## Saturation\n\n");
     let field = |key: &str| -> f64 {
@@ -411,9 +405,9 @@ mod tests {
 
         // Rendering is pure: serialize, reparse, render again — byte
         // identical.
-        let md = render_markdown(&doc);
+        let md = render_markdown(&doc, None);
         let reparsed = rvhpc_obs::json::parse(&doc.to_json()).expect("round-trip");
-        assert_eq!(md, render_markdown(&reparsed));
+        assert_eq!(md, render_markdown(&reparsed, None));
         assert!(md.contains("| host_cg_spmv | host | 10 |"), "{md}");
         assert!(md.contains("## System Information"), "{md}");
     }

@@ -335,7 +335,7 @@ fn bench(rest: &[String]) -> ! {
         };
         let doc = load(&path, Kind::Bench);
         let sat = saturation.map(|sat_path| load(&sat_path, Kind::Saturation));
-        emit(&record::render_markdown_with(&doc, sat.as_ref()));
+        emit(&record::render_markdown(&doc, sat.as_ref()));
         std::process::exit(0);
     } else if saturation.is_some() {
         usage_error("--saturation only makes sense together with --render");

@@ -138,7 +138,7 @@ fn committed_benchmarks_md_matches_baseline_rendering() {
         Ok(()),
         "SATURATION_{sat_n} invalid"
     );
-    let rendered = record::render_markdown_with(&doc, Some(&sat));
+    let rendered = record::render_markdown(&doc, Some(&sat));
     let committed = repo_file("BENCHMARKS.md");
     assert_eq!(
         rendered, committed,
