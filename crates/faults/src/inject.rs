@@ -53,11 +53,6 @@ impl Injector {
         }
     }
 
-    /// The wrapped plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// One injection opportunity at `site`. Returns the site parameter
     /// (stall milliseconds, torn chunk bytes — 0 for parameterless
     /// sites) when the fault fires, `None` otherwise.
@@ -109,7 +104,7 @@ impl Injector {
     }
 
     /// Counters for every site with a rule, in table order.
-    pub fn snapshot(&self) -> Vec<SiteSnapshot> {
+    pub(crate) fn snapshot(&self) -> Vec<SiteSnapshot> {
         FaultSite::ALL
             .into_iter()
             .filter(|&s| self.plan.rule(s).is_some())

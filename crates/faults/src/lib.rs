@@ -25,7 +25,7 @@
 //! Everything is counter-based and lock-free on the hot path; when no
 //! plan is installed the serving stack never calls into this crate.
 
-pub mod inject;
+pub(crate) mod inject;
 pub mod plan;
 pub mod rng;
 pub mod torn;

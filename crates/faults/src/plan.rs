@@ -62,11 +62,11 @@ pub enum FaultSite {
 }
 
 /// Number of distinct sites (array-table size).
-pub const SITE_COUNT: usize = 8;
+pub(crate) const SITE_COUNT: usize = 8;
 
 impl FaultSite {
     /// Every site, table order.
-    pub const ALL: [FaultSite; SITE_COUNT] = [
+    pub(crate) const ALL: [FaultSite; SITE_COUNT] = [
         FaultSite::WorkerPanic,
         FaultSite::ShardStall,
         FaultSite::TornWrite,
@@ -78,7 +78,7 @@ impl FaultSite {
     ];
 
     /// Spec key and stable JSON/event label.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             FaultSite::WorkerPanic => "panic",
             FaultSite::ShardStall => "stall",
@@ -137,7 +137,7 @@ pub struct SiteRule {
 impl SiteRule {
     /// Does this rule fire on 1-based occurrence `n`? (The injection cap
     /// is enforced by the injector, not here.)
-    pub fn fires(&self, site: FaultSite, seed: u64, n: u64) -> bool {
+    pub(crate) fn fires(&self, site: FaultSite, seed: u64, n: u64) -> bool {
         match self.trigger {
             Trigger::Schedule { start, period } => {
                 n >= start && (n - start).is_multiple_of(period.max(1))
@@ -161,7 +161,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The empty plan: a seed, no rules, nothing ever fires.
-    pub fn empty(seed: u64) -> Self {
+    pub(crate) fn empty(seed: u64) -> Self {
         Self {
             seed,
             rules: [None; SITE_COUNT],
@@ -169,12 +169,12 @@ impl FaultPlan {
     }
 
     /// Install or replace one site's rule.
-    pub fn set(&mut self, site: FaultSite, rule: SiteRule) {
+    pub(crate) fn set(&mut self, site: FaultSite, rule: SiteRule) {
         self.rules[site as usize] = Some(rule);
     }
 
     /// The rule at `site`, if any.
-    pub fn rule(&self, site: FaultSite) -> Option<&SiteRule> {
+    pub(crate) fn rule(&self, site: FaultSite) -> Option<&SiteRule> {
         self.rules[site as usize].as_ref()
     }
 
@@ -213,7 +213,7 @@ impl FaultPlan {
     }
 
     /// Deterministic JSON rendering of the plan (sites in table order).
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         let mut fields = vec![("seed".to_string(), JsonValue::from(self.seed))];
         for site in FaultSite::ALL {
             let Some(rule) = self.rule(site) else {
