@@ -33,7 +33,7 @@ impl IsaExt {
         }
     }
 
-    pub fn to_ext_set(self, rvv_active: bool) -> ExtSet {
+    pub(crate) fn to_ext_set(self, rvv_active: bool) -> ExtSet {
         ExtSet {
             m: true,
             a: true,

@@ -28,7 +28,7 @@ impl Cfg {
         self.blocks.len()
     }
 
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.blocks.iter().map(|b| b.succs.len()).sum()
     }
 }

@@ -63,7 +63,7 @@ fn imm_j(w: u32) -> i64 {
 
 /// Length in bytes of the instruction starting with half-word `lo`.
 #[inline]
-pub fn instr_len(lo: u16) -> u8 {
+pub(crate) fn instr_len(lo: u16) -> u8 {
     if lo & 0b11 == 0b11 {
         4
     } else {
@@ -669,7 +669,7 @@ pub struct DecodedProgram {
 
 impl DecodedProgram {
     /// Total byte length of the encoded stream.
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.instrs.iter().map(|(_, i)| i.size as usize).sum()
     }
 

@@ -98,23 +98,14 @@ pub fn enc_c_bnez(rs1: Reg, imm: i32) -> u16 {
 // --- assembler -------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Label(usize);
+pub(crate) struct Label(usize);
 
-#[derive(Debug, Clone, Copy)]
-enum FixKind {
-    /// 32-bit B-type branch: opcode/funct3/rs1/rs2 pre-encoded, imm patched.
-    Branch,
-    /// 32-bit J-type jump: opcode/rd pre-encoded, imm patched.
-    Jump,
-    /// Compressed c.bnez: register pre-encoded, imm patched.
-    CBranch,
-}
-
+/// A 32-bit B-type branch at `pos` whose opcode/funct3/rs1/rs2 are
+/// pre-encoded and whose immediate `finish` patches.
 #[derive(Debug, Clone, Copy)]
 struct Fixup {
     pos: usize,
     label: Label,
-    kind: FixKind,
 }
 
 /// Two-pass assembler: emit instructions with possibly-unresolved labels,
@@ -128,52 +119,40 @@ pub struct Asm {
 }
 
 // Register aliases for kernel code readability.
-pub const ZERO: Reg = 0;
-pub const RA: Reg = 1;
-pub const A0: Reg = 10;
-pub const A1: Reg = 11;
-pub const A2: Reg = 12;
-pub const A3: Reg = 13;
-pub const A4: Reg = 14;
-pub const A5: Reg = 15;
-pub const T0: Reg = 5;
-pub const T1: Reg = 6;
-pub const T2: Reg = 7;
-pub const T3: Reg = 28;
-pub const T4: Reg = 29;
-pub const T5: Reg = 30;
-pub const T6: Reg = 31;
-pub const S2: Reg = 18;
-pub const S3: Reg = 19;
-pub const S4: Reg = 20;
+pub(crate) const ZERO: Reg = 0;
+pub(crate) const A0: Reg = 10;
+pub(crate) const A1: Reg = 11;
+pub(crate) const A2: Reg = 12;
+pub(crate) const A3: Reg = 13;
+pub(crate) const A4: Reg = 14;
+pub(crate) const T0: Reg = 5;
+pub(crate) const T1: Reg = 6;
+pub(crate) const T2: Reg = 7;
+pub(crate) const T3: Reg = 28;
+pub(crate) const T4: Reg = 29;
+pub(crate) const T5: Reg = 30;
+pub(crate) const T6: Reg = 31;
+pub(crate) const S2: Reg = 18;
 
 impl Asm {
     pub fn new() -> Self {
         Asm::default()
     }
 
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
     /// Declare a label (possibly bound later).
-    pub fn label(&mut self) -> Label {
+    pub(crate) fn label(&mut self) -> Label {
         let l = Label(self.next_label);
         self.next_label += 1;
         l
     }
 
     /// Bind a label to the current position.
-    pub fn bind(&mut self, l: Label) {
+    pub(crate) fn bind(&mut self, l: Label) {
         self.bound.insert(l.0, self.bytes.len());
     }
 
     /// Declare and bind a label at the current position.
-    pub fn here(&mut self) -> Label {
+    pub(crate) fn here(&mut self) -> Label {
         let l = self.label();
         self.bind(l);
         l
@@ -188,43 +167,40 @@ impl Asm {
     }
 
     // -- RV64I --
-    pub fn lui(&mut self, rd: Reg, imm: i32) {
+    pub(crate) fn lui(&mut self, rd: Reg, imm: i32) {
         self.word(enc_u(0x37, rd, imm));
     }
     pub fn addi(&mut self, rd: Reg, rs1: Reg, imm: i32) {
         self.word(enc_i(0x13, 0, rd, rs1, imm));
     }
-    pub fn add(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn add(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x33, 0, 0, rd, rs1, rs2));
     }
-    pub fn sub(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn sub(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x33, 0, 0b0100000, rd, rs1, rs2));
     }
-    pub fn and(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn and(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x33, 7, 0, rd, rs1, rs2));
     }
-    pub fn xor(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn xor(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x33, 4, 0, rd, rs1, rs2));
     }
-    pub fn sltu(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn sltu(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x33, 3, 0, rd, rs1, rs2));
     }
-    pub fn slli(&mut self, rd: Reg, rs1: Reg, shamt: u8) {
+    pub(crate) fn slli(&mut self, rd: Reg, rs1: Reg, shamt: u8) {
         self.word(enc_i(0x13, 1, rd, rs1, shamt as i32));
     }
-    pub fn srli(&mut self, rd: Reg, rs1: Reg, shamt: u8) {
+    pub(crate) fn srli(&mut self, rd: Reg, rs1: Reg, shamt: u8) {
         self.word(enc_i(0x13, 5, rd, rs1, shamt as i32));
     }
     pub fn ld(&mut self, rd: Reg, rs1: Reg, imm: i32) {
         self.word(enc_i(0x03, 3, rd, rs1, imm));
     }
-    pub fn lw(&mut self, rd: Reg, rs1: Reg, imm: i32) {
+    pub(crate) fn lw(&mut self, rd: Reg, rs1: Reg, imm: i32) {
         self.word(enc_i(0x03, 2, rd, rs1, imm));
     }
-    pub fn sd(&mut self, rs2: Reg, rs1: Reg, imm: i32) {
-        self.word(enc_s(0x23, 3, rs1, rs2, imm));
-    }
-    pub fn mul(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn mul(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x33, 0, 1, rd, rs1, rs2));
     }
     pub fn ebreak(&mut self) {
@@ -232,7 +208,7 @@ impl Asm {
     }
 
     /// Load a 32-bit constant via lui+addi (handles the sign carry).
-    pub fn li32(&mut self, rd: Reg, value: i32) {
+    pub(crate) fn li32(&mut self, rd: Reg, value: i32) {
         let lo = (value << 20) >> 20; // low 12 bits, sign-extended
         let hi = value.wrapping_sub(lo);
         if hi != 0 {
@@ -246,49 +222,40 @@ impl Asm {
     }
 
     // -- Zba/Zbb --
-    pub fn sh1add(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
-        self.word(enc_r(0x33, 2, 0b0010000, rd, rs1, rs2));
-    }
-    pub fn sh2add(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn sh2add(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x33, 4, 0b0010000, rd, rs1, rs2));
     }
     pub fn sh3add(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x33, 6, 0b0010000, rd, rs1, rs2));
     }
-    pub fn maxu(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn maxu(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x33, 7, 0b0000101, rd, rs1, rs2));
-    }
-    pub fn minu(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
-        self.word(enc_r(0x33, 5, 0b0000101, rd, rs1, rs2));
     }
 
     // -- F/D --
-    pub fn fld(&mut self, rd: Reg, rs1: Reg, imm: i32) {
+    pub(crate) fn fld(&mut self, rd: Reg, rs1: Reg, imm: i32) {
         self.word(enc_i(0x07, 3, rd, rs1, imm));
     }
-    pub fn fsd(&mut self, rs2: Reg, rs1: Reg, imm: i32) {
+    pub(crate) fn fsd(&mut self, rs2: Reg, rs1: Reg, imm: i32) {
         self.word(enc_s(0x27, 3, rs1, rs2, imm));
     }
-    pub fn fmadd_d(&mut self, rd: Reg, rs1: Reg, rs2: Reg, rs3: Reg) {
+    pub(crate) fn fmadd_d(&mut self, rd: Reg, rs1: Reg, rs2: Reg, rs3: Reg) {
         // rm = 111 (dynamic)
         self.word(enc_r4(0x43, 0b111, 0b01, rd, rs1, rs2, rs3));
     }
-    pub fn fadd_d(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn fadd_d(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x53, 0b111, 0b0000001, rd, rs1, rs2));
     }
-    pub fn fsub_d(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn fsub_d(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x53, 0b111, 0b0000101, rd, rs1, rs2));
     }
-    pub fn fmul_d(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
+    pub(crate) fn fmul_d(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.word(enc_r(0x53, 0b111, 0b0001001, rd, rs1, rs2));
     }
-    pub fn fmv_d_x(&mut self, rd: Reg, rs1: Reg) {
-        self.word(enc_r(0x53, 0, 0b1111001, rd, rs1, 0));
-    }
-    pub fn fmv_x_d(&mut self, rd: Reg, rs1: Reg) {
+    pub(crate) fn fmv_x_d(&mut self, rd: Reg, rs1: Reg) {
         self.word(enc_r(0x53, 0, 0b1110001, rd, rs1, 0));
     }
-    pub fn fcvt_d_l(&mut self, rd: Reg, rs1: Reg) {
+    pub(crate) fn fcvt_d_l(&mut self, rd: Reg, rs1: Reg) {
         self.word(enc_r(0x53, 0b111, 0b1101001, rd, rs1, 2));
     }
 
@@ -331,11 +298,8 @@ impl Asm {
     }
 
     // -- compressed --
-    pub fn c_addi(&mut self, rd: Reg, imm: i32) {
+    pub(crate) fn c_addi(&mut self, rd: Reg, imm: i32) {
         self.half(enc_c_addi(rd, imm));
-    }
-    pub fn c_mv(&mut self, rd: Reg, rs2: Reg) {
-        self.half(enc_c_mv(rd, rs2));
     }
 
     // -- control flow with labels --
@@ -343,44 +307,20 @@ impl Asm {
         self.fixups.push(Fixup {
             pos: self.bytes.len(),
             label: target,
-            kind: FixKind::Branch,
         });
         self.word(enc_b(0x63, funct3, rs1, rs2, 0));
     }
-    pub fn beq(&mut self, rs1: Reg, rs2: Reg, target: Label) {
+    pub(crate) fn beq(&mut self, rs1: Reg, rs2: Reg, target: Label) {
         self.branch(0, rs1, rs2, target);
     }
-    pub fn bne(&mut self, rs1: Reg, rs2: Reg, target: Label) {
+    pub(crate) fn bne(&mut self, rs1: Reg, rs2: Reg, target: Label) {
         self.branch(1, rs1, rs2, target);
     }
-    pub fn blt(&mut self, rs1: Reg, rs2: Reg, target: Label) {
+    pub(crate) fn blt(&mut self, rs1: Reg, rs2: Reg, target: Label) {
         self.branch(4, rs1, rs2, target);
     }
-    pub fn bge(&mut self, rs1: Reg, rs2: Reg, target: Label) {
+    pub(crate) fn bge(&mut self, rs1: Reg, rs2: Reg, target: Label) {
         self.branch(5, rs1, rs2, target);
-    }
-    pub fn bltu(&mut self, rs1: Reg, rs2: Reg, target: Label) {
-        self.branch(6, rs1, rs2, target);
-    }
-    pub fn bgeu(&mut self, rs1: Reg, rs2: Reg, target: Label) {
-        self.branch(7, rs1, rs2, target);
-    }
-    pub fn jal(&mut self, rd: Reg, target: Label) {
-        self.fixups.push(Fixup {
-            pos: self.bytes.len(),
-            label: target,
-            kind: FixKind::Jump,
-        });
-        self.word(enc_j(0x6f, rd, 0));
-    }
-    /// c.bnez with a label; target must resolve within ±256 bytes.
-    pub fn c_bnez(&mut self, rs1: Reg, target: Label) {
-        self.fixups.push(Fixup {
-            pos: self.bytes.len(),
-            label: target,
-            kind: FixKind::CBranch,
-        });
-        self.half(enc_c_bnez(rs1, 0));
     }
 
     /// Resolve all fixups and return the machine code.
@@ -391,40 +331,14 @@ impl Asm {
                 .get(&fix.label.0)
                 .unwrap_or_else(|| panic!("unbound label {:?}", fix.label));
             let offset = target as i64 - fix.pos as i64;
-            match fix.kind {
-                FixKind::Branch => {
-                    assert!(
-                        (-4096..4096).contains(&offset),
-                        "branch offset out of range"
-                    );
-                    let old =
-                        u32::from_le_bytes(self.bytes[fix.pos..fix.pos + 4].try_into().unwrap());
-                    let keep = old & 0x01ff_f07f; // opcode|funct3|rs1|rs2 (imm bits cleared)
-                    let imm_bits = enc_b(0, 0, 0, 0, offset as i32);
-                    self.bytes[fix.pos..fix.pos + 4]
-                        .copy_from_slice(&(keep | imm_bits).to_le_bytes());
-                }
-                FixKind::Jump => {
-                    assert!(
-                        (-(1 << 20)..(1 << 20)).contains(&offset),
-                        "jump offset out of range"
-                    );
-                    let old =
-                        u32::from_le_bytes(self.bytes[fix.pos..fix.pos + 4].try_into().unwrap());
-                    let keep = old & 0xfff; // opcode|rd
-                    let imm_bits = enc_j(0, 0, offset as i32);
-                    self.bytes[fix.pos..fix.pos + 4]
-                        .copy_from_slice(&(keep | imm_bits).to_le_bytes());
-                }
-                FixKind::CBranch => {
-                    assert!((-256..256).contains(&offset), "c.bnez offset out of range");
-                    let old =
-                        u16::from_le_bytes(self.bytes[fix.pos..fix.pos + 2].try_into().unwrap());
-                    let reg = 8 + ((old >> 7) & 7) as Reg;
-                    let enc = enc_c_bnez(reg, offset as i32);
-                    self.bytes[fix.pos..fix.pos + 2].copy_from_slice(&enc.to_le_bytes());
-                }
-            }
+            assert!(
+                (-4096..4096).contains(&offset),
+                "branch offset out of range"
+            );
+            let old = u32::from_le_bytes(self.bytes[fix.pos..fix.pos + 4].try_into().unwrap());
+            let keep = old & 0x01ff_f07f; // opcode|funct3|rs1|rs2 (imm bits cleared)
+            let imm_bits = enc_b(0, 0, 0, 0, offset as i32);
+            self.bytes[fix.pos..fix.pos + 4].copy_from_slice(&(keep | imm_bits).to_le_bytes());
         }
         self.bytes
     }

@@ -52,22 +52,22 @@ impl Memory {
     }
 
     #[inline]
-    pub fn read_u64(&self, addr: u64) -> Result<u64, Trap> {
+    pub(crate) fn read_u64(&self, addr: u64) -> Result<u64, Trap> {
         self.bytes(addr).map(|b| u64::from_le_bytes(*b))
     }
 
     #[inline]
-    pub fn read_u32(&self, addr: u64) -> Result<u32, Trap> {
+    pub(crate) fn read_u32(&self, addr: u64) -> Result<u32, Trap> {
         self.bytes(addr).map(|b| u32::from_le_bytes(*b))
     }
 
     #[inline]
-    pub fn read_u16(&self, addr: u64) -> Result<u16, Trap> {
+    pub(crate) fn read_u16(&self, addr: u64) -> Result<u16, Trap> {
         self.bytes(addr).map(|b| u16::from_le_bytes(*b))
     }
 
     #[inline]
-    pub fn read_u8(&self, addr: u64) -> Result<u8, Trap> {
+    pub(crate) fn read_u8(&self, addr: u64) -> Result<u8, Trap> {
         self.bytes(addr).map(|b: &[u8; 1]| b[0])
     }
 
@@ -83,19 +83,19 @@ impl Memory {
     }
 
     #[inline]
-    pub fn write_u32(&mut self, addr: u64, v: u32) -> Result<(), Trap> {
+    pub(crate) fn write_u32(&mut self, addr: u64, v: u32) -> Result<(), Trap> {
         *self.bytes_mut(addr)? = v.to_le_bytes();
         Ok(())
     }
 
     #[inline]
-    pub fn write_u16(&mut self, addr: u64, v: u16) -> Result<(), Trap> {
+    pub(crate) fn write_u16(&mut self, addr: u64, v: u16) -> Result<(), Trap> {
         *self.bytes_mut(addr)? = v.to_le_bytes();
         Ok(())
     }
 
     #[inline]
-    pub fn write_u8(&mut self, addr: u64, v: u8) -> Result<(), Trap> {
+    pub(crate) fn write_u8(&mut self, addr: u64, v: u8) -> Result<(), Trap> {
         *self.bytes_mut(addr)? = [v];
         Ok(())
     }

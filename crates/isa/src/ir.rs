@@ -7,7 +7,7 @@
 //! distinguish compressed from full-width fetches.
 
 /// Architectural register index (x0..x31, f0..f31 or v0..v31 by context).
-pub type Reg = u8;
+pub(crate) type Reg = u8;
 
 /// Operation kind. Unknown or disabled encodings decode to [`Op::Illegal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,22 +147,8 @@ impl Op {
     }
 
     /// True for ops that terminate a basic block.
-    pub fn ends_block(self) -> bool {
+    pub(crate) fn ends_block(self) -> bool {
         self.is_cond_branch() || matches!(self, Op::Jal | Op::Jalr | Op::Ebreak | Op::Ecall)
-    }
-
-    /// True for the vector subset.
-    pub fn is_vector(self) -> bool {
-        matches!(
-            self,
-            Op::Vsetvli
-                | Op::Vle64
-                | Op::Vse64
-                | Op::Vluxei64
-                | Op::VfmaccVf
-                | Op::VfmulVf
-                | Op::VfaddVv
-        )
     }
 }
 
@@ -182,7 +168,7 @@ pub struct Instr {
 }
 
 impl Instr {
-    pub fn illegal(size: u8) -> Self {
+    pub(crate) fn illegal(size: u8) -> Self {
         Instr {
             op: Op::Illegal,
             rd: 0,

@@ -14,17 +14,17 @@ use crate::interp::{Cpu, Memory};
 use crate::ir::{ExtSet, Reg};
 
 /// Guest address of the first instruction.
-pub const TEXT_BASE: u64 = 0x1000;
+pub(crate) const TEXT_BASE: u64 = 0x1000;
 /// Guest address of the data segment.
-pub const DATA_BASE: u64 = 0x10_0000;
+pub(crate) const DATA_BASE: u64 = 0x10_0000;
 
 /// Problem sizes: large enough for a realistic dynamic instruction mix
 /// (~100K retired instructions per kernel), small enough that a debug-build
 /// characterisation stays in the tens of milliseconds.
-pub const TRIAD_N: usize = 8192;
-pub const SPMV_ROWS: usize = 1024;
-pub const SPMV_NNZ_PER_ROW: usize = 16;
-pub const MG_N: usize = 8192;
+pub(crate) const TRIAD_N: usize = 8192;
+pub(crate) const SPMV_ROWS: usize = 1024;
+pub(crate) const SPMV_NNZ_PER_ROW: usize = 16;
+pub(crate) const MG_N: usize = 8192;
 pub const EP_N: usize = 8192;
 
 /// Interpreter step budget; every kernel halts far below this.

@@ -31,8 +31,8 @@
 //! assert!(no_zba.instret > full.instret);
 //! ```
 
-pub mod backend;
-pub mod cfg;
+pub(crate) mod backend;
+pub(crate) mod cfg;
 pub mod decode;
 pub mod encode;
 pub mod interp;
