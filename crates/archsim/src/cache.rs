@@ -20,13 +20,6 @@ impl CacheStats {
             self.misses as f64 / self.accesses as f64
         }
     }
-
-    /// Alias for [`CacheStats::miss_ratio`] under the name most profiling
-    /// tools use. Defined (as 0.0) even when no accesses were recorded —
-    /// never NaN, so downstream reports can divide/format unconditionally.
-    pub fn miss_rate(&self) -> f64 {
-        self.miss_ratio()
-    }
 }
 
 impl std::ops::Add for CacheStats {
@@ -156,7 +149,7 @@ pub struct Cache<L = Blocks> {
 }
 
 /// A cache whose lines are one flat array.
-pub type FlatCache = Cache<Flat>;
+pub(crate) type FlatCache = Cache<Flat>;
 
 /// Put `key` in front of `ways` and push what was there back a way at a
 /// time, until the key's old copy turns up (a hit: everything behind it
@@ -188,7 +181,7 @@ impl Cache {
 impl<L: Lines> Cache<L> {
     /// Build from a [`CacheSpec`] (uses its full capacity: for shared
     /// caches, construct per-sharer slices via [`Cache::with_storage`]).
-    pub fn new(spec: &CacheSpec) -> Self {
+    pub(crate) fn new(spec: &CacheSpec) -> Self {
         let sets = (spec.size_bytes / (spec.line_bytes as u64 * spec.associativity as u64)).max(1)
             as usize;
         Self::with_storage(sets, spec.associativity as usize, spec.line_bytes)
@@ -211,7 +204,8 @@ impl<L: Lines> Cache<L> {
     }
 
     /// Capacity in bytes.
-    pub fn capacity(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> u64 {
         (self.sets * self.ways) as u64 * (1u64 << self.line_shift)
     }
 

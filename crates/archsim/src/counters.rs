@@ -31,18 +31,6 @@ impl HierarchyCounters {
     pub fn is_consistent(&self) -> bool {
         self.l1_hits + self.l2_hits + self.l3_hits + self.dram == self.accesses
     }
-
-    /// The delta `self - earlier` (counters are monotone, so this is the
-    /// activity between two snapshots, e.g. one phase).
-    pub fn since(&self, earlier: &HierarchyCounters) -> HierarchyCounters {
-        HierarchyCounters {
-            accesses: self.accesses - earlier.accesses,
-            l1_hits: self.l1_hits - earlier.l1_hits,
-            l2_hits: self.l2_hits - earlier.l2_hits,
-            l3_hits: self.l3_hits - earlier.l3_hits,
-            dram: self.dram - earlier.dram,
-        }
-    }
 }
 
 impl std::ops::Add for HierarchyCounters {
@@ -163,7 +151,8 @@ pub struct PhaseCounters {
 
 impl PhaseCounters {
     /// Sum over cores: the phase's chip-global counters.
-    pub fn total(&self) -> CoreCounters {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> CoreCounters {
         self.per_core.iter().copied().sum()
     }
 }
@@ -203,14 +192,6 @@ mod tests {
         assert_eq!(total.hierarchy.dram, sum_1_to_8);
         assert_eq!(total.tlb.misses, sum_1_to_8);
         assert!(total.hierarchy.is_consistent());
-    }
-
-    #[test]
-    fn snapshot_delta_partitions_the_run() {
-        let early = sample(3).hierarchy;
-        let late = sample(9).hierarchy; // counters only grow
-        let delta = late.since(&early);
-        assert_eq!(early + delta, late, "snapshots partition the total");
     }
 
     #[test]

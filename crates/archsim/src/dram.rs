@@ -107,13 +107,13 @@ impl DramModel {
     }
 
     /// Bandwidth utilization (0..1) given `p` streaming cores.
-    pub fn utilization(&self, p: u32) -> f64 {
+    pub(crate) fn utilization(&self, p: u32) -> f64 {
         (self.bandwidth(p) / self.bmax_gbs).clamp(0.0, 1.0)
     }
 
     /// Effective memory latency (ns) at utilization `u` ∈ [0,1): queueing
     /// delay grows as the controller saturates. Clamped at 8× idle.
-    pub fn loaded_latency_ns(&self, u: f64) -> f64 {
+    pub(crate) fn loaded_latency_ns(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 0.97);
         (self.idle_latency_ns / (1.0 - u * u)).min(self.idle_latency_ns * 8.0)
     }

@@ -45,7 +45,8 @@ pub struct MissBreakdown {
 
 impl MissBreakdown {
     /// Sanity: fractions sum to 1.
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> f64 {
         self.l1 + self.l2 + self.l3 + self.dram
     }
 }

@@ -42,10 +42,10 @@ pub mod dram;
 pub mod hierarchy;
 pub mod pipeline;
 pub mod replay;
-pub mod simulate;
+pub(crate) mod simulate;
 pub mod stall;
 pub mod stream_gen;
-pub mod tlb;
+pub(crate) mod tlb;
 pub mod vector;
 
 pub use cache::{Cache, CacheStats};
@@ -57,4 +57,3 @@ pub use replay::{BranchPredictor, ReplayStats, TraceConsumer, TraceEvent};
 pub use simulate::TraceHierarchy;
 pub use stall::StallAccount;
 pub use tlb::Tlb;
-pub use vector::VectorModel;

@@ -74,14 +74,6 @@ impl BranchPredictor {
     pub fn mispredicts(&self) -> u64 {
         self.mispredicts
     }
-
-    pub fn miss_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.branches as f64
-        }
-    }
 }
 
 /// Characterisation of a replayed trace.
@@ -97,16 +89,6 @@ pub struct ReplayStats {
     pub gather_ops: u64,
     pub hierarchy: HierarchyCounters,
     pub tlb: CacheStats,
-}
-
-impl ReplayStats {
-    pub fn branch_miss_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.branches as f64
-        }
-    }
 }
 
 /// Load/store addresses a [`TraceConsumer`] queues before it replays them.

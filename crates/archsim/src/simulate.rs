@@ -10,6 +10,7 @@ use rvhpc_machines::Machine;
 
 use crate::cache::{Cache, CacheStats, FlatCache, Lines};
 use crate::counters::HierarchyCounters;
+#[cfg(test)]
 use crate::hierarchy::MissBreakdown;
 use crate::stream_gen::AddressStream;
 
@@ -22,8 +23,6 @@ pub struct TraceHierarchy {
     l1: FlatCache,
     l2: Cache,
     l3: Option<Cache>,
-    /// Counter values at the last phase-boundary snapshot.
-    snapshot_mark: HierarchyCounters,
 }
 
 /// `bytes` of `ways`-way cache with `line`-byte lines, at least one set.
@@ -57,17 +56,16 @@ impl TraceHierarchy {
             l1: FlatCache::new(&m.l1d),
             l2,
             l3,
-            snapshot_mark: HierarchyCounters::default(),
         }
     }
 
-    /// Explicit capacities in bytes, 8-way (for tests and ablations).
-    pub fn with_capacities(l1: u64, l2: u64, l3: Option<u64>, line: u32) -> Self {
+    /// Explicit capacities in bytes, 8-way.
+    #[cfg(test)]
+    pub(crate) fn with_capacities(l1: u64, l2: u64, l3: Option<u64>, line: u32) -> Self {
         Self {
             l1: sized(l1 as f64, 8, line),
             l2: sized(l2 as f64, 8, line),
             l3: l3.map(|bytes| sized(bytes as f64, 8, line)),
-            snapshot_mark: HierarchyCounters::default(),
         }
     }
 
@@ -90,8 +88,8 @@ impl TraceHierarchy {
     }
 
     /// Zero the counters (keeping cache contents — warm-up protocol).
-    pub fn reset_stats(&mut self) {
-        self.snapshot_mark = HierarchyCounters::default();
+    #[cfg(test)]
+    pub(crate) fn reset_stats(&mut self) {
         self.l1.reset_stats();
         self.l2.reset_stats();
         if let Some(l3) = &mut self.l3 {
@@ -114,18 +112,9 @@ impl TraceHierarchy {
         }
     }
 
-    /// Phase-boundary snapshot: the activity since the previous call (or
-    /// since reset). Successive snapshots partition [`Self::counters`], so
-    /// per-phase counter sets sum to the run totals.
-    pub fn snapshot(&mut self) -> HierarchyCounters {
-        let now = self.counters();
-        let delta = now.since(&self.snapshot_mark);
-        self.snapshot_mark = now;
-        delta
-    }
-
     /// The measured per-level service breakdown.
-    pub fn breakdown(&self) -> MissBreakdown {
+    #[cfg(test)]
+    pub(crate) fn breakdown(&self) -> MissBreakdown {
         let c = self.counters();
         if c.accesses == 0 {
             return MissBreakdown::default();
@@ -237,26 +226,6 @@ mod tests {
         );
         // And L1 must be near-useless for both (ws >> L1).
         assert!(measured.l1 < 0.15, "{measured:?}");
-    }
-
-    #[test]
-    fn phase_snapshots_partition_the_counters() {
-        let mut h = TraceHierarchy::with_capacities(32 * 1024, 256 * 1024, None, 64);
-        let mut s = Sequential::new(8, 8 * 1024 * 1024);
-        h.replay(&mut s, 10_000);
-        let phase1 = h.snapshot();
-        h.replay(&mut s, 25_000);
-        let phase2 = h.snapshot();
-        assert_eq!(phase1.accesses, 10_000);
-        assert_eq!(phase2.accesses, 25_000);
-        assert!(phase1.is_consistent() && phase2.is_consistent());
-        assert_eq!(
-            phase1 + phase2,
-            h.counters(),
-            "phase deltas must sum to the run totals"
-        );
-        // An immediate snapshot with no traffic is empty.
-        assert_eq!(h.snapshot().accesses, 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl StallAccount {
     }
 
     /// Merge another account into this one (same semantics as `+`).
-    pub fn merge(&mut self, other: &StallAccount) {
+    pub(crate) fn merge(&mut self, other: &StallAccount) {
         self.compute_cycles += other.compute_cycles;
         self.cache_stall_cycles += other.cache_stall_cycles;
         self.dram_stall_cycles += other.dram_stall_cycles;

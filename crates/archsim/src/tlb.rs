@@ -15,7 +15,6 @@ use crate::cache::{CacheStats, FlatCache};
 /// dozen entries).
 pub struct Tlb {
     inner: FlatCache,
-    page_bytes: u64,
     /// Cycles to walk the page table on a miss.
     pub walk_cycles: u32,
 }
@@ -23,7 +22,7 @@ pub struct Tlb {
 impl Tlb {
     /// A TLB with `entries` mappings over `page_bytes` pages (must be a
     /// power of two), `ways`-associative.
-    pub fn new(entries: usize, ways: usize, page_bytes: u64, walk_cycles: u32) -> Self {
+    pub(crate) fn new(entries: usize, ways: usize, page_bytes: u64, walk_cycles: u32) -> Self {
         assert!(page_bytes.is_power_of_two());
         assert!(
             entries.is_multiple_of(ways),
@@ -33,7 +32,6 @@ impl Tlb {
         let sets = entries / ways;
         Self {
             inner: FlatCache::with_storage(sets, ways, page_bytes.min(u32::MAX as u64) as u32),
-            page_bytes,
             walk_cycles,
         }
     }
@@ -50,30 +48,9 @@ impl Tlb {
         self.inner.access(addr)
     }
 
-    /// Reach in bytes (entries × page size).
-    pub fn reach_bytes(&self) -> u64 {
-        self.inner.capacity()
-    }
-
     /// Hit/miss statistics.
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
-    }
-
-    /// Reset statistics (mappings retained).
-    pub fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    /// Average translation stall in cycles per access at the current miss
-    /// ratio.
-    pub fn stall_cycles_per_access(&self) -> f64 {
-        self.stats().miss_ratio() * f64::from(self.walk_cycles)
-    }
-
-    /// Page size.
-    pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
     }
 }
 
@@ -83,12 +60,6 @@ mod tests {
     use crate::stream_gen::{AddressStream, RandomInWs, Sequential};
 
     #[test]
-    fn reach_is_entries_times_page() {
-        let t = Tlb::typical_l1_dtlb();
-        assert_eq!(t.reach_bytes(), 64 * 4096);
-    }
-
-    #[test]
     fn sequential_within_reach_hits_after_warmup() {
         let mut t = Tlb::typical_l1_dtlb();
         let ws = 32 * 4096u64;
@@ -96,12 +67,11 @@ mod tests {
         for _ in 0..(ws / 8) as usize {
             t.access(s.next_addr());
         }
-        t.reset_stats();
+        t.inner.reset_stats();
         for _ in 0..(ws / 8) as usize {
             t.access(s.next_addr());
         }
         assert_eq!(t.stats().misses, 0);
-        assert_eq!(t.stall_cycles_per_access(), 0.0);
     }
 
     #[test]
@@ -122,18 +92,17 @@ mod tests {
         assert_eq!(i, 200_000);
         let mr = t.stats().miss_ratio();
         assert!(mr > 0.5, "scatter miss ratio only {mr:.3}");
-        assert!(t.stall_cycles_per_access() > 15.0);
     }
 
     #[test]
     fn random_miss_ratio_follows_reach_shortfall() {
         let mut t = Tlb::typical_l1_dtlb();
-        let ws = 4 * t.reach_bytes();
+        let ws = 4 * 64 * 4096; // four times the reach
         let mut s = RandomInWs::new(8, ws, 77);
         for _ in 0..100_000 {
             t.access(s.next_addr());
         }
-        t.reset_stats();
+        t.inner.reset_stats();
         for _ in 0..100_000 {
             t.access(s.next_addr());
         }
@@ -152,7 +121,7 @@ mod tests {
             let addr = stream as u64 * 4096;
             t.access(addr);
         }
-        t.reset_stats();
+        t.inner.reset_stats();
         for step in 0..100_000usize {
             let stream = (step * 7919) % pages_4k as usize;
             t.access(stream as u64 * 4096);

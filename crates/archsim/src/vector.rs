@@ -48,7 +48,7 @@ impl VectorModel {
     }
 
     /// Whether vector code is emitted at all.
-    pub fn active(&self) -> bool {
+    pub(crate) fn active(&self) -> bool {
         self.compiler.emits_vector(self.isa)
     }
 
