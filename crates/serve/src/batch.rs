@@ -45,7 +45,7 @@ const MAX_BATCH: usize = 64;
 
 /// Most times one batch is attempted before being abandoned (each
 /// attempt past the first costs one pool respawn).
-pub const MAX_BATCH_ATTEMPTS: u32 = 3;
+pub(crate) const MAX_BATCH_ATTEMPTS: u32 = 3;
 
 /// One admitted prediction job.
 pub struct Job {
@@ -111,7 +111,7 @@ pub enum ReplySink {
 
 impl ReplySink {
     /// A completion-port sink for `token`.
-    pub fn port(port: Arc<dyn CompletionPort>, token: u64) -> ReplySink {
+    pub(crate) fn port(port: Arc<dyn CompletionPort>, token: u64) -> ReplySink {
         ReplySink::Port {
             port,
             token,
@@ -120,7 +120,7 @@ impl ReplySink {
     }
 
     /// Deliver the result. Channel sinks ignore a closed receiver.
-    pub fn send(&self, result: JobResult) {
+    pub(crate) fn send(&self, result: JobResult) {
         match self {
             ReplySink::Channel(tx) => {
                 let _ = tx.send(result);
@@ -186,7 +186,6 @@ pub struct Batcher {
     /// Jobs admitted but not yet picked up, per shard. Outlives a drain
     /// so the timeseries sampler can keep reading (depths drop to 0).
     depths: Vec<Arc<AtomicUsize>>,
-    nshards: usize,
     /// Per-shard queue bound — the denominator of the weighted
     /// admission thresholds.
     queue_cap: usize,
@@ -355,7 +354,7 @@ impl Batcher {
 
     /// Like [`Batcher::new`], with a chaos injector threaded into every
     /// shard worker (stall and panic sites).
-    pub fn with_injector(
+    pub(crate) fn with_injector(
         engine: &'static Engine,
         nshards: usize,
         queue_cap: usize,
@@ -394,7 +393,6 @@ impl Batcher {
             engine,
             shards: Mutex::new(shards),
             depths,
-            nshards,
             queue_cap: queue_cap.max(1),
             restarts,
             injector,
@@ -402,28 +400,23 @@ impl Batcher {
     }
 
     /// The engine this batcher resolves through.
-    pub fn engine(&self) -> &'static Engine {
+    pub(crate) fn engine(&self) -> &'static Engine {
         self.engine
     }
 
     /// Pool respawns performed by panic recovery, across all shards.
-    pub fn worker_restarts(&self) -> u64 {
+    pub(crate) fn worker_restarts(&self) -> u64 {
         self.restarts.load(Ordering::Relaxed)
     }
 
     /// The chaos injector threaded through the workers, if any.
-    pub fn injector(&self) -> Option<&Arc<Injector>> {
+    pub(crate) fn injector(&self) -> Option<&Arc<Injector>> {
         self.injector.as_ref()
-    }
-
-    /// Number of shards.
-    pub fn nshards(&self) -> usize {
-        self.nshards
     }
 
     /// Jobs admitted but not yet picked up, per shard — the live queue
     /// depth gauges the timeseries sampler exports.
-    pub fn queue_depths(&self) -> Vec<usize> {
+    pub(crate) fn queue_depths(&self) -> Vec<usize> {
         self.depths
             .iter()
             .map(|d| d.load(Ordering::Relaxed))

@@ -110,7 +110,7 @@ pub struct RetryClient {
 /// A failure worth retrying: the one definition of "transient" that
 /// [`RetryClient`] and the cluster router's reactor-side relay share.
 #[derive(Debug)]
-pub enum Transient {
+pub(crate) enum Transient {
     /// Transport error, or a stream that closed or stalled mid-frame.
     Io(String),
     /// The frame did not parse as JSON.
@@ -124,7 +124,7 @@ pub enum Transient {
 /// the parsed document and whether it is `ok:true` (else a definitive
 /// rejection — `parse`, `invalid`, `draining` — that retrying would
 /// only amplify); `Err` is a failure to retry.
-pub fn classify_reply(raw: &str) -> Result<(JsonValue, bool), Transient> {
+pub(crate) fn classify_reply(raw: &str) -> Result<(JsonValue, bool), Transient> {
     let doc = rvhpc_obs::json::parse(raw).map_err(|_| Transient::Corrupt)?;
     if doc.get("ok") == Some(&JsonValue::Bool(true)) {
         return Ok((doc, true));
@@ -205,7 +205,7 @@ impl RetryClient {
     /// `failed`: that failure counts as attempt one, so the back-off
     /// (and any `retry_after_ms` hint) and the attempt budget are what
     /// they would have been had this client made it.
-    pub fn call_raw_after(
+    pub(crate) fn call_raw_after(
         &mut self,
         line: &str,
         failed: Option<Transient>,

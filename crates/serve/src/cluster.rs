@@ -225,7 +225,7 @@ pub struct Router {
 impl Router {
     /// A router over `config.nodes`; the injector (when present) powers
     /// the `partition` chaos site.
-    pub fn new(config: RouterConfig, injector: Option<Arc<Injector>>) -> Router {
+    pub(crate) fn new(config: RouterConfig, injector: Option<Arc<Injector>>) -> Router {
         let ring = Ring::new(&config.nodes, config.vnodes.max(1), config.seed);
         let stats = config.nodes.iter().map(|_| NodeStats::default()).collect();
         let assigned = Assigned {
@@ -245,12 +245,12 @@ impl Router {
     }
 
     /// Total predicts handed to the forwarder.
-    pub fn forwarded_total(&self) -> u64 {
+    pub(crate) fn forwarded_total(&self) -> u64 {
         self.forwarded.load(Ordering::Relaxed)
     }
 
     /// The configuration this router was built from.
-    pub fn config(&self) -> &RouterConfig {
+    pub(crate) fn config(&self) -> &RouterConfig {
         &self.config
     }
 
@@ -258,7 +258,7 @@ impl Router {
     /// owners, first owner first, and nothing else. Empty only when no
     /// node is configured. Called once per predict, whichever entry
     /// then carries it.
-    pub fn route(&self, fingerprint: u64) -> Vec<usize> {
+    pub(crate) fn route(&self, fingerprint: u64) -> Vec<usize> {
         self.forwarded.fetch_add(1, Ordering::Relaxed);
         if self.config.nodes.is_empty() {
             return Vec::new();
@@ -269,7 +269,7 @@ impl Router {
 
     /// One forward is on its way to `node`; `on_reactor` says which of
     /// the two entries wrote it.
-    pub fn note_sent(&self, node: usize, on_reactor: bool) {
+    pub(crate) fn note_sent(&self, node: usize, on_reactor: bool) {
         self.stats[node].forwarded.fetch_add(1, Ordering::Relaxed);
         if on_reactor {
             self.forwards_reactor.fetch_add(1, Ordering::Relaxed);
@@ -278,7 +278,7 @@ impl Router {
 
     /// `node` answered a forward of `fingerprint` (a success or a
     /// definitive rejection): count it and record the assignment.
-    pub fn note_served(&self, fingerprint: u64, node: usize) {
+    pub(crate) fn note_served(&self, fingerprint: u64, node: usize) {
         self.stats[node].ok.fetch_add(1, Ordering::Relaxed);
         let mut assigned = self.assigned.lock();
         let Assigned { node_of, per_node } = &mut *assigned;
@@ -298,12 +298,12 @@ impl Router {
     /// Distinct keys currently assigned to each node; the sum over
     /// nodes equals the total distinct keys this router has served
     /// (up to [`ASSIGNED_TRACK_CAP`]).
-    pub fn keys_per_node(&self) -> Vec<u64> {
+    pub(crate) fn keys_per_node(&self) -> Vec<u64> {
         self.assigned.lock().per_node.clone()
     }
 
     /// The `cluster` metrics section.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         let keys = self.keys_per_node();
         let keys_total: u64 = keys.iter().sum();
         let c = |a: &AtomicU64| JsonValue::from(a.load(Ordering::Relaxed));
@@ -358,7 +358,7 @@ impl Router {
 }
 
 /// How a forward ended.
-pub enum ForwardOutcome {
+pub(crate) enum ForwardOutcome {
     /// Some node answered: the raw reply frame, newline stripped,
     /// relayed verbatim (successes *and* definitive rejections).
     Reply(String),
@@ -368,7 +368,7 @@ pub enum ForwardOutcome {
 
 /// One predict to relay: the raw request line, its ring coordinate and
 /// the owner order [`Router::route`] chose for it.
-pub struct Forward {
+pub(crate) struct Forward {
     /// The raw request line (no newline).
     pub line: String,
     /// Cache-key fingerprint — the ring coordinate.
@@ -381,7 +381,7 @@ pub struct Forward {
 
 /// A [`Forward`] for a pool worker, with the completion callback back
 /// into the reactor.
-pub struct ForwardJob {
+pub(crate) struct ForwardJob {
     pub forward: Forward,
     /// How the reactor's own attempt on the first owner failed, when it
     /// made one: the worker resumes from there
@@ -395,28 +395,28 @@ pub struct ForwardJob {
 /// blocking half (resolve, connect within `connect_timeout_ms`) runs on
 /// a pool worker, which hands the nonblocking stream — or the error —
 /// to `done`.
-pub struct ConnectJob {
+pub(crate) struct ConnectJob {
     pub node: usize,
     /// Completion delivery; must not block.
     pub done: Box<dyn FnOnce(std::io::Result<TcpStream>) + Send>,
 }
 
 /// What a [`Forwarder`] worker can be asked to do.
-pub enum PoolJob {
+pub(crate) enum PoolJob {
     Forward(ForwardJob),
     Connect(ConnectJob),
 }
 
 /// The forwarder pool: worker threads pulling jobs off a bounded queue,
 /// each holding lazily-built per-node [`RetryClient`]s.
-pub struct Forwarder {
+pub(crate) struct Forwarder {
     tx: Mutex<Option<SyncSender<PoolJob>>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Forwarder {
     /// Start the worker pool for `router`.
-    pub fn spawn(router: Arc<Router>) -> Forwarder {
+    pub(crate) fn spawn(router: Arc<Router>) -> Forwarder {
         let (tx, rx) = sync_channel::<PoolJob>(router.config.forward_queue.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let mut workers = Vec::new();
@@ -440,13 +440,13 @@ impl Forwarder {
     /// job is dropped, its completion uncalled) — the caller sheds a
     /// forward with an `overloaded` reply, exactly like a full shard
     /// queue, and treats a connect as failed.
-    pub fn submit(&self, job: PoolJob) -> bool {
+    pub(crate) fn submit(&self, job: PoolJob) -> bool {
         let tx = self.tx.lock();
         tx.as_ref().is_some_and(|tx| tx.try_send(job).is_ok())
     }
 
     /// Stop accepting, let queued jobs finish, join the workers.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         self.tx.lock().take();
         for h in self.workers.lock().drain(..) {
             let _ = h.join();

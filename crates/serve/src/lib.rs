@@ -46,7 +46,7 @@
 //! workspace's own JSON model) — see DESIGN.md §8.
 
 pub mod batch;
-pub mod client;
+pub(crate) mod client;
 pub mod cluster;
 pub mod loadgen;
 pub mod poll;

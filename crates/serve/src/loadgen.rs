@@ -83,12 +83,12 @@ impl ClassMix {
     }
 
     /// The class of request `k`.
-    pub fn class_of(&self, k: usize) -> Priority {
+    pub(crate) fn class_of(&self, k: usize) -> Priority {
         self.pattern[k % self.pattern.len()]
     }
 
     /// The spec string this mix was parsed from.
-    pub fn spec(&self) -> &str {
+    pub(crate) fn spec(&self) -> &str {
         &self.spec
     }
 }
@@ -799,7 +799,7 @@ impl SweepSpec {
     }
 
     /// The connection counts the sweep visits, in ascending order.
-    pub fn points(&self) -> Vec<usize> {
+    pub(crate) fn points(&self) -> Vec<usize> {
         (self.lo..=self.hi).step_by(self.step).collect()
     }
 }

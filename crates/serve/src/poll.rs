@@ -22,11 +22,11 @@
 use std::io;
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
-pub use std::os::unix::io::RawFd;
+pub(crate) use std::os::unix::io::RawFd;
 use std::time::Duration;
 
 #[cfg(not(unix))]
-pub type RawFd = i32;
+pub(crate) type RawFd = i32;
 
 pub(crate) use sys::{flag_on_terminate, set_backlog};
 
@@ -55,11 +55,6 @@ impl Interest {
     pub const READ: Interest = Interest {
         read: true,
         write: false,
-    };
-    /// Read + write — a connection with a pending outbuf.
-    pub const READ_WRITE: Interest = Interest {
-        read: true,
-        write: true,
     };
 }
 
@@ -95,12 +90,17 @@ impl Poller {
     }
 
     /// Change the interest (and token) of an already-registered `fd`.
-    pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn reregister(
+        &mut self,
+        fd: RawFd,
+        token: u64,
+        interest: Interest,
+    ) -> io::Result<()> {
         self.sys.reregister(fd, token, interest)
     }
 
     /// Stop watching `fd`. Must be called before the descriptor closes.
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         self.sys.deregister(fd)
     }
 
@@ -461,7 +461,14 @@ mod tests {
 
         // Write interest on an idle socket reports writable immediately.
         poller
-            .reregister(a.as_raw_fd(), 7, Interest::READ_WRITE)
+            .reregister(
+                a.as_raw_fd(),
+                7,
+                Interest {
+                    read: true,
+                    write: true,
+                },
+            )
             .unwrap();
         poller
             .wait(&mut events, Some(Duration::from_secs(5)))

@@ -47,7 +47,7 @@ pub enum ErrorKind {
 
 impl ErrorKind {
     /// Stable wire label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ErrorKind::Parse => "parse",
             ErrorKind::Invalid => "invalid",
@@ -88,7 +88,7 @@ impl ProtoError {
     }
 
     /// Attach a retry-after hint (load-shed replies).
-    pub fn with_retry_after(mut self, ms: u64) -> Self {
+    pub(crate) fn with_retry_after(mut self, ms: u64) -> Self {
         self.retry_after_ms = Some(ms);
         self
     }
@@ -114,10 +114,10 @@ pub enum Priority {
 
 impl Priority {
     /// Every class, highest first (table and metrics order).
-    pub const ALL: [Priority; 3] = [Priority::Interactive, Priority::Batch, Priority::Bulk];
+    pub(crate) const ALL: [Priority; 3] = [Priority::Interactive, Priority::Batch, Priority::Bulk];
 
     /// Stable wire/metrics label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Priority::Interactive => "interactive",
             Priority::Batch => "batch",
@@ -126,12 +126,12 @@ impl Priority {
     }
 
     /// Dense index for per-class counter arrays.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         *self as usize
     }
 
     /// Parse a wire label (case-insensitive).
-    pub fn from_label(s: &str) -> Option<Priority> {
+    pub(crate) fn from_label(s: &str) -> Option<Priority> {
         Priority::ALL
             .into_iter()
             .find(|p| p.label().eq_ignore_ascii_case(s))
@@ -201,7 +201,7 @@ impl PredictRequest {
     }
 
     /// Display label for the target machine (`SG2044` or `custom:SG2044`).
-    pub fn machine_label(&self) -> String {
+    pub(crate) fn machine_label(&self) -> String {
         match &self.machine {
             MachineSpec::Preset(id) => id.name().to_string(),
             MachineSpec::Custom { base, .. } => format!("custom:{}", base.name()),
@@ -539,7 +539,7 @@ pub fn render_ok(id: Option<u64>, result: JsonValue) -> String {
 
 /// As [`render_ok`] with the request's span dump attached as a top-level
 /// `trace` field — the slow-request path (`--slow-us` threshold).
-pub fn render_ok_traced(id: Option<u64>, result: JsonValue, trace: JsonValue) -> String {
+pub(crate) fn render_ok_traced(id: Option<u64>, result: JsonValue, trace: JsonValue) -> String {
     let mut fields = vec![
         ("ok".to_string(), JsonValue::Bool(true)),
         ("result".to_string(), result),

@@ -266,12 +266,6 @@ impl Server {
         self.local_addr
     }
 
-    /// Snapshot the full metrics document: `server` counters plus the
-    /// engine's cache/executor section and the `timeseries` ring.
-    pub fn metrics_document(&self) -> JsonValue {
-        self.shared.metrics_doc()
-    }
-
     /// Serve until a drain is requested (`quit`, signal, or
     /// [`request_drain`]); then stop accepting, let connections finish,
     /// drain the batcher, and return the final metrics document.
