@@ -145,7 +145,7 @@ impl CacheKey {
     /// debug encoding). Deterministic across processes and runs — usable
     /// in on-disk cache layouts and cross-run diffing.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(format!("{self:?}").as_bytes())
+        fnv1a_of_debug(self)
     }
 
     /// The key of `q`, where `custom[i]` is the [`machine_fingerprint`]
@@ -176,16 +176,25 @@ pub type HashedKey = Hashed<CacheKey>;
 /// precision, so two machines fingerprint equal iff they are
 /// field-for-field identical.
 pub fn machine_fingerprint(m: &Machine) -> u64 {
-    fnv1a(format!("{m:?}").as_bytes())
+    fnv1a_of_debug(m)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a over `v`'s `Debug` output, hashed as it is formatted: the
+/// hash of the `format!("{v:?}")` bytes without the `String`.
+fn fnv1a_of_debug(v: &impl std::fmt::Debug) -> u64 {
+    struct Fnv1a(u64);
+    impl std::fmt::Write for Fnv1a {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for &b in s.as_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
     }
-    h
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    std::fmt::write(&mut h, format_args!("{v:?}")).expect("hashing a Debug value cannot fail");
+    h.0
 }
 
 /// An ordered batch of queries plus the custom machines they reference.

@@ -463,12 +463,12 @@ impl DiskStore {
     /// whole — the recovery the open-time scan would otherwise perform
     /// at next boot, proven in-line and counted.
     pub fn append(&self, fp: u64, pred: &Prediction) -> io::Result<bool> {
-        let payload = encode_prediction(pred);
-        let record = encode_record(fp, &payload);
         let mut inner = self.inner.lock().unwrap();
         if inner.index.contains_key(&fp) {
             return Ok(false);
         }
+        let payload = encode_prediction(pred);
+        let record = encode_record(fp, &payload);
         let start = inner.end;
         let shred = {
             let hook = self.shred.lock().unwrap();
@@ -647,7 +647,9 @@ mod tests {
             let store = DiskStore::open(&dir).expect("open");
             assert!(store.append(10, &p0).unwrap());
             assert!(store.append(11, &p1).unwrap());
-            assert!(!store.append(10, &p0).unwrap(), "append-once per key");
+            let (bytes, appends) = (store.bytes(), store.metrics().appends);
+            assert!(!store.append(10, &p1).unwrap(), "append-once per key");
+            assert_eq!((store.bytes(), store.metrics().appends), (bytes, appends));
             assert_eq!(store.len(), 2);
         }
         let store = DiskStore::open(&dir).expect("reopen");

@@ -6,10 +6,11 @@
 //! module is the single place JSON syntax lives. The two front ends:
 //! - [`JsonValue`], an owned tree, for documents that are parsed, diffed
 //!   or validated — traces, metrics, bench and saturation documents.
-//! - [`Writer`], which streams values straight into a `String`, for bulk
-//!   record output (sweeps) that would otherwise build a tree only to
-//!   print and drop it. A streamed object takes its keys in strictly
-//!   ascending order, so it prints what the same tree prints.
+//! - [`Writer`], which streams values straight into a `String`, for
+//!   output that would otherwise build a tree only to print and drop
+//!   it: sweep records and the server's predict replies. A streamed
+//!   object takes its keys in strictly ascending order, so it prints
+//!   what the same tree prints.
 //!
 //! The tree renders through the writer, so escaping, number format and
 //! separators exist once.
@@ -82,7 +83,7 @@ impl JsonValue {
     /// Serialize to a compact JSON string.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(Writer::new(&mut out));
+        Writer::new(&mut out).value(self);
         out
     }
 
@@ -127,7 +128,7 @@ impl<'a> Writer<'a> {
     }
 
     /// `true` / `false`
-    pub(crate) fn bool(self, b: bool) {
+    pub fn bool(self, b: bool) {
         self.out.push_str(if b { "true" } else { "false" });
     }
 
@@ -140,6 +141,11 @@ impl<'a> Writer<'a> {
     /// An escaped string.
     pub fn string(self, s: &str) {
         write_string(s, self.out);
+    }
+
+    /// A whole tree, printed as [`JsonValue::to_json`] prints it.
+    pub fn value(self, v: &JsonValue) {
+        v.write(self);
     }
 
     /// An array whose items `items` writes.

@@ -13,20 +13,27 @@
 //! leaves bytes unread or a buffer unflushed is simply called again on
 //! the next wait — no edge-tracking state machines.
 //!
-//! [`Waker`] is the cross-thread wake primitive: a loopback TCP socket
-//! pair (std-only; no `eventfd`/`pipe2` portability knots). Writing one
-//! byte to the send half makes the receive half readable, which pops
-//! the owning reactor out of its `wait`; the reactor drains the bytes
-//! and consults its completion queue.
+//! [`Waker`] is the cross-thread wake primitive: a Unix stream socket
+//! pair, both halves nonblocking (std-only, so no foreign call of its
+//! own; an `eventfd` would be cheaper still, at the price of one more).
+//! Writing one byte to the send half makes the receive half readable,
+//! which pops the owning reactor out of its `wait`; the reactor drains
+//! the bytes and consults its completion queue.
 
 use std::io;
-use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 pub(crate) use std::os::unix::io::RawFd;
 use std::time::Duration;
 
 #[cfg(not(unix))]
 pub(crate) type RawFd = i32;
+
+// The receive half of a wake channel. Off Unix none is ever built
+// (`waker_pair` fails), so any std stream stands in for the type.
+#[cfg(not(unix))]
+pub(crate) use std::net::TcpStream as WakeRx;
+#[cfg(unix)]
+pub(crate) use std::os::unix::net::UnixStream as WakeRx;
 
 pub(crate) use sys::{flag_on_terminate, set_backlog};
 
@@ -372,11 +379,11 @@ mod sys {
 }
 
 /// The writable half of a reactor's wake channel. Cheap: a wake is one
-/// nonblocking byte onto a loopback socket. A full socket
-/// buffer means wake bytes are already pending, so the failed write is
-/// itself a successful wake.
+/// nonblocking byte onto a Unix socket, and it never blocks. A full
+/// socket buffer (a few hundred undrained wakes) means wake bytes are
+/// already pending, so the refused write is itself a successful wake.
 pub struct Waker {
-    tx: TcpStream,
+    tx: WakeRx,
 }
 
 impl Waker {
@@ -394,21 +401,28 @@ impl std::fmt::Debug for Waker {
 }
 
 /// Build a wake channel: the [`Waker`] goes to producers (batch
-/// workers, forwarders), the returned nonblocking [`TcpStream`] is the
-/// receive half the reactor registers for read interest and drains.
-pub fn waker_pair() -> io::Result<(Waker, TcpStream)> {
-    // A loopback accept gives a connected socket pair with std alone.
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let tx = TcpStream::connect(addr)?;
-    let (rx, _) = listener.accept()?;
-    tx.set_nodelay(true)?;
+/// workers, forwarders), the returned nonblocking stream is the receive
+/// half the reactor registers for read interest and drains. Off Unix it
+/// fails with `Unsupported`, like [`Poller::new`].
+#[cfg(unix)]
+pub fn waker_pair() -> io::Result<(Waker, WakeRx)> {
+    let (tx, rx) = WakeRx::pair()?;
+    tx.set_nonblocking(true)?;
     rx.set_nonblocking(true)?;
     Ok((Waker { tx }, rx))
 }
 
+/// Off Unix there is no wake channel (and no poller to wake).
+#[cfg(not(unix))]
+pub fn waker_pair() -> io::Result<(Waker, WakeRx)> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "the wake channel is a Unix socket pair",
+    ))
+}
+
 /// Drain every pending wake byte from the receive half.
-pub fn drain_wakes(rx: &mut TcpStream) {
+pub fn drain_wakes(rx: &mut WakeRx) {
     use std::io::Read;
     let mut buf = [0u8; 256];
     loop {
@@ -425,6 +439,7 @@ pub fn drain_wakes(rx: &mut TcpStream) {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
     fn socket_pair() -> (TcpStream, TcpStream) {
@@ -511,5 +526,36 @@ mod tests {
         let mut rx = rx;
         drain_wakes(&mut rx);
         t.join().unwrap();
+    }
+
+    /// A shard worker wakes its reactor and goes on: a wake must return
+    /// even when the reactor has not drained for a long time (a Unix
+    /// pair refuses after a few hundred undrained bytes).
+    #[test]
+    fn wakes_never_block_and_one_drain_empties_the_channel() {
+        let (waker, mut rx) = waker_pair().unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller.register(rx.as_raw_fd(), 1, Interest::READ).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            for _ in 0..10_000 {
+                waker.wake();
+            }
+            done_tx.send(()).unwrap();
+            waker // a dropped send half would read as a hangup
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "an undrained wake channel blocked the waker"
+        );
+        let _waker = worker.join().unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 1 && e.readable));
+        drain_wakes(&mut rx);
+        poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+        assert!(events.is_empty(), "drained, yet readable: {events:?}");
     }
 }

@@ -22,6 +22,8 @@
 //! human-readable `message`. The request `id`, when present and
 //! well-formed, is echoed in both cases.
 
+use std::borrow::Cow;
+
 use rvhpc_core::engine::{MachineSel, Plan, Query, SpecKind};
 use rvhpc_core::Prediction;
 use rvhpc_machines::{presets, Machine, MachineId, VectorIsa};
@@ -201,10 +203,10 @@ impl PredictRequest {
     }
 
     /// Display label for the target machine (`SG2044` or `custom:SG2044`).
-    pub(crate) fn machine_label(&self) -> String {
+    pub(crate) fn machine_label(&self) -> Cow<'static, str> {
         match &self.machine {
-            MachineSpec::Preset(id) => id.name().to_string(),
-            MachineSpec::Custom { base, .. } => format!("custom:{}", base.name()),
+            MachineSpec::Preset(id) => Cow::Borrowed(id.name()),
+            MachineSpec::Custom { base, .. } => Cow::Owned(format!("custom:{}", base.name())),
         }
     }
 }
@@ -224,18 +226,18 @@ pub enum Request {
     Quit,
 }
 
-fn norm(s: &str) -> String {
+/// A preset name as it is matched: ASCII-lowercased, without spaces,
+/// `-` or `_`. An iterator, so a match allocates nothing.
+fn squashed(s: &str) -> impl Iterator<Item = char> + '_ {
     s.chars()
         .filter(|c| !matches!(c, ' ' | '-' | '_'))
         .map(|c| c.to_ascii_lowercase())
-        .collect()
 }
 
 fn preset_by_name(id: Option<u64>, s: &str) -> Result<MachineId, ProtoError> {
-    let want = norm(s);
     MachineId::ALL
         .into_iter()
-        .find(|m| norm(m.name()) == want)
+        .find(|m| squashed(m.name()).eq(squashed(s)))
         .ok_or_else(|| {
             ProtoError::new(
                 id,
@@ -523,6 +525,39 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
+/// Render a predict success reply (one line, no trailing newline),
+/// streamed without building a tree: the bytes of
+/// `render_ok(req.id, prediction_result(req, pred))`, with the request's
+/// span dump as a top-level `trace` field when one is given — the
+/// slow-request path (`--slow-us` threshold).
+pub(crate) fn render_prediction(
+    req: &PredictRequest,
+    pred: &Prediction,
+    trace: Option<&JsonValue>,
+) -> String {
+    let mut out = String::with_capacity(256);
+    json::Writer::new(&mut out).object(|o| {
+        if let Some(id) = req.id {
+            o.field("id").number(id as f64);
+        }
+        o.field("ok").bool(true);
+        o.field("result").object(|r| {
+            r.field("bench").string(req.bench.name());
+            r.field("class").string(req.class.name());
+            r.field("machine").string(&req.machine_label());
+            r.field("mops").number(pred.mops);
+            r.field("seconds").number(pred.seconds);
+            r.field("spec")
+                .string(if req.paper_spec { "paper" } else { "headline" });
+            r.field("threads").number(f64::from(req.threads));
+        });
+        if let Some(trace) = trace {
+            o.field("trace").value(trace);
+        }
+    });
+    out
+}
+
 fn id_field(id: Option<u64>) -> Option<(String, JsonValue)> {
     id.map(|v| ("id".to_string(), JsonValue::from(v)))
 }
@@ -532,18 +567,6 @@ pub fn render_ok(id: Option<u64>, result: JsonValue) -> String {
     let mut fields = vec![
         ("ok".to_string(), JsonValue::Bool(true)),
         ("result".to_string(), result),
-    ];
-    fields.extend(id_field(id));
-    JsonValue::object(fields).to_json()
-}
-
-/// As [`render_ok`] with the request's span dump attached as a top-level
-/// `trace` field — the slow-request path (`--slow-us` threshold).
-pub(crate) fn render_ok_traced(id: Option<u64>, result: JsonValue, trace: JsonValue) -> String {
-    let mut fields = vec![
-        ("ok".to_string(), JsonValue::Bool(true)),
-        ("result".to_string(), result),
-        ("trace".to_string(), trace),
     ];
     fields.extend(id_field(id));
     JsonValue::object(fields).to_json()
@@ -595,7 +618,9 @@ fn write_all_retrying<W: std::io::Write + ?Sized>(
     Ok(())
 }
 
-/// The `result` object of a predict reply.
+/// The `result` object of a predict reply, as a tree: the reference
+/// that [`render_prediction`]'s streamed bytes are tested against, and
+/// what callers outside the server build replies from.
 ///
 /// Deliberately excludes cache state: the model is deterministic, so a
 /// repeated identical request must produce a byte-identical reply whether
@@ -605,7 +630,10 @@ pub fn prediction_result(req: &PredictRequest, pred: &Prediction) -> JsonValue {
     JsonValue::object([
         ("bench".to_string(), JsonValue::from(req.bench.name())),
         ("class".to_string(), JsonValue::from(req.class.name())),
-        ("machine".to_string(), JsonValue::from(req.machine_label())),
+        (
+            "machine".to_string(),
+            JsonValue::from(req.machine_label().into_owned()),
+        ),
         (
             "threads".to_string(),
             JsonValue::from(u64::from(req.threads)),
@@ -698,9 +726,17 @@ mod tests {
             ("epyc 7742", MachineId::Epyc7742),
             ("epyc-7742", MachineId::Epyc7742),
             ("milk-v jupyter", MachineId::MilkVJupyter),
+            ("MILK_V-jupyter", MachineId::MilkVJupyter),
+            ("Vision-Five_v2", MachineId::VisionFiveV2),
+            (" banana  PI ", MachineId::BananaPiF3),
+            ("sg-2044", MachineId::Sg2044),
         ] {
             let p = predict(&format!(r#"{{"bench":"ep","machine":"{s}"}}"#));
             assert_eq!(p.machine, MachineSpec::Preset(want), "{s}");
+        }
+        for s in ["sg2044x", "sg204", "vision five", "milk.v jupyter", ""] {
+            let e = parse_request(&format!(r#"{{"bench":"ep","machine":"{s}"}}"#)).unwrap_err();
+            assert!(e.message.contains("unknown machine preset"), "{s}: {e:?}");
         }
     }
 
@@ -778,13 +814,77 @@ mod tests {
         }
     }
 
+    /// A span dump shaped like `TraceCtx::dump`'s.
+    fn sample_trace() -> JsonValue {
+        let span = JsonValue::object([
+            ("name".to_string(), JsonValue::from("cache-hit")),
+            ("start_us".to_string(), JsonValue::from(17u64)),
+            ("dur_us".to_string(), JsonValue::from(0.5f64)),
+        ]);
+        JsonValue::object([
+            ("trace_id".to_string(), JsonValue::from(42u64)),
+            ("spans".to_string(), JsonValue::Array(vec![span])),
+        ])
+    }
+
+    /// The streamed reply is the reference tree's bytes: every preset
+    /// and a custom descriptor, with and without an id, both specs, the
+    /// model's own numbers and a few the number format treats specially,
+    /// plain and with the slow-log `trace` field.
+    #[test]
+    fn streamed_replies_match_the_reference_tree() {
+        let engine = rvhpc_core::engine::Engine::new();
+        let mut machines: Vec<String> = MachineId::ALL
+            .iter()
+            .map(|m| format!(r#""{}""#, m.name()))
+            .collect();
+        machines.push(r#"{"base":"sg2042","clock_ghz":3.2,"cores":32}"#.to_string());
+        let trace = sample_trace();
+        let mut checked = 0;
+        for machine in &machines {
+            for spec in ["paper", "headline"] {
+                for id in ["", r#","id":7"#] {
+                    let req = predict(&format!(
+                        r#"{{"bench":"cg","class":"B","threads":16,"machine":{machine},"spec":"{spec}"{id}}}"#
+                    ));
+                    let (plan, _) = req.to_plan();
+                    let model = engine.execute(&plan).remove(0);
+                    for (seconds, mops) in [
+                        (model.seconds, model.mops),
+                        (3.0, 1.0 / 3.0),
+                        (2f64.powi(60), -0.0),
+                        (f64::NAN, f64::INFINITY),
+                    ] {
+                        let pred = Prediction {
+                            seconds,
+                            mops,
+                            ..(*model).clone()
+                        };
+                        let reference = render_ok(req.id, prediction_result(&req, &pred));
+                        assert_eq!(render_prediction(&req, &pred, None), reference);
+                        let mut traced = json::parse(&reference).expect("valid");
+                        if let JsonValue::Object(fields) = &mut traced {
+                            fields.insert("trace".to_string(), trace.clone());
+                        }
+                        assert_eq!(
+                            render_prediction(&req, &pred, Some(&trace)),
+                            traced.to_json()
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 12 * 2 * 2 * 4);
+    }
+
     #[test]
     fn traced_reply_carries_the_span_dump() {
-        let trace = JsonValue::object([
-            ("trace_id".to_string(), JsonValue::from(42u64)),
-            ("spans".to_string(), JsonValue::Array(vec![])),
-        ]);
-        let line = render_ok_traced(Some(7), JsonValue::from("x"), trace);
+        let req = predict(r#"{"bench":"ep","id":7}"#);
+        let pred = rvhpc_core::engine::Engine::new()
+            .execute(&req.to_plan().0)
+            .remove(0);
+        let line = render_prediction(&req, &pred, Some(&sample_trace()));
         assert!(!line.contains('\n'));
         let doc = json::parse(&line).expect("valid");
         assert_eq!(doc.get("ok"), Some(&JsonValue::Bool(true)));

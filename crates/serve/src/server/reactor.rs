@@ -154,17 +154,17 @@ fn settle_predict(
         enqueued_us,
         0,
     );
-    let result = proto::prediction_result(req, &res.pred);
     if sh.slow_us.is_some_and(|t| res.service_us >= t) {
         let dump = trace.dump();
+        let reply = proto::render_prediction(req, &res.pred, Some(&dump));
         let mut log = sh.slow_log.lock();
         if log.len() == SLOW_LOG_CAP {
             log.pop_front();
         }
-        log.push_back(dump.clone());
-        proto::render_ok_traced(req.id, result, dump)
+        log.push_back(dump);
+        reply
     } else {
-        proto::render_ok(req.id, result)
+        proto::render_prediction(req, &res.pred, None)
     }
 }
 
@@ -172,7 +172,7 @@ pub(super) struct Reactor {
     pub(super) shared: Arc<Shared>,
     pub(super) poller: Poller,
     pub(super) hub: Arc<ReactorHub>,
-    waker_rx: TcpStream,
+    waker_rx: poll::WakeRx,
     listener: TcpListener,
     listener_open: bool,
     conns: HashMap<u64, Conn>,
@@ -194,7 +194,7 @@ impl Reactor {
         shared: Arc<Shared>,
         poller: Poller,
         waker: poll::Waker,
-        waker_rx: TcpStream,
+        waker_rx: poll::WakeRx,
         listener: TcpListener,
     ) -> Reactor {
         let nodes = shared.router.as_ref().map_or(0, |r| r.config().nodes.len());
