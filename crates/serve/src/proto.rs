@@ -535,6 +535,7 @@ pub(crate) fn render_prediction(
     pred: &Prediction,
     trace: Option<&JsonValue>,
 ) -> String {
+    // A reply without a trace is about 160 bytes: one allocation.
     let mut out = String::with_capacity(256);
     json::Writer::new(&mut out).object(|o| {
         if let Some(id) = req.id {
@@ -618,9 +619,9 @@ fn write_all_retrying<W: std::io::Write + ?Sized>(
     Ok(())
 }
 
-/// The `result` object of a predict reply, as a tree: the reference
-/// that [`render_prediction`]'s streamed bytes are tested against, and
-/// what callers outside the server build replies from.
+/// The `result` object of a predict reply, as a tree: with
+/// [`render_ok`], the reference reply that [`render_prediction`]'s
+/// streamed bytes and the end-to-end reply checks are held to.
 ///
 /// Deliberately excludes cache state: the model is deterministic, so a
 /// repeated identical request must produce a byte-identical reply whether
